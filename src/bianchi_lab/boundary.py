@@ -7,6 +7,17 @@ Newton solve of the eikonal equation |grad r|_g = 1 on Taylor coefficients;
 the normal field grad r is then geodesic, its Hessian is the tangential
 second-fundamental-form field of the distance foliation, and one more
 covariant derivative gives the normal derivative data.
+
+Every caller, here and in ``linearize``, goes through one pipeline, with
+one function per step:
+
+* ``face_adapted_jets`` -- a symmetric 2-tensor field at face points, with
+  the upper face reflected so that the inward normal is always +x^d;
+* ``normal_field`` -- the distance jet r and n^i = g^{ij} d_j r;
+* ``distance_hessian`` -- Hess r, the A-field;
+* ``normal_derivative`` -- the contraction n^k nabla_k T;
+* ``face_restriction`` -- the tangential block as lateral jets on the face;
+* ``boundary_divergence`` -- -g_bnd^{kb} nabla_k S_ba on the face.
 """
 
 from __future__ import annotations
@@ -49,8 +60,13 @@ __all__ = [
     "constraint_residuals_at",
     "weyl_constraint_residual_at",
     "distance_jet",
+    "normal_field",
+    "distance_hessian",
     "reflect_jet_normal",
+    "face_adapted_jets",
     "collar_metric_jets",
+    "face_restriction",
+    "boundary_divergence",
 ]
 
 
@@ -91,23 +107,29 @@ def reflect_jet_normal(j: Jet) -> Jet:
     return Jet(j.dim, j.order, j.c * signs)
 
 
-def collar_metric_jets(collar: CollarChart, y, order: int):
-    """Metric jets at boundary points in face-adapted coordinates.
+def face_adapted_jets(collar: CollarChart, y, field, order: int):
+    """Jets of a symmetric 2-tensor field at face points, face-adapted.
 
-    For the upper face the normal coordinate is reflected so the inward
-    direction is always the positive last axis.
+    ``field(x, order)`` returns the (d, d) object array of jets at chart
+    points.  For the upper face the normal coordinate is reflected,
+    x^d -> const - x^d, so the inward direction is always the positive last
+    axis: odd normal orders flip, and so do the mixed (a, d) entries.
     """
-    x = collar.ambient_point(y)
-    g = collar.chart.metric_jets(x, order)
+    T = field(collar.ambient_point(y), order)
     if collar.face == 0:
-        return g
+        return T
     d = collar.dim
     out = np.empty((d, d), dtype=object)
     for i in range(d):
         for j in range(d):
             sign = (-1.0 if (i == d - 1) != (j == d - 1) else 1.0)
-            out[i, j] = reflect_jet_normal(g[i, j]) * sign
+            out[i, j] = reflect_jet_normal(T[i, j]) * sign
     return out
+
+
+def collar_metric_jets(collar: CollarChart, y, order: int):
+    """Metric jets at boundary points in face-adapted coordinates."""
+    return face_adapted_jets(collar, y, collar.chart.metric_jets, order)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +143,8 @@ def distance_jet(geom: Geometry, newton_steps: int = 12,
     Solves |grad r|^2_g = 1 with r = 0 on the face for the Taylor
     coefficients of r with nonzero normal exponent.  The system is square
     order by order; a Newton iteration on the full coefficient vector
-    converges quadratically from r = x^d.
+    converges quadratically from r = x^d.  Raises RuntimeError if the
+    residual is not below ``tol`` after ``newton_steps`` steps.
     """
     d, p = geom.dim, geom.order
     exps = _exponents(d, p)
@@ -152,10 +175,15 @@ def distance_jet(geom: Geometry, newton_steps: int = 12,
         bj.c[u] = 1.0
         basis.append(bj)
 
-    for _ in range(newton_steps):
+    for step in range(newton_steps + 1):
         res = grad_sq(r) - 1.0
-        if np.max(np.abs(res.c)) < tol:
-            break
+        err = float(np.max(np.abs(res.c)))
+        if err < tol:
+            return r
+        if step == newton_steps:
+            raise RuntimeError(
+                f"eikonal Newton solve did not converge in {newton_steps} "
+                f"steps: residual {err:.3e} >= tol {tol:.1e}")
         # J[:, u] = 2 sum g^{ij} d_i r d_j e_u
         cols = []
         dr = [r.partial(a) for a in range(d)]
@@ -175,7 +203,36 @@ def distance_jet(geom: Geometry, newton_steps: int = 12,
                         copy=True)
         newc[..., unknowns] += delta
         r = Jet(d, p, newc)
-    return r
+
+
+def normal_field(geom: Geometry):
+    """The distance jet r and the normal field n^i = g^{ij} d_j r."""
+    d, p = geom.dim, geom.order
+    rjet = distance_jet(geom)
+    dr = [rjet.partial(a) for a in range(d)]
+    nvec = np.empty(d, dtype=object)
+    for i in range(d):
+        acc = None
+        for j in range(d):
+            term = geom.ginv[i, j].truncate(p - 1) * dr[j]
+            acc = term if acc is None else acc + term
+        nvec[i] = acc
+    return rjet, nvec
+
+
+def distance_hessian(geom: Geometry, rjet: Jet) -> np.ndarray:
+    """Hess r, the A-field: tangential by the eikonal equation."""
+    d, p = geom.dim, geom.order
+    dr = [rjet.partial(a) for a in range(d)]
+    dr2 = [dj.truncate(p - 2) for dj in dr]
+    hess = np.empty((d, d), dtype=object)
+    for i in range(d):
+        for j in range(i, d):
+            acc = dr[i].partial(j)
+            for k in range(d):
+                acc = acc - geom.gamma[k, i, j].truncate(p - 2) * dr2[k]
+            hess[i, j] = hess[j, i] = acc
+    return hess
 
 
 def normal_derivative(geom: Geometry, nvec: np.ndarray, T: np.ndarray):
@@ -234,44 +291,41 @@ def _restrict_to_face(j: Jet) -> Jet:
     return Jet(d - 1, p, j.c[..., sel])
 
 
+def face_restriction(T: np.ndarray) -> np.ndarray:
+    """Tangential block of a tensor of jets as lateral jets on the face."""
+    d = T.shape[0]
+    out = np.empty((d - 1,) * T.ndim, dtype=object)
+    for idx in np.ndindex(*out.shape):
+        out[idx] = _restrict_to_face(T[idx])
+    return out
+
+
+def boundary_divergence(bgeom: Geometry, S: np.ndarray) -> np.ndarray:
+    """-g_bnd^{kb} nabla_k S_ba of lateral jets S_ab: covector jets."""
+    db = bgeom.dim
+    nS = nabla(bgeom, S)
+    o = nS.flat[0].order
+    out = np.empty(db, dtype=object)
+    for a in range(db):
+        acc = None
+        for k in range(db):
+            for b in range(db):
+                term = bgeom.ginv[k, b].truncate(o) * nS[k, b, a]
+                acc = term if acc is None else acc + term
+        out[a] = -acc
+    return out
+
+
 def boundary_state(collar: CollarChart, y, order: int = 4) -> BoundaryState:
     d = collar.dim
     g = collar_metric_jets(collar, y, order)
     geom = geometry_from_jets(g)
-    rjet = distance_jet(geom)
-
-    p = order
-    nvec = np.empty(d, dtype=object)
-    dr = [rjet.partial(a) for a in range(d)]
-    for i in range(d):
-        acc = None
-        for jx in range(d):
-            term = geom.ginv[i, jx].truncate(p - 1) * dr[jx]
-            acc = term if acc is None else acc + term
-        nvec[i] = acc
-
-    # A-field = Hess r (tangential by the eikonal equation)
-    hess = np.empty((d, d), dtype=object)
-    dr2 = [dj.truncate(p - 2) for dj in dr]
-    for i in range(d):
-        for jx in range(i, d):
-            acc = dr[i].partial(jx)
-            for k in range(d):
-                acc = acc - geom.gamma[k, i, jx].truncate(p - 2) * dr2[k]
-            hess[i, jx] = hess[jx, i] = acc
+    rjet, nvec = normal_field(geom)
+    hess = distance_hessian(geom, rjet)
     dn_a = normal_derivative(geom, nvec, hess)
-
     # intrinsic boundary geometry from the lateral restriction of g_ab
-    bg = np.empty((d - 1, d - 1), dtype=object)
-    for a in range(d - 1):
-        for b in range(d - 1):
-            bg[a, b] = _restrict_to_face(g[a, b])
-    bgeom = geometry_from_jets(bg)
-
-    a_lat = np.empty((d - 1, d - 1), dtype=object)
-    for a in range(d - 1):
-        for b in range(d - 1):
-            a_lat[a, b] = _restrict_to_face(hess[a, b])
+    bgeom = geometry_from_jets(face_restriction(g))
+    a_lat = face_restriction(hess)
 
     # plain-value views
     gvals = tensor_values(g)
@@ -321,15 +375,7 @@ def projections_at(collar: CollarChart, y, sigma_field, order: int = 3):
     """
     st = boundary_state(collar, y, order=max(order, 3))
     d = collar.dim
-    x = collar.ambient_point(y)
-    sig = sigma_field(x, max(order, 3))
-    if collar.face == 1:
-        ref = np.empty((d, d), dtype=object)
-        for i in range(d):
-            for j in range(d):
-                sign = (-1.0 if (i == d - 1) != (j == d - 1) else 1.0)
-                ref[i, j] = reflect_jet_normal(sig[i, j]) * sign
-        sig = ref
+    sig = face_adapted_jets(collar, y, sigma_field, max(order, 3))
     svals = tensor_values(sig)
     n = st.frame.normal
     gvals = tensor_values(st.geom.g)
@@ -387,18 +433,7 @@ def _e_of_a_wedge_a(st: BoundaryState) -> np.ndarray:
 
 def _boundary_div_a(st: BoundaryState) -> np.ndarray:
     """(delta_{g_bnd} A)_a as a lowered boundary covector (values)."""
-    d = st.collar.dim
-    na = nabla(st.bgeom, st.a_lateral)
-    o = na.flat[0].order
-    out = np.empty(d - 1, dtype=object)
-    for a in range(d - 1):
-        acc = None
-        for k in range(d - 1):
-            for b in range(d - 1):
-                term = st.bgeom.ginv[k, b].truncate(o) * na[k, b, a]
-                acc = term if acc is None else acc + term
-        out[a] = -acc
-    return tensor_values(out)
+    return tensor_values(boundary_divergence(st.bgeom, st.a_lateral))
 
 
 def _d_trace_a(st: BoundaryState) -> np.ndarray:

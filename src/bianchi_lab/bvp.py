@@ -13,7 +13,7 @@ solvable to solver tolerance rather than discretization accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -568,41 +568,6 @@ def kernel_probe(matrix: sp.spmatrix, iters: int = 60,
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def sigma_max_estimate(matrix: sp.spmatrix) -> float:
-    return float(spla.svds(matrix.astype(float), k=1,
-                           return_singular_vectors=False)[0])
-
-
-def kernel_spectrum(matrix: sp.spmatrix, k: int = 16) -> np.ndarray:
-    """The k smallest singular values, ascending (dense below 4000 cols)."""
-    m = matrix.tocsr()
-    if min(m.shape) <= 4000:
-        svals = np.linalg.svd(m.toarray(), compute_uv=False)
-        return svals[::-1][:k]
-    Nmat = (m.T @ m).tocsc()
-    vals = spla.eigsh(Nmat, k=min(k, Nmat.shape[0] - 2), sigma=-1e-10,
-                      which="LM", return_eigenvectors=False)
-    return np.sqrt(np.maximum(np.sort(vals), 0.0))
-
-
-def _count_small_singular_values(matrix: sp.spmatrix, tau: float,
-                                 k: int = 16) -> int:
-    """Number of singular values below tau (smallest-k search)."""
-    m = matrix.tocsr()
-    if min(m.shape) <= 4000:
-        svals = np.linalg.svd(m.toarray(), compute_uv=False)
-        return int(np.sum(svals < tau))
-    Nmat = (m.T @ m).tocsc()
-    k = min(k, Nmat.shape[0] - 2)
-    vals = spla.eigsh(Nmat, k=k, sigma=-1e-10, which="LM",
-                      return_eigenvectors=False)
-    count = int(np.sum(np.sqrt(np.maximum(vals, 0.0)) < tau))
-    if count == k:
-        raise RuntimeError("small-singular-value cluster exceeds the probe "
-                           "window; increase k")
-    return count
-
-
 def _dstar_from_P(P, d: int):
     pairs = _sym_pairs(d)
     ds_blocks = [[None] * d for _ in range(len(pairs))]
@@ -698,14 +663,6 @@ def row_stack(system: DiscreteSystem, families) -> sp.csr_matrix:
     w = system.weights
     return sp.vstack([w[0] * system.einstein, w[1] * system.gauge,
                       w[2] * system.boundary[keep]], format="csr")
-
-
-def h1_operator(system: DiscreteSystem) -> sp.csr_matrix:
-    """Stack defining the middle cohomology probe: interior operator,
-    gauge, pullback, linearized second-fundamental-form and normal
-    restriction rows (the normal-derivative data rows are not part of
-    this kernel)."""
-    return row_stack(system, H1_FAMILIES)
 
 
 def width_modulus_fields(n: int, d: int) -> np.ndarray:

@@ -10,9 +10,7 @@ boundary semantics matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from math import comb
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +23,6 @@ __all__ = [
     "Geometry",
     "geometry_from_jets",
     "chart_geometry",
-    "metric_at",
     "christoffel_at",
     "curvature_at",
     "rm_covector",
@@ -259,13 +256,6 @@ class Geometry:
     ric: np.ndarray | None = None    # (d,d), order p-2
     sc: Jet | None = None
     ein: np.ndarray | None = None
-
-    _zero: Jet | None = None
-
-    def zero_jet(self, order: int | None = None) -> Jet:
-        o = self.order if order is None else order
-        base = np.zeros(self.g[0, 0].c.shape[:-1])
-        return Jet.const(self.dim, o, base)
 
 
 def geometry_from_jets(g: np.ndarray, curvature: bool = True) -> Geometry:
@@ -537,11 +527,6 @@ def dewitt_inner(sigma: np.ndarray, eta: np.ndarray, gvals: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # chart-level convenience wrappers
-
-
-def metric_at(chart: MetricChart, x, order: int = 4):
-    """Jet-valued metric components at x."""
-    return chart.metric_jets(x, order)
 
 
 def christoffel_at(chart: MetricChart, x) -> np.ndarray:

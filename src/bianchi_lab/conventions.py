@@ -111,9 +111,14 @@ def compute_conventions(tol: float = 1e-8) -> dict:
     return data
 
 
+# the pinned constants; ``audit_defects`` are floats kept for the record,
+# checked against their tolerances when computed, never compared bit-for-bit
+_PINNED_KEYS = ("version", "ricci_action", "constraints")
+
+
 def canonical_json(data: dict) -> str:
-    stripped = {k: v for k, v in data.items() if k != "hash"}
-    return json.dumps(stripped, sort_keys=True, separators=(",", ":"))
+    pinned = {k: data[k] for k in _PINNED_KEYS}
+    return json.dumps(pinned, sort_keys=True, separators=(",", ":"))
 
 
 def conventions_hash(data: dict) -> str:

@@ -9,11 +9,11 @@ Derivative extraction is exact up to the truncation order.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
 
 import numpy as np
 
-__all__ = ["Jet", "jet_matrix_inverse", "jet_solve"]
+__all__ = ["Jet", "jet_matrix_inverse"]
 
 
 @lru_cache(maxsize=None)
@@ -270,12 +270,3 @@ def jet_matrix_inverse(G: list[list[Jet]]) -> list[list[Jet]]:
                 ident[row][j] = ident[row][j] - f * ident[col][j]
     return ident
 
-
-def jet_solve(G: list[list[Jet]], rhs: list[Jet]) -> list[Jet]:
-    """Solve G x = rhs for a vector of jets."""
-    inv = jet_matrix_inverse(G)
-    d = len(G)
-    return [sum((inv[i][j] * rhs[j] for j in range(d)),
-                start=Jet.const(rhs[0].dim, rhs[0].order,
-                                np.zeros(rhs[0].c.shape[:-1])))
-            for i in range(d)]

@@ -13,8 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import CollarChart, boundary_state, collar_metric_jets, \
-    reflect_jet_normal
+from .boundary import (
+    CollarChart,
+    boundary_divergence,
+    collar_metric_jets,
+    distance_hessian,
+    face_adapted_jets,
+    face_restriction,
+    normal_derivative,
+    normal_field,
+)
 from .charts import (
     Geometry,
     MetricChart,
@@ -385,63 +393,27 @@ def dboundary_data_fd(collar: CollarChart, y, sigma, eps: float = 1e-3,
     All outputs are in boundary coordinates at the face points.
     """
     d = collar.dim
+    g = collar_metric_jets(collar, y, order)
+    sig = face_adapted_jets(collar, y, sigma, order)
 
-    def perturbed_state(t):
-        g = collar_metric_jets(collar, y, order)
-        x = collar.ambient_point(y)
-        sig = sigma(x, order)
-        if collar.face == 1:
-            ref = np.empty((d, d), dtype=object)
-            for i in range(d):
-                for j in range(d):
-                    sign = (-1.0 if (i == d - 1) != (j == d - 1) else 1.0)
-                    ref[i, j] = reflect_jet_normal(sig[i, j]) * sign
-            sig = ref
+    def perturbed_data(t):
         gp = np.empty((d, d), dtype=object)
         for i in range(d):
             for j in range(d):
                 gp[i, j] = g[i, j] + t * sig[i, j]
         return _boundary_data_from_geom(geometry_from_jets(gp))
 
-    ap, hp, mp = perturbed_state(+eps)
-    am, hm, mm = perturbed_state(-eps)
+    ap, hp, mp = perturbed_data(+eps)
+    am, hm, mm = perturbed_data(-eps)
     return ((ap - am) / (2 * eps), (hp - hm) / (2 * eps), (mp - mm) / (2 * eps))
 
 
 def _boundary_data_from_geom(geom: Geometry):
     """(A, H, nabla_n A) in boundary coordinates from face-adapted jets."""
-    from .boundary import distance_jet
-    from .charts import nabla as _nabla
-
     d = geom.dim
-    p = geom.order
-    rjet = distance_jet(geom)
-    dr = [rjet.partial(a) for a in range(d)]
-    nvec = np.empty(d, dtype=object)
-    for i in range(d):
-        acc = None
-        for jx in range(d):
-            term = geom.ginv[i, jx].truncate(p - 1) * dr[jx]
-            acc = term if acc is None else acc + term
-        nvec[i] = acc
-    hess = np.empty((d, d), dtype=object)
-    dr2 = [dj.truncate(p - 2) for dj in dr]
-    for i in range(d):
-        for jx in range(i, d):
-            acc = dr[i].partial(jx)
-            for k in range(d):
-                acc = acc - geom.gamma[k, i, jx].truncate(p - 2) * dr2[k]
-            hess[i, jx] = hess[jx, i] = acc
-    nh = _nabla(geom, hess)
-    o = nh.flat[0].order
-    dn = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            acc = None
-            for k in range(d):
-                term = nvec[k].truncate(o) * nh[k, i, j]
-                acc = term if acc is None else acc + term
-            dn[i, j] = acc
+    rjet, nvec = normal_field(geom)
+    hess = distance_hessian(geom, rjet)
+    dn = normal_derivative(geom, nvec, hess)
     avals = tensor_values(hess)[..., : d - 1, : d - 1]
     gb = sym_values(geom.g)[..., : d - 1, : d - 1]
     hmean = np.einsum("...ab,...ab->...", np.linalg.inv(gb), avals)
@@ -520,14 +492,13 @@ def normal_identity_residuals(collar: CollarChart, y, sigma, action,
     """
     if not collar.chart.ricci_flat:
         raise ValueError("normal identity probes need a Ricci-flat preset")
+    if collar.face == 1:
+        raise ValueError("probe implemented on the lower face")
     d = collar.dim
     order = 6
     g = collar_metric_jets(collar, y, order)
     geom = geometry_from_jets(g)
-    x = collar.ambient_point(y)
-    sig = sigma(x, order)
-    if collar.face == 1:
-        raise ValueError("probe implemented on the lower face")
+    sig = face_adapted_jets(collar, y, sigma, order)
 
     if require_vanishing >= 1:
         v0 = np.max(np.abs(tensor_values(sig)))
@@ -540,72 +511,24 @@ def normal_identity_residuals(collar: CollarChart, y, sigma, action,
             raise ValueError("sigma does not vanish to the stated order")
 
     T = dein_closed_jets(geom, sig, action)
-
-    from .boundary import distance_jet
-
-    rjet = distance_jet(geom)
-    dr = [rjet.partial(a) for a in range(d)]
-    st_nvec = np.empty(d, dtype=object)
-    for i in range(d):
-        acc = None
-        for jx in range(d):
-            term = geom.ginv[i, jx].truncate(order - 1) * dr[jx]
-            acc = term if acc is None else acc + term
-        st_nvec[i] = acc
+    _, nvec = normal_field(geom)
+    nvals = tensor_values(nvec)
 
     def normal_component(Sjets):
-        gv = sym_values(geom.g)
-        nv = np.stack([np.broadcast_to(st_nvec[i].value, gv.shape[:-2])
-                       for i in range(d)], axis=-1)
-        sv = tensor_values(Sjets)
-        return np.einsum("...ij,...i->...j", sv, nv)
+        return np.einsum("...ij,...i->...j", tensor_values(Sjets), nvals)
 
-    def normal_deriv(Sjets):
-        nS = nabla(geom, Sjets)
-        o = nS.flat[0].order
-        out = np.empty((d, d), dtype=object)
-        for i in range(d):
-            for j in range(d):
-                acc = None
-                for k in range(d):
-                    term = st_nvec[k].truncate(o) * nS[(k, i, j)]
-                    acc = term if acc is None else acc + term
-                out[i, j] = acc
-        return out
-
-    T1 = normal_deriv(T)
-    T2 = normal_deriv(T1)
+    T1 = normal_derivative(geom, nvec, T)
+    T2 = normal_derivative(geom, nvec, T1)
 
     r1 = float(np.max(np.abs(normal_component(T))))
     r2 = float(np.max(np.abs(normal_component(T1))))
 
-    # boundary divergence of the tangential block of T1 (flat boundary:
-    # intrinsic christoffels vanish only for flat slabs; use bgeom)
-    from .boundary import _restrict_to_face
-
-    bgl = np.empty((d - 1, d - 1), dtype=object)
-    for a in range(d - 1):
-        for b in range(d - 1):
-            bgl[a, b] = _restrict_to_face(g[a, b])
-    bgeom = geometry_from_jets(bgl, curvature=False)
-    t1_lat = np.empty((d - 1, d - 1), dtype=object)
-    for a in range(d - 1):
-        for b in range(d - 1):
-            t1_lat[a, b] = _restrict_to_face(T1[a, b])
-    nT1 = nabla(bgeom, t1_lat)
-    o = nT1.flat[0].order
-    div_t1 = np.empty(d - 1, dtype=object)
-    for a in range(d - 1):
-        acc = None
-        for k in range(d - 1):
-            for b in range(d - 1):
-                term = bgeom.ginv[k, b].truncate(o) * nT1[k, b, a]
-                acc = term if acc is None else acc + term
-        div_t1[a] = -acc
-
+    # boundary divergence of the tangential block of T1, in the intrinsic
+    # boundary geometry
+    bgeom = geometry_from_jets(face_restriction(g), curvature=False)
+    div_t1 = boundary_divergence(bgeom, face_restriction(T1))
     pn_t2 = normal_component(T2)[..., : d - 1]
-    div_vals = tensor_values(div_t1)
-    r3 = float(np.max(np.abs(pn_t2 - div_vals)))
+    r3 = float(np.max(np.abs(pn_t2 - tensor_values(div_t1))))
     return r1, r2, r3
 
 

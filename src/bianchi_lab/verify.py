@@ -23,7 +23,7 @@ from .charts import (
     sym_values,
     tensor_values,
 )
-from .conventions import constraint_constants, load_conventions, ricci_action
+from .conventions import constraint_constants, ricci_action
 from .linearize import (
     Perturbation,
     dboundary_data_fd,
@@ -331,7 +331,6 @@ def suite_green(cfg) -> list:
     cases = []
     seed = cfg["seed"]
     slab = make_chart("flat_slab_periodic", 3)
-    n0 = min(cfg.get("grid") or [16])
 
     grid = GridSpec.for_chart(slab, 16)
     X0 = periodic_vector_field(3, seed + 1, normal_vanish=2)
@@ -352,15 +351,12 @@ def suite_green(cfg) -> list:
 
     sig2 = periodic_sym_field(3, seed + 5, normal_vanish=2)
     eta2 = periodic_sym_field(3, seed + 6, normal_vanish=2)
-    cases.append(_case("einstein-symmetry-interior",
-                       green_einstein_sym_defect(grid, slab, sig2, eta2,
-                                                 action), 1e-9,
+    ein_defect = green_einstein_sym_defect(grid, slab, sig2, eta2, action)
+    cases.append(_case("einstein-symmetry-interior", ein_defect, 1e-9,
                        "green.einstein-symmetry"))
     cases.append(_case("dewitt-ricci-route-agreement",
-                       abs(green_einstein_sym_defect(grid, slab, sig2, eta2,
-                                                     action)
-                           - dewitt_green_ric_defect(grid, slab, sig2, eta2,
-                                                     action)), 1e-9,
+                       abs(ein_defect - dewitt_green_ric_defect(
+                           grid, slab, sig2, eta2, action)), 1e-9,
                        "green.dewitt-ricci"))
 
     ball = make_chart("polar_ball", 3)

@@ -5,6 +5,7 @@ from bianchi_lab.boundary import (
     CollarChart,
     boundary_frame_at,
     boundary_state,
+    collar_metric_jets,
     combine_constraint_residuals,
     constraint_pieces,
     constraint_residuals_at,
@@ -12,13 +13,19 @@ from bianchi_lab.boundary import (
     projections_at,
     weyl_constraint_residual_at,
 )
-from bianchi_lab.charts import chart_geometry, make_chart, sym_values
+from bianchi_lab.charts import (
+    chart_geometry,
+    geometry_from_jets,
+    make_chart,
+    sym_values,
+)
 from bianchi_lab.conventions import (
     compute_constraint_constants,
     constraint_constants,
     load_conventions,
 )
 from bianchi_lab.jets import Jet
+from bianchi_lab.linearize import dboundary_data_fd
 
 from oracles import fd_second_fundamental_form
 
@@ -107,6 +114,14 @@ def test_distance_jet_solves_eikonal():
     assert np.abs(st2.rjet.c - xd.c).max() <= 1e-13
 
 
+def test_distance_jet_raises_when_newton_does_not_converge():
+    collar = CollarChart(make_chart("curved_generic", 3))
+    g = collar_metric_jets(collar, lateral_points(3, 2, 4), 4)
+    geom = geometry_from_jets(g)
+    with pytest.raises(RuntimeError, match="did not converge in 0 steps"):
+        distance_jet(geom, newton_steps=0)
+
+
 # ---------------------------------------------------------------------------
 # projections
 
@@ -189,6 +204,53 @@ def test_projection_reconstruction():
     pnt_f = proj["pnt_frame"]
     assert np.abs(sf[..., : d - 1, d - 1] - pnt_f).max() <= 1e-11
     assert np.abs(sf[..., d - 1, d - 1] - proj["pnn"]).max() <= 1e-11
+
+
+def mirrored_sym_field(d, mirror):
+    """A field with nonzero sigma(n, t); ``mirror`` gives its image under
+    x^d -> 1 - x^d, whose mixed (a, d) entries change sign."""
+    mat = rng(12).standard_normal((d, d))
+    mat = 0.5 * (mat + mat.T)
+
+    def entries(xs):
+        s = 1.0 - xs[-1] if mirror else xs[-1]
+        out = np.empty((d, d), dtype=object)
+        for i in range(d):
+            for j in range(i, d):
+                mixed = mirror and (i == d - 1) != (j == d - 1)
+                lateral = (xs[0] * (2 * np.pi) + (i + j)).cos() * 0.3 \
+                    + mat[i, j]
+                v = lateral * (s * s * 0.7 + s * 0.5 + 1.0)
+                out[i, j] = out[j, i] = -v if mixed else v
+        return out
+
+    return sym_field_from_matrix_fn(d, entries)
+
+
+def test_upper_face_mirrors_lower_face_on_curved_chart():
+    # profile 1 + x/2 - x^2/4 becomes 5/4 - x^2/4 under x -> 1 - x, so the
+    # upper face of the second chart is the lower face of the first
+    d = 3
+    lower = CollarChart(make_chart("conformal_bump", d, amp=0.1), 0)
+    upper = CollarChart(make_chart("conformal_bump", d, amp=0.1,
+                                   profile=(1.25, 0.0, -0.25)), 1)
+    y = lateral_points(d, 3, 14)
+    sig_lo, sig_up = mirrored_sym_field(d, False), mirrored_sym_field(d, True)
+
+    fr_lo, fr_up = boundary_frame_at(lower, y), boundary_frame_at(upper, y)
+    for name in ("second_ff", "mean_curv", "normal_deriv_a"):
+        lo, up = getattr(fr_lo, name), getattr(fr_up, name)
+        assert np.abs(lo).max() > 1e-2
+        assert np.abs(lo - up).max() <= 1e-12
+    p_lo = projections_at(lower, y, sig_lo)
+    p_up = projections_at(upper, y, sig_up)
+    assert np.abs(p_lo["pnt"]).max() > 0.1
+    for key in ("ptt", "pnn", "pnt", "dn1", "dn2"):
+        assert np.abs(p_lo[key] - p_up[key]).max() <= 1e-12
+    for lo, up in zip(dboundary_data_fd(lower, y, sig_lo),
+                      dboundary_data_fd(upper, y, sig_up)):
+        assert np.abs(lo).max() > 1e-2
+        assert np.abs(lo - up).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

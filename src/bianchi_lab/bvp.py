@@ -757,7 +757,13 @@ def deflated_gap(n: int, d: int, weights=None,
                  zero_tol: float = 1e-10) -> tuple[float, int]:
     """(smallest singular value beyond the kernel, kernel dimension) from
     the exact lateral-Fourier spectrum."""
-    spec = lateral_block_svals(n, d, weights)["spectrum"]
+    return spectral_gap(lateral_block_svals(n, d, weights)["spectrum"],
+                        zero_tol)
+
+
+def spectral_gap(spec, zero_tol: float = 1e-10) -> tuple[float, int]:
+    """(smallest singular value beyond the kernel, kernel dimension) of an
+    ascending spectrum; the kernel is the values below zero_tol * max."""
     scale = spec[-1]
     nkernel = int(np.sum(spec < zero_tol * scale))
     return float(spec[nkernel]), nkernel

@@ -160,14 +160,24 @@ def cmd_solve(args) -> int:
               "only; other backgrounds would need the lifted operators",
               file=sys.stderr)
         return 2
+    grid = cfg.get("grid") or [16]
+    if cfg.get("source") == "continuum-admissible" and \
+            not (cfg.get("study") and len(grid) >= 3):
+        print("the continuum-admissible source is checked by its "
+              "convergence slope only: pass --study and at least 3 grids",
+              file=sys.stderr)
+        return 2
+    if cfg.get("source") == "discrete-admissible" and max(grid) < 15:
+        print("the discrete-admissible source needs a grid >= 15",
+              file=sys.stderr)
+        return 2
     import numpy as np
 
-    from .bvp import (assemble, cohomology_probe, deflated_gap,
-                      lateral_block_svals, make_source, solve_least_squares)
+    from .bvp import (assemble, cohomology_probe, lateral_block_svals,
+                      make_source, solve_least_squares, spectral_gap)
     from .charts import make_chart
 
     chart = make_chart(cfg["preset"], cfg["dim"])
-    grid = cfg.get("grid") or [16]
     kinds = ([cfg["source"]] if cfg.get("source") else
              ["discrete-admissible", "continuum-admissible",
               "inadmissible-divergence", "inadmissible-boundary"])
@@ -209,7 +219,7 @@ def cmd_solve(args) -> int:
                           "anchor": "bvp.solvable-continuum"})
     n0 = min(grid)
     spec = lateral_block_svals(n0, cfg["dim"])["spectrum"]
-    gap, nkernel = deflated_gap(n0, cfg["dim"])
+    gap, nkernel = spectral_gap(spec)
     probe = cohomology_probe(n0, chart)
     meta = {
         "command": "solve",

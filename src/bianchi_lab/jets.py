@@ -4,6 +4,16 @@ A Jet stores normalized Taylor coefficients c_alpha = d^alpha f / alpha! on
 all multi-indices |alpha| <= order, in a trailing axis of a numpy array, so
 whole grids of points can be pushed through the ring operations at once.
 Derivative extraction is exact up to the truncation order.
+
+The product of two jets is one kernel.  Every pair (alpha, beta) with
+|alpha| + |beta| <= order is listed once, grouped by the output index of
+alpha + beta (``_mul_flat``): the product is the gather
+``a[:, IA] * b[:, IB]`` of shape (rows, pairs) times the 0/1 matrix S of
+shape (pairs, K) that sums each output's pairs.  The rows are taken in
+blocks of about ``_BLOCK`` gathered values, so the (rows x pairs)
+temporaries stay in cache at batch 32768 as well as at batch 1; one
+gather over the whole batch would spill and be memory-bound there.  An
+order-0 jet is its value, so that product is a plain multiply.
 """
 
 from __future__ import annotations
@@ -53,6 +63,23 @@ def _mul_table(dim: int, order: int):
     return [(np.array([p[0] for p in pairs], dtype=np.intp),
              np.array([p[1] for p in pairs], dtype=np.intp))
             for pairs in table]
+
+
+#: Gathered float64 values per block of the jet product (128 KB).
+_BLOCK = 1 << 14
+
+
+@lru_cache(maxsize=None)
+def _mul_flat(dim: int, order: int):
+    """(IA, IB, S): every product pair in output order, and the 0/1 matrix
+    S of shape (pairs, K) that sums each output coefficient's pairs."""
+    table = _mul_table(dim, order)
+    IA = np.concatenate([ia for ia, _ in table])
+    IB = np.concatenate([ib for _, ib in table])
+    owner = np.repeat(np.arange(len(table)), [len(ia) for ia, _ in table])
+    S = np.zeros((len(IA), len(table)))
+    S[np.arange(len(IA)), owner] = 1.0
+    return IA, IB, S
 
 
 @lru_cache(maxsize=None)
@@ -173,12 +200,19 @@ class Jet:
             return Jet(self.dim, self.order, self.c * np.asarray(other)[..., None]
                        if np.ndim(other) else self.c * other)
         a, b = self._pair(other)
-        table = _mul_table(a.dim, a.order)
+        if a.order == 0:
+            return Jet(a.dim, 0, a.c * b.c)
+        IA, IB, S = _mul_flat(a.dim, a.order)
+        K = S.shape[1]
         shape = np.broadcast_shapes(a.c.shape[:-1], b.c.shape[:-1])
-        out = np.empty(shape + (len(table),))
-        for k, (ia, ib) in enumerate(table):
-            out[..., k] = np.sum(a.c[..., ia] * b.c[..., ib], axis=-1)
-        return Jet(a.dim, a.order, out)
+        ac = np.broadcast_to(a.c, shape + (K,)).reshape(-1, K)
+        bc = np.broadcast_to(b.c, shape + (K,)).reshape(-1, K)
+        out = np.empty(ac.shape)
+        step = max(1, _BLOCK // len(IA))
+        for lo in range(0, len(out), step):
+            blk = slice(lo, lo + step)
+            np.matmul(ac[blk][:, IA] * bc[blk][:, IB], S, out=out[blk])
+        return Jet(a.dim, a.order, out.reshape(shape + (K,)))
 
     __rmul__ = __mul__
 
@@ -247,7 +281,9 @@ def jet_matrix_inverse(G: list[list[Jet]]) -> list[list[Jet]]:
     """Invert a matrix of jets by Gauss-Jordan elimination.
 
     No pivoting: intended for positive-definite matrices whose leading
-    minors stay away from zero (metric components).
+    minors stay away from zero (metric components).  Raises
+    ``np.linalg.LinAlgError`` when a pivot's value is <= 1e-12 max|G| in
+    absolute value at some batch point.
     """
     d = len(G)
     A = [[G[i][j] for j in range(d)] for i in range(d)]
@@ -256,7 +292,12 @@ def jet_matrix_inverse(G: list[list[Jet]]) -> list[list[Jet]]:
                                   for j in range(d)])
     ident = [[Jet.const(dim, order, np.full(shape, 1.0 if i == j else 0.0))
               for j in range(d)] for i in range(d)]
+    tiny = 1e-12 * np.max(np.abs(np.broadcast_arrays(
+        *[A[i][j].value for i in range(d) for j in range(d)])), axis=0)
     for col in range(d):
+        if np.any(np.abs(A[col][col].value) <= tiny):
+            raise np.linalg.LinAlgError(
+                f"vanishing pivot in column {col} of a jet matrix inverse")
         inv_piv = A[col][col].reciprocal()
         for j in range(d):
             A[col][j] = A[col][j] * inv_piv

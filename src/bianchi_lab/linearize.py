@@ -401,7 +401,8 @@ def dboundary_data_fd(collar: CollarChart, y, sigma, eps: float = 1e-3,
         for i in range(d):
             for j in range(d):
                 gp[i, j] = g[i, j] + t * sig[i, j]
-        return _boundary_data_from_geom(geometry_from_jets(gp))
+        return _boundary_data_from_geom(
+            geometry_from_jets(gp, curvature=False))
 
     ap, hp, mp = perturbed_data(+eps)
     am, hm, mm = perturbed_data(-eps)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: dict-based exterior algebra with
 permutation parity computed by bubble sort, full-tensor contractions, and
-finite-difference geometry.  None of it shares code with the library.
+finite-difference geometry.  None of it shares code with the library,
+except ``jet_mul_loop``: the former per-output jet product loop, which
+reads the library's per-output pair table ``jets._mul_table``.
 """
 
 from __future__ import annotations
@@ -220,3 +222,23 @@ def fd_second_fundamental_form(metric_fn, x_face, h=1e-5):
     t = h
     A_full = (pullback(t, x_face) - pullback(-t, x_face)) / (4 * t)
     return A_full[: d - 1, : d - 1]
+
+
+def jet_mul_loop(a, b):
+    """Taylor product of two jets by one sum per output coefficient.
+
+    This is the product loop ``Jet.__mul__`` used before its single-kernel
+    form: for each output index it gathers that index's (alpha, beta)
+    pairs from the per-output table and sums them along the last axis.
+    Mixed orders are truncated to the lower one.
+    """
+    from bianchi_lab.jets import Jet, _mul_table
+
+    order = min(a.order, b.order)
+    a, b = a.truncate(order), b.truncate(order)
+    table = _mul_table(a.dim, a.order)
+    shape = np.broadcast_shapes(a.c.shape[:-1], b.c.shape[:-1])
+    out = np.empty(shape + (len(table),))
+    for k, (ia, ib) in enumerate(table):
+        out[..., k] = np.sum(a.c[..., ia] * b.c[..., ib], axis=-1)
+    return Jet(a.dim, a.order, out)

@@ -67,6 +67,16 @@ def test_solve_rejects_non_flat_preset():
     assert run(["solve", "--preset", "conformal_bump"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--source", "continuum-admissible", "--grid", "8"],
+    ["--source", "continuum-admissible", "--grid", "6,8", "--study"],
+    ["--source", "discrete-admissible", "--grid", "8,12"],
+])
+def test_solve_rejects_a_source_that_builds_no_case(argv, capsys):
+    assert run(["solve", *argv]) == 2
+    assert "source" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error():
     assert run(["verify", "--nonsense"]) == 2
 

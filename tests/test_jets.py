@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bianchi_lab import jets
 from bianchi_lab.jets import Jet, jet_matrix_inverse
+from oracles import jet_mul_loop
 
 
 def test_variable_and_value():
@@ -96,3 +98,74 @@ def test_truncation_order_guard():
     x, _ = Jet.variables(np.array([0.0, 0.0]), order=1)
     with pytest.raises(ValueError):
         x.partial(0).partial(0)
+
+
+def test_matrix_inverse_rejects_vanishing_pivot():
+    zero, one = Jet.const(2, 2, 0.0), Jet.const(2, 2, 1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        jet_matrix_inverse([[zero, one], [one, zero]])
+
+
+# ---------------------------------------------------------------------------
+# the single-kernel product against the per-output loop
+
+
+def _random_jet(rng, dim, order, shape):
+    K = len(jets._exponents(dim, order))
+    return Jet(dim, order, rng.standard_normal(tuple(shape) + (K,)))
+
+
+def _assert_matches_loop(a, b):
+    got, want = a * b, jet_mul_loop(a, b)
+    assert (got.dim, got.order) == (want.dim, want.order)
+    assert got.c.shape == want.c.shape
+    if want.order == 0:
+        assert np.array_equal(got.c, want.c)
+        return
+    # relative to the sum of |terms| of each coefficient
+    scale = jet_mul_loop(Jet(a.dim, a.order, np.abs(a.c)),
+                         Jet(b.dim, b.order, np.abs(b.c))).c
+    assert np.all(np.abs(got.c - want.c) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("dim,order", [(d, p) for d in range(1, 6)
+                                       for p in range(5)] + [(3, 5), (3, 6)])
+@pytest.mark.parametrize("shape", [(), (7,), (4, 3)])
+def test_product_matches_loop(dim, order, shape):
+    rng = np.random.default_rng(100 * dim + order)
+    a = _random_jet(rng, dim, order, shape)
+    b = _random_jet(rng, dim, order, shape)
+    _assert_matches_loop(a, b)
+
+
+@pytest.mark.parametrize("order", [0, 2, 4])
+def test_product_broadcasts_batch_shapes(order):
+    rng = np.random.default_rng(order)
+    const = _random_jet(rng, 3, order, ())
+    field = _random_jet(rng, 3, order, (6,))
+    _assert_matches_loop(const, field)
+    _assert_matches_loop(field, const)
+    col = _random_jet(rng, 3, order, (5, 1))
+    row = _random_jet(rng, 3, order, (1, 4))
+    assert (col * row).c.shape[:-1] == (5, 4)
+    _assert_matches_loop(col, row)
+
+
+@pytest.mark.parametrize("high,low", [(4, 2), (3, 1), (2, 0)])
+def test_product_of_mixed_orders(high, low):
+    rng = np.random.default_rng(high)
+    a = _random_jet(rng, 3, high, (5,))
+    b = _random_jet(rng, 3, low, (5,))
+    assert (a * b).order == low and (b * a).order == low
+    _assert_matches_loop(a, b)
+    _assert_matches_loop(b, a)
+
+
+@pytest.mark.parametrize("dim,order", [(3, 2), (5, 4)])
+def test_product_across_block_boundaries(dim, order):
+    rows = max(1, jets._BLOCK // len(jets._mul_flat(dim, order)[0]))
+    rng = np.random.default_rng(rows)
+    for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 7):
+        a = _random_jet(rng, dim, order, (n,))
+        b = _random_jet(rng, dim, order, (n,))
+        _assert_matches_loop(a, b)

@@ -161,62 +161,24 @@ def cmd_solve(args) -> int:
               file=sys.stderr)
         return 2
     grid = cfg.get("grid") or [16]
-    if cfg.get("source") == "continuum-admissible" and \
-            not (cfg.get("study") and len(grid) >= 3):
-        print("the continuum-admissible source is checked by its "
-              "convergence slope only: pass --study and at least 3 grids",
-              file=sys.stderr)
-        return 2
-    if cfg.get("source") == "discrete-admissible" and max(grid) < 15:
-        print("the discrete-admissible source needs a grid >= 15",
-              file=sys.stderr)
-        return 2
-    import numpy as np
+    from .verify import slab_solve_cases, slab_unchecked_reason
 
-    from .bvp import (assemble, cohomology_probe, lateral_block_svals,
-                      make_source, solve_least_squares, spectral_gap)
+    if cfg.get("source"):
+        reason = slab_unchecked_reason(cfg["source"], grid,
+                                       bool(cfg.get("study")))
+        if reason:
+            print(f"the {cfg['source']} source {reason}", file=sys.stderr)
+            return 2
+    from .bvp import cohomology_probe, lateral_block_svals, spectral_gap
     from .charts import make_chart
 
     chart = make_chart(cfg["preset"], cfg["dim"])
     kinds = ([cfg["source"]] if cfg.get("source") else
              ["discrete-admissible", "continuum-admissible",
               "inadmissible-divergence", "inadmissible-boundary"])
-    cases = []
-    tables = {}
-    for kind in kinds:
-        rels = []
-        for n in grid:
-            if kind == "discrete-admissible" and n < 15:
-                continue
-            src = make_source(n, chart, kind, seed=cfg["seed"])
-            system = assemble(n, chart)
-            _, rep = solve_least_squares(system, src)
-            rels.append((n, rep.relative_residual))
-            admissible = kind.endswith("admissible") \
-                and not kind.startswith("inadmissible")
-            if admissible and kind == "discrete-admissible":
-                cases.append({"name": f"solve-{kind}-n{n}",
-                              "value": rep.relative_residual,
-                              "tolerance": 1e-8,
-                              "pass": rep.relative_residual <= 1e-8,
-                              "anchor": "bvp.solvable-discrete"})
-            elif kind.startswith("inadmissible"):
-                cases.append({"name": f"solve-{kind}-n{n}",
-                              "value": rep.relative_residual,
-                              "tolerance": 0.05,
-                              "pass": rep.relative_residual >= 0.05,
-                              "anchor": f"bvp.obstruction-"
-                                        f"{kind.split('-')[1]}"})
-        tables[kind] = rels
-        if cfg.get("study") and len(rels) >= 3 and \
-                kind == "continuum-admissible":
-            ns = [r[0] for r in rels]
-            vals = [r[1] for r in rels]
-            slope = float(np.polyfit(np.log([1.0 / n for n in ns]),
-                                     np.log(vals), 1)[0])
-            cases.append({"name": "solve-continuum-slope", "value": slope,
-                          "tolerance": 1.8, "pass": slope >= 1.8,
-                          "anchor": "bvp.solvable-continuum"})
+    cases, tables, unchecked = slab_solve_cases(
+        chart, [(kind, grid, cfg["seed"]) for kind in kinds],
+        study=bool(cfg.get("study")))
     n0 = min(grid)
     spec = lateral_block_svals(n0, cfg["dim"])["spectrum"]
     gap, nkernel = spectral_gap(spec)
@@ -229,6 +191,7 @@ def cmd_solve(args) -> int:
         "cohomology": {"dim_h0": probe["dim_h0"],
                        "dim_h1": probe["dim_h1"]},
         "residual_tables": tables,
+        "unchecked": unchecked,
     }
     report = _report(cfg, cases, meta)
     _print_case_lines(cases)

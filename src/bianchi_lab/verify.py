@@ -38,7 +38,8 @@ from .linearize import (
 )
 from .jets import Jet
 
-__all__ = ["run_suite", "SUITES"]
+__all__ = ["run_suite", "SUITES", "slab_solve_cases",
+           "slab_unchecked_reason"]
 
 
 def _case(name, value, tolerance, anchor, ok=None):
@@ -386,6 +387,61 @@ def suite_green(cfg) -> list:
 # bvp
 
 
+def slab_unchecked_reason(kind: str, grids, study: bool = True):
+    """Why ``slab_solve_cases`` builds no case for a slab source of this
+    kind on these grids, or None when it builds one."""
+    if kind == "discrete-admissible" and max(grids) < 15:
+        return "needs a grid >= 15"
+    if kind == "continuum-admissible" and not (study and len(grids) >= 3):
+        return ("is checked only by its convergence slope: needs --study "
+                "and at least 3 grids")
+    return None
+
+
+def slab_solve_cases(chart, runs, study: bool = True):
+    """Solve slab sources with ``solve_fourier`` and judge them, one rule
+    per kind.
+
+    ``runs`` holds (kind, grids, seed) triples.  discrete-admissible: one
+    case per grid >= 15, residual <= 1e-8.  continuum-admissible: its
+    convergence slope >= 1.8, over at least 3 grids and only with
+    ``study``.  inadmissible-*: the smallest residual over the grids stays
+    >= 0.05.  Returns (cases, residual tables {kind: [[n, residual]]} of
+    the kinds solved, {kind: reason} of the kinds that got no case).
+    """
+    from .bvp import assemble, make_source, solve_fourier
+
+    cases, tables, unchecked = [], {}, {}
+    for kind, grids, seed in runs:
+        reason = slab_unchecked_reason(kind, grids, study)
+        if reason:
+            unchecked[kind] = reason
+        if kind == "discrete-admissible":
+            grids = [n for n in grids if n >= 15]
+        rels = [solve_fourier(assemble(n, chart),
+                              make_source(n, chart, kind, seed=seed)
+                              )[1].relative_residual for n in grids]
+        if rels:
+            tables[kind] = [[n, r] for n, r in zip(grids, rels)]
+        if reason:
+            continue
+        if kind == "discrete-admissible":
+            cases.extend(_case(f"solvable-discrete-n{n}", r, 1e-8,
+                               "bvp.solvable-discrete")
+                         for n, r in zip(grids, rels))
+        elif kind == "continuum-admissible":
+            slope = float(np.polyfit(np.log([1.0 / n for n in grids]),
+                                     np.log(rels), 1)[0])
+            cases.append(_case("solvable-continuum-slope", 2.0 - slope, 0.2,
+                               "bvp.solvable-continuum", ok=slope >= 1.8))
+        else:
+            tag = kind.split("-")[1]
+            worst = min(rels)
+            cases.append(_case(f"obstruction-{tag}", 0.05 - worst, 0.05,
+                               f"bvp.obstruction-{tag}", ok=worst >= 0.05))
+    return cases, tables, unchecked
+
+
 def suite_bvp(cfg) -> list:
     from .bvp import (
         assemble,
@@ -393,43 +449,21 @@ def suite_bvp(cfg) -> list:
         deflated_gap,
         kernel_probe,
         lateral_block_svals,
-        make_source,
-        solve_least_squares,
         spectral_gap,
     )
 
-    cases = []
     seed = cfg["seed"]
     d = cfg.get("dim", 3)
     chart = make_chart("flat_slab_periodic", d)
-    n_main = max(cfg.get("grid") or [16])
-
-    src = make_source(n_main, chart, "discrete-admissible", seed=seed)
-    system = assemble(n_main, chart)
-    _, rep = solve_least_squares(system, src)
-    cases.append(_case(f"solvable-discrete-n{n_main}",
-                       rep.relative_residual, 1e-8, "bvp.solvable-discrete"))
-
-    ns = cfg.get("grid") or [8, 12, 16]
-    rels = []
-    for n in ns:
-        s = make_source(n, chart, "continuum-admissible", seed=seed + 1)
-        _, r = solve_least_squares(assemble(n, chart), s)
-        rels.append(r.relative_residual)
-    slope = float(np.polyfit(np.log([1.0 / n for n in ns]),
-                             np.log(rels), 1)[0])
-    cases.append(_case("solvable-continuum-slope", 2.0 - slope, 0.2,
-                       "bvp.solvable-continuum", ok=slope >= 1.8))
-
-    for kind in ("inadmissible-divergence", "inadmissible-boundary"):
-        worst = 1.0
-        for n in (8, 16):
-            s = make_source(n, chart, kind, seed=seed + 2)
-            _, r = solve_least_squares(assemble(n, chart), s)
-            worst = min(worst, r.relative_residual)
-        cases.append(_case(f"obstruction-{kind.split('-')[1]}", 0.05 - worst,
-                           0.05, f"bvp.obstruction-{kind.split('-')[1]}",
-                           ok=worst >= 0.05))
+    grid = cfg.get("grid")
+    cases, _, unchecked = slab_solve_cases(chart, [
+        ("discrete-admissible", [max(grid or [16])], seed),
+        ("continuum-admissible", grid or [8, 12, 16], seed + 1),
+        ("inadmissible-divergence", (8, 16), seed + 2),
+        ("inadmissible-boundary", (8, 16), seed + 2)])
+    if unchecked:
+        raise ValueError("; ".join(f"the {kind} source {why}"
+                                   for kind, why in unchecked.items()))
 
     spec8 = lateral_block_svals(8, d)["spectrum"]
     sig_min = float(spec8[0])

@@ -4,15 +4,22 @@ Everything here is deliberately naive: dict-based exterior algebra with
 permutation parity computed by bubble sort, full-tensor contractions, and
 finite-difference geometry.  None of it shares code with the library,
 except ``jet_mul_loop``: the former per-output jet product loop, which
-reads the library's per-output pair table ``jets._mul_table``.
+reads the library's per-output pair table ``jets._mul_table``; and the
+lateral-Fourier block oracle: the former per-block sparse path of
+``bvp.py``, which reads the library's 1-D stencils, component pairs and
+boundary row layout.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from itertools import product as iproduct
 from math import comb
 
 import numpy as np
+import scipy.sparse as sp
+
+from bianchi_lab import bvp
 
 
 def bubble_parity(seq):
@@ -242,3 +249,233 @@ def jet_mul_loop(a, b):
     for k, (ia, ib) in enumerate(table):
         out[..., k] = np.sum(a.c[..., ia] * b.c[..., ib], axis=-1)
     return Jet(a.dim, a.order, out)
+
+
+# ---------------------------------------------------------------------------
+# lateral-Fourier block oracle: the former per-block sparse path of
+# bvp.py, one collar-line block at a time, with its own copies of the
+# interior, boundary and Killing assembly (only the 1-D stencils, the
+# component pairs and the boundary row layout are the library's)
+
+
+def interior_from_P_loop(P, d: int, N: int):
+    """DEin and the gauge operator delta B from a commuting P family.
+
+    Works for the full kron operators and for the lateral-Fourier blocks
+    (where the lateral P's are complex multiples of the identity).
+    """
+    pairs = bvp._sym_pairs(d)
+    nc = len(pairs)
+    I = sp.identity(N, format="csr")
+    lap = sum(Pk @ Pk for Pk in P)
+
+    def sym_index(i, j):
+        return pairs.index((min(i, j), max(i, j)))
+
+    # B as a pointwise block matrix on components
+    bmatrix = np.zeros((nc, nc))
+    for ci, (i, j) in enumerate(pairs):
+        bmatrix[ci, ci] += 1.0
+        if i == j:
+            for k in range(d):
+                bmatrix[ci, sym_index(k, k)] -= 0.5
+    B = sp.bmat([[bmatrix[ci, cj] * I if bmatrix[ci, cj] else None
+                  for cj in range(nc)] for ci in range(nc)], format="csr")
+
+    # divergence: (div sigma)_j = -sum_i P_i sigma_ij
+    div_blocks = [[None] * nc for _ in range(d)]
+    for j in range(d):
+        for i in range(d):
+            c = sym_index(i, j)
+            blk = -P[i]
+            div_blocks[j][c] = blk if div_blocks[j][c] is None \
+                else div_blocks[j][c] + blk
+    DIV = sp.bmat(div_blocks, format="csr")
+
+    # killing: (delta* X)_{ij} = (P_i X_j + P_j X_i) / 2
+    ds_blocks = [[None] * d for _ in range(nc)]
+    for c, (i, j) in enumerate(pairs):
+        if i == j:
+            ds_blocks[c][i] = P[i]
+        else:
+            ds_blocks[c][j] = 0.5 * P[i]
+            ds_blocks[c][i] = 0.5 * P[j]
+    DSTAR = sp.bmat(ds_blocks, format="csr")
+
+    LAP = sp.block_diag([lap] * nc, format="csr")
+    GAUGE = (DIV @ B).tocsr()
+    DRIC = (-0.5 * LAP - DSTAR @ GAUGE).tocsr()
+    EIN = (B @ DRIC).tocsr()
+    return EIN, GAUGE, B, DIV, DSTAR
+
+
+def boundary_from_P_loop(P, E_faces, d: int, N: int, NF: int):
+    """Rows for the pullback, the linearized second fundamental form and
+    its normal derivative, on both faces (exact flat-slab forms), then
+    the normal restriction sigma(n, .) on both faces.
+
+    The last family completes the Cauchy data: the first three are
+    geometric data of each face, blind to the constant deformations
+    dx_a . dx_d and dx_d^2 that move a face by an isometry (see
+    DECISIONS.md, "slab kernel").
+    """
+    pairs = bvp._sym_pairs(d)
+    nc = len(pairs)
+
+    def sym_index(i, j):
+        return pairs.index((min(i, j), max(i, j)))
+
+    def row_block(blocks):
+        filled = [b if b is not None else sp.csr_matrix((NF, N))
+                  for b in blocks]
+        return sp.hstack(filled, format="csr")
+
+    tang = [(a, b) for a in range(d - 1) for b in range(a, d - 1)]
+    rows = []
+    for face in (0, 1):
+        E = E_faces[face]
+        sgn = 1.0 if face == 0 else -1.0
+        # pullback rows
+        for a, b in tang:
+            blocks = [None] * nc
+            blocks[sym_index(a, b)] = E
+            rows.append(row_block(blocks))
+        # dA rows: (P_d s_ab - P_a s_bd - P_b s_ad) / 2 at the face,
+        # sign flipped on the upper face (inward normal -e_d)
+        for a, b in tang:
+            blocks = [None] * nc
+            blocks[sym_index(a, b)] = sgn * 0.5 * (E @ P[d - 1])
+            pa = -sgn * 0.5 * (E @ P[a])
+            c = sym_index(b, d - 1)
+            blocks[c] = pa if blocks[c] is None else blocks[c] + pa
+            pb = -sgn * 0.5 * (E @ P[b])
+            c = sym_index(a, d - 1)
+            blocks[c] = pb if blocks[c] is None else blocks[c] + pb
+            rows.append(row_block(blocks))
+        # d(nabla_n A) rows: collar derivative of the dA field plus the
+        # distance-foliation tilt (the linearized eikonal gives the
+        # normal derivative of the leaf displacement as sigma_dd / 2,
+        # whose tangential Hessian enters the shape-operator field)
+        for a, b in tang:
+            blocks = [None] * nc
+            blocks[sym_index(a, b)] = 0.5 * (E @ P[d - 1] @ P[d - 1])
+            pa = -0.5 * (E @ P[d - 1] @ P[a])
+            c = sym_index(b, d - 1)
+            blocks[c] = pa if blocks[c] is None else blocks[c] + pa
+            pb = -0.5 * (E @ P[d - 1] @ P[b])
+            c = sym_index(a, d - 1)
+            blocks[c] = pb if blocks[c] is None else blocks[c] + pb
+            tilt = 0.5 * (E @ P[a] @ P[b])
+            c = sym_index(d - 1, d - 1)
+            blocks[c] = tilt if blocks[c] is None else blocks[c] + tilt
+            rows.append(row_block(blocks))
+    for E in E_faces:
+        for a in range(d):
+            blocks = [None] * nc
+            blocks[sym_index(a, d - 1)] = E
+            rows.append(row_block(blocks))
+    return sp.vstack(rows, format="csr")
+
+
+def dstar_from_P(P, d: int):
+    pairs = bvp._sym_pairs(d)
+    ds_blocks = [[None] * d for _ in range(len(pairs))]
+    for c, (i, j) in enumerate(pairs):
+        if i == j:
+            ds_blocks[c][i] = P[i]
+        else:
+            ds_blocks[c][j] = 0.5 * P[i]
+            ds_blocks[c][i] = 0.5 * P[j]
+    filled = [[b if b is not None else sp.csr_matrix(P[0].shape,
+                                                     dtype=P[0].dtype)
+               for b in row] for row in ds_blocks]
+    return sp.bmat(filled, format="csr")
+
+
+def assemble_loop(n: int, d: int):
+    """The weighted slab stack of ``bvp.assemble`` from the copies above."""
+    h = 1.0 / n
+    P = [bvp._axis_operator(bvp._first_derivative_1d(n, h, k < d - 1),
+                            k, n, d) for k in range(d)]
+    EIN, GAUGE, _, _, _ = interior_from_P_loop(P, d, n ** d)
+    E_faces = [bvp._face_operator(bvp._face_extrapolation_1d(n, face), n, d)
+               for face in (0, 1)]
+    BND = boundary_from_P_loop(P, E_faces, d, n ** d, n ** (d - 1))
+    return sp.vstack([EIN, GAUGE, h ** -0.5 * BND], format="csr")
+
+
+def lateral_blocks_loop(n: int, d: int, weights=None):
+    """(kmodes, dense block) of the weighted slab stack, mode by mode."""
+    h = 1.0 / n
+    if weights is None:
+        weights = (1.0, 1.0, h ** -0.5)
+    Pd = bvp._first_derivative_1d(n, h, periodic=False)
+    E_faces = [bvp._face_extrapolation_1d(n, face) for face in (0, 1)]
+    for kmodes in iproduct(range(n), repeat=d - 1):
+        P = [sp.identity(n, format="csr", dtype=complex)
+             * (1j * np.sin(2 * np.pi * k / n) / h) for k in kmodes]
+        P.append(Pd.astype(complex))
+        EIN, GAUGE, _, _, _ = interior_from_P_loop(P, d, n)
+        BND = boundary_from_P_loop([p for p in P],
+                                   [e.astype(complex) for e in E_faces],
+                                   d, n, 1)
+        A = sp.vstack([weights[0] * EIN, weights[1] * GAUGE,
+                       weights[2] * BND], format="csr")
+        yield kmodes, A.toarray()
+
+
+def h1_blocks_loop(n: int, d: int):
+    """(kmodes, dense block) of the H1 stack, mode by mode."""
+    h = 1.0 / n
+    weights = (1.0, 1.0, h ** -0.5)
+    Pd = bvp._first_derivative_1d(n, h, periodic=False).astype(complex)
+    E_faces = [bvp._face_extrapolation_1d(n, face).astype(complex)
+               for face in (0, 1)]
+    for kmodes in iproduct(range(n), repeat=d - 1):
+        P = [sp.identity(n, format="csr", dtype=complex)
+             * (1j * np.sin(2 * np.pi * k / n) / h) for k in kmodes]
+        P.append(Pd)
+        EIN, GAUGE, _, _, _ = interior_from_P_loop(P, d, n)
+        BND = boundary_from_P_loop(P, E_faces, d, n, 1)
+        keep = bvp._boundary_rows(d, 1, bvp.H1_FAMILIES)
+        A = sp.vstack([weights[0] * EIN, weights[1] * GAUGE,
+                       weights[2] * BND.tocsr()[keep]], format="csr")
+        yield kmodes, A.toarray()
+
+
+def h0_blocks_loop(n: int, d: int, closed_torus: bool = False,
+                   with_boundary: bool = True):
+    """(kmodes, dense block) of the H0 stack, mode by mode (all d axes
+    are lateral on the closed torus)."""
+    h = 1.0 / n
+    naxes = d if closed_torus else d - 1
+    Pd = bvp._first_derivative_1d(n, h, periodic=False).astype(complex)
+    E_faces = [bvp._face_extrapolation_1d(n, face).astype(complex)
+               for face in (0, 1)]
+    for kmodes in iproduct(range(n), repeat=naxes):
+        sym = [1j * np.sin(2 * np.pi * k / n) / h for k in kmodes]
+        if closed_torus:
+            P = [sp.identity(1, format="csr", dtype=complex) * s
+                 for s in sym]
+        else:
+            P = [sp.identity(n, format="csr", dtype=complex) * s
+                 for s in sym] + [Pd]
+        rows = [dstar_from_P(P, d)]
+        if with_boundary and not closed_torus:
+            bw = h ** -0.5
+            for E in E_faces:
+                rows.append(bw * sp.block_diag([E] * d, format="csr"))
+        A = sp.vstack(rows, format="csr")
+        yield kmodes, A.toarray()
+
+
+def block_spectrum(blocks) -> dict:
+    """Sorted spectrum and per-block minima of (kmodes, block) pairs."""
+    all_svals = []
+    block_min = {}
+    for kmodes, A in blocks:
+        svals = np.linalg.svd(A, compute_uv=False)
+        all_svals.append(svals)
+        block_min[kmodes] = float(svals[-1])
+    return {"spectrum": np.sort(np.concatenate(all_svals)),
+            "block_min": block_min}

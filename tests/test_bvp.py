@@ -14,6 +14,7 @@ from bianchi_lab.bvp import (
     lateral_block_svals,
     make_source,
     slab_nodes,
+    solve_fourier,
     solve_least_squares,
     unvec_components,
     vec_components,
@@ -225,6 +226,10 @@ def test_discrete_admissible_solves_to_solver_tolerance():
     mu_res = np.linalg.norm(system.matrix @ src.potential - b) \
         / np.linalg.norm(b)
     assert mu_res <= 1e-12
+    # the Fourier solve reaches it to roundoff; x is unique (full rank)
+    x_f, rep_f = solve_fourier(system, src)
+    assert rep_f.relative_residual <= 1e-12
+    assert np.linalg.norm(x_f - x) <= 1e-6 * np.linalg.norm(x_f)
 
 
 def test_zero_source_gives_zero_residual():
@@ -266,8 +271,10 @@ def test_dense_range_distance_oracle_matches_lsmr_residual():
         b = system.rhs_from_einstein_block(src.values)
         dist = np.linalg.norm(b - Ur @ (Ur.T @ b)) / np.linalg.norm(b)
         _, rep = solve_least_squares(system, src)
+        _, rep_f = solve_fourier(system, src)
         assert dist >= 0.05, kind
         assert abs(rep.relative_residual - dist) <= 1e-6
+        assert abs(rep_f.relative_residual - dist) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

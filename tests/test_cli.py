@@ -77,6 +77,25 @@ def test_solve_rejects_a_source_that_builds_no_case(argv, capsys):
     assert "source" in capsys.readouterr().err
 
 
+def test_solve_lists_the_kinds_it_cannot_check(tmp_path):
+    # at n=8 the discrete-admissible source cannot be built and one grid
+    # gives no continuum slope: both are named, only solved kinds get a
+    # residual table
+    out = tmp_path / "r.json"
+    assert run(["solve", "--grid", "8", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    meta = report["meta"]
+    assert set(meta["unchecked"]) == {"discrete-admissible",
+                                      "continuum-admissible"}
+    assert all(meta["unchecked"].values())
+    tables = meta["residual_tables"]
+    assert set(tables) == {"continuum-admissible", "inadmissible-divergence",
+                           "inadmissible-boundary"}
+    assert [n for n, _ in tables["continuum-admissible"]] == [8]
+    assert {c["name"] for c in report["cases"]} == {
+        "obstruction-divergence", "obstruction-boundary"}
+
+
 def test_unknown_flag_is_usage_error():
     assert run(["verify", "--nonsense"]) == 2
 

@@ -13,15 +13,21 @@ solvable to solver tolerance rather than discretization accuracy.
 Every operator is also invariant under lateral translation, so the lateral
 DFT splits it into one collar-line block per lateral mode, and has degree
 <= 2 in the P's, so each block is exactly a polynomial of degree <= 2 in
-the lateral symbols (``_block_polynomial``).  The exact spectra and the
-direct least-squares solve ``solve_fourier`` run on those blocks; LSMR
-(``solve_least_squares``) and the dense SVD stay as their oracles.
+the lateral symbols i t_a (``_block_polynomial``).  A diagonal phase makes
+every block real: the operators commute with the reflection of all
+lateral axes, so a term of degree |e| only couples components whose
+numbers of lateral indices differ by |e| mod 2, and scaling each block row
+and column by i to the power of that number cancels every i.  The exact
+spectra and the one least-squares solver, ``solve_least_squares`` (a
+direct SVD solve of each real block), run on those blocks.  LSMR and the
+dense SVD of the assembled matrix are their oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,7 +45,6 @@ __all__ = [
     "assemble",
     "make_source",
     "solve_least_squares",
-    "solve_fourier",
     "kernel_probe",
     "cohomology_probe",
     "h0_operator",
@@ -504,36 +509,6 @@ class SolveReport:
     schema: str = "solve-report/1"
 
 
-def solve_least_squares(system: DiscreteSystem, source: SourceSpec,
-                        tol: float = 1e-12, maxiter: int | None = None
-                        ) -> tuple[np.ndarray, SolveReport]:
-    """LSMR on the weighted stack with column equilibration.
-
-    The operator is touched only through products with itself and its
-    transpose; column scaling keeps the normal-equation conditioning
-    manageable on fine grids.
-    """
-    b = system.rhs_from_einstein_block(source.values)
-    A = system.matrix
-    col = np.sqrt(np.asarray((A.multiply(A)).sum(axis=0)).ravel())
-    col[col == 0] = 1.0
-    D = sp.diags(1.0 / col)
-    if maxiter is None:
-        maxiter = 120 * system.n ** 2 + 4000
-    res = spla.lsmr(A @ D, b, atol=tol, btol=tol, conlim=1e14,
-                    maxiter=maxiter)
-    x, istop, itn = D @ res[0], res[1], res[2]
-    bnorm = np.linalg.norm(b)
-    rel = float(np.linalg.norm(A @ x - b) / max(bnorm, 1e-300))
-    return x, SolveReport(
-        converged=bool(istop in (0, 1, 2, 4, 5)),
-        iterations=int(itn),
-        relative_residual=rel,
-        block_residuals=system.block_residuals(x, source.values),
-        solution_norm=float(np.linalg.norm(x)),
-    )
-
-
 def kernel_probe(matrix: sp.spmatrix, iters: int = 60,
                  seed: int = 0) -> float:
     """Smallest-singular-value estimate via shifted inverse power iteration
@@ -646,36 +621,60 @@ def discrete_kernel_basis(n: int, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # lateral-Fourier blocks
 
-# Bytes of blocks built and factored at once.  It bounds the builder's
-# memory at any n: all blocks at once needed about 5 GB at n=48 (d=3).
+# Bytes of the blocks built at once.  The solve frees each chunk's blocks
+# and their SVD factors before it builds the next chunk, so what is live
+# stays a few times this at any n: all blocks at once needed about 5 GB at
+# n=48 (d=3).
 _CHUNK_BYTES = 1 << 22
-# Largest |Im x| / max |x| accepted from the inverse DFT of the Fourier
-# solve; the blocks of k and -k are conjugate up to roundoff.
+# Largest |Im x| / max |x| accepted from the inverse DFT of the solve; the
+# phased solutions of the modes k and -k are conjugate up to roundoff.
 _IMAG_TOL = 1e-10
 
 
-def _block_polynomial(n: int, d: int, stack, closed_torus: bool = False):
-    """A lateral-Fourier block of ``stack`` as a polynomial in the symbols.
+class _Polynomial(NamedTuple):
+    """The lateral-Fourier blocks as a real polynomial in t_a = sin(2 pi
+    k_a / n): sum_e t^e coef[e] is the block of mode k with row r scaled
+    by i^(-row_parity[r]) and column c by i^(col_parity[c]) (see
+    ``_block_polynomial``)."""
+    terms: list
+    coef: np.ndarray
+    row_parity: np.ndarray
+    col_parity: np.ndarray
+
+
+def _block_polynomial(n: int, d: int, stack, unknowns,
+                      closed_torus: bool = False) -> _Polynomial:
+    """A lateral-Fourier block of ``stack`` as a real polynomial in the
+    symbols.
 
     ``stack(P, E_faces, N, NF)`` assembles (per-node rows, per-face-node
     rows or None) from a commuting derivative family P and face rows, as
-    ``_interior_from_P`` and ``_boundary_from_P`` do on the full grid.  In
-    the block of lateral mode k each lateral P_a is i t_a / h times the
-    identity, with t_a = sin(2 pi k_a / n); the collar P (absent on the
-    closed torus, where all d axes are lateral) is the collar line's
-    stencil.  Every row of the slab system has degree <= 2 in the P's (the
-    interior rows through the Laplacian and delta* delta B, the boundary
-    rows through E P_d P_a and E P_a P_b), so with u_a / h in place of each
-    lateral P_a
+    ``_interior_from_P`` and ``_boundary_from_P`` do on the full grid; its
+    columns are the components ``unknowns`` (index tuples) of the unknown
+    field.  In the block of lateral mode k each lateral P_a is i t_a / h
+    times the identity, with t_a = sin(2 pi k_a / n); the collar P (absent
+    on the closed torus, where all d axes are lateral) is the collar
+    line's stencil.  Every row of the slab system has degree <= 2 in the
+    P's (the interior rows through the Laplacian and delta* delta B, the
+    boundary rows through E P_d P_a and E P_a P_b), so with u_a / h in
+    place of each lateral P_a
 
         A(u) = A0 + sum_a u_a L_a + sum_{a<=b} u_a u_b Q_ab
 
     holds exactly, and its values at the 1 + 2m + m(m-1)/2 points u = 0,
     +-e_a and e_a + e_b (a < b) determine it.  One assembly gives them
     all: a points axis takes the place of the lateral axes, with
-    P_a = diag(u_a) on it.  No operator is derived a second time.  Returns
-    (terms, coef): the exponent tuples (), (a,), (a, b) and the real
-    coefficient matrices.
+    P_a = diag(u_a) on it.  No operator is derived a second time.
+
+    The coefficients are real, and u = i t.  The operators commute with
+    the reflection of all lateral axes, which flips each u_a and the sign
+    of each tensor component with an odd number p of lateral indices.  So
+    a term u^e can couple row r to column c only when |e| + p_c - p_r is
+    even, and then i^(|e| + p_c - p_r) is +1 or -1: scaling row r by
+    i^(-p_r) and column c by i^(p_c) makes every block real.  The column
+    parities come from ``unknowns``; each row takes the parity its
+    coefficients demand, and a coefficient that demands the other one
+    raises ``ValueError``.
     """
     h = 1.0 / n
     m = d if closed_torus else d - 1
@@ -718,10 +717,24 @@ def _block_polynomial(n: int, d: int, stack, closed_torus: bool = False):
             terms.append((a, b))
             coef.append(0.5 * (plus[a] + minus[a]) - A0 if a == b else
                         at(next(mixed)) - plus[a] - plus[b] + A0)
-    return terms, np.stack(coef)
+    coef = np.stack(coef)
+
+    deg = np.array([len(e) for e in terms])[:, None, None]
+    col = np.repeat([sum(i < m for i in comp) % 2 for comp in unknowns],
+                    line)
+    odd = (deg + col) % 2 == 1
+    nonzero = coef != 0
+    row = np.any(nonzero & odd, axis=(0, 2))
+    if np.any(row & np.any(nonzero & ~odd, axis=(0, 2))):
+        raise ValueError("a block coefficient breaks the lateral parity "
+                         "grading, so no diagonal phase makes it real")
+    # i^(|e| + p_c - p_r) is -1 where the exponent is 2 mod 4
+    flip = (deg + col - row[:, None]) % 4 == 2
+    return _Polynomial(terms, np.where(flip, -coef, coef), row.astype(int),
+                       col)
 
 
-def _slab_polynomial(n: int, d: int, weights):
+def _slab_polynomial(n: int, d: int, weights) -> _Polynomial:
     """``_block_polynomial`` of the weighted slab stack: interior, gauge
     and boundary rows, in the row order of ``assemble``."""
     def stack(P, E_faces, N, NF):
@@ -730,31 +743,34 @@ def _slab_polynomial(n: int, d: int, weights):
                           format="csr")
         return nodes, weights[2] * _boundary_from_P(P, E_faces, d, N, NF)
 
-    return _block_polynomial(n, d, stack)
+    return _block_polynomial(n, d, stack, _sym_pairs(d))
 
 
-def _fourier_blocks(terms, coef, n: int):
-    """Every lateral-Fourier block of a ``_block_polynomial``, in chunks of
-    at most ``_CHUNK_BYTES``: yields (first mode, blocks (b, rows, cols)).
-    Modes run over (k_0, ..., k_{m-1}) in ``itertools.product`` order,
-    which is also the C order of the lateral axes of an ``np.fft.fftn``."""
-    J, R, C = coef.shape
-    m = sum(len(e) == 1 for e in terms)
+def _fourier_blocks(poly: _Polynomial, n: int):
+    """Every lateral-Fourier block of ``poly``, real, in chunks of at most
+    ``_CHUNK_BYTES``: yields (first mode, blocks (b, rows, cols)).  Modes
+    run over (k_0, ..., k_{m-1}) in ``itertools.product`` order, which is
+    also the C order of the lateral axes of an ``np.fft.fftn``."""
+    J, R, C = poly.coef.shape
+    m = sum(len(e) == 1 for e in poly.terms)
     t = np.sin(2 * np.pi * np.arange(n) / n)
     modes = np.indices((n,) * m).reshape(m, -1).T
-    flat = coef.reshape(J, -1).astype(complex)
-    step = max(1, _CHUNK_BYTES // (16 * R * C))
+    flat = poly.coef.reshape(J, -1)
+    step = max(1, _CHUNK_BYTES // (flat.itemsize * R * C))
     for start in range(0, n ** m, step):
-        symbols = 1j * t[modes[start:start + step]]
-        W = np.stack([np.prod(symbols[:, list(e)], axis=1) for e in terms],
-                     axis=1)
+        symbols = t[modes[start:start + step]]
+        W = np.stack([np.prod(symbols[:, list(e)], axis=1)
+                      for e in poly.terms], axis=1)
         yield start, (W @ flat).reshape(-1, R, C)
 
 
-def _block_svals(terms, coef, n: int) -> np.ndarray:
+def _block_svals(poly: _Polynomial, n: int) -> np.ndarray:
     """Singular values of every block, descending, one row per mode."""
-    return np.concatenate([np.linalg.svd(blocks, compute_uv=False)
-                           for _, blocks in _fourier_blocks(terms, coef, n)])
+    svals = []
+    for _, blocks in _fourier_blocks(poly, n):
+        svals.append(np.linalg.svd(blocks, compute_uv=False))
+        del blocks  # before the next chunk is built
+    return np.concatenate(svals)
 
 
 def lateral_block_svals(n: int, d: int, weights=None) -> dict:
@@ -768,14 +784,14 @@ def lateral_block_svals(n: int, d: int, weights=None) -> dict:
     """
     if weights is None:
         weights = (1.0, 1.0, (1.0 / n) ** -0.5)
-    svals = _block_svals(*_slab_polynomial(n, d, weights), n)
+    svals = _block_svals(_slab_polynomial(n, d, weights), n)
     return {"spectrum": np.sort(svals.ravel()),
             "block_min": dict(zip(product(range(n), repeat=d - 1),
                                   svals[:, -1].tolist()))}
 
 
 def _h0_polynomial(n: int, d: int, closed_torus: bool = False,
-                   with_boundary: bool = True):
+                   with_boundary: bool = True) -> _Polynomial:
     """``_block_polynomial`` of the H0 operator (see ``h0_operator``)."""
     bw = (1.0 / n) ** -0.5
 
@@ -784,17 +800,19 @@ def _h0_polynomial(n: int, d: int, closed_torus: bool = False,
             E_faces = []
         return _h0_from_P(P, E_faces, d, N, bw)
 
-    return _block_polynomial(n, d, stack, closed_torus)
+    return _block_polynomial(n, d, stack, [(a,) for a in range(d)],
+                             closed_torus)
 
 
-def _h1_polynomial(n: int, d: int):
+def _h1_polynomial(n: int, d: int) -> _Polynomial:
     """The rows of the H1 operator in ``_slab_polynomial``: interior,
     gauge, pullback, dA and sigma(n, .), no normal-derivative data."""
     nint = (len(_sym_pairs(d)) + d) * n
     keep = np.concatenate([np.arange(nint),
                            nint + _boundary_rows(d, 1, H1_FAMILIES)])
-    terms, coef = _slab_polynomial(n, d, (1.0, 1.0, (1.0 / n) ** -0.5))
-    return terms, coef[:, keep]
+    poly = _slab_polynomial(n, d, (1.0, 1.0, (1.0 / n) ** -0.5))
+    return poly._replace(coef=poly.coef[:, keep],
+                         row_parity=poly.row_parity[keep])
 
 
 def h0_spectrum(n: int, d: int, closed_torus: bool = False,
@@ -802,30 +820,36 @@ def h0_spectrum(n: int, d: int, closed_torus: bool = False,
     """Exact spectrum of the H0 operator via lateral Fourier blocks (on the
     closed torus, Fourier modes in all d axes)."""
     return np.sort(_block_svals(
-        *_h0_polynomial(n, d, closed_torus, with_boundary), n).ravel())
+        _h0_polynomial(n, d, closed_torus, with_boundary), n).ravel())
 
 
 def h1_spectrum(n: int, d: int) -> np.ndarray:
     """Exact spectrum of the middle-cohomology operator via Fourier
     blocks (rows as in ``_h1_polynomial``)."""
-    return np.sort(_block_svals(*_h1_polynomial(n, d), n).ravel())
+    return np.sort(_block_svals(_h1_polynomial(n, d), n).ravel())
 
 
-def solve_fourier(system: DiscreteSystem, source: SourceSpec
-                  ) -> tuple[np.ndarray, SolveReport]:
-    """Min-norm least squares on the weighted stack, block by block.
+def solve_least_squares(system: DiscreteSystem, source: SourceSpec
+                        ) -> tuple[np.ndarray, SolveReport]:
+    """Min-norm least squares on the weighted stack, one real lateral-
+    Fourier block at a time.
 
-    The unitary lateral DFT of each row family of b gives the right-hand
-    side of each lateral-Fourier block; the min-norm solutions of the
-    blocks (by SVD), transformed back, are the min-norm least-squares
-    solution of the whole system.  b is real, so x is real up to roundoff;
-    anything more raises.  The residual is recomputed from
+    The unitary lateral DFT of each row family of b, with the row phases
+    of ``_block_polynomial``, gives the right-hand side of each real
+    block.  The min-norm solutions of the blocks (by SVD, with cut-off
+    eps max(rows, cols) sigma_max of the block), with the column phases
+    and the inverse DFT, are the min-norm least-squares solution of the
+    whole system.  b is real, so x is real up to roundoff; anything more
+    raises ``RuntimeError``.  The residual is recomputed from
     ``system.matrix``; ``sigma_min_estimate`` is the exact smallest
-    singular value of the system.
+    singular value of the system.  A direct solve: ``converged`` is
+    always True and ``iterations`` 0.
     """
     d, n = system.dim, system.n
     m, nc = d - 1, len(system.pairs)
     lateral = tuple(range(1, d))
+    poly = _slab_polynomial(n, d, system.weights)
+    _, R, C = poly.coef.shape
     b = system.rhs_from_einstein_block(source.values)
     split = (nc + d) * n ** d
     # block rows: each interior and gauge component along the collar line,
@@ -837,17 +861,22 @@ def solve_fourier(system: DiscreteSystem, source: SourceSpec
     bhat = np.concatenate([np.moveaxis(b_int, 0, m).reshape(n ** m, -1),
                            np.moveaxis(b_bnd, 0, m).reshape(n ** m, -1)],
                           axis=1)
-    xhat = np.empty((n ** m, nc * n), dtype=complex)
+    bhat *= np.where(poly.row_parity, -1j, 1)
+    xhat = np.zeros((n ** m, C), dtype=complex)
+    # real blocks: the real and imaginary parts are two right-hand sides
+    rhs = bhat.view(float).reshape(n ** m, R, 2)
+    sol = xhat.view(float).reshape(n ** m, C, 2)
     sigma_min = np.inf
-    for start, blocks in _fourier_blocks(
-            *_slab_polynomial(n, d, system.weights), n):
+    for start, blocks in _fourier_blocks(poly, n):
         U, s, Vh = np.linalg.svd(blocks, full_matrices=False)
         chunk = slice(start, start + len(blocks))
-        c = (bhat[chunk, None, :] @ U.conj())[:, 0]
-        keep = s > np.finfo(float).eps * max(blocks.shape[1:]) * s[:, :1]
-        c = np.divide(c, s, out=np.zeros_like(c), where=keep)
-        xhat[chunk] = (c[:, None, :] @ Vh.conj())[:, 0]
+        keep = (s > np.finfo(float).eps * max(R, C) * s[:, :1])[..., None]
+        c = np.divide(U.transpose(0, 2, 1) @ rhs[chunk], s[..., None],
+                      out=np.zeros((len(blocks), C, 2)), where=keep)
+        sol[chunk] = Vh.transpose(0, 2, 1) @ c
         sigma_min = min(sigma_min, float(s[:, -1].min()))
+        del blocks, U, s, Vh  # before the next chunk is built
+    xhat *= np.where(poly.col_parity, 1j, 1)
     x = np.fft.ifftn(np.moveaxis(xhat.reshape((n,) * m + (nc, n)), m, 0),
                      axes=lateral, norm="ortho").ravel()
     imag = float(np.abs(x.imag).max())

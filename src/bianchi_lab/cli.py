@@ -31,8 +31,6 @@ MANIFEST_SCHEMA = {
         "grid": {"type": "array", "items": {"type": "integer", "minimum": 4}},
         "seed": {"type": "integer", "minimum": 0},
         "samples": {"type": "integer", "minimum": 1},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "eps": {"type": "number", "exclusiveMinimum": 0},
         "source": {"enum": ["discrete-admissible", "continuum-admissible",
                             "inadmissible-divergence",
                             "inadmissible-boundary"]},
@@ -50,7 +48,6 @@ DEFAULTS = {
     "dims": None,
     "grid": None,
     "seed": 1,
-    "eps": 1e-3,
     "source": None,
     "study": False,
     "serial": False,
@@ -72,15 +69,12 @@ def _merged_config(args) -> dict:
     cfg = dict(DEFAULTS)
     if args.manifest:
         cfg.update(_load_manifest(args.manifest))
-    for key in ("suite", "preset", "dim", "seed", "eps", "source", "out",
-                "format"):
+    for key in ("suite", "preset", "dim", "seed", "source", "out", "format"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     if getattr(args, "grid", None):
         cfg["grid"] = [int(g) for g in args.grid.split(",")]
-    if getattr(args, "tol", None) is not None:
-        cfg["tol"] = args.tol
     if getattr(args, "study", False):
         cfg["study"] = True
     if getattr(args, "serial", False):
@@ -116,10 +110,12 @@ def _emit(report: dict, cfg: dict) -> None:
     if cfg.get("format") == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "value", "tolerance", "pass", "anchor"])
+        writer.writerow(["name", "value", "tolerance", "at_least", "pass",
+                         "anchor"])
         for c in report["cases"]:
             writer.writerow([c["name"], repr(c["value"]),
-                             repr(c["tolerance"]), c["pass"], c["anchor"]])
+                             repr(c["tolerance"]), c["at_least"], c["pass"],
+                             c["anchor"]])
         text = buf.getvalue()
     else:
         text = json.dumps(report, sort_keys=True, indent=1) + "\n"
@@ -133,8 +129,9 @@ def _emit(report: dict, cfg: dict) -> None:
 def _print_case_lines(cases: list) -> None:
     for c in cases:
         status = "PASS" if c["pass"] else "FAIL"
+        bound = ">=" if c["at_least"] else "<="
         print(f"[{status}] {c['name']}: value={c['value']:.3e} "
-              f"tol={c['tolerance']:.3e} ({c['anchor']})")
+              f"{bound} tol={c['tolerance']:.3e} ({c['anchor']})")
 
 
 def cmd_verify(args) -> int:
@@ -240,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int)
         p.add_argument("--grid", help="comma-separated resolutions")
         p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--eps", type=float)
         p.add_argument("--out", help="report output path")
         p.add_argument("--format", choices=["json", "csv"])
         p.add_argument("--serial", action="store_true",

@@ -4,10 +4,12 @@ Everything here is deliberately naive: dict-based exterior algebra with
 permutation parity computed by bubble sort, full-tensor contractions, and
 finite-difference geometry.  None of it shares code with the library,
 except ``jet_mul_loop``: the former per-output jet product loop, which
-reads the library's per-output pair table ``jets._mul_table``; and the
+reads the library's per-output pair table ``jets._mul_table``; the
 lateral-Fourier block oracle: the former per-block sparse path of
 ``bvp.py``, which reads the library's 1-D stencils, component pairs and
-boundary row layout.
+boundary row layout; and ``lsmr_solve``, the former LSMR least-squares
+solve of ``bvp.py``, which touches the assembled matrix only through
+products.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from math import comb
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bianchi_lab import bvp
+from bianchi_lab.bvp import DiscreteSystem, SolveReport, SourceSpec
 
 
 def bubble_parity(seq):
@@ -479,3 +483,37 @@ def block_spectrum(blocks) -> dict:
         block_min[kmodes] = float(svals[-1])
     return {"spectrum": np.sort(np.concatenate(all_svals)),
             "block_min": block_min}
+
+
+# ---------------------------------------------------------------------------
+# least-squares oracle: the former iterative solve of bvp.py
+
+
+def lsmr_solve(system: DiscreteSystem, source: SourceSpec,
+               tol: float = 1e-12, maxiter: int | None = None
+               ) -> tuple[np.ndarray, SolveReport]:
+    """LSMR on the weighted stack with column equilibration.
+
+    The operator is touched only through products with itself and its
+    transpose; column scaling keeps the normal-equation conditioning
+    manageable on fine grids.
+    """
+    b = system.rhs_from_einstein_block(source.values)
+    A = system.matrix
+    col = np.sqrt(np.asarray((A.multiply(A)).sum(axis=0)).ravel())
+    col[col == 0] = 1.0
+    D = sp.diags(1.0 / col)
+    if maxiter is None:
+        maxiter = 120 * system.n ** 2 + 4000
+    res = spla.lsmr(A @ D, b, atol=tol, btol=tol, conlim=1e14,
+                    maxiter=maxiter)
+    x, istop, itn = D @ res[0], res[1], res[2]
+    bnorm = np.linalg.norm(b)
+    rel = float(np.linalg.norm(A @ x - b) / max(bnorm, 1e-300))
+    return x, SolveReport(
+        converged=bool(istop in (0, 1, 2, 4, 5)),
+        iterations=int(itn),
+        relative_residual=rel,
+        block_residuals=system.block_residuals(x, source.values),
+        solution_norm=float(np.linalg.norm(x)),
+    )

@@ -14,7 +14,6 @@ from bianchi_lab.bvp import (
     lateral_block_svals,
     make_source,
     slab_nodes,
-    solve_fourier,
     solve_least_squares,
     unvec_components,
     vec_components,
@@ -28,7 +27,9 @@ from bianchi_lab.linearize import (
     trig_poly_sym_field,
 )
 
-from oracles import loglog_slope
+from bianchi_lab.verify import run_suite, slab_solve_cases
+
+from oracles import loglog_slope, lsmr_solve
 
 ACTION = ricci_action()
 CHART = make_chart("flat_slab_periodic", 3)
@@ -218,7 +219,7 @@ def test_source_diagnostics_by_kind():
 def test_discrete_admissible_solves_to_solver_tolerance():
     src = make_source(16, CHART, "discrete-admissible", seed=1)
     system = assemble(16, CHART)
-    x, rep = solve_least_squares(system, src)
+    x, rep = lsmr_solve(system, src)
     assert rep.converged
     assert rep.relative_residual <= 1e-8
     # the potential itself is an exact solution
@@ -226,8 +227,8 @@ def test_discrete_admissible_solves_to_solver_tolerance():
     mu_res = np.linalg.norm(system.matrix @ src.potential - b) \
         / np.linalg.norm(b)
     assert mu_res <= 1e-12
-    # the Fourier solve reaches it to roundoff; x is unique (full rank)
-    x_f, rep_f = solve_fourier(system, src)
+    # the direct solve reaches it to roundoff; x is unique (full rank)
+    x_f, rep_f = solve_least_squares(system, src)
     assert rep_f.relative_residual <= 1e-12
     assert np.linalg.norm(x_f - x) <= 1e-6 * np.linalg.norm(x_f)
 
@@ -237,7 +238,7 @@ def test_zero_source_gives_zero_residual():
     src = make_source(8, CHART, "inadmissible-divergence", seed=5)
     zero = type(src)(kind=src.kind, values=np.zeros_like(src.values),
                      div_rel=0.0, boundary_rel=0.0)
-    x, rep = solve_least_squares(system, zero, maxiter=50)
+    x, rep = solve_least_squares(system, zero)
     assert np.linalg.norm(x) <= 1e-12
 
 
@@ -270,8 +271,8 @@ def test_dense_range_distance_oracle_matches_lsmr_residual():
         src = make_source(n, CHART, kind, seed=3)
         b = system.rhs_from_einstein_block(src.values)
         dist = np.linalg.norm(b - Ur @ (Ur.T @ b)) / np.linalg.norm(b)
-        _, rep = solve_least_squares(system, src)
-        _, rep_f = solve_fourier(system, src)
+        _, rep = lsmr_solve(system, src)
+        _, rep_f = solve_least_squares(system, src)
         assert dist >= 0.05, kind
         assert abs(rep.relative_residual - dist) <= 1e-6
         assert abs(rep_f.relative_residual - dist) <= 1e-6
@@ -387,3 +388,35 @@ def test_vec_roundtrip():
     v = vec_components(vals, pairs)
     back = unvec_components(v, pairs, 3)
     assert np.abs(back - vals).max() <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# verify cases
+
+
+def test_bvp_cases_follow_the_documented_pass_rule():
+    # a case passes iff value <= tolerance, or iff value >= tolerance when
+    # it is a lower bound (at_least); a lower bound reports the measured
+    # residual, sigma_min or slope itself
+    cases = run_suite("bvp", {"seed": 1})
+    solve_only, tables, _ = slab_solve_cases(CHART, [
+        ("inadmissible-divergence", (8,), 3),
+        ("inadmissible-boundary", (8,), 3)], study=False)
+    for c in cases + solve_only:
+        if c["at_least"]:
+            assert c["pass"] == (c["value"] >= c["tolerance"]), c
+        else:
+            assert c["pass"] == (c["value"] <= c["tolerance"]), c
+        assert c["pass"], c
+    lower = {c["name"] for c in cases if c["at_least"]}
+    assert lower == {"solvable-continuum-slope", "obstruction-divergence",
+                     "obstruction-boundary", "kernel-sigma-min-positive",
+                     "cohomology-torus-kernel"}
+    by_name = {c["name"]: c for c in cases}
+    sigma_min = lateral_block_svals(8, 3)["spectrum"][0]
+    assert by_name["kernel-sigma-min-positive"]["value"] == pytest.approx(
+        sigma_min, rel=1e-12)
+    for c in solve_only:
+        kind = "inadmissible-" + c["name"].split("-")[1]
+        assert c["at_least"]
+        assert c["value"] == min(r for _, r in tables[kind])

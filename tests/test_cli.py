@@ -23,7 +23,8 @@ def test_verify_algebra_report_schema(tmp_path):
     anchors = [c["anchor"] for c in report["cases"]]
     assert all(anchors)  # every case carries exactly one anchor tag
     for c in report["cases"]:
-        assert set(c) == {"name", "value", "tolerance", "pass", "anchor"}
+        assert set(c) == {"name", "value", "tolerance", "at_least", "pass",
+                          "anchor"}
 
 
 def test_csv_export(tmp_path):
@@ -32,7 +33,7 @@ def test_csv_export(tmp_path):
                 "--format", "csv", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "name,value,tolerance,pass,anchor"
+    assert lines[0] == "name,value,tolerance,at_least,pass,anchor"
     assert len(lines) > 5
 
 
@@ -98,6 +99,18 @@ def test_solve_lists_the_kinds_it_cannot_check(tmp_path):
 
 def test_unknown_flag_is_usage_error():
     assert run(["verify", "--nonsense"]) == 2
+
+
+@pytest.mark.parametrize("key", ["tol", "eps"])
+def test_inputs_no_suite_reads_are_rejected(key, tmp_path):
+    # no suite reads a tolerance or a step size, so neither is accepted
+    out = tmp_path / "r.json"
+    for command in ("verify", "solve"):
+        assert run([command, f"--{key}", "1e-3", "--out", str(out)]) == 2
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps({"suite": "algebra", key: 1e-3}))
+    assert run(["verify", "--manifest", str(man), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_serial_reports_are_byte_identical(tmp_path):

@@ -18,6 +18,9 @@ one function per step:
 * ``normal_derivative`` -- the contraction n^k nabla_k T;
 * ``face_restriction`` -- the tangential block as lateral jets on the face;
 * ``boundary_divergence`` -- -g_bnd^{kb} nabla_k S_ba on the face.
+
+Fields are tensor jets as in ``charts`` (batch axes, then tensor axes,
+then coefficients), and each step above is a few ``jets.contract`` calls.
 """
 
 from __future__ import annotations
@@ -38,14 +41,14 @@ from .algebra import (
 from .charts import (
     Geometry,
     MetricChart,
+    _rank,
     geometry_from_jets,
     nabla,
     orthonormal_frame,
     rm_covector,
     sym_to_frame,
-    tensor_values,
 )
-from .jets import Jet, _exp_index, _exponents
+from .jets import Jet, _exp_index, _exponents, contract
 
 __all__ = [
     "CollarChart",
@@ -107,24 +110,20 @@ def reflect_jet_normal(j: Jet) -> Jet:
     return Jet(j.dim, j.order, j.c * signs)
 
 
-def face_adapted_jets(collar: CollarChart, y, field, order: int):
+def face_adapted_jets(collar: CollarChart, y, field, order: int) -> Jet:
     """Jets of a symmetric 2-tensor field at face points, face-adapted.
 
-    ``field(x, order)`` returns the (d, d) object array of jets at chart
-    points.  For the upper face the normal coordinate is reflected,
-    x^d -> const - x^d, so the inward direction is always the positive last
-    axis: odd normal orders flip, and so do the mixed (a, d) entries.
+    ``field(x, order)`` returns the tensor jet at chart points.  For the
+    upper face the normal coordinate is reflected, x^d -> const - x^d, so
+    the inward direction is always the positive last axis: odd normal
+    orders flip, and so do the mixed (a, d) entries.
     """
     T = field(collar.ambient_point(y), order)
     if collar.face == 0:
         return T
-    d = collar.dim
-    out = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            sign = (-1.0 if (i == d - 1) != (j == d - 1) else 1.0)
-            out[i, j] = reflect_jet_normal(T[i, j]) * sign
-    return out
+    normal = np.arange(collar.dim) == collar.dim - 1
+    sign = np.where(normal[:, None] != normal[None, :], -1.0, 1.0)
+    return reflect_jet_normal(T) * sign
 
 
 def collar_metric_jets(collar: CollarChart, y, order: int):
@@ -153,30 +152,18 @@ def distance_jet(geom: Geometry, newton_steps: int = 12,
     if len(unknowns) != n_res:
         raise AssertionError("eikonal system is not square")
 
-    batch = geom.g[0, 0].c.shape[:-1]
+    batch = geom.g.c.shape[:-3]
     r = Jet.const(d, p, np.zeros(batch))
     e1 = [0] * d
     e1[-1] = 1
     r.c[..., _exp_index(d, p)[tuple(e1)]] = 1.0
-
-    def grad_sq(rj: Jet) -> Jet:
-        dr = [rj.partial(a) for a in range(d)]
-        acc = None
-        for i in range(d):
-            for j in range(d):
-                term = geom.ginv[i, j].truncate(p - 1) * dr[i] * dr[j]
-                acc = term if acc is None else acc + term
-        return acc
-
-    basis = []
-    for u in unknowns:
-        bj = Jet.const(d, p, np.zeros(()))
-        bj.c = np.zeros((len(exps),))
-        bj.c[u] = 1.0
-        basis.append(bj)
+    # the Newton basis e_u is a batch axis after the points
+    basis = Jet(d, p, np.eye(len(exps))[unknowns]).grad()
 
     for step in range(newton_steps + 1):
-        res = grad_sq(r) - 1.0
+        dr = r.grad()
+        n_low = contract("ij,i->j", geom.ginv, dr)  # g^{ij} d_i r
+        res = contract("j,j->", n_low, dr) - 1.0
         err = float(np.max(np.abs(res.c)))
         if err < tol:
             return r
@@ -185,68 +172,31 @@ def distance_jet(geom: Geometry, newton_steps: int = 12,
                 f"eikonal Newton solve did not converge in {newton_steps} "
                 f"steps: residual {err:.3e} >= tol {tol:.1e}")
         # J[:, u] = 2 sum g^{ij} d_i r d_j e_u
-        cols = []
-        dr = [r.partial(a) for a in range(d)]
-        for bj in basis:
-            db = [bj.partial(a) for a in range(d)]
-            acc = None
-            for i in range(d):
-                for j in range(d):
-                    term = geom.ginv[i, j].truncate(p - 1) * dr[i] * db[j]
-                    acc = term if acc is None else acc + term
-            cols.append(2.0 * acc.c)
-        J = np.stack(np.broadcast_arrays(*cols), axis=-1)
-        rhs = -np.broadcast_to(res.c, J.shape[:-1])
-        delta = np.linalg.solve(J, rhs[..., None])[..., 0]
-        batch_shape = delta.shape[:-1]
-        newc = np.array(np.broadcast_to(r.c, batch_shape + (r.c.shape[-1],)),
-                        copy=True)
+        J = 2.0 * np.swapaxes(
+            contract("j,j->", n_low[..., None, :], basis).c, -1, -2)
+        delta = np.linalg.solve(J, -res.c[..., None])[..., 0]
+        newc = r.c.copy()
         newc[..., unknowns] += delta
         r = Jet(d, p, newc)
 
 
 def normal_field(geom: Geometry):
     """The distance jet r and the normal field n^i = g^{ij} d_j r."""
-    d, p = geom.dim, geom.order
     rjet = distance_jet(geom)
-    dr = [rjet.partial(a) for a in range(d)]
-    nvec = np.empty(d, dtype=object)
-    for i in range(d):
-        acc = None
-        for j in range(d):
-            term = geom.ginv[i, j].truncate(p - 1) * dr[j]
-            acc = term if acc is None else acc + term
-        nvec[i] = acc
-    return rjet, nvec
+    return rjet, contract("ij,j->i", geom.ginv, rjet.grad())
 
 
-def distance_hessian(geom: Geometry, rjet: Jet) -> np.ndarray:
+def distance_hessian(geom: Geometry, rjet: Jet) -> Jet:
     """Hess r, the A-field: tangential by the eikonal equation."""
-    d, p = geom.dim, geom.order
-    dr = [rjet.partial(a) for a in range(d)]
-    dr2 = [dj.truncate(p - 2) for dj in dr]
-    hess = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(i, d):
-            acc = dr[i].partial(j)
-            for k in range(d):
-                acc = acc - geom.gamma[k, i, j].truncate(p - 2) * dr2[k]
-            hess[i, j] = hess[j, i] = acc
-    return hess
+    dr = rjet.grad()
+    ddr = dr.grad()
+    return ddr - contract("kij,k->ij", geom.gamma, dr.truncate(ddr.order))
 
 
-def normal_derivative(geom: Geometry, nvec: np.ndarray, T: np.ndarray):
+def normal_derivative(geom: Geometry, nvec: Jet, T: Jet) -> Jet:
     """Contract the covariant derivative of T with the normal field jets."""
-    nT = nabla(geom, T)
-    o = nT.flat[0].order
-    out = np.empty(T.shape, dtype=object)
-    for idx in np.ndindex(*T.shape):
-        acc = None
-        for k in range(geom.dim):
-            term = nvec[k].truncate(min(o, nvec[k].order)) * nT[(k,) + idx]
-            acc = term if acc is None else acc + term
-        out[idx] = acc
-    return out
+    idx = "abcdefgh"[:_rank(geom, T)]
+    return contract(f"k,k{idx}->{idx}", nvec, nabla(geom, T))
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +225,11 @@ class BoundaryState:
     y: np.ndarray
     geom: Geometry              # ambient, face-adapted coordinates
     rjet: Jet
-    nvec: np.ndarray            # normal field jets (raised components)
-    a_field: np.ndarray         # Hessian of r: tangential A-field jets
-    dn_a: np.ndarray            # nabla_n a_field jets
+    nvec: Jet                   # normal field jets (raised components)
+    a_field: Jet                # Hessian of r: tangential A-field jets
+    dn_a: Jet                   # nabla_n a_field jets
     bgeom: Geometry             # intrinsic boundary geometry (dim d-1)
-    a_lateral: np.ndarray       # A_ab as lateral jets on the boundary
+    a_lateral: Jet              # A_ab as lateral jets on the boundary
     frame: BoundaryFrameData
 
 
@@ -291,29 +241,14 @@ def _restrict_to_face(j: Jet) -> Jet:
     return Jet(d - 1, p, j.c[..., sel])
 
 
-def face_restriction(T: np.ndarray) -> np.ndarray:
-    """Tangential block of a tensor of jets as lateral jets on the face."""
-    d = T.shape[0]
-    out = np.empty((d - 1,) * T.ndim, dtype=object)
-    for idx in np.ndindex(*out.shape):
-        out[idx] = _restrict_to_face(T[idx])
-    return out
+def face_restriction(T: Jet) -> Jet:
+    """Tangential block of a 2-tensor jet as lateral jets on the face."""
+    return _restrict_to_face(T[..., :-1, :-1])
 
 
-def boundary_divergence(bgeom: Geometry, S: np.ndarray) -> np.ndarray:
+def boundary_divergence(bgeom: Geometry, S: Jet) -> Jet:
     """-g_bnd^{kb} nabla_k S_ba of lateral jets S_ab: covector jets."""
-    db = bgeom.dim
-    nS = nabla(bgeom, S)
-    o = nS.flat[0].order
-    out = np.empty(db, dtype=object)
-    for a in range(db):
-        acc = None
-        for k in range(db):
-            for b in range(db):
-                term = bgeom.ginv[k, b].truncate(o) * nS[k, b, a]
-                acc = term if acc is None else acc + term
-        out[a] = -acc
-    return out
+    return -contract("kb,kba->a", bgeom.ginv, nabla(bgeom, S))
 
 
 def boundary_state(collar: CollarChart, y, order: int = 4) -> BoundaryState:
@@ -328,10 +263,7 @@ def boundary_state(collar: CollarChart, y, order: int = 4) -> BoundaryState:
     a_lat = face_restriction(hess)
 
     # plain-value views
-    gvals = tensor_values(g)
-    nvals = tensor_values(nvec)
-    avals = tensor_values(hess)
-    mvals = tensor_values(dn_a)
+    gvals, nvals, avals, mvals = g.value, nvec.value, hess.value, dn_a.value
     gb = gvals[..., : d - 1, : d - 1]
     ab = avals[..., : d - 1, : d - 1]
     mb = mvals[..., : d - 1, : d - 1]
@@ -369,16 +301,16 @@ def boundary_frame_at(collar: CollarChart, y, order: int = 4) -> BoundaryFrameDa
 def projections_at(collar: CollarChart, y, sigma_field, order: int = 3):
     """Boundary projections and normal jets of a symmetric tensor field.
 
-    ``sigma_field(x, order)`` must return the (d, d) object array of jets.
+    ``sigma_field(x, order)`` must return the (d, d) tensor jet.
     Returns a dict with tangential/normal splits and the k-th normal
     derivatives for k <= 2.
     """
     st = boundary_state(collar, y, order=max(order, 3))
     d = collar.dim
     sig = face_adapted_jets(collar, y, sigma_field, max(order, 3))
-    svals = tensor_values(sig)
+    svals = sig.value
     n = st.frame.normal
-    gvals = tensor_values(st.geom.g)
+    gvals = st.geom.g.value
     ginv = np.linalg.inv(gvals)
 
     ptt = svals[..., : d - 1, : d - 1]
@@ -399,8 +331,8 @@ def projections_at(collar: CollarChart, y, sigma_field, order: int = 3):
         "pnt": pnt_coord,
         "pnt_frame": pnt_frame,
         "dn0": svals,
-        "dn1": tensor_values(dn1),
-        "dn2": tensor_values(dn2),
+        "dn1": dn1.value,
+        "dn2": dn2.value,
     }
 
 
@@ -433,19 +365,12 @@ def _e_of_a_wedge_a(st: BoundaryState) -> np.ndarray:
 
 def _boundary_div_a(st: BoundaryState) -> np.ndarray:
     """(delta_{g_bnd} A)_a as a lowered boundary covector (values)."""
-    return tensor_values(boundary_divergence(st.bgeom, st.a_lateral))
+    return boundary_divergence(st.bgeom, st.a_lateral).value
 
 
 def _d_trace_a(st: BoundaryState) -> np.ndarray:
     """Exterior derivative of the mean curvature, boundary covector values."""
-    d = st.collar.dim
-    o = st.a_lateral[0, 0].order
-    tr = None
-    for a in range(d - 1):
-        for b in range(d - 1):
-            term = st.bgeom.ginv[a, b].truncate(o) * st.a_lateral[a, b]
-            tr = term if tr is None else tr + term
-    return np.stack([tr.partial(a).value for a in range(d - 1)], axis=-1)
+    return contract("ab,ab->", st.bgeom.ginv, st.a_lateral).grad().value
 
 
 def _a_squared(st: BoundaryState) -> np.ndarray:
@@ -470,7 +395,7 @@ def constraint_pieces(collar: CollarChart, y, order: int = 4) -> dict:
     """
     st = boundary_state(collar, y, order=order)
     d = collar.dim
-    ein = tensor_values(st.geom.ein)
+    ein = st.geom.ein.value
     n = st.frame.normal
     gb_inv = np.linalg.inv(st.frame.induced_metric)
 
@@ -484,12 +409,12 @@ def constraint_pieces(collar: CollarChart, y, order: int = 4) -> dict:
         "lhs_nn": np.einsum("...j,...j->...", ein_n_low, n),
         "lhs_nt": ein_n_low[..., : d - 1],
         "lhs_tt": ein[..., : d - 1, : d - 1],
-        "sc_b": np.asarray(st.bgeom.sc.value),
+        "sc_b": st.bgeom.sc.value,
         "a_sq": a_sq_full,
         "tr_a_sq": st.frame.mean_curv ** 2,
         "div_a": _boundary_div_a(st),
         "d_tr_a": _d_trace_a(st),
-        "ein_b": tensor_values(st.bgeom.ein),
+        "ein_b": st.bgeom.ein.value,
         "c_m_a2": _c_gb(st, m_plus_a2),
         "e_awa": 0.5 * _e_of_a_wedge_a(st),
     }
@@ -539,9 +464,7 @@ def weyl_constraint_residual_at(collar: CollarChart, y, constants,
     if d <= 3:
         return {"state": st, "residual": None, "skipped": "d <= 3"}
 
-    ein = tensor_values(st.geom.ein)
-    riem = tensor_values(st.geom.riem)
-    gvals = tensor_values(st.geom.g)
+    ein, riem, gvals = st.geom.ein.value, st.geom.riem.value, st.geom.g.value
 
     # adapted orthonormal frame: tangent rows then the normal
     frame_rows = np.concatenate(
@@ -551,7 +474,7 @@ def weyl_constraint_residual_at(collar: CollarChart, y, constants,
 
     lhs_tt_f = sym_to_frame(ein, frame_rows)[..., : d - 1, : d - 1]
 
-    ein_b_f = _boundary_frame_sym(st, tensor_values(st.bgeom.ein))
+    ein_b_f = _boundary_frame_sym(st, st.bgeom.ein.value)
     m_plus_a2_f = _boundary_frame_sym(
         st, st.frame.normal_deriv_a + _a_squared(st))
     a_f = _boundary_frame_sym(st, st.frame.second_ff)

@@ -33,10 +33,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .charts import MetricChart, geometry_from_jets, tensor_values
+from .charts import MetricChart, sym_from_upper
 from .conventions import ricci_action
-from .jets import Jet
-from .linearize import dein_closed_jets
+from .jets import Jet, contract
+from .linearize import dein_closed
 
 __all__ = [
     "DiscreteSystem",
@@ -415,10 +415,8 @@ def make_source(n: int, chart: MetricChart, kind: str,
         values = t_vec
         potential = mu_vec
     elif kind == "continuum-admissible":
-        mu_field = _continuum_potential(d, seed)
-        geom = geometry_from_jets(chart.metric_jets(x, 2))
-        tvals = tensor_values(dein_closed_jets(geom, mu_field(x, 2),
-                                               ricci_action()))
+        tvals = dein_closed(chart, x, _continuum_potential(d, seed),
+                            ricci_action(), order=2)
         values = vec_components(tvals, pairs)
         potential = None
     elif kind == "inadmissible-divergence":
@@ -453,20 +451,17 @@ def _continuum_potential(d: int, seed: int):
     coef = rng.standard_normal((d, d))
     coef = 0.5 * (coef + coef.T)
     ks = rng.integers(0, 2, size=(d, d, d - 1))
-    ks = np.minimum(ks, np.transpose(ks, (1, 0, 2)))
+    upper = np.triu_indices(d)
+    coef, ks = coef[upper], np.minimum(ks, np.transpose(ks, (1, 0, 2)))[upper]
 
     def fn(x, order):
         xs = Jet.variables(x, order)
         cut = xs[-1] * (1.0 - xs[-1])
         cut3 = (cut * cut) * cut  # vanishes to third order at both faces
-        out = np.empty((d, d), dtype=object)
-        for i in range(d):
-            for j in range(i, d):
-                term = Jet.const(d, order, np.full(x.shape[:-1], coef[i, j]))
-                for a in range(d - 1):
-                    term = term * (xs[a] * (2 * np.pi * ks[i, j, a])).cos()
-                out[i, j] = out[j, i] = term * cut3
-        return out
+        term = Jet.const(d, order, coef)
+        for a in range(d - 1):
+            term = term * (xs[a][..., None] * (2 * np.pi * ks[:, a])).cos()
+        return sym_from_upper(contract("i,->i", term, cut3), d)
 
     return Perturbation(fn, d, 3)
 

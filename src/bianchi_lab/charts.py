@@ -1,11 +1,15 @@
 """Preset metric charts and jet-exact first-order differential geometry.
 
-A MetricChart names a metric on a coordinate box and evaluates its
-components to jets at (batches of) points.  The geometry engine below works
-on any metric-jet provider, so perturbed metrics g + t*sigma reuse the same
-code paths.  Tensor components are stored in object ndarrays of Jets with
-lower indices; the last chart axis is the collar/normal direction wherever
-boundary semantics matter.
+A MetricChart names a metric on a coordinate box and evaluates it to a
+tensor jet at (batches of) points.  The geometry engine below works on any
+metric-jet provider, so perturbed metrics g + t*sigma reuse the same code
+paths.  A tensor field is one Jet with batch axes, then tensor axes (lower
+indices unless noted), then coefficients, so ``T.value`` is the plain
+tensor at every point; every index sum is one ``jets.contract``.
+Operators that take a Geometry (``nabla`` and the ones built on it) read a
+field's tensor rank off its axes beyond the geometry's batch axes, so a
+field shares the batch shape of its geometry.  The last chart axis is the
+collar/normal direction wherever boundary semantics matter.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import KmCovector
-from .jets import Jet, jet_matrix_inverse
+from .jets import Jet, contract, jet_matrix_inverse, stack
 
 __all__ = [
     "MetricChart",
@@ -34,8 +38,8 @@ __all__ = [
     "bianchi_b_inverse",
     "trace_sym2",
     "dewitt_inner",
-    "sym_values",
     "tensor_values",
+    "sym_from_upper",
     "orthonormal_frame",
     "sample_points",
     "positive_definite_audit",
@@ -69,7 +73,7 @@ class MetricChart:
         return self.preset in FLAT_PRESETS
 
     def metric_jets(self, x, order: int):
-        """d x d object array of Jets for g_ij at points x (last axis dim)."""
+        """Tensor jet of g_ij at points x (last axis = dim)."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError("point dimension mismatch")
@@ -125,18 +129,10 @@ def make_chart(preset: str, dim: int, **params) -> MetricChart:
                        domain, periodic)
 
 
-def _obj_array(shape):
-    return np.empty(shape, dtype=object)
-
-
 def _metric_flat(chart: MetricChart, x, order: int):
     d = chart.dim
-    base = np.zeros(x.shape[:-1])
-    g = _obj_array((d, d))
-    for i in range(d):
-        for j in range(d):
-            g[i, j] = Jet.const(d, order, base + (1.0 if i == j else 0.0))
-    return g
+    return Jet.const(d, order, np.broadcast_to(np.eye(d),
+                                               x.shape[:-1] + (d, d)))
 
 
 def _metric_polar_ball(chart: MetricChart, x, order: int):
@@ -145,17 +141,12 @@ def _metric_polar_ball(chart: MetricChart, x, order: int):
     R = chart.param_dict["radius"]
     xs = Jet.variables(x, order)
     r = R - xs[-1]
-    zero = Jet.const(d, order, np.zeros(x.shape[:-1]))
-    g = _obj_array((d, d))
-    g[:] = zero
-    angular = r * r
-    for i in range(d - 1):
-        g[i, i] = angular
-        if i < d - 2:
-            s = xs[i].sin()
-            angular = angular * (s * s)
-    g[d - 1, d - 1] = Jet.const(d, order, np.ones(x.shape[:-1]))
-    return g
+    diag = [r * r]
+    for i in range(d - 2):
+        s = xs[i].sin()
+        diag.append(diag[-1] * (s * s))
+    diag.append(Jet.const(d, order, np.ones(x.shape[:-1])))
+    return stack(diag)[..., None] * np.eye(d)
 
 
 def _metric_conformal(chart: MetricChart, x, order: int):
@@ -170,12 +161,7 @@ def _metric_conformal(chart: MetricChart, x, order: int):
         prof = prof + ck * xs[-1] ** k
     phi = phi * prof
     conf = (2.0 * phi).exp()
-    zero = Jet.const(d, order, np.zeros(x.shape[:-1]))
-    g = _obj_array((d, d))
-    g[:] = zero
-    for i in range(d):
-        g[i, i] = conf
-    return g
+    return conf[..., None, None] * np.eye(d)
 
 
 def _generic_modes(dim, seed, nmodes, amp):
@@ -197,21 +183,14 @@ def _metric_curved_generic(chart: MetricChart, x, order: int):
     d = chart.dim
     modes = chart.param_dict["modes"]
     xs = Jet.variables(x, order)
-    g = _obj_array((d, d))
-    base = np.zeros(x.shape[:-1])
-    for i in range(d):
-        for j in range(d):
-            g[i, j] = Jet.const(d, order, base + (1.0 if i == j else 0.0))
+    g = _metric_flat(chart, x, order)
     for coef, ks, phases, poly in modes:
         bump = Jet.const(d, order, np.ones(x.shape[:-1]))
         for a in range(d - 1):
             bump = bump * (xs[a] * (2 * np.pi * ks[a]) + phases[a]).cos()
         prof = poly[0] + poly[1] * xs[-1] + poly[2] * xs[-1] ** 2
         bump = bump * prof
-        for i in range(d):
-            for j in range(d):
-                if coef[i][j]:
-                    g[i, j] = g[i, j] + coef[i][j] * bump
+        g = g + bump[..., None, None] * np.array(coef)
     return g
 
 
@@ -222,6 +201,18 @@ _METRIC_BUILDERS = {
     "conformal_bump": _metric_conformal,
     "curved_generic": _metric_curved_generic,
 }
+
+
+#: Points per jet evaluation in ``_by_chunks``: the jets of a chunk take a
+#: few MB however many points there are.
+_CHUNK = 4096
+
+
+def _by_chunks(fn, x) -> list:
+    """A pointwise fn(x) on row chunks of the points x: each array it
+    returns, concatenated over the chunks."""
+    parts = [fn(x[lo:lo + _CHUNK]) for lo in range(0, len(x), _CHUNK)]
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
 
 
 def sample_points(chart: MetricChart, n: int, rng: np.random.Generator,
@@ -237,7 +228,7 @@ def positive_definite_audit(chart: MetricChart, n: int,
                             rng: np.random.Generator) -> float:
     """Smallest metric eigenvalue over n sample points (must be > 0)."""
     pts = sample_points(chart, n, rng, margin=0.0)
-    g = sym_values(chart.metric_jets(pts, order=0))
+    g = chart.metric_jets(pts, order=0).value
     return float(np.linalg.eigvalsh(g).min())
 
 
@@ -249,118 +240,45 @@ def positive_definite_audit(chart: MetricChart, n: int,
 class Geometry:
     dim: int
     order: int
-    g: np.ndarray          # (d,d) object array of Jets, order p
-    ginv: np.ndarray       # order p
-    gamma: np.ndarray      # (d,d,d) Gamma^k_[ij], order p-1
-    riem: np.ndarray | None = None   # (d,d,d,d) lower Riem_{ijkl}, order p-2
-    ric: np.ndarray | None = None    # (d,d), order p-2
+    g: Jet                 # (..., d, d) g_ij, order p
+    ginv: Jet              # g^ij, order p
+    gamma: Jet             # (..., d, d, d) Gamma^k_ij, order p-1
+    riem: Jet | None = None   # (..., d, d, d, d) lower Riem_ijkl, order p-2
+    ric: Jet | None = None    # (..., d, d), order p-2
     sc: Jet | None = None
-    ein: np.ndarray | None = None
+    ein: Jet | None = None
 
 
-def geometry_from_jets(g: np.ndarray, curvature: bool = True) -> Geometry:
+def _christoffel(g: Jet, ginv: Jet) -> Jet:
+    """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
+    dg = g.grad()  # dg[i, j, a] = d_a g_ij
+    first = contract("jli->lij", dg) + contract("ilj->lij", dg)
+    first.c -= contract("ijl->lij", dg).c  # in place: d^3 jets
+    del dg
+    return contract("kl,lij->kij", 0.5 * ginv, first)
+
+
+def _riemann_up(gamma: Jet) -> Jet:
+    """R^l_{kij} = d_i Gamma^l_jk - d_j Gamma^l_ik
+                  + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik."""
+    low = gamma.truncate(gamma.order - 1)
+    half = contract("lim,mjk->lkij", low, low)
+    half.c += contract("ljki->lkij", gamma.grad()).c  # in place: d^4 jets
+    return half - contract("lkji->lkij", half)
+
+
+def geometry_from_jets(g: Jet, curvature: bool = True) -> Geometry:
     """Christoffel symbols and (optionally) curvature from metric jets."""
-    d = g.shape[0]
-    order = g[0, 0].order
-    ginv_ll = jet_matrix_inverse([[g[i, j] for j in range(d)] for i in range(d)])
-    ginv = _obj_array((d, d))
-    for i in range(d):
-        for j in range(d):
-            ginv[i, j] = ginv_ll[i][j]
-
-    dg = _obj_array((d, d, d))  # dg[a,i,j] = d_a g_ij
-    for a in range(d):
-        for i in range(d):
-            for j in range(i, d):
-                dg[a, i, j] = dg[a, j, i] = g[i, j].partial(a)
-
-    ginv1 = _obj_array((d, d))
-    for i in range(d):
-        for j in range(d):
-            ginv1[i, j] = ginv[i, j].truncate(order - 1)
-
-    gamma = _obj_array((d, d, d))  # gamma[k,i,j] = Gamma^k_ij
-    for k in range(d):
-        for i in range(d):
-            for j in range(i, d):
-                acc = None
-                for l in range(d):
-                    term = ginv1[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                    acc = term if acc is None else acc + term
-                gamma[k, i, j] = gamma[k, j, i] = 0.5 * acc
-
-    geom = Geometry(dim=d, order=order, g=g, ginv=ginv, gamma=gamma)
+    ginv = jet_matrix_inverse(g)
+    geom = Geometry(dim=g.c.shape[-2], order=g.order, g=g, ginv=ginv,
+                    gamma=_christoffel(g, ginv))
     if not curvature:
         return geom
-
-    dgamma = _obj_array((d, d, d, d))  # dgamma[a,k,i,j] = d_a Gamma^k_ij
-    for a in range(d):
-        for k in range(d):
-            for i in range(d):
-                for j in range(i, d):
-                    dgamma[a, k, i, j] = dgamma[a, k, j, i] = \
-                        gamma[k, i, j].partial(a)
-
-    o2 = order - 2
-    gam2 = _obj_array((d, d, d))
-    for idx in np.ndindex(d, d, d):
-        gam2[idx] = gamma[idx].truncate(o2)
-
-    # R^l_{kij} = d_i Gamma^l_jk - d_j Gamma^l_ik
-    #            + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
-    rup = _obj_array((d, d, d, d))  # rup[l,k,i,j]
-    for l in range(d):
-        for k in range(d):
-            for i in range(d):
-                for j in range(d):
-                    if j < i:
-                        continue
-                    acc = dgamma[i, l, j, k] - dgamma[j, l, i, k]
-                    for m in range(d):
-                        acc = acc + gam2[l, i, m] * gam2[m, j, k]
-                        acc = acc - gam2[l, j, m] * gam2[m, i, k]
-                    rup[l, k, i, j] = acc
-                    rup[l, k, j, i] = -acc
-
-    g2 = _obj_array((d, d))
-    ginv2 = _obj_array((d, d))
-    for i in range(d):
-        for j in range(d):
-            g2[i, j] = g[i, j].truncate(o2)
-            ginv2[i, j] = ginv[i, j].truncate(o2)
-
-    riem = _obj_array((d, d, d, d))  # Riem_{ijkl} = g_{lm} R^m_{kij}
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for l in range(d):
-                    acc = None
-                    for m in range(d):
-                        term = g2[l, m] * rup[m, k, i, j]
-                        acc = term if acc is None else acc + term
-                    riem[i, j, k, l] = acc
-
-    ric = _obj_array((d, d))  # Ric_jk = sum_i R^i_{kij}
-    for j in range(d):
-        for k in range(j, d):
-            acc = None
-            for i in range(d):
-                term = rup[i, k, i, j]
-                acc = term if acc is None else acc + term
-            ric[j, k] = ric[k, j] = acc
-
-    sc = None
-    for j in range(d):
-        for k in range(d):
-            term = ginv2[j, k] * ric[j, k]
-            sc = term if sc is None else sc + term
-
-    ein = _obj_array((d, d))
-    for i in range(d):
-        for j in range(d):
-            ein[i, j] = ric[i, j] - 0.5 * (sc * g2[i, j])
-
-    geom.riem, geom.ric, geom.sc, geom.ein = riem, ric, sc, ein
+    rup = _riemann_up(geom.gamma)
+    geom.riem = contract("lm,mkij->ijkl", g, rup)  # g_{lm} R^m_{kij}
+    geom.ric = contract("ikij->jk", rup)           # sum_i R^i_{kij}
+    geom.sc = contract("jk,jk->", ginv, geom.ric)
+    geom.ein = geom.ric - 0.5 * contract(",ij->ij", geom.sc, g)
     return geom
 
 
@@ -373,18 +291,17 @@ def chart_geometry(chart: MetricChart, x, order: int = 4,
 # value extraction and frames
 
 
-def tensor_values(T: np.ndarray) -> np.ndarray:
-    """Object array of Jets -> float array with tensor axes trailing."""
-    flat = T.reshape(-1)
-    vals = [np.asarray(j.value) for j in flat]
-    shape = np.broadcast_shapes(*[v.shape for v in vals])
-    out = np.empty(shape + T.shape)
-    for idx, j in np.ndenumerate(T):
-        out[(...,) + idx] = np.broadcast_to(np.asarray(j.value), shape)
-    return out
+def tensor_values(T: Jet) -> np.ndarray:
+    """Plain values of a tensor jet, tensor axes trailing (``T.value``)."""
+    return T.value
 
 
-sym_values = tensor_values
+def sym_from_upper(T: Jet, d: int) -> Jet:
+    """The symmetric (d, d) tensor jet whose upper triangle is T's last
+    tensor axis, in ``np.triu_indices(d)`` order."""
+    pos = np.zeros((d, d), dtype=np.intp)
+    pos[np.triu_indices(d)] = np.arange(d * (d + 1) // 2)
+    return Jet(T.dim, T.order, T.c[..., pos + np.triu(pos, 1).T, :])
 
 
 def orthonormal_frame(gvals: np.ndarray) -> np.ndarray:
@@ -397,123 +314,60 @@ def orthonormal_frame(gvals: np.ndarray) -> np.ndarray:
 # pointwise operations on jets
 
 
-def nabla(geom: Geometry, T: np.ndarray, order_drop: int = 1) -> np.ndarray:
-    """Covariant derivative of a (0, r) tensor of jets.
+def _rank(geom: Geometry, T: Jet) -> int:
+    """Tensor rank of a field that shares the geometry's batch axes."""
+    return T.c.ndim - geom.g.c.ndim + 2
 
-    Returns object array with the derivative index first:
+
+def nabla(geom: Geometry, T: Jet) -> Jet:
+    """Covariant derivative of a (0, r) tensor jet, one order lower.
+
+    The derivative index comes first:
     (nabla T)_{k,i1..ir} = d_k T - sum_s Gamma^l_{k i_s} T[.. l ..].
     """
-    r = T.ndim
-    d = geom.dim
-    o = T.flat[0].order - 1
-    gam = _obj_array((d, d, d))
-    for idx in np.ndindex(d, d, d):
-        gam[idx] = geom.gamma[idx].truncate(o) if geom.gamma[idx].order > o \
-            else geom.gamma[idx]
-    out = _obj_array((d,) + T.shape)
-    for k in range(d):
-        for idx in np.ndindex(*T.shape):
-            acc = T[idx].partial(k)
-            for s in range(r):
-                for l in range(d):
-                    lidx = idx[:s] + (l,) + idx[s + 1:]
-                    acc = acc - gam[l, k, idx[s]] * T[lidx]
-            out[(k,) + idx] = acc
+    idx = "abcdefgh"[:_rank(geom, T)]
+    out = contract(f"{idx}k->k{idx}", T.grad())
+    low = T.truncate(out.order)
+    for s, i in enumerate(idx):
+        moved = idx[:s] + "l" + idx[s + 1:]
+        out = out - contract(f"lk{i},{moved}->k{idx}", geom.gamma, low)
     return out
 
 
-def trace_sym2(geom: Geometry, sigma: np.ndarray, order: int | None = None) -> Jet:
-    d = geom.dim
-    o = order if order is not None else sigma[0, 0].order
-    acc = None
-    for i in range(d):
-        for j in range(d):
-            term = geom.ginv[i, j].truncate(o) * sigma[i, j].truncate(o)
-            acc = term if acc is None else acc + term
-    return acc
+def trace_sym2(geom: Geometry, sigma: Jet) -> Jet:
+    return contract("ij,ij->", geom.ginv, sigma)
 
 
-def bianchi_b(geom: Geometry, sigma: np.ndarray) -> np.ndarray:
+def bianchi_b(geom: Geometry, sigma: Jet) -> Jet:
     """Trace reversal B sigma = sigma - (tr sigma / 2) g on jets."""
-    d = geom.dim
-    o = sigma[0, 0].order
-    t = trace_sym2(geom, sigma, o)
-    out = _obj_array((d, d))
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = sigma[i, j] - 0.5 * (t * geom.g[i, j].truncate(o))
-    return out
+    return sigma - 0.5 * contract(",ij->ij", trace_sym2(geom, sigma), geom.g)
 
 
-def bianchi_b_inverse(geom: Geometry, tau: np.ndarray) -> np.ndarray:
+def bianchi_b_inverse(geom: Geometry, tau: Jet) -> Jet:
     d = geom.dim
     if d == 2:
         raise ValueError("B_g is not invertible in dimension 2")
-    o = tau[0, 0].order
-    t = trace_sym2(geom, tau, o)
-    out = _obj_array((d, d))
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = tau[i, j] - (1.0 / (d - 2)) * (t * geom.g[i, j].truncate(o))
-    return out
+    return tau - (1.0 / (d - 2)) * contract(",ij->ij", trace_sym2(geom, tau),
+                                            geom.g)
 
 
-def divergence(geom: Geometry, sigma: np.ndarray) -> np.ndarray:
-    """delta sigma = -tr_g(nabla sigma) as a vector of jets (raised index)."""
-    d = geom.dim
-    ns = nabla(geom, sigma)
-    o = ns.flat[0].order
-    cov = _obj_array((d,))
-    for j in range(d):
-        acc = None
-        for k in range(d):
-            for i in range(d):
-                term = geom.ginv[k, i].truncate(o) * ns[k, i, j]
-                acc = term if acc is None else acc + term
-        cov[j] = -acc
-    out = _obj_array((d,))
-    for m in range(d):
-        acc = None
-        for j in range(d):
-            term = geom.ginv[m, j].truncate(o) * cov[j]
-            acc = term if acc is None else acc + term
-        out[m] = acc
-    return out
+def divergence(geom: Geometry, sigma: Jet) -> Jet:
+    """delta sigma = -tr_g(nabla sigma) as a vector jet (raised index)."""
+    cov = contract("ki,kij->j", geom.ginv, nabla(geom, sigma))
+    return -contract("mj,j->m", geom.ginv, cov)
 
 
-def killing(geom: Geometry, X: np.ndarray) -> np.ndarray:
+def killing(geom: Geometry, X: Jet) -> Jet:
     """delta* X = sym(nabla X-flat) on jets; X has raised components."""
-    d = geom.dim
-    o = X[0].order
-    xflat = _obj_array((d,))
-    for j in range(d):
-        acc = None
-        for k in range(d):
-            term = geom.g[j, k].truncate(o) * X[k]
-            acc = term if acc is None else acc + term
-        xflat[j] = acc
-    nx = nabla(geom, xflat)
-    out = _obj_array((d, d))
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = 0.5 * (nx[i, j] + nx[j, i])
-    return out
+    nx = nabla(geom, contract("jk,k->j", geom.g, X))
+    return 0.5 * (nx + contract("ji->ij", nx))
 
 
-def lie_derivative_sym2(X: np.ndarray, T: np.ndarray) -> np.ndarray:
+def lie_derivative_sym2(X: Jet, T: Jet) -> Jet:
     """Coordinate Lie derivative of a (0,2) tensor along X (raised)."""
-    d = X.shape[0]
-    out = _obj_array((d, d))
-    for i in range(d):
-        for j in range(d):
-            acc = None
-            for k in range(d):
-                term = (X[k].truncate(X[k].order - 1) * T[i, j].partial(k)
-                        + T[k, j].truncate(T[k, j].order - 1) * X[k].partial(i)
-                        + T[i, k].truncate(T[i, k].order - 1) * X[k].partial(j))
-                acc = term if acc is None else acc + term
-            out[i, j] = acc
-    return out
+    dX = X.grad()  # dX[k, i] = d_i X^k
+    return (contract("k,ijk->ij", X, T.grad())
+            + contract("kj,ki->ij", T, dX) + contract("ik,kj->ij", T, dX))
 
 
 def dewitt_inner(sigma: np.ndarray, eta: np.ndarray, gvals: np.ndarray):
@@ -532,7 +386,7 @@ def dewitt_inner(sigma: np.ndarray, eta: np.ndarray, gvals: np.ndarray):
 def christoffel_at(chart: MetricChart, x) -> np.ndarray:
     """Christoffel values Gamma^k_ij, batched (..., k, i, j)."""
     geom = chart_geometry(chart, x, order=2, curvature=False)
-    return tensor_values(geom.gamma)
+    return geom.gamma.value
 
 
 def curvature_at(chart: MetricChart, x, order: int = 4):
@@ -543,10 +397,9 @@ def curvature_at(chart: MetricChart, x, order: int = 4):
     and frame rows give the Gram-Schmidt orthonormal frame.
     """
     geom = chart_geometry(chart, x, order=order)
-    gvals = sym_values(geom.g)
-    frame = orthonormal_frame(gvals)
-    return (geom, tensor_values(geom.riem), tensor_values(geom.ric),
-            np.asarray(geom.sc.value), tensor_values(geom.ein), frame)
+    frame = orthonormal_frame(geom.g.value)
+    return (geom, geom.riem.value, geom.ric.value, geom.sc.value,
+            geom.ein.value, frame)
 
 
 def rm_covector(riem_vals: np.ndarray, frame: np.ndarray,

@@ -41,6 +41,9 @@ MANIFEST_SCHEMA = {
     },
 }
 
+#: Keys that only ``solve`` reads; ``verify`` rejects them.
+SOLVE_ONLY = ("preset", "source", "study")
+
 DEFAULTS = {
     "suite": "all",
     "preset": "flat_slab_periodic",
@@ -56,19 +59,22 @@ DEFAULTS = {
 }
 
 
-def _load_manifest(path: str) -> dict:
+def _load_manifest(path: str, command: str) -> dict:
     import jsonschema
 
     with open(path) as fh:
         data = json.load(fh)
     jsonschema.validate(data, MANIFEST_SCHEMA)
+    ignored = sorted(set(data) & set(SOLVE_ONLY))
+    if command == "verify" and ignored:
+        raise ValueError(f"manifest keys {ignored} apply to solve only")
     return data
 
 
 def _merged_config(args) -> dict:
     cfg = dict(DEFAULTS)
     if args.manifest:
-        cfg.update(_load_manifest(args.manifest))
+        cfg.update(_load_manifest(args.manifest, args.command))
     for key in ("suite", "preset", "dim", "seed", "source", "out", "format"):
         val = getattr(args, key, None)
         if val is not None:
@@ -90,7 +96,6 @@ def _report(cfg: dict, cases: list, extra_meta: dict | None = None) -> dict:
         "tool": "bianchi-lab",
         "version": __version__,
         "seed": cfg["seed"],
-        "preset": cfg["preset"],
         "dim": cfg["dim"],
         "grid": cfg.get("grid"),
         "serial": bool(cfg.get("serial")),
@@ -182,6 +187,7 @@ def cmd_solve(args) -> int:
     probe = cohomology_probe(n0, chart)
     meta = {
         "command": "solve",
+        "preset": cfg["preset"],
         "sigma_min": float(spec[0]),
         "kernel_dim": int(nkernel),
         "gap_beyond_kernel": float(gap),
@@ -232,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--manifest", help="JSON manifest path")
-        p.add_argument("--preset", choices=list(
-            MANIFEST_SCHEMA["properties"]["preset"]["enum"]))
         p.add_argument("--dim", type=int)
         p.add_argument("--grid", help="comma-separated resolutions")
         p.add_argument("--seed", type=int)
@@ -241,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"])
         p.add_argument("--serial", action="store_true",
                        help="single-threaded, bit-reproducible runs")
-        p.add_argument("--study", action="store_true",
-                       help="append convergence studies")
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", choices=list(
@@ -253,6 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="run the slab solvability experiment")
     ps.add_argument("--source", choices=list(
         MANIFEST_SCHEMA["properties"]["source"]["enum"]))
+    ps.add_argument("--preset", choices=list(
+        MANIFEST_SCHEMA["properties"]["preset"]["enum"]))
+    ps.add_argument("--study", action="store_true",
+                    help="append convergence studies")
     common(ps)
     ps.set_defaults(func=cmd_solve)
 

@@ -5,15 +5,27 @@ all multi-indices |alpha| <= order, in a trailing axis of a numpy array, so
 whole grids of points can be pushed through the ring operations at once.
 Derivative extraction is exact up to the truncation order.
 
-The product of two jets is one kernel.  Every pair (alpha, beta) with
-|alpha| + |beta| <= order is listed once, grouped by the output index of
-alpha + beta (``_mul_flat``): the product is the gather
+A tensor field is one Jet whose coefficient array is laid out as batch
+axes, then tensor axes, then the K coefficients: ``T.value[..., i, j]`` is
+T_ij at every batch point, and ``T[..., i, j]`` is that component's jet.
+The ring operations are elementwise over all leading axes with numpy
+broadcasting, so ``*`` multiplies operands of the same tensor shape, or a
+jet by a float (array).  A product that sums an index, or that pairs a
+scalar jet with a tensor, goes through ``contract(spec, a, b)``: an einsum
+over the tensor axes (``"ki,kij->j"``) with the batch axes implicit, so it
+needs no knowledge of ranks beyond its spec.
+
+Every jet product is one kernel (``_product``).  Each pair (alpha, beta)
+with |alpha| + |beta| <= order is listed once, grouped by the output index
+of alpha + beta (``_mul_flat``): the product is the gather
 ``a[:, IA] * b[:, IB]`` of shape (rows, pairs) times the 0/1 matrix S of
-shape (pairs, K) that sums each output's pairs.  The rows are taken in
-blocks of about ``_BLOCK`` gathered values, so the (rows x pairs)
-temporaries stay in cache at batch 32768 as well as at batch 1; one
-gather over the whole batch would spill and be memory-bound there.  An
-order-0 jet is its value, so that product is a plain multiply.
+shape (pairs, K) that sums each output's pairs.  ``contract`` runs the
+same kernel with tensor axes: per pair, the free and summed axes of each
+operand form an (FA, SS) and an (SS, FB) matrix and a matmul sums the
+index.  The batch rows are taken in blocks of about ``_BLOCK`` gathered
+values, so the temporaries stay in cache at batch 32768 as well as at
+batch 1, and no full-batch gather is ever live.  An order-0 ``*`` is a
+plain multiply.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ from math import factorial, prod
 
 import numpy as np
 
-__all__ = ["Jet", "jet_matrix_inverse"]
+__all__ = ["Jet", "contract", "stack", "jet_matrix_inverse"]
 
 
 @lru_cache(maxsize=None)
@@ -97,10 +109,70 @@ def _partial_table(dim: int, order: int, axis: int):
     return src, fac
 
 
+@lru_cache(maxsize=None)
+def _grad_table(dim: int, order: int):
+    """The partial tables of every axis, stacked: (dim, K') index/factor."""
+    tables = [_partial_table(dim, order, axis) for axis in range(dim)]
+    return (np.stack([src for src, _ in tables]),
+            np.stack([fac for _, fac in tables]))
+
+
+def _block_rows(dim: int, order: int, width: int) -> int:
+    """Batch rows per block of a product whose rows gather ``width``
+    tensor entries of every product pair each."""
+    return max(1, _BLOCK // (len(_mul_flat(dim, order)[0]) * width))
+
+
+@lru_cache(maxsize=None)
+def _outer_index(dim: int, order: int, FA: int, FB: int):
+    """Flat gather indices of the pair terms of an outer product: for rows
+    flattened as (FA, K) and (FB, K), the terms in (FA, FB, pairs) order."""
+    IA, IB, S = _mul_flat(dim, order)
+    K, shape = S.shape[1], (FA, FB, len(IA))
+    ia = np.broadcast_to(np.arange(FA)[:, None, None] * K + IA, shape)
+    ib = np.broadcast_to(np.arange(FB)[:, None] * K + IB, shape)
+    return ia.ravel(), ib.ravel()
+
+
+def _product(ac, bc, ka, kb, sizes, dim: int, order: int) -> np.ndarray:
+    """The blocked gather-matmul: out[r, i, j] = sum_s a[r, i, s] b[r, s, j]
+    with jet products, as an array of shape (rows, FA * FB, K).
+
+    ``ac.transpose(ka)`` orders a's rows as (rows, FA..., SS..., K) and
+    ``bc.transpose(kb)`` b's as (rows, SS..., FB..., K), with the tensor
+    sizes ``sizes = (FA, SS, FB)``.  Each block gathers its pair terms,
+    sums s by a matmul over (FA, SS) x (SS, FB) per pair (an outer
+    product, SS = 1, is one flat gather and multiply), and sums each
+    output coefficient's pairs by the matmul with S.
+    """
+    IA, IB, S = _mul_flat(dim, order)
+    P, K = S.shape
+    FA, SS, FB = sizes
+    rows = ac.shape[0]
+    out = np.empty((rows, FA * FB, K))
+    step = _block_rows(dim, order, max(FA * FB, FA * SS, SS * FB))
+    for lo in range(0, rows, step):
+        n = min(rows, lo + step) - lo
+        a = ac[lo:lo + n].transpose(ka)
+        b = bc[lo:lo + n].transpose(kb)
+        if SS == 1:
+            ia, ib = _outer_index(dim, order, FA, FB)
+            terms = a.reshape(n, -1)[:, ia] * b.reshape(n, -1)[:, ib]
+        else:
+            A = np.moveaxis(a, -1, 1)[:, IA].reshape(n, P, FA, SS)
+            B = np.moveaxis(b, -1, 1)[:, IB].reshape(n, P, SS, FB)
+            terms = np.matmul(A, B)
+            terms = terms.reshape(n, P, FA * FB).transpose(0, 2, 1)
+        np.matmul(terms.reshape(-1, P), S, out=out[lo:lo + n].reshape(-1, K))
+    return out
+
+
 class Jet:
     """Truncated Taylor expansion; coefficients broadcast over leading axes."""
 
     __slots__ = ("dim", "order", "c")
+    # numpy defers to the reflected operators: ndarray + Jet is a Jet
+    __array_ufunc__ = None
 
     def __init__(self, dim: int, order: int, coeffs: np.ndarray):
         self.dim = dim
@@ -161,6 +233,21 @@ class Jet:
         K = len(_exponents(self.dim, order))
         return Jet(self.dim, order, self.c[..., :K])
 
+    def __getitem__(self, key) -> "Jet":
+        """Index the value axes (batch, then tensor): ``T[..., i, j]``."""
+        key = key if isinstance(key, tuple) else (key,)
+        return Jet(self.dim, self.order, self.c[key + (slice(None),)])
+
+    def grad(self) -> "Jet":
+        """The jet of the gradient, one order lower, with the derivative
+        index appended as the last tensor axis: grad(T)[..., a] = d_a T."""
+        if self.order < 1:
+            raise ValueError("cannot differentiate an order-0 jet")
+        src, fac = _grad_table(self.dim, self.order)
+        out = self.c[..., src]
+        out *= fac
+        return Jet(self.dim, self.order - 1, out)
+
     # -- ring operations ---------------------------------------------------
 
     def _lift(self, other) -> "Jet":
@@ -202,16 +289,11 @@ class Jet:
         a, b = self._pair(other)
         if a.order == 0:
             return Jet(a.dim, 0, a.c * b.c)
-        IA, IB, S = _mul_flat(a.dim, a.order)
-        K = S.shape[1]
+        K = a.c.shape[-1]
         shape = np.broadcast_shapes(a.c.shape[:-1], b.c.shape[:-1])
         ac = np.broadcast_to(a.c, shape + (K,)).reshape(-1, K)
         bc = np.broadcast_to(b.c, shape + (K,)).reshape(-1, K)
-        out = np.empty(ac.shape)
-        step = max(1, _BLOCK // len(IA))
-        for lo in range(0, len(out), step):
-            blk = slice(lo, lo + step)
-            np.matmul(ac[blk][:, IA] * bc[blk][:, IB], S, out=out[blk])
+        out = _product(ac, bc, (0, 1), (0, 1), (1, 1, 1), a.dim, a.order)
         return Jet(a.dim, a.order, out.reshape(shape + (K,)))
 
     __rmul__ = __mul__
@@ -277,37 +359,86 @@ class Jet:
         return self._series(lambda v, k: cycle[k % 4](v) / factorial(k))
 
 
-def jet_matrix_inverse(G: list[list[Jet]]) -> list[list[Jet]]:
-    """Invert a matrix of jets by Gauss-Jordan elimination.
+def _rows(c: np.ndarray, rank: int, batch: tuple, K: int) -> np.ndarray:
+    """Coefficients truncated to K and broadcast to ``batch``, with the
+    batch axes flattened into one row axis."""
+    tensor = c.shape[c.ndim - 1 - rank:-1]
+    return np.broadcast_to(c[..., :K], batch + tensor + (K,)).reshape(
+        (-1,) + tensor + (K,))
 
-    No pivoting: intended for positive-definite matrices whose leading
-    minors stay away from zero (metric components).  Raises
-    ``np.linalg.LinAlgError`` when a pivot's value is <= 1e-12 max|G| in
-    absolute value at some batch point.
+
+def contract(spec: str, a: Jet, b: Jet | None = None) -> Jet:
+    """Einsum over the tensor axes of one or two jets, batch axes implicit.
+
+    ``spec`` names the tensor axes only, e.g. ``"ki,kij->j"``; each
+    operand's leading axes beyond its spec's rank are batch axes and
+    broadcast against each other.  With two operands the coefficients
+    multiply as jets: both are truncated to the lower order, and an index
+    of both operands is summed by one blocked gather-matmul (see the
+    module docstring).  With one operand it is a transpose or trace.
     """
-    d = len(G)
-    A = [[G[i][j] for j in range(d)] for i in range(d)]
-    dim, order = A[0][0].dim, A[0][0].order
-    shape = np.broadcast_shapes(*[A[i][j].c.shape[:-1] for i in range(d)
-                                  for j in range(d)])
-    ident = [[Jet.const(dim, order, np.full(shape, 1.0 if i == j else 0.0))
-              for j in range(d)] for i in range(d)]
-    tiny = 1e-12 * np.max(np.abs(np.broadcast_arrays(
-        *[A[i][j].value for i in range(d) for j in range(d)])), axis=0)
+    ins, out_idx = spec.replace(" ", "").split("->")
+    if b is None:
+        free = next(ch for ch in "zyxwvutsrqponm" if ch not in spec)
+        return Jet(a.dim, a.order,
+                   np.einsum(f"...{ins}{free}->...{out_idx}{free}", a.c))
+    sa, sb = ins.split(",")
+    summed = [ch for ch in sa if ch in sb]
+    fa = [ch for ch in sa if ch not in summed]
+    fb = [ch for ch in sb if ch not in summed]
+    if sorted(fa + fb) != sorted(out_idx) or set(summed) & set(out_idx):
+        raise ValueError(f"contract sums exactly the indices of both "
+                         f"operands: {spec!r}")
+    if a.dim != b.dim:
+        raise ValueError("jet dimension mismatch")
+    order = min(a.order, b.order)
+    K = len(_exponents(a.dim, order))
+    batch = np.broadcast_shapes(a.c.shape[:a.c.ndim - 1 - len(sa)],
+                                b.c.shape[:b.c.ndim - 1 - len(sb)])
+    ac = _rows(a.c, len(sa), batch, K)
+    bc = _rows(b.c, len(sb), batch, K)
+    size = dict(zip(sa + sb, ac.shape[1:-1] + bc.shape[1:-1]))
+    ka = [0] + [1 + sa.index(ch) for ch in fa + summed] + [len(sa) + 1]
+    kb = [0] + [1 + sb.index(ch) for ch in summed + fb] + [len(sb) + 1]
+    out = _product(ac, bc, ka, kb,
+                   [prod(size[ch] for ch in g) for g in (fa, summed, fb)],
+                   a.dim, order)
+    out = out.reshape((-1,) + tuple(size[ch] for ch in fa + fb) + (K,))
+    perm = [1 + (fa + fb).index(ch) for ch in out_idx]
+    return Jet(a.dim, order, out.transpose([0] + perm + [len(perm) + 1])
+               .reshape(batch + tuple(size[ch] for ch in out_idx) + (K,)))
+
+
+def stack(jets: list, axis: int = -1) -> Jet:
+    """Stack jets of one order along a new value axis (negative: counted
+    from the last tensor axis)."""
+    cs = np.broadcast_arrays(*[j.c for j in jets])
+    return Jet(jets[0].dim, jets[0].order,
+               np.stack(cs, axis=axis - 1 if axis < 0 else axis))
+
+
+def jet_matrix_inverse(G: Jet) -> Jet:
+    """Invert a matrix jet (tensor axes (d, d)) by Gauss-Jordan elimination.
+
+    The elimination runs on the augmented matrix [G | I], one step per
+    pivot column with all rows updated at once; step ``col`` touches only
+    the d columns after it, the others being settled.  No pivoting:
+    intended for positive-definite matrices whose leading minors stay away
+    from zero (metric components).  Raises ``np.linalg.LinAlgError`` when
+    a pivot's value is <= 1e-12 max|G| in absolute value at some batch
+    point.
+    """
+    d = G.c.shape[-2]
+    eye = Jet.const(G.dim, G.order, np.broadcast_to(np.eye(d), G.c.shape[:-1]))
+    W = Jet(G.dim, G.order, np.concatenate([G.c, eye.c], axis=-2))
+    tiny = 1e-12 * np.max(np.abs(G.value), axis=(-2, -1))
     for col in range(d):
-        if np.any(np.abs(A[col][col].value) <= tiny):
+        pivot = W[..., col, col]
+        if np.any(np.abs(pivot.value) <= tiny):
             raise np.linalg.LinAlgError(
                 f"vanishing pivot in column {col} of a jet matrix inverse")
-        inv_piv = A[col][col].reciprocal()
-        for j in range(d):
-            A[col][j] = A[col][j] * inv_piv
-            ident[col][j] = ident[col][j] * inv_piv
-        for row in range(d):
-            if row == col:
-                continue
-            f = A[row][col]
-            for j in range(d):
-                A[row][j] = A[row][j] - f * A[col][j]
-                ident[row][j] = ident[row][j] - f * ident[col][j]
-    return ident
-
+        live = slice(col + 1, col + 1 + d)
+        row = contract("j,->j", W[..., col, live], pivot.reciprocal())
+        W.c[..., live, :] -= contract("i,j->ij", W[..., col], row).c
+        W.c[..., col, live, :] = row.c
+    return Jet(G.dim, G.order, np.ascontiguousarray(W.c[..., d:, :]))

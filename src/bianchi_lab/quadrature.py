@@ -16,17 +16,17 @@ import numpy as np
 
 from .charts import (
     MetricChart,
+    _by_chunks,
     bianchi_b,
     chart_geometry,
     dewitt_inner,
     divergence,
     geometry_from_jets,
     killing,
-    sym_values,
-    tensor_values,
+    sym_from_upper,
 )
-from .jets import Jet
-from .linearize import dein_closed_jets
+from .jets import Jet, contract
+from .linearize import dein_closed
 
 __all__ = [
     "GridSpec",
@@ -141,6 +141,20 @@ def integrate(sample: FieldSample) -> float:
 # test fields
 
 
+def _trig_terms(x, order, coef, ks, ph, normal_vanish):
+    """Jets of coef_i prod_a cos(2 pi ks_ia x_a + ph_ia), times
+    sin(pi x_d)^normal_vanish, one entry per row of ks."""
+    xs = Jet.variables(x, order)
+    term = Jet.const(len(xs), order, coef)
+    for a, xa in enumerate(xs):
+        term = term * (xa[..., None] * (2 * np.pi * ks[:, a]) + ph[:, a]).cos()
+    if normal_vanish:
+        s = (xs[-1] * np.pi).sin()
+        for _ in range(normal_vanish):
+            term = contract("i,->i", term, s)
+    return term
+
+
 def periodic_sym_field(dim: int, seed: int, normal_vanish: int = 0,
                        kmax: int = 1, amp: float = 1.0):
     """Symmetric field whose components are period-1 trig polynomials.
@@ -158,21 +172,12 @@ def periodic_sym_field(dim: int, seed: int, normal_vanish: int = 0,
     ph = rng.uniform(0, 2 * np.pi, size=(dim, dim, dim))
     ph = 0.5 * (ph + np.transpose(ph, (1, 0, 2)))
 
+    upper = np.triu_indices(dim)
+    coef, ks, ph = coef[upper], ks[upper], ph[upper]
+
     def fn(x, order):
-        xs = Jet.variables(x, order)
-        out = np.empty((dim, dim), dtype=object)
-        for i in range(dim):
-            for j in range(i, dim):
-                term = Jet.const(dim, order, np.full(x.shape[:-1], coef[i, j]))
-                for a in range(dim):
-                    term = term * (xs[a] * (2 * np.pi * ks[i, j, a])
-                                   + ph[i, j, a]).cos()
-                if normal_vanish:
-                    s = (xs[-1] * np.pi).sin()
-                    for _ in range(normal_vanish):
-                        term = term * s
-                out[i, j] = out[j, i] = term
-        return out
+        return sym_from_upper(_trig_terms(x, order, coef, ks, ph,
+                                          normal_vanish), dim)
 
     return Perturbation(fn, dim, normal_vanish)
 
@@ -185,19 +190,7 @@ def periodic_vector_field(dim: int, seed: int, normal_vanish: int = 0,
     ph = rng.uniform(0, 2 * np.pi, size=(dim, dim))
 
     def fn(x, order):
-        xs = Jet.variables(x, order)
-        out = np.empty(dim, dtype=object)
-        for i in range(dim):
-            term = Jet.const(dim, order, np.full(x.shape[:-1], coef[i]))
-            for a in range(dim):
-                term = term * (xs[a] * (2 * np.pi * ks[i, a])
-                               + ph[i, a]).cos()
-            if normal_vanish:
-                s = (xs[-1] * np.pi).sin()
-                for _ in range(normal_vanish):
-                    term = term * s
-            out[i] = term
-        return out
+        return _trig_terms(x, order, coef, ks, ph, normal_vanish)
 
     return fn
 
@@ -217,24 +210,21 @@ def box_bump_sym_field(chart: MetricChart, seed: int, amp: float = 1.0):
     coef = 0.5 * (coef + coef.T)
     lin = rng.standard_normal((dim, dim, dim)) * 0.5
     lin = 0.5 * (lin + np.transpose(lin, (1, 0, 2)))
+    upper = np.triu_indices(dim)
+    coef, lin = coef[upper], lin[upper]
 
     def fn(x, order):
         xs = Jet.variables(x, order)
         ts = [(xs[a] - lo) * (1.0 / (hi - lo))
               for a, (lo, hi) in enumerate(chart.domain)]
-        bump = None
+        bump = Jet.const(dim, order, np.ones(x.shape[:-1]))
         for t in ts:
             b = t * (1.0 - t)
-            b = b * b * 16.0
-            bump = b if bump is None else bump * b
-        out = np.empty((dim, dim), dtype=object)
-        for i in range(dim):
-            for j in range(i, dim):
-                poly = Jet.const(dim, order, np.full(x.shape[:-1], coef[i, j]))
-                for a in range(dim):
-                    poly = poly + lin[i, j, a] * ts[a]
-                out[i, j] = out[j, i] = bump * poly
-        return out
+            bump = bump * (b * b * 16.0)
+        poly = Jet.const(dim, order, coef)
+        for a in range(dim):
+            poly = poly + ts[a][..., None] * lin[:, a]
+        return sym_from_upper(contract(",i->i", bump, poly), dim)
 
     return Perturbation(fn, dim, 2)
 
@@ -250,7 +240,7 @@ def _volume_density(gvals: np.ndarray) -> np.ndarray:
 def _face_geometry(chart: MetricChart, grid: GridSpec, face: int):
     """Face nodes with metric values, inward unit normal, boundary density."""
     x = face_nodes(grid, face)
-    gvals = sym_values(chart.metric_jets(x, 0))
+    gvals = chart.metric_jets(x, 0).value
     ginv = np.linalg.inv(gvals)
     sign = 1.0 if face == 0 else -1.0
     nvec = sign * ginv[..., :, -1] / np.sqrt(ginv[..., -1, -1])[..., None]
@@ -265,31 +255,27 @@ def green_killing_defect(grid: GridSpec, chart: MetricChart, x_field,
     The identity reads <killing X, sigma>_De = <X, div B sigma>
     - sum_faces (B sigma)(X, n_in) dA with inward unit normals.
     """
-    x = interior_nodes(grid)
-    geom = geometry_from_jets(chart.metric_jets(x, 2), curvature=False)
-    X = x_field(x, 2)
-    sig = sigma(x, 2)
-    gvals = sym_values(geom.g)
-    dens = _volume_density(gvals)
+    def integrands(x):
+        geom = geometry_from_jets(chart.metric_jets(x, 2), curvature=False)
+        X, sig = x_field(x, 2), sigma(x, 2)
+        gvals = geom.g.value
+        dens = _volume_density(gvals)
+        lhs = dewitt_inner(killing(geom, X).value, sig.value, gvals)
+        dbs = divergence(geom, bianchi_b(geom, sig)).value
+        bulk = np.einsum("...i,...j,...ij->...", X.value, dbs, gvals)
+        return lhs * dens, bulk * dens
 
-    ds = tensor_values(killing(geom, X))
-    sv = tensor_values(sig)
-    lhs = integrate_scalar_samples(
-        grid, dewitt_inner(ds, sv, gvals) * dens, "interior")
-
-    dbs = tensor_values(divergence(geom, bianchi_b(geom, sig)))
-    xv = tensor_values(X)
-    pairing = np.einsum("...i,...j,...ij->...", xv, dbs, gvals)
-    bulk = integrate_scalar_samples(grid, pairing * dens, "interior")
+    lhs, bulk = (integrate_scalar_samples(grid, v, "interior")
+                 for v in _by_chunks(integrands, interior_nodes(grid)))
 
     flux = 0.0
     for face in (0, 1):
         xf, gf, nvec, fdens = _face_geometry(chart, grid, face)
-        sigf = tensor_values(sigma(xf, 1))
+        sigf = sigma(xf, 1).value
         ginv_f = np.linalg.inv(gf)
         tr = np.einsum("...ij,...ij->...", ginv_f, sigf)
         bsig = sigf - 0.5 * tr[..., None, None] * gf
-        xvf = tensor_values(x_field(xf, 1))
+        xvf = x_field(xf, 1).value
         val = np.einsum("...ij,...i,...j->...", bsig, xvf, nvec)
         flux += integrate_scalar_samples(grid, val * fdens, "boundary")
     return abs(lhs - bulk + flux)
@@ -302,31 +288,23 @@ def _check_kernel_pair(chart, grid, fields, tol=1e-8):
         xf = face_nodes(grid, face)
         for f in fields:
             sig = f(xf, 1)
-            vals = tensor_values(sig)
-            d = chart.dim
-            dn1 = np.empty((d, d), dtype=object)
-            for i in range(d):
-                for j in range(d):
-                    dn1[i, j] = sig[i, j].partial(d - 1)
+            vals = sig.value
             scale = max(1.0, np.abs(vals).max())
             if np.abs(vals).max() > tol * scale or \
-               np.abs(tensor_values(dn1)).max() > 1e-6 * scale:
+               np.abs(sig.partial(chart.dim - 1).value).max() > 1e-6 * scale:
                 raise ValueError(
                     "Green symmetry probe needs order-2 boundary vanishing")
-
-
-def _dein_values(chart: MetricChart, x, sigma, action) -> np.ndarray:
-    geom = geometry_from_jets(chart.metric_jets(x, 2))
-    return tensor_values(dein_closed_jets(geom, sigma(x, 2), action))
 
 
 def _ein_pairing_correction(chart, grid, x, sv, ev) -> float:
     """The tensorial symmetry correction (<Ein,s> tr e - <Ein,e> tr s)/2,
     integrated; an independent pointwise-curvature pipeline."""
-    geom = chart_geometry(chart, x, order=2)
-    gv = sym_values(geom.g)
+    def values(xc):
+        geom = chart_geometry(chart, xc, order=2)
+        return geom.g.value, geom.ein.value
+
+    gv, ein = _by_chunks(values, x)
     ginv = np.linalg.inv(gv)
-    ein = tensor_values(geom.ein)
     pair_es = np.einsum("...ij,...kl,...ik,...jl->...", ein, sv, ginv, ginv)
     pair_ee = np.einsum("...ij,...kl,...ik,...jl->...", ein, ev, ginv, ginv)
     tr_s = np.einsum("...ij,...ij->...", ginv, sv)
@@ -349,14 +327,14 @@ def green_einstein_sym_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
     if check_kernel:
         _check_kernel_pair(chart, grid, (sigma, eta))
     x = interior_nodes(grid)
-    gvals = sym_values(chart.metric_jets(x, 0))
+    gvals = chart.metric_jets(x, 0).value
     dens = _volume_density(gvals)
     ginv = np.linalg.inv(gvals)
 
-    de_s = _dein_values(chart, x, sigma, action)
-    de_e = _dein_values(chart, x, eta, action)
-    sv = tensor_values(sigma(x, 0))
-    ev = tensor_values(eta(x, 0))
+    de_s = dein_closed(chart, x, sigma, action, order=2)
+    de_e = dein_closed(chart, x, eta, action, order=2)
+    sv = sigma(x, 0).value
+    ev = eta(x, 0).value
 
     def pair(a, b):
         return np.einsum("...ij,...kl,...ik,...jl->...", a, b, ginv, ginv)
@@ -376,20 +354,20 @@ def dewitt_green_ric_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
     if check_kernel:
         _check_kernel_pair(chart, grid, (sigma, eta))
     x = interior_nodes(grid)
-    gvals = sym_values(chart.metric_jets(x, 0))
+    gvals = chart.metric_jets(x, 0).value
     dens = _volume_density(gvals)
     d = chart.dim
 
     def ric_route(field):
-        de = _dein_values(chart, x, field, action)
+        de = dein_closed(chart, x, field, action, order=2)
         ginv = np.linalg.inv(gvals)
         tr = np.einsum("...ij,...ij->...", ginv, de)
         return de - (tr / (d - 2))[..., None, None] * gvals  # B^{-1} dEin
 
     r_s = ric_route(sigma)
     r_e = ric_route(eta)
-    sv = tensor_values(sigma(x, 0))
-    ev = tensor_values(eta(x, 0))
+    sv = sigma(x, 0).value
+    ev = eta(x, 0).value
     one = integrate_scalar_samples(grid, dewitt_inner(r_s, ev, gvals) * dens,
                                    "interior")
     two = integrate_scalar_samples(grid, dewitt_inner(sv, r_e, gvals) * dens,

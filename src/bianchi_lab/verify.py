@@ -20,11 +20,10 @@ from .charts import (
     chart_geometry,
     divergence,
     make_chart,
+    orthonormal_frame,
     rm_covector,
     sample_points,
     sym_to_frame,
-    sym_values,
-    tensor_values,
 )
 from .conventions import constraint_constants, ricci_action
 from .linearize import (
@@ -39,7 +38,7 @@ from .linearize import (
     sample_connection,
     trig_poly_sym_field,
 )
-from .jets import Jet
+from .jets import Jet, stack
 
 __all__ = ["run_suite", "SUITES", "slab_solve_cases",
            "slab_unchecked_reason"]
@@ -137,12 +136,9 @@ def suite_calculus(cfg) -> list:
             chart = make_chart(preset, d, **kw)
             pts = sample_points(chart, npts, rng)
             geom = chart_geometry(chart, pts, order=4)
-            riem = tensor_values(geom.riem)
-            ein = tensor_values(geom.ein)
-            gvals = sym_values(geom.g)
-            from .charts import orthonormal_frame
-
-            frame = orthonormal_frame(gvals)
+            riem = geom.riem.value
+            ein = geom.ein.value
+            frame = orthonormal_frame(geom.g.value)
             ein_f = sym_to_frame(ein, frame)
             tag = f"{preset}-d{d}"
             worst_b, worst_e, worst_w, worst_cp = 0.0, 0.0, 0.0, 0.0
@@ -168,8 +164,7 @@ def suite_calculus(cfg) -> list:
                                "curvature.first-bianchi"))
             cases.append(_case(f"einstein-contraction-{tag}", worst_e, 1e-8,
                                "curvature.einstein-from-riemann"))
-            div_bric = tensor_values(divergence(geom,
-                                                bianchi_b(geom, geom.ric)))
+            div_bric = divergence(geom, bianchi_b(geom, geom.ric)).value
             cases.append(_case(f"gauged-divergence-ricci-{tag}",
                                float(np.abs(div_bric).max()), 1e-8,
                                "curvature.divergence-free"))
@@ -185,7 +180,7 @@ def suite_calculus(cfg) -> list:
         pts = sample_points(chart, 20, rng)
         geom = chart_geometry(chart, pts, order=4)
         worst_flat = max(worst_flat,
-                         float(np.abs(tensor_values(geom.riem)).max()))
+                         float(np.abs(geom.riem.value).max()))
     cases.append(_case("flat-presets-zero-curvature", worst_flat, 1e-12,
                        "curvature.flat-presets"))
     return cases
@@ -255,11 +250,8 @@ def suite_linearization(cfg) -> list:
 
     def xf(x, order):
         xs = Jet.variables(x, order)
-        X = np.empty(3, dtype=object)
-        X[0] = (xs[1] * 2.0).sin() * 0.3
-        X[1] = xs[2] * xs[0] * 0.2
-        X[2] = 0.1 * xs[0]
-        return X
+        return stack([(xs[1] * 2.0).sin() * 0.3, xs[2] * xs[0] * 0.2,
+                      0.1 * xs[0]])
 
     cases.append(_case("equivariance-killing-directions",
                        equivariance_residual(chart, pts, xf, action), 1e-6,
@@ -290,10 +282,8 @@ def suite_linearization(cfg) -> list:
     # sigma = x_d^2 sin(2 pi x_1) dx_0^2 it is (0, -2 pi cos 2 pi x_1, 0)
     def lateral_wave(x, order):
         xs = Jet.variables(x, order)
-        out = np.empty((3, 3), dtype=object)
-        out[:] = Jet.const(3, order, np.zeros(x.shape[:-1]))
-        out[0, 0] = xs[2] * xs[2] * (xs[1] * (2 * np.pi)).sin()
-        return out
+        wave = xs[2] * xs[2] * (xs[1] * (2 * np.pi)).sin()
+        return wave[..., None, None] * np.diag([1.0, 0.0, 0.0])
 
     _, r2, _ = normal_identity_residuals(
         collar, y, Perturbation(lateral_wave, 3, 2), action)

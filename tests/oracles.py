@@ -7,9 +7,12 @@ except ``jet_mul_loop``: the former per-output jet product loop, which
 reads the library's per-output pair table ``jets._mul_table``; the
 lateral-Fourier block oracle: the former per-block sparse path of
 ``bvp.py``, which reads the library's 1-D stencils, component pairs and
-boundary row layout; and ``lsmr_solve``, the former LSMR least-squares
+boundary row layout; ``lsmr_solve``, the former LSMR least-squares
 solve of ``bvp.py``, which touches the assembled matrix only through
-products.
+products; and the object-array jet engine: the former geometry,
+boundary and linearization layers, which hold a tensor as an object
+ndarray of scalar ``Jet``s and sum every index by hand, reading only the
+library's scalar jet arithmetic and the ``Geometry`` record.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import scipy.sparse.linalg as spla
 
 from bianchi_lab import bvp
 from bianchi_lab.bvp import DiscreteSystem, SolveReport, SourceSpec
+from bianchi_lab.charts import Geometry
+from bianchi_lab.jets import Jet, _exp_index, _exponents, stack
 
 
 def bubble_parity(seq):
@@ -517,3 +522,499 @@ def lsmr_solve(system: DiscreteSystem, source: SourceSpec,
         block_residuals=system.block_residuals(x, source.values),
         solution_norm=float(np.linalg.norm(x)),
     )
+
+
+# ---------------------------------------------------------------------------
+# object-array jet engine: the former geometry, boundary and linearization
+# layers, one scalar Jet per tensor entry (copied verbatim), and the
+# adapters between its object arrays and tensor jets
+
+
+def object_jets(T: Jet, rank: int) -> np.ndarray:
+    """Tensor jet -> object ndarray of its component jets."""
+    shape = T.c.shape[T.c.ndim - 1 - rank:-1]
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        out[idx] = T[(...,) + idx]
+    return out
+
+
+def tensor_jet(A: np.ndarray) -> Jet:
+    """Object ndarray of jets -> one tensor jet (batch, tensor, K axes)."""
+    if isinstance(A, Jet):
+        return A
+    return stack([tensor_jet(A[i]) for i in range(A.shape[0])],
+                 axis=-A.ndim)
+
+
+def _obj_array(shape):
+    return np.empty(shape, dtype=object)
+
+
+def jet_matrix_inverse(G: list[list[Jet]]) -> list[list[Jet]]:
+    """Invert a matrix of jets by Gauss-Jordan elimination.
+
+    No pivoting: intended for positive-definite matrices whose leading
+    minors stay away from zero (metric components).  Raises
+    ``np.linalg.LinAlgError`` when a pivot's value is <= 1e-12 max|G| in
+    absolute value at some batch point.
+    """
+    d = len(G)
+    A = [[G[i][j] for j in range(d)] for i in range(d)]
+    dim, order = A[0][0].dim, A[0][0].order
+    shape = np.broadcast_shapes(*[A[i][j].c.shape[:-1] for i in range(d)
+                                  for j in range(d)])
+    ident = [[Jet.const(dim, order, np.full(shape, 1.0 if i == j else 0.0))
+              for j in range(d)] for i in range(d)]
+    tiny = 1e-12 * np.max(np.abs(np.broadcast_arrays(
+        *[A[i][j].value for i in range(d) for j in range(d)])), axis=0)
+    for col in range(d):
+        if np.any(np.abs(A[col][col].value) <= tiny):
+            raise np.linalg.LinAlgError(
+                f"vanishing pivot in column {col} of a jet matrix inverse")
+        inv_piv = A[col][col].reciprocal()
+        for j in range(d):
+            A[col][j] = A[col][j] * inv_piv
+            ident[col][j] = ident[col][j] * inv_piv
+        for row in range(d):
+            if row == col:
+                continue
+            f = A[row][col]
+            for j in range(d):
+                A[row][j] = A[row][j] - f * A[col][j]
+                ident[row][j] = ident[row][j] - f * ident[col][j]
+    return ident
+
+
+def geometry_from_jets(g: np.ndarray, curvature: bool = True) -> Geometry:
+    """Christoffel symbols and (optionally) curvature from metric jets."""
+    d = g.shape[0]
+    order = g[0, 0].order
+    ginv_ll = jet_matrix_inverse([[g[i, j] for j in range(d)] for i in range(d)])
+    ginv = _obj_array((d, d))
+    for i in range(d):
+        for j in range(d):
+            ginv[i, j] = ginv_ll[i][j]
+
+    dg = _obj_array((d, d, d))  # dg[a,i,j] = d_a g_ij
+    for a in range(d):
+        for i in range(d):
+            for j in range(i, d):
+                dg[a, i, j] = dg[a, j, i] = g[i, j].partial(a)
+
+    ginv1 = _obj_array((d, d))
+    for i in range(d):
+        for j in range(d):
+            ginv1[i, j] = ginv[i, j].truncate(order - 1)
+
+    gamma = _obj_array((d, d, d))  # gamma[k,i,j] = Gamma^k_ij
+    for k in range(d):
+        for i in range(d):
+            for j in range(i, d):
+                acc = None
+                for l in range(d):
+                    term = ginv1[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
+                    acc = term if acc is None else acc + term
+                gamma[k, i, j] = gamma[k, j, i] = 0.5 * acc
+
+    geom = Geometry(dim=d, order=order, g=g, ginv=ginv, gamma=gamma)
+    if not curvature:
+        return geom
+
+    dgamma = _obj_array((d, d, d, d))  # dgamma[a,k,i,j] = d_a Gamma^k_ij
+    for a in range(d):
+        for k in range(d):
+            for i in range(d):
+                for j in range(i, d):
+                    dgamma[a, k, i, j] = dgamma[a, k, j, i] = \
+                        gamma[k, i, j].partial(a)
+
+    o2 = order - 2
+    gam2 = _obj_array((d, d, d))
+    for idx in np.ndindex(d, d, d):
+        gam2[idx] = gamma[idx].truncate(o2)
+
+    # R^l_{kij} = d_i Gamma^l_jk - d_j Gamma^l_ik
+    #            + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
+    rup = _obj_array((d, d, d, d))  # rup[l,k,i,j]
+    for l in range(d):
+        for k in range(d):
+            for i in range(d):
+                for j in range(d):
+                    if j < i:
+                        continue
+                    acc = dgamma[i, l, j, k] - dgamma[j, l, i, k]
+                    for m in range(d):
+                        acc = acc + gam2[l, i, m] * gam2[m, j, k]
+                        acc = acc - gam2[l, j, m] * gam2[m, i, k]
+                    rup[l, k, i, j] = acc
+                    rup[l, k, j, i] = -acc
+
+    g2 = _obj_array((d, d))
+    ginv2 = _obj_array((d, d))
+    for i in range(d):
+        for j in range(d):
+            g2[i, j] = g[i, j].truncate(o2)
+            ginv2[i, j] = ginv[i, j].truncate(o2)
+
+    riem = _obj_array((d, d, d, d))  # Riem_{ijkl} = g_{lm} R^m_{kij}
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                for l in range(d):
+                    acc = None
+                    for m in range(d):
+                        term = g2[l, m] * rup[m, k, i, j]
+                        acc = term if acc is None else acc + term
+                    riem[i, j, k, l] = acc
+
+    ric = _obj_array((d, d))  # Ric_jk = sum_i R^i_{kij}
+    for j in range(d):
+        for k in range(j, d):
+            acc = None
+            for i in range(d):
+                term = rup[i, k, i, j]
+                acc = term if acc is None else acc + term
+            ric[j, k] = ric[k, j] = acc
+
+    sc = None
+    for j in range(d):
+        for k in range(d):
+            term = ginv2[j, k] * ric[j, k]
+            sc = term if sc is None else sc + term
+
+    ein = _obj_array((d, d))
+    for i in range(d):
+        for j in range(d):
+            ein[i, j] = ric[i, j] - 0.5 * (sc * g2[i, j])
+
+    geom.riem, geom.ric, geom.sc, geom.ein = riem, ric, sc, ein
+    return geom
+
+
+def tensor_values(T: np.ndarray) -> np.ndarray:
+    """Object array of Jets -> float array with tensor axes trailing."""
+    flat = T.reshape(-1)
+    vals = [np.asarray(j.value) for j in flat]
+    shape = np.broadcast_shapes(*[v.shape for v in vals])
+    out = np.empty(shape + T.shape)
+    for idx, j in np.ndenumerate(T):
+        out[(...,) + idx] = np.broadcast_to(np.asarray(j.value), shape)
+    return out
+
+
+sym_values = tensor_values
+
+
+def nabla(geom: Geometry, T: np.ndarray, order_drop: int = 1) -> np.ndarray:
+    """Covariant derivative of a (0, r) tensor of jets.
+
+    Returns object array with the derivative index first:
+    (nabla T)_{k,i1..ir} = d_k T - sum_s Gamma^l_{k i_s} T[.. l ..].
+    """
+    r = T.ndim
+    d = geom.dim
+    o = T.flat[0].order - 1
+    gam = _obj_array((d, d, d))
+    for idx in np.ndindex(d, d, d):
+        gam[idx] = geom.gamma[idx].truncate(o) if geom.gamma[idx].order > o \
+            else geom.gamma[idx]
+    out = _obj_array((d,) + T.shape)
+    for k in range(d):
+        for idx in np.ndindex(*T.shape):
+            acc = T[idx].partial(k)
+            for s in range(r):
+                for l in range(d):
+                    lidx = idx[:s] + (l,) + idx[s + 1:]
+                    acc = acc - gam[l, k, idx[s]] * T[lidx]
+            out[(k,) + idx] = acc
+    return out
+
+
+def trace_sym2(geom: Geometry, sigma: np.ndarray, order: int | None = None) -> Jet:
+    d = geom.dim
+    o = order if order is not None else sigma[0, 0].order
+    acc = None
+    for i in range(d):
+        for j in range(d):
+            term = geom.ginv[i, j].truncate(o) * sigma[i, j].truncate(o)
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def bianchi_b(geom: Geometry, sigma: np.ndarray) -> np.ndarray:
+    """Trace reversal B sigma = sigma - (tr sigma / 2) g on jets."""
+    d = geom.dim
+    o = sigma[0, 0].order
+    t = trace_sym2(geom, sigma, o)
+    out = _obj_array((d, d))
+    for i in range(d):
+        for j in range(d):
+            out[i, j] = sigma[i, j] - 0.5 * (t * geom.g[i, j].truncate(o))
+    return out
+
+
+def divergence(geom: Geometry, sigma: np.ndarray) -> np.ndarray:
+    """delta sigma = -tr_g(nabla sigma) as a vector of jets (raised index)."""
+    d = geom.dim
+    ns = nabla(geom, sigma)
+    o = ns.flat[0].order
+    cov = _obj_array((d,))
+    for j in range(d):
+        acc = None
+        for k in range(d):
+            for i in range(d):
+                term = geom.ginv[k, i].truncate(o) * ns[k, i, j]
+                acc = term if acc is None else acc + term
+        cov[j] = -acc
+    out = _obj_array((d,))
+    for m in range(d):
+        acc = None
+        for j in range(d):
+            term = geom.ginv[m, j].truncate(o) * cov[j]
+            acc = term if acc is None else acc + term
+        out[m] = acc
+    return out
+
+
+def killing(geom: Geometry, X: np.ndarray) -> np.ndarray:
+    """delta* X = sym(nabla X-flat) on jets; X has raised components."""
+    d = geom.dim
+    o = X[0].order
+    xflat = _obj_array((d,))
+    for j in range(d):
+        acc = None
+        for k in range(d):
+            term = geom.g[j, k].truncate(o) * X[k]
+            acc = term if acc is None else acc + term
+        xflat[j] = acc
+    nx = nabla(geom, xflat)
+    out = _obj_array((d, d))
+    for i in range(d):
+        for j in range(d):
+            out[i, j] = 0.5 * (nx[i, j] + nx[j, i])
+    return out
+
+
+def distance_jet(geom: Geometry, newton_steps: int = 12,
+                 tol: float = 1e-12) -> Jet:
+    """Jet of the boundary-distance function at face points.
+
+    Solves |grad r|^2_g = 1 with r = 0 on the face for the Taylor
+    coefficients of r with nonzero normal exponent.  The system is square
+    order by order; a Newton iteration on the full coefficient vector
+    converges quadratically from r = x^d.  Raises RuntimeError if the
+    residual is not below ``tol`` after ``newton_steps`` steps.
+    """
+    d, p = geom.dim, geom.order
+    exps = _exponents(d, p)
+    unknowns = [i for i, e in enumerate(exps) if e[-1] >= 1]
+    n_res = len(_exponents(d, p - 1))
+    if len(unknowns) != n_res:
+        raise AssertionError("eikonal system is not square")
+
+    batch = geom.g[0, 0].c.shape[:-1]
+    r = Jet.const(d, p, np.zeros(batch))
+    e1 = [0] * d
+    e1[-1] = 1
+    r.c[..., _exp_index(d, p)[tuple(e1)]] = 1.0
+
+    def grad_sq(rj: Jet) -> Jet:
+        dr = [rj.partial(a) for a in range(d)]
+        acc = None
+        for i in range(d):
+            for j in range(d):
+                term = geom.ginv[i, j].truncate(p - 1) * dr[i] * dr[j]
+                acc = term if acc is None else acc + term
+        return acc
+
+    basis = []
+    for u in unknowns:
+        bj = Jet.const(d, p, np.zeros(()))
+        bj.c = np.zeros((len(exps),))
+        bj.c[u] = 1.0
+        basis.append(bj)
+
+    for step in range(newton_steps + 1):
+        res = grad_sq(r) - 1.0
+        err = float(np.max(np.abs(res.c)))
+        if err < tol:
+            return r
+        if step == newton_steps:
+            raise RuntimeError(
+                f"eikonal Newton solve did not converge in {newton_steps} "
+                f"steps: residual {err:.3e} >= tol {tol:.1e}")
+        # J[:, u] = 2 sum g^{ij} d_i r d_j e_u
+        cols = []
+        dr = [r.partial(a) for a in range(d)]
+        for bj in basis:
+            db = [bj.partial(a) for a in range(d)]
+            acc = None
+            for i in range(d):
+                for j in range(d):
+                    term = geom.ginv[i, j].truncate(p - 1) * dr[i] * db[j]
+                    acc = term if acc is None else acc + term
+            cols.append(2.0 * acc.c)
+        J = np.stack(np.broadcast_arrays(*cols), axis=-1)
+        rhs = -np.broadcast_to(res.c, J.shape[:-1])
+        delta = np.linalg.solve(J, rhs[..., None])[..., 0]
+        batch_shape = delta.shape[:-1]
+        newc = np.array(np.broadcast_to(r.c, batch_shape + (r.c.shape[-1],)),
+                        copy=True)
+        newc[..., unknowns] += delta
+        r = Jet(d, p, newc)
+
+
+def normal_field(geom: Geometry):
+    """The distance jet r and the normal field n^i = g^{ij} d_j r."""
+    d, p = geom.dim, geom.order
+    rjet = distance_jet(geom)
+    dr = [rjet.partial(a) for a in range(d)]
+    nvec = np.empty(d, dtype=object)
+    for i in range(d):
+        acc = None
+        for j in range(d):
+            term = geom.ginv[i, j].truncate(p - 1) * dr[j]
+            acc = term if acc is None else acc + term
+        nvec[i] = acc
+    return rjet, nvec
+
+
+def distance_hessian(geom: Geometry, rjet: Jet) -> np.ndarray:
+    """Hess r, the A-field: tangential by the eikonal equation."""
+    d, p = geom.dim, geom.order
+    dr = [rjet.partial(a) for a in range(d)]
+    dr2 = [dj.truncate(p - 2) for dj in dr]
+    hess = np.empty((d, d), dtype=object)
+    for i in range(d):
+        for j in range(i, d):
+            acc = dr[i].partial(j)
+            for k in range(d):
+                acc = acc - geom.gamma[k, i, j].truncate(p - 2) * dr2[k]
+            hess[i, j] = hess[j, i] = acc
+    return hess
+
+
+def dric_parts_jets(geom: Geometry, sig: np.ndarray):
+    """The three building blocks of the closed linearized Ricci tensor.
+
+    Returns (base, comp, curv): the gauge-reduced second-order part
+    rough-Laplacian/2 - killing(div B sigma), the Ricci composition
+    Ric o sigma + sigma o Ric, and the curvature contraction Rm[sigma].
+    """
+    d = geom.dim
+    ns = nabla(geom, sig)
+    nns = nabla(geom, ns)
+    o = nns.flat[0].order
+    lap = np.empty((d, d), dtype=object)
+    for i in range(d):
+        for j in range(i, d):
+            acc = None
+            for a in range(d):
+                for b in range(d):
+                    term = geom.ginv[a, b].truncate(o) * nns[a, b, i, j]
+                    acc = term if acc is None else acc + term
+            lap[i, j] = lap[j, i] = -acc  # rough Laplacian nabla* nabla
+
+    X = divergence(geom, bianchi_b(geom, sig))
+    ds = killing(geom, X)
+
+    ginv_o = np.empty((d, d), dtype=object)
+    sig_o = np.empty((d, d), dtype=object)
+    ric_o = np.empty((d, d), dtype=object)
+    for i in range(d):
+        for j in range(d):
+            ginv_o[i, j] = geom.ginv[i, j].truncate(o)
+            sig_o[i, j] = sig[i, j].truncate(o)
+            ric_o[i, j] = geom.ric[i, j].truncate(o)
+
+    sig_up = np.empty((d, d), dtype=object)  # sigma^{kl}
+    for k in range(d):
+        for l in range(d):
+            acc = None
+            for a in range(d):
+                for b in range(d):
+                    term = ginv_o[k, a] * ginv_o[l, b] * sig_o[a, b]
+                    acc = term if acc is None else acc + term
+            sig_up[k, l] = acc
+
+    base = np.empty((d, d), dtype=object)
+    comp = np.empty((d, d), dtype=object)
+    curv = np.empty((d, d), dtype=object)
+    for i in range(d):
+        for j in range(i, d):
+            # Ric o sigma + sigma o Ric with one raised middle index
+            acc = None
+            for k in range(d):
+                for l in range(d):
+                    term = ginv_o[k, l] * (ric_o[i, k] * sig_o[l, j]
+                                           + sig_o[i, k] * ric_o[l, j])
+                    acc = term if acc is None else acc + term
+            comp[i, j] = comp[j, i] = acc
+            acc = None
+            for k in range(d):
+                for l in range(d):
+                    term = geom.riem[i, k, j, l].truncate(o) * sig_up[k, l]
+                    acc = term if acc is None else acc + term
+            curv[i, j] = curv[j, i] = acc
+            base[i, j] = base[j, i] = 0.5 * lap[i, j] - ds[i, j]
+    return base, comp, curv
+
+
+def dric_closed_jets(geom: Geometry, sig: np.ndarray, action) -> np.ndarray:
+    """Jet-valued closed form of the linearized Ricci tensor.
+
+    dRic sigma = rough-Laplacian term / 2 - killing(div B sigma)
+                 + curvature action / 2, with the two integer coefficients
+    of the curvature action supplied by ``action`` = (a, b).
+    """
+    d = geom.dim
+    a_c, b_c = action
+    base, comp, curv = dric_parts_jets(geom, sig)
+    out = np.empty((d, d), dtype=object)
+    for i in range(d):
+        for j in range(d):
+            out[i, j] = base[i, j] + 0.5 * (a_c * comp[i, j]
+                                            + b_c * curv[i, j])
+    return out
+
+
+def dein_closed_jets(geom: Geometry, sig: np.ndarray, action,
+                     conn=None) -> np.ndarray:
+    """Covariant linearized Einstein operator via trace reversal.
+
+    dEin sigma = B(dRic sigma) + <sigma, Ric> g / 2 - Sc sigma / 2
+    plus the tensorial connection term conn(Ein, sigma) when given.
+    """
+    d = geom.dim
+    dric = dric_closed_jets(geom, sig, action)
+    out = bianchi_b(geom, dric)
+    o = out[0, 0].order
+    ginv_o = np.empty((d, d), dtype=object)
+    for i in range(d):
+        for j in range(d):
+            ginv_o[i, j] = geom.ginv[i, j].truncate(o)
+    pairing = None  # <sigma, Ric>_g
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                for l in range(d):
+                    term = (ginv_o[i, k] * ginv_o[j, l]
+                            * sig[i, j].truncate(o) * geom.ric[k, l].truncate(o))
+                    pairing = term if pairing is None else pairing + term
+    sc_o = geom.sc.truncate(o)
+    for i in range(d):
+        for j in range(i, d):
+            val = (out[i, j] + 0.5 * (pairing * geom.g[i, j].truncate(o))
+                   - 0.5 * (sc_o * sig[i, j].truncate(o)))
+            out[i, j] = val
+            out[j, i] = val
+    if conn is not None:
+        ein_vals = tensor_values(geom.ein)
+        sig_vals = tensor_values(sig)
+        gvals = sym_values(geom.g)
+        corr = conn(ein_vals, sig_vals, gvals)
+        for i in range(d):
+            for j in range(d):
+                out[i, j] = out[i, j] + Jet.const(d, o, corr[..., i, j])
+    return out

@@ -29,11 +29,10 @@ from bianchi_lab.charts import (
     rm_covector,
     sample_points,
     sym_to_frame,
-    sym_values,
     tensor_values,
 )
 from bianchi_lab.conventions import constraint_constants, ricci_action
-from bianchi_lab.jets import Jet
+from bianchi_lab.jets import Jet, stack
 from bianchi_lab.linearize import (
     dboundary_data_fd,
     equivariance_residual,
@@ -141,7 +140,7 @@ def test_criterion_03_curvature_identities():
             geom = chart_geometry(chart, pts, order=4)
             riem = tensor_values(geom.riem)
             ein = tensor_values(geom.ein)
-            frame = orthonormal_frame(sym_values(geom.g))
+            frame = orthonormal_frame(tensor_values(geom.g))
             ein_f = sym_to_frame(ein, frame)
             g_alg = alg.metric_covector(d)
             for i in range(len(pts)):
@@ -280,11 +279,8 @@ def test_criterion_07_linearization_identities():
 
     def xf(x, order):
         xs = Jet.variables(x, order)
-        X = np.empty(3, dtype=object)
-        X[0] = (xs[1] * 2.0).sin() * 0.3
-        X[1] = xs[2] * xs[0] * 0.2
-        X[2] = 0.1 * xs[0]
-        return X
+        return stack([(xs[1] * 2.0).sin() * 0.3, xs[2] * xs[0] * 0.2,
+                      0.1 * xs[0]])
 
     equi = equivariance_residual(chart, pts, xf, ACTION)
 
@@ -325,11 +321,8 @@ def test_criterion_07_first_normal_trace_at_order_two():
 
     def lateral_wave(x, order):
         xs = Jet.variables(x, order)
-        zero = Jet.const(3, order, np.zeros(x.shape[:-1]))
-        out = np.empty((3, 3), dtype=object)
-        out[:] = zero
-        out[0, 0] = xs[2] * xs[2] * (xs[1] * (2 * np.pi)).sin()
-        return out
+        wave = xs[2] * xs[2] * (xs[1] * (2 * np.pi)).sin()
+        return wave[..., None, None] * np.diag([1.0, 0.0, 0.0])
 
     from bianchi_lab.linearize import Perturbation
 

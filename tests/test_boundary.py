@@ -17,14 +17,14 @@ from bianchi_lab.charts import (
     chart_geometry,
     geometry_from_jets,
     make_chart,
-    sym_values,
+    tensor_values,
 )
 from bianchi_lab.conventions import (
     compute_constraint_constants,
     constraint_constants,
     load_conventions,
 )
-from bianchi_lab.jets import Jet
+from bianchi_lab.jets import Jet, stack
 from bianchi_lab.linearize import dboundary_data_fd
 
 from oracles import fd_second_fundamental_form
@@ -74,7 +74,7 @@ def test_second_ff_matches_normal_flow_oracle():
     fr = boundary_frame_at(collar, y)
 
     def metric_fn(p):
-        return sym_values(chart.metric_jets(p, 0))
+        return tensor_values(chart.metric_jets(p, 0))
 
     for i, yy in enumerate(y):
         x_face = np.concatenate([yy, [0.0]])
@@ -103,7 +103,7 @@ def test_distance_jet_solves_eikonal():
     acc = None
     for i in range(3):
         for j in range(3):
-            t = geom.ginv[i, j].truncate(3) * dr[i] * dr[j]
+            t = geom.ginv[..., i, j].truncate(3) * dr[i] * dr[j]
             acc = t if acc is None else acc + t
     assert np.abs(acc.c[..., 0] - 1.0).max() <= 1e-12
     assert np.abs(acc.c[..., 1:]).max() <= 1e-11
@@ -127,11 +127,12 @@ def test_distance_jet_raises_when_newton_does_not_converge():
 
 
 def sym_field_from_matrix_fn(d, entries):
-    """entries(xs) -> object (d,d) array; wraps into field callback."""
+    """entries(xs) -> (d, d) nested list of jets; wraps into a field
+    callback returning the tensor jet."""
 
     def fn(x, order):
         xs = Jet.variables(x, order)
-        return entries(xs)
+        return stack([stack(row) for row in entries(xs)], axis=-2)
 
     return fn
 
@@ -158,10 +159,10 @@ def test_projections_vanishing_sigma_keeps_first_jet():
     y = lateral_points(d, 3, 8)
 
     def entries(xs):
-        out = np.empty((d, d), dtype=object)
+        out = [[None] * d for _ in range(d)]
         for i in range(d):
             for j in range(d):
-                out[i, j] = xs[-1] * ((1.0 + xs[0]).cos() + (i + j))
+                out[i][j] = xs[-1] * ((1.0 + xs[0]).cos() + (i + j))
         return out
 
     proj = projections_at(collar, y, sym_field_from_matrix_fn(d, entries))
@@ -182,10 +183,10 @@ def test_projection_reconstruction():
     mat = 0.5 * (mat + mat.T)
 
     def entries(xs):
-        out = np.empty((d, d), dtype=object)
+        out = [[None] * d for _ in range(d)]
         for i in range(d):
             for j in range(d):
-                out[i, j] = mat[i, j] + 0.3 * xs[0] * (1.0 if i == j else 0.5)
+                out[i][j] = mat[i, j] + 0.3 * xs[0] * (1.0 if i == j else 0.5)
         return out
 
     proj = projections_at(collar, y, sym_field_from_matrix_fn(d, entries))
@@ -214,14 +215,14 @@ def mirrored_sym_field(d, mirror):
 
     def entries(xs):
         s = 1.0 - xs[-1] if mirror else xs[-1]
-        out = np.empty((d, d), dtype=object)
+        out = [[None] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
                 mixed = mirror and (i == d - 1) != (j == d - 1)
                 lateral = (xs[0] * (2 * np.pi) + (i + j)).cos() * 0.3 \
                     + mat[i, j]
                 v = lateral * (s * s * 0.7 + s * 0.5 + 1.0)
-                out[i, j] = out[j, i] = -v if mixed else v
+                out[i][j] = out[j][i] = -v if mixed else v
         return out
 
     return sym_field_from_matrix_fn(d, entries)

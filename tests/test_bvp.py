@@ -116,7 +116,7 @@ def _closed_form_boundary_rows(field, lat, face):
     d = 3
 
     def partial(i, j, axes):
-        jet = sig[i, j]
+        jet = sig[..., i, j]
         for a in axes:
             jet = jet.partial(a)
         return jet.value

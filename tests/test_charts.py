@@ -29,11 +29,10 @@ from bianchi_lab.charts import (
     rm_covector,
     sample_points,
     sym_to_frame,
-    sym_values,
     tensor_values,
     trace_sym2,
 )
-from bianchi_lab.jets import Jet
+from bianchi_lab.jets import Jet, contract, stack
 
 from oracles import fd_christoffel, fd_ricci
 
@@ -44,7 +43,7 @@ def rng(seed=0):
 
 def metric_value_fn(chart):
     def fn(x):
-        return sym_values(chart.metric_jets(np.asarray(x), order=0))
+        return tensor_values(chart.metric_jets(np.asarray(x), order=0))
     return fn
 
 
@@ -56,11 +55,11 @@ def test_flat_chart_metric_and_derivatives():
     chart = make_chart("flat_cartesian", 3)
     x = np.array([[0.2, 0.4, 0.7], [0.9, 0.1, 0.3]])
     g = chart.metric_jets(x, order=3)
-    vals = sym_values(g)
+    vals = tensor_values(g)
     assert np.allclose(vals, np.eye(3))
     for i in range(3):
         for j in range(3):
-            assert np.allclose(g[i, j].c[..., 1:], 0.0)
+            assert np.allclose(g[..., i, j].c[..., 1:], 0.0)
 
 
 def test_conformal_bump_chain_rule():
@@ -68,11 +67,11 @@ def test_conformal_bump_chain_rule():
     x = np.array([0.3, 0.6, 0.4])
     g = chart.metric_jets(x, order=2)
     # d_0 g_00 = 2 (d_0 phi) e^{2 phi}; read phi derivatives off log(g_00)
-    g00 = g[0, 0]
+    g00 = g[..., 0, 0]
     dphi = 0.5 * g00.deriv((1, 0, 0)) / g00.value
     assert np.isclose(g00.deriv((1, 0, 0)), 2 * dphi * g00.value)
     # components stay conformally diagonal
-    assert np.allclose(g[0, 1].c, 0.0)
+    assert np.allclose(g[..., 0, 1].c, 0.0)
 
 
 def test_curved_generic_positive_definite():
@@ -132,13 +131,10 @@ def test_flat_presets_have_zero_curvature():
 def sphere_geometry(radius, x, order=4):
     """Round 2-sphere of given radius in colatitude/longitude coordinates."""
     th, ph = Jet.variables(x, order)
-    g = np.empty((2, 2), dtype=object)
-    zero = Jet.const(2, order, np.zeros(np.shape(x)[:-1]))
     s = th.sin()
-    g[0, 0] = Jet.const(2, order, np.full(np.shape(x)[:-1], radius ** 2))
-    g[1, 1] = (radius ** 2) * s * s
-    g[0, 1] = g[1, 0] = zero
-    return geometry_from_jets(g)
+    diag = stack([Jet.const(2, order, np.full(np.shape(x)[:-1], radius ** 2)),
+                  (radius ** 2) * s * s])
+    return geometry_from_jets(diag[..., None] * np.eye(2))
 
 
 def test_round_sphere_scalar_curvature_positive():
@@ -221,10 +217,8 @@ def test_flat_covariant_derivative_is_partial():
     pts = sample_points(chart, 4, rng(12))
     geom = chart_geometry(chart, pts, order=3, curvature=False)
     xs = Jet.variables(pts, 3)
-    sig = np.empty((3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            sig[i, j] = xs[0] * xs[1] if i == j else xs[2] * 0.5
+    sig = stack([stack([xs[0] * xs[1] if i == j else xs[2] * 0.5
+                        for j in range(3)]) for i in range(3)], axis=-2)
     ns = nabla(geom, sig)
     assert np.allclose(tensor_values(ns)[..., 0, 0, 0],
                        pts[:, 1], atol=1e-13)  # d_0 (x0 x1)
@@ -236,14 +230,9 @@ def test_leibniz_rule():
     geom = chart_geometry(chart, pts, order=3, curvature=False)
     xs = Jet.variables(pts, 3)
     f = (xs[0] + 0.3 * xs[2]).sin() + 1.5
-    sig = np.empty((3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            sig[i, j] = xs[i] * xs[j] + (1.0 if i == j else 0.0)
-    fsig = np.empty((3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            fsig[i, j] = f * sig[i, j]
+    sig = stack([stack([xs[i] * xs[j] + (1.0 if i == j else 0.0)
+                        for j in range(3)]) for i in range(3)], axis=-2)
+    fsig = contract(",ij->ij", f, sig)
     lhs = tensor_values(nabla(geom, fsig))
     nsig = nabla(geom, sig)
     d = 3
@@ -253,8 +242,8 @@ def test_leibniz_rule():
         dfk = f.partial(k).value
         for i in range(d):
             for j in range(d):
-                rhs[..., k, i, j] = (dfk * sig[i, j].value
-                                     + fvals * nsig[k, i, j].value)
+                rhs[..., k, i, j] = (dfk * sig[..., i, j].value
+                                     + fvals * nsig[..., k, i, j].value)
     assert np.max(np.abs(lhs - rhs)) <= 1e-11
 
 
@@ -263,10 +252,7 @@ def test_divergence_sign_convention():
     pts = sample_points(chart, 4, rng(14))
     geom = chart_geometry(chart, pts, order=2, curvature=False)
     xs = Jet.variables(pts, 2)
-    zero = Jet.const(3, 2, np.zeros(len(pts)))
-    sig = np.empty((3, 3), dtype=object)
-    sig[:] = zero
-    sig[0, 0] = xs[0]
+    sig = xs[0][..., None, None] * np.diag([1.0, 0.0, 0.0])
     div = tensor_values(divergence(geom, sig))
     assert np.allclose(div[..., 0], -1.0, atol=1e-13)
     assert np.allclose(div[..., 1:], 0.0, atol=1e-13)
@@ -286,14 +272,12 @@ def test_bianchi_b_examples_and_inverse():
     pts = sample_points(chart, 5, rng(16))
     geom = chart_geometry(chart, pts, order=2, curvature=False)
     bg = bianchi_b(geom, geom.g)
-    gv = sym_values(geom.g)
+    gv = tensor_values(geom.g)
     assert np.allclose(tensor_values(bg), (1 - d / 2) * gv, atol=1e-12)
 
     xs = Jet.variables(pts, 2)
-    sig = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            sig[i, j] = xs[min(i, j)] * 0.3 + (1.0 if i == j else 0.0)
+    sig = stack([stack([xs[min(i, j)] * 0.3 + (1.0 if i == j else 0.0)
+                        for j in range(d)]) for i in range(d)], axis=-2)
     back = bianchi_b_inverse(geom, bianchi_b(geom, sig))
     assert np.max(np.abs(tensor_values(back) - tensor_values(sig))) <= 1e-12
 
@@ -303,10 +287,7 @@ def test_killing_flat_shear_field():
     pts = sample_points(chart, 3, rng(17))
     geom = chart_geometry(chart, pts, order=2, curvature=False)
     xs = Jet.variables(pts, 2)
-    zero = Jet.const(3, 2, np.zeros(len(pts)))
-    X = np.empty(3, dtype=object)
-    X[:] = zero
-    X[0] = xs[1]  # X = (x^2, 0, 0)
+    X = xs[1][..., None] * np.array([1.0, 0.0, 0.0])  # X = (x^2, 0, 0)
     ds = tensor_values(killing(geom, X))
     expect = np.zeros_like(ds)
     expect[..., 0, 1] = expect[..., 1, 0] = 0.5
@@ -320,11 +301,8 @@ def test_lie_derivative_identities_and_flow_oracle():
     xs = Jet.variables(pts, 3)
 
     def xfield(xjets):
-        X = np.empty(3, dtype=object)
-        X[0] = (xjets[1] * 2.0).sin() * 0.5
-        X[1] = xjets[2] * xjets[0]
-        X[2] = 0.2 + 0.1 * xjets[0]
-        return X
+        return stack([(xjets[1] * 2.0).sin() * 0.5, xjets[2] * xjets[0],
+                      0.2 + 0.1 * xjets[0]])
 
     X = xfield(xs)
     # L_X g = 2 delta* X
@@ -342,11 +320,8 @@ def test_lie_derivative_identities_and_flow_oracle():
         return out
 
     def sig_jets(xjets):
-        out = np.empty((3, 3), dtype=object)
-        for i in range(3):
-            for j in range(3):
-                out[i, j] = xjets[i].sin() * xjets[j] + (1.0 if i == j else 0.0)
-        return out
+        return stack([stack([xjets[i].sin() * xjets[j] + (1.0 if i == j else 0.0)
+                             for j in range(3)]) for i in range(3)], axis=-2)
 
     lie = tensor_values(lie_derivative_sym2(X, sig_jets(xs)))
     t = 1e-4
@@ -356,7 +331,7 @@ def test_lie_derivative_identities_and_flow_oracle():
     dX = np.zeros((len(pts), 3, 3))
     for k in range(3):
         for a in range(3):
-            dX[:, k, a] = X[a].partial(k).value
+            dX[:, k, a] = X[..., a].partial(k).value
     jac = np.eye(3) + t * dX
     shifted = sig_vals(xv + t * Xv)
     pulled = np.einsum("pia,pjb,pab->pij", jac, jac, shifted)
@@ -368,10 +343,8 @@ def test_constant_field_flat_lie_zero():
     chart = make_chart("flat_cartesian", 3)
     pts = sample_points(chart, 2, rng(19))
     xs = Jet.variables(pts, 2)
-    const_vec = np.empty(3, dtype=object)
-    const_vec[:] = Jet.const(3, 2, np.ones(len(pts)))
-    const_sig = np.empty((3, 3), dtype=object)
-    const_sig[:] = Jet.const(3, 2, 0.5 * np.ones(len(pts)))
+    const_vec = Jet.const(3, 2, np.ones((len(pts), 3)))
+    const_sig = Jet.const(3, 2, 0.5 * np.ones((len(pts), 3, 3)))
     out = tensor_values(lie_derivative_sym2(const_vec, const_sig))
     assert np.allclose(out, 0.0, atol=1e-14)
 
@@ -384,7 +357,7 @@ def test_dewitt_metric_self_pairing():
     for d in (3, 4):
         chart = make_chart("curved_generic", d, seed=d)
         pts = sample_points(chart, 5, rng(20))
-        gv = sym_values(chart.metric_jets(pts, 0))
+        gv = tensor_values(chart.metric_jets(pts, 0))
         val = dewitt_inner(gv, gv, gv)
         assert np.allclose(val, d - d * d / 2.0, atol=1e-12)
     # d = 3 case from the contract: -1.5
@@ -395,7 +368,7 @@ def test_dewitt_symmetry_and_tracefree_positivity():
     d = 3
     chart = make_chart("curved_generic", d, seed=21)
     pts = sample_points(chart, 3, rng(21))
-    gv = sym_values(chart.metric_jets(pts, 0))
+    gv = tensor_values(chart.metric_jets(pts, 0))
     r = rng(22)
     sig = r.standard_normal((len(pts), d, d))
     sig = 0.5 * (sig + np.swapaxes(sig, 1, 2))

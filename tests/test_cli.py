@@ -64,6 +64,33 @@ def test_manifest_supplies_defaults(tmp_path):
     assert report["meta"]["seed"] == 7
 
 
+@pytest.mark.parametrize("argv", [
+    ["--suite", "bvp", "--preset", "polar_ball"],
+    ["--suite", "algebra", "--study"],
+])
+def test_verify_rejects_solve_only_flags(argv, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("preset", "polar_ball"),
+                                       ("study", True),
+                                       ("source", "continuum-admissible")])
+def test_verify_rejects_solve_only_manifest_keys(key, value, tmp_path):
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps({"suite": "algebra", key: value}))
+    out = tmp_path / "r.json"
+    assert run(["verify", "--manifest", str(man), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_verify_report_records_no_preset(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "--suite", "algebra", "--out", str(out)]) == 0
+    assert "preset" not in json.loads(out.read_text())["meta"]
+
+
 def test_solve_rejects_non_flat_preset():
     assert run(["solve", "--preset", "conformal_bump"]) == 2
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchi_lab import jets
-from bianchi_lab.jets import Jet, jet_matrix_inverse
+from bianchi_lab.jets import Jet, contract, jet_matrix_inverse, stack
 from oracles import jet_mul_loop
 
 
@@ -82,13 +82,14 @@ def test_batched_broadcasting():
 def test_matrix_inverse():
     rng = np.random.default_rng(1)
     x, y = Jet.variables(np.array([0.3, 0.8]), order=3)
-    G = [[2.0 + x * x, 0.3 * x * y], [0.3 * x * y, 1.5 + y * y]]
+    G = stack([stack([2.0 + x * x, 0.3 * x * y]),
+               stack([0.3 * x * y, 1.5 + y * y])], axis=-2)
     inv = jet_matrix_inverse(G)
     for i in range(2):
         for j in range(2):
             acc = Jet.const(2, 3, 0.0)
             for k in range(2):
-                acc = acc + G[i][k] * inv[k][j]
+                acc = acc + G[..., i, k] * inv[..., k, j]
             expect = 1.0 if i == j else 0.0
             assert np.allclose(acc.c[..., 0], expect, atol=1e-12)
             assert np.allclose(acc.c[..., 1:], 0.0, atol=1e-12)
@@ -103,7 +104,8 @@ def test_truncation_order_guard():
 def test_matrix_inverse_rejects_vanishing_pivot():
     zero, one = Jet.const(2, 2, 0.0), Jet.const(2, 2, 1.0)
     with pytest.raises(np.linalg.LinAlgError):
-        jet_matrix_inverse([[zero, one], [one, zero]])
+        jet_matrix_inverse(stack([stack([zero, one]), stack([one, zero])],
+                                 axis=-2))
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +171,88 @@ def test_product_across_block_boundaries(dim, order):
         a = _random_jet(rng, dim, order, (n,))
         b = _random_jet(rng, dim, order, (n,))
         _assert_matches_loop(a, b)
+
+
+# ---------------------------------------------------------------------------
+# contract against einsum over the per-output loop products
+
+
+def _contract_oracle(spec, a, b):
+    """np.einsum over the table of every entry pair's loop product, and
+    the same over |a|, |b| (the sum of |terms| of each coefficient)."""
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+
+    def outer(x, y):
+        xa = x.c[(...,) + (slice(None),) * len(sa) + (None,) * len(sb)
+                 + (slice(None),)]
+        yb = y.c[(...,) + (None,) * len(sa) + (slice(None),) * len(sb)
+                 + (slice(None),)]
+        return jet_mul_loop(Jet(x.dim, x.order, xa), Jet(y.dim, y.order, yb)).c
+
+    eq = f"...{sa}{sb}z->...{out}z"
+    scale = np.einsum(eq, outer(Jet(a.dim, a.order, np.abs(a.c)),
+                                Jet(b.dim, b.order, np.abs(b.c))))
+    return np.einsum(eq, outer(a, b)), scale
+
+
+def _assert_contract_matches(spec, a, b):
+    got = contract(spec, a, b)
+    want, scale = _contract_oracle(spec, a, b)
+    assert got.order == min(a.order, b.order)
+    assert got.c.shape == want.shape
+    assert np.all(np.abs(got.c - want) <= 1e-14 * scale)
+
+
+SPECS = [(",->", (), ()), ("i,i->", (3,), (3,)), (",ij->ij", (), (3, 3)),
+         ("i,j->ij", (3,), (3,)), ("ij,jk->ik", (3, 3), (3, 3)),
+         ("kl,lij->kij", (3, 3), (3, 3, 3)),
+         ("ikjl,kl->ij", (3, 3, 3, 3), (3, 3)),
+         ("lm,mkij->ijkl", (3, 3), (3, 3, 3, 3)),
+         ("ab,abij->ij", (3, 3), (3, 3, 3, 3))]
+
+
+@pytest.mark.parametrize("spec,ta,tb", SPECS)
+@pytest.mark.parametrize("orders", [(2, 2), (4, 2), (2, 4), (3, 0), (0, 3)])
+@pytest.mark.parametrize("shape", [(), (7,), (4, 3)])
+def test_contract_matches_einsum_of_loop_products(spec, ta, tb, orders, shape):
+    rng = np.random.default_rng(len(spec) + 10 * orders[0] + orders[1])
+    a = _random_jet(rng, 3, orders[0], shape + ta)
+    b = _random_jet(rng, 3, orders[1], shape + tb)
+    _assert_contract_matches(spec, a, b)
+
+
+@pytest.mark.parametrize("order", [0, 2, 4])
+def test_contract_broadcasts_batch_shapes(order):
+    rng = np.random.default_rng(order)
+    one = _random_jet(rng, 3, order, (1, 3, 3))
+    many = _random_jet(rng, 3, order, (6, 3, 3, 3))
+    _assert_contract_matches("kl,lij->kij", one, many)
+    const = _random_jet(rng, 3, order, (3, 3))
+    _assert_contract_matches("kl,lij->kij", const, many)
+    assert contract("kl,lij->kij", one, many).c.shape[:-1] == (6, 3, 3, 3)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_contract_across_block_boundaries(order):
+    rows = jets._block_rows(3, order, 27)  # "kl,lij->kij": 27 per pair
+    rng = np.random.default_rng(rows)
+    for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 7):
+        a = _random_jet(rng, 3, order, (n, 3, 3))
+        b = _random_jet(rng, 3, order, (n, 3, 3, 3))
+        _assert_contract_matches("kl,lij->kij", a, b)
+
+
+def test_contract_transposes_and_traces_one_operand():
+    rng = np.random.default_rng(5)
+    t = _random_jet(rng, 3, 2, (4, 3, 3, 3))
+    assert np.array_equal(contract("ijk->kij", t).c,
+                          np.moveaxis(t.c, -2, -4))
+    assert np.allclose(contract("iik->k", t).c,
+                       np.einsum("...iikz->...kz", t.c), atol=0, rtol=0)
+
+
+def test_contract_rejects_a_kept_shared_index():
+    a = Jet.const(3, 1, np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        contract("ij,ij->ij", a, a)

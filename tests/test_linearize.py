@@ -6,11 +6,10 @@ from bianchi_lab.charts import (
     chart_geometry,
     geometry_from_jets,
     make_chart,
-    sym_values,
     tensor_values,
 )
 from bianchi_lab.conventions import load_conventions, ricci_action
-from bianchi_lab.jets import Jet
+from bianchi_lab.jets import Jet, stack
 from bianchi_lab.linearize import (
     Perturbation,
     bump_sym_field,
@@ -66,12 +65,8 @@ def test_flat_chart_constant_sigma_and_metric_direction():
     x = interior_points(chart, 4, 1)
 
     def const_field(xq, order):
-        out = np.empty((3, 3), dtype=object)
-        for i in range(3):
-            for j in range(3):
-                out[i, j] = Jet.const(3, order,
-                                      np.full(xq.shape[:-1], 1.0 + (i == j)))
-        return out
+        return Jet.const(3, order, np.broadcast_to(1.0 + np.eye(3),
+                                                   xq.shape[:-1] + (3, 3)))
 
     assert np.abs(dric_closed(chart, x, Perturbation(const_field, 3),
                               ACTION)).max() <= 1e-13
@@ -139,7 +134,7 @@ def test_connection_term_is_pointwise():
     geom = chart_geometry(chart, x, order=4)
     expected = sample_connection(tensor_values(geom.ein),
                                  tensor_values(sigma(x, 0)),
-                                 sym_values(geom.g))
+                                 tensor_values(geom.g))
     assert np.abs((with_conn - without) - expected).max() <= 1e-11
 
 
@@ -175,7 +170,7 @@ def test_gamma_tilde_pairing_defect_formula():
     gs = gamma_tilde_at(chart, x, sf, ACTION, conn=sample_connection)
     ge = gamma_tilde_at(chart, x, ef, ACTION, conn=sample_connection)
     geom = chart_geometry(chart, x, order=4)
-    gv = sym_values(geom.g)
+    gv = tensor_values(geom.g)
     ginv = np.linalg.inv(gv)
     ric = tensor_values(geom.ric)
     sv = tensor_values(sf(x, 0))
@@ -205,13 +200,13 @@ def x_field(dim, seed):
 
     def fn(x, order):
         xs = Jet.variables(x, order)
-        X = np.empty(dim, dtype=object)
+        X = []
         for i in range(dim):
             acc = Jet.const(dim, order, np.full(x.shape[:-1], 0.1 * i))
             for j in range(dim):
                 acc = acc + coef[i, j] * (xs[j] * 2.0).sin()
-            X[i] = acc
-        return X
+            X.append(acc)
+        return stack(X)
 
     return fn
 
@@ -232,11 +227,8 @@ def test_equivariance_rotation_field_flat():
 
     def rot(xq, order):
         xs = Jet.variables(xq, order)
-        X = np.empty(3, dtype=object)
-        X[0] = xs[1]
-        X[1] = -1.0 * xs[0]
-        X[2] = Jet.const(3, order, np.zeros(xq.shape[:-1]))
-        return X
+        return stack([xs[1], -1.0 * xs[0],
+                      Jet.const(3, order, np.zeros(xq.shape[:-1]))])
 
     assert equivariance_residual(chart, x, rot, ACTION) <= 1e-12
 
@@ -259,7 +251,7 @@ def test_gauge_divergence_vanishes_on_ricci_flat():
         geom = geometry_from_jets(chart.metric_jets(x, 4))
         sig = trig_poly_sym_field(3, 22)(x, 4)
         gd = gauge_divergence_jets(geom, sig, ACTION)
-        worst = max(np.abs(gd[i].value).max() for i in range(3))
+        worst = max(np.abs(gd[..., i].value).max() for i in range(3))
         assert worst <= 1e-8, preset
 
 
@@ -275,13 +267,9 @@ def test_dboundary_slab_linear_profile():
 
     def field(x, order):
         xs = Jet.variables(x, order)
-        out = np.empty((3, 3), dtype=object)
-        zero = Jet.const(3, order, np.zeros(x.shape[:-1]))
-        out[:] = zero
-        for a in range(2):
-            for b in range(2):
-                out[a, b] = xs[2] * S[a, b]
-        return out
+        full = np.zeros((3, 3))
+        full[:2, :2] = S
+        return xs[2][..., None, None] * full
 
     dA, dH, dM = dboundary_data_fd(collar, y, Perturbation(field, 3))
     assert np.abs(dA - 0.5 * S).max() <= 1e-9
@@ -315,17 +303,10 @@ def test_killing_fields_preserve_cauchy_data():
         g = geometry_from_jets(chart.metric_jets(x, order + 1),
                                curvature=False)
         xs = Jet.variables(x, order + 1)
-        X = np.empty(3, dtype=object)
         cut = xs[2] * (1.0 - xs[2])
-        X[0] = cut * (xs[0] * 2.0).sin()
-        X[1] = cut * xs[1] * 0.5
-        X[2] = cut * ((xs[1] * 2.0).cos() + 0.3)
-        ds = killing(g, X)
-        out = np.empty((3, 3), dtype=object)
-        for i in range(3):
-            for j in range(3):
-                out[i, j] = ds[i, j].truncate(order)
-        return out
+        X = stack([cut * (xs[0] * 2.0).sin(), cut * xs[1] * 0.5,
+                   cut * ((xs[1] * 2.0).cos() + 0.3)])
+        return killing(g, X).truncate(order)
 
     sig = Perturbation(killing_field, 3)
     x_face = collar.ambient_point(y)
@@ -353,11 +334,8 @@ def test_normal_identities_order_two():
     # and feeds the tangential divergence; see the order-three case below
     def lateral_wave(x, order):
         xs = Jet.variables(x, order)
-        zero = Jet.const(3, order, np.zeros(x.shape[:-1]))
-        out = np.empty((3, 3), dtype=object)
-        out[:] = zero
-        out[0, 0] = xs[2] * xs[2] * (xs[1] * (2 * np.pi)).sin()
-        return out
+        wave = xs[2] * xs[2] * (xs[1] * (2 * np.pi)).sin()
+        return wave[..., None, None] * np.diag([1.0, 0.0, 0.0])
 
     _, r2w, _ = normal_identity_residuals(collar, y,
                                           Perturbation(lateral_wave, 3),
@@ -380,9 +358,7 @@ def test_normal_identities_zero_field():
     y = rng(20).uniform(0.2, 0.8, size=(2, 2))
 
     def zero(x, order):
-        out = np.empty((3, 3), dtype=object)
-        out[:] = Jet.const(3, order, np.zeros(x.shape[:-1]))
-        return out
+        return Jet.const(3, order, np.zeros(x.shape[:-1] + (3, 3)))
 
     r1, r2, r3 = normal_identity_residuals(collar, y, Perturbation(zero, 3),
                                            ACTION)

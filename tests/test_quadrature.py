@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bianchi_lab.charts import make_chart, sym_values
+from bianchi_lab.charts import make_chart, tensor_values
 from bianchi_lab.conventions import ricci_action
 from bianchi_lab.quadrature import (
     box_bump_sym_field,
@@ -50,7 +50,7 @@ def test_conformal_volume_refines_second_order():
     def volume(n):
         grid = GridSpec.for_chart(chart, n)
         x = interior_nodes(grid)
-        g = sym_values(chart.metric_jets(x, 0))
+        g = tensor_values(chart.metric_jets(x, 0))
         return integrate_scalar_samples(grid, np.sqrt(np.linalg.det(g)),
                                         "interior")
 

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import os
+import platform
 import sys
 
 MANIFEST_SCHEMA = {
@@ -40,6 +41,9 @@ MANIFEST_SCHEMA = {
         "format": {"enum": ["json", "csv"]},
     },
 }
+
+#: The BLAS/OpenMP thread-count variables a report records.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: Keys that only ``solve`` reads; ``verify`` rejects them.
 SOLVE_ONLY = ("preset", "source", "study")
@@ -92,6 +96,9 @@ def _report(cfg: dict, cases: list, extra_meta: dict | None = None) -> dict:
     from . import __version__
     from .conventions import load_conventions
 
+    import numpy
+    import scipy
+
     meta = {
         "tool": "bianchi-lab",
         "version": __version__,
@@ -100,6 +107,12 @@ def _report(cfg: dict, cases: list, extra_meta: dict | None = None) -> dict:
         "grid": cfg.get("grid"),
         "serial": bool(cfg.get("serial")),
         "conventions_hash": load_conventions()["hash"],
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -270,13 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     if "--serial" in (argv or sys.argv[1:]):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
+        for var in THREAD_VARS:
             os.environ.setdefault(var, "1")
     threads = os.environ.get("BIANCHI_LAB_THREADS")
     if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
+        for var in THREAD_VARS:
             os.environ[var] = threads
 
     parser = build_parser()

@@ -24,8 +24,14 @@ same kernel with tensor axes: per pair, the free and summed axes of each
 operand form an (FA, SS) and an (SS, FB) matrix and a matmul sums the
 index.  The batch rows are taken in blocks of about ``_BLOCK`` gathered
 values, so the temporaries stay in cache at batch 32768 as well as at
-batch 1, and no full-batch gather is ever live.  An order-0 ``*`` is a
-plain multiply.
+batch 1, and no full-batch gather is ever live.  At order 0 there is one
+pair and no S: an order-0 ``*`` is a plain multiply, and an order-0
+``contract`` is one whole-batch matmul.
+
+``jet_matrix_inverse`` runs the Taylor division recurrence degree by
+degree on the same pair table (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., section 13): one ``np.linalg.inv`` of the values,
+then batched matmuls, with no jet reciprocal.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 import numpy as np
+import scipy.sparse
 
 __all__ = ["Jet", "contract", "stack", "jet_matrix_inverse"]
 
@@ -143,24 +150,33 @@ def _product(ac, bc, ka, kb, sizes, dim: int, order: int) -> np.ndarray:
     sizes ``sizes = (FA, SS, FB)``.  Each block gathers its pair terms,
     sums s by a matmul over (FA, SS) x (SS, FB) per pair (an outer
     product, SS = 1, is one flat gather and multiply), and sums each
-    output coefficient's pairs by the matmul with S.
+    output coefficient's pairs by the matmul with S.  At order 0 there is
+    one pair and S = [1], so the whole batch is one matmul.
     """
-    IA, IB, S = _mul_flat(dim, order)
-    P, K = S.shape
     FA, SS, FB = sizes
     rows = ac.shape[0]
+    if order == 0:
+        A = ac.transpose(ka).reshape(rows, FA, SS)
+        B = bc.transpose(kb).reshape(rows, SS, FB)
+        return np.matmul(A, B).reshape(rows, FA * FB, 1)
+    IA, IB, S = _mul_flat(dim, order)
+    P, K = S.shape
     out = np.empty((rows, FA * FB, K))
     step = _block_rows(dim, order, max(FA * FB, FA * SS, SS * FB))
+    if SS == 1:
+        ia, ib = _outer_index(dim, order, FA, FB)
+    else:  # coefficients right after the rows: a pair gathers one index
+        ka = [ka[0], ka[-1], *ka[1:-1]]
+        kb = [kb[0], kb[-1], *kb[1:-1]]
     for lo in range(0, rows, step):
         n = min(rows, lo + step) - lo
         a = ac[lo:lo + n].transpose(ka)
         b = bc[lo:lo + n].transpose(kb)
         if SS == 1:
-            ia, ib = _outer_index(dim, order, FA, FB)
             terms = a.reshape(n, -1)[:, ia] * b.reshape(n, -1)[:, ib]
         else:
-            A = np.moveaxis(a, -1, 1)[:, IA].reshape(n, P, FA, SS)
-            B = np.moveaxis(b, -1, 1)[:, IB].reshape(n, P, SS, FB)
+            A = a[:, IA].reshape(n, P, FA, SS)
+            B = b[:, IB].reshape(n, P, SS, FB)
             terms = np.matmul(A, B)
             terms = terms.reshape(n, P, FA * FB).transpose(0, 2, 1)
         np.matmul(terms.reshape(-1, P), S, out=out[lo:lo + n].reshape(-1, K))
@@ -318,12 +334,19 @@ class Jet:
 
     def _series(self, coef_fn) -> "Jet":
         """Compose with a univariate primitive given its normalized Taylor
-        coefficients around the jet's value: coef_fn(value, k) = f^(k)(v)/k!."""
+        coefficients around the jet's value: coef_fn(value, k) = f^(k)(v)/k!.
+
+        Horner in delta = f - value; its first step c_p * delta is a scale,
+        so an order-p composition takes p - 1 jet products.
+        """
         v = self.value
+        if self.order == 0:
+            return Jet.const(self.dim, 0, coef_fn(v, 0))
         delta = Jet(self.dim, self.order, self.c.copy())
         delta.c[..., 0] = 0.0
-        out = Jet.const(self.dim, self.order, coef_fn(v, self.order))
-        for k in range(self.order - 1, -1, -1):
+        out = delta * coef_fn(v, self.order)
+        out.c[..., 0] = coef_fn(v, self.order - 1)
+        for k in range(self.order - 2, -1, -1):
             out = out * delta + Jet.const(self.dim, self.order, coef_fn(v, k))
         return out
 
@@ -417,28 +440,72 @@ def stack(jets: list, axis: int = -1) -> Jet:
                np.stack(cs, axis=axis - 1 if axis < 0 else axis))
 
 
-def jet_matrix_inverse(G: Jet) -> Jet:
-    """Invert a matrix jet (tensor axes (d, d)) by Gauss-Jordan elimination.
+@lru_cache(maxsize=None)
+def _inverse_table(dim: int, order: int):
+    """Per degree n >= 1: (IA, IB, S), the pairs (alpha, gamma - alpha)
+    with alpha != 0 of the degree-n outputs gamma in output order, and the
+    sparse 0/1 matrix S of shape (outputs, pairs) that sums each output's
+    pairs."""
+    table = _mul_table(dim, order)
+    exps = _exponents(dim, order)
+    out = []
+    for n in range(1, order + 1):
+        pairs = [(ia[ia != 0], ib[ia != 0])
+                 for g, (ia, ib) in enumerate(table) if sum(exps[g]) == n]
+        owner = np.repeat(np.arange(len(pairs)), [len(ia) for ia, _ in pairs])
+        S = scipy.sparse.csr_matrix(
+            (np.ones(len(owner)), (owner, np.arange(len(owner)))))
+        out.append((np.concatenate([ia for ia, _ in pairs]),
+                    np.concatenate([ib for _, ib in pairs]), S))
+    return out
 
-    The elimination runs on the augmented matrix [G | I], one step per
-    pivot column with all rows updated at once; step ``col`` touches only
-    the d columns after it, the others being settled.  No pivoting:
-    intended for positive-definite matrices whose leading minors stay away
-    from zero (metric components).  Raises ``np.linalg.LinAlgError`` when
-    a pivot's value is <= 1e-12 max|G| in absolute value at some batch
-    point.
+
+def jet_matrix_inverse(G: Jet) -> Jet:
+    """Invert a matrix jet (tensor axes (d, d)) by the Taylor division
+    recurrence.
+
+    X = G^{-1} solves sum_{alpha + beta = gamma} G_alpha X_beta = 0 for
+    gamma != 0, so with X_0 = G_0^{-1} (``np.linalg.inv`` of the values)
+
+        X_gamma = -X_0 sum_{0 < alpha <= gamma} G_alpha X_{gamma - alpha},
+
+    one degree at a time: every X_beta on the right has a lower degree.
+    Degree n costs one batched (d, d) matmul per pair of ``_mul_table``
+    with alpha != 0, a product with S that sums each output's pairs, and
+    one matmul by X_0 per output.  The batch rows are taken in blocks of
+    about ``_BLOCK`` values per pair temporary, as in the jet product.
+    Guard: Gaussian elimination without pivoting runs on the values, and
+    ``np.linalg.LinAlgError`` is raised when a pivot is <= 1e-12 max|G| in
+    absolute value at some batch point (metric components are positive
+    definite, so their leading minors stay away from zero).
     """
-    d = G.c.shape[-2]
-    eye = Jet.const(G.dim, G.order, np.broadcast_to(np.eye(d), G.c.shape[:-1]))
-    W = Jet(G.dim, G.order, np.concatenate([G.c, eye.c], axis=-2))
-    tiny = 1e-12 * np.max(np.abs(G.value), axis=(-2, -1))
+    g0 = G.value
+    d = g0.shape[-1]
+    tiny = 1e-12 * np.max(np.abs(g0), axis=(-2, -1))
+    W = np.array(g0, dtype=float)
     for col in range(d):
         pivot = W[..., col, col]
-        if np.any(np.abs(pivot.value) <= tiny):
+        if np.any(np.abs(pivot) <= tiny):
             raise np.linalg.LinAlgError(
                 f"vanishing pivot in column {col} of a jet matrix inverse")
-        live = slice(col + 1, col + 1 + d)
-        row = contract("j,->j", W[..., col, live], pivot.reciprocal())
-        W.c[..., live, :] -= contract("i,j->ij", W[..., col], row).c
-        W.c[..., col, live, :] = row.c
-    return Jet(G.dim, G.order, np.ascontiguousarray(W.c[..., d:, :]))
+        W[..., col + 1:, :] -= (W[..., col + 1:, col] / pivot[..., None])[
+            ..., None] * W[..., col, None, :]
+    K = G.c.shape[-1]
+    gc = G.c.reshape(-1, d, d, K)
+    x0 = np.linalg.inv(g0).reshape(-1, d, d)
+    table = _inverse_table(G.dim, G.order)
+    out = np.empty(gc.shape)
+    step = max(1, _BLOCK // (d * d * max([len(IA) for IA, _, _ in table],
+                                         default=1)))
+    for lo in range(0, len(gc), step):
+        Gk = np.moveaxis(gc[lo:lo + step], -1, 0)  # (K, rows, d, d)
+        X = np.empty(Gk.shape)
+        X[0] = xb = x0[lo:lo + step]
+        k = 1
+        for IA, IB, S in table:
+            terms = np.matmul(Gk[IA], X[IB]).reshape(len(IA), -1)
+            X[k:k + S.shape[0]] = -np.matmul(
+                xb, (S @ terms).reshape((-1,) + xb.shape))
+            k += S.shape[0]
+        out[lo:lo + step] = np.moveaxis(X, 0, -1)
+    return Jet(G.dim, G.order, out.reshape(G.c.shape))

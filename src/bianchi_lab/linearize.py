@@ -190,10 +190,17 @@ def dric_parts_jets(geom: Geometry, sig: Jet):
     Returns (base, comp, curv): the gauge-reduced second-order part
     rough-Laplacian/2 - killing(div B sigma), the Ricci composition
     Ric o sigma + sigma o Ric, and the curvature contraction Rm[sigma].
+    One nabla sigma serves both: with nabla g = 0,
+    (delta B sigma)^m = -g^{mj} (g^{ki} nabla_k sigma_ij
+                                 - g^{ab} nabla_j sigma_ab / 2).
     """
-    nns = nabla(geom, nabla(geom, sig))
+    ns = nabla(geom, sig)
+    cov = (contract("ki,kij->j", geom.ginv, ns)
+           - 0.5 * contract("ab,jab->j", geom.ginv, ns))
+    ds = killing(geom, -contract("mj,j->m", geom.ginv, cov))
+    nns = nabla(geom, ns)
+    del ns
     lap = -contract("ab,abij->ij", geom.ginv, nns)  # rough Laplacian
-    ds = killing(geom, divergence(geom, bianchi_b(geom, sig)))
     low = sig.truncate(nns.order)
     # Ric o sigma with one raised middle index, plus its transpose
     half = contract("ik,kj->ij", geom.ric,
@@ -237,8 +244,7 @@ def dein_fd(chart: MetricChart, x, sigma, eps: float = 1e-3) -> np.ndarray:
     return (gp.ein.value - gm.ein.value) / (2 * eps)
 
 
-def dein_closed_jets(geom: Geometry, sig: np.ndarray, action,
-                     conn=None) -> np.ndarray:
+def dein_closed_jets(geom: Geometry, sig: Jet, action, conn=None) -> Jet:
     """Covariant linearized Einstein operator via trace reversal.
 
     dEin sigma = B(dRic sigma) + <sigma, Ric> g / 2 - Sc sigma / 2

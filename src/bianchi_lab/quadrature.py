@@ -18,7 +18,6 @@ from .charts import (
     MetricChart,
     _by_chunks,
     bianchi_b,
-    chart_geometry,
     dewitt_inner,
     divergence,
     geometry_from_jets,
@@ -26,7 +25,7 @@ from .charts import (
     sym_from_upper,
 )
 from .jets import Jet, contract
-from .linearize import dein_closed
+from .linearize import dein_closed_jets
 
 __all__ = [
     "GridSpec",
@@ -296,22 +295,66 @@ def _check_kernel_pair(chart, grid, fields, tol=1e-8):
                     "Green symmetry probe needs order-2 boundary vanishing")
 
 
-def _ein_pairing_correction(chart, grid, x, sv, ev) -> float:
-    """The tensorial symmetry correction (<Ein,s> tr e - <Ein,e> tr s)/2,
-    integrated; an independent pointwise-curvature pipeline."""
-    def values(xc):
-        geom = chart_geometry(chart, xc, order=2)
-        return geom.g.value, geom.ein.value
+def _dein_and_value(geom, field, x, action):
+    """dEin field and the field itself at x, as values; the field's jets
+    are freed on return."""
+    sig = field(x, 2)
+    return dein_closed_jets(geom, sig, action).value, sig.value
 
-    gv, ein = _by_chunks(values, x)
-    ginv = np.linalg.inv(gv)
+
+def _ein_pairing_correction(ein, ginv, sv, ev):
+    """The tensorial symmetry correction (<Ein,s> tr e - <Ein,e> tr s)/2."""
     pair_es = np.einsum("...ij,...kl,...ik,...jl->...", ein, sv, ginv, ginv)
     pair_ee = np.einsum("...ij,...kl,...ik,...jl->...", ein, ev, ginv, ginv)
     tr_s = np.einsum("...ij,...ij->...", ginv, sv)
     tr_e = np.einsum("...ij,...ij->...", ginv, ev)
-    integrand = 0.5 * (pair_es * tr_e - pair_ee * tr_s)
-    dens = _volume_density(gv)
-    return integrate_scalar_samples(grid, integrand * dens, "interior")
+    return 0.5 * (pair_es * tr_e - pair_ee * tr_s)
+
+
+def _symmetry_defect(grid, chart, sigma, eta, action, check_kernel,
+                     ein_corrected, pairs) -> float:
+    """|int one - int two [- int correction]| over the interior nodes, with
+    (one, two) = pairs(g, g^-1, sigma, dEin sigma, eta, dEin eta) in values.
+
+    Each chunk of nodes builds one Geometry, which serves dEin sigma,
+    dEin eta and the (g, Ein) values of the correction.
+    """
+    if check_kernel:
+        _check_kernel_pair(chart, grid, (sigma, eta))
+
+    def samples(xc):
+        geom = geometry_from_jets(chart.metric_jets(xc, 2))
+        gv, ginv = geom.g.value, geom.ginv.value
+        dens = _volume_density(gv)
+        (de_s, sv), (de_e, ev) = (_dein_and_value(geom, f, xc, action)
+                                  for f in (sigma, eta))
+        out = [v * dens for v in pairs(gv, ginv, sv, de_s, ev, de_e)]
+        if ein_corrected:
+            out.append(_ein_pairing_correction(geom.ein.value, ginv, sv, ev)
+                       * dens)
+        return out
+
+    one, two, *corr = (integrate_scalar_samples(grid, v, "interior")
+                       for v in _by_chunks(samples, interior_nodes(grid)))
+    return abs(one - two - sum(corr))
+
+
+def _einstein_pairs(gv, ginv, sv, de_s, ev, de_e):
+    def pair(a, b):
+        return np.einsum("...ij,...kl,...ik,...jl->...", a, b, ginv, ginv)
+
+    return pair(de_s, ev), pair(sv, de_e)
+
+
+def _dewitt_pairs(gv, ginv, sv, de_s, ev, de_e):
+    d = gv.shape[-1]
+
+    def ric_route(de):  # B^{-1} dEin
+        tr = np.einsum("...ij,...ij->...", ginv, de)
+        return de - (tr / (d - 2))[..., None, None] * gv
+
+    return (dewitt_inner(ric_route(de_s), ev, gv),
+            dewitt_inner(sv, ric_route(de_e), gv))
 
 
 def green_einstein_sym_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
@@ -324,26 +367,8 @@ def green_einstein_sym_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
     (<Ein,sigma> tr eta - <Ein,eta> tr sigma)/2 is subtracted, closing the
     identity on every background.
     """
-    if check_kernel:
-        _check_kernel_pair(chart, grid, (sigma, eta))
-    x = interior_nodes(grid)
-    gvals = chart.metric_jets(x, 0).value
-    dens = _volume_density(gvals)
-    ginv = np.linalg.inv(gvals)
-
-    de_s = dein_closed(chart, x, sigma, action, order=2)
-    de_e = dein_closed(chart, x, eta, action, order=2)
-    sv = sigma(x, 0).value
-    ev = eta(x, 0).value
-
-    def pair(a, b):
-        return np.einsum("...ij,...kl,...ik,...jl->...", a, b, ginv, ginv)
-
-    one = integrate_scalar_samples(grid, pair(de_s, ev) * dens, "interior")
-    two = integrate_scalar_samples(grid, pair(sv, de_e) * dens, "interior")
-    if ein_corrected:
-        return abs(one - two - _ein_pairing_correction(chart, grid, x, sv, ev))
-    return abs(one - two)
+    return _symmetry_defect(grid, chart, sigma, eta, action, check_kernel,
+                            ein_corrected, _einstein_pairs)
 
 
 def dewitt_green_ric_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
@@ -351,30 +376,8 @@ def dewitt_green_ric_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
                             ein_corrected: bool = False) -> float:
     """Same symmetry defect for the trace-reversed operator in the DeWitt
     pairing; algebraically identical to the Einstein-route defect."""
-    if check_kernel:
-        _check_kernel_pair(chart, grid, (sigma, eta))
-    x = interior_nodes(grid)
-    gvals = chart.metric_jets(x, 0).value
-    dens = _volume_density(gvals)
-    d = chart.dim
-
-    def ric_route(field):
-        de = dein_closed(chart, x, field, action, order=2)
-        ginv = np.linalg.inv(gvals)
-        tr = np.einsum("...ij,...ij->...", ginv, de)
-        return de - (tr / (d - 2))[..., None, None] * gvals  # B^{-1} dEin
-
-    r_s = ric_route(sigma)
-    r_e = ric_route(eta)
-    sv = sigma(x, 0).value
-    ev = eta(x, 0).value
-    one = integrate_scalar_samples(grid, dewitt_inner(r_s, ev, gvals) * dens,
-                                   "interior")
-    two = integrate_scalar_samples(grid, dewitt_inner(sv, r_e, gvals) * dens,
-                                   "interior")
-    if ein_corrected:
-        return abs(one - two - _ein_pairing_correction(chart, grid, x, sv, ev))
-    return abs(one - two)
+    return _symmetry_defect(grid, chart, sigma, eta, action, check_kernel,
+                            ein_corrected, _dewitt_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import json
 import os
+import platform
 
+import numpy
 import pytest
+import scipy
 
 from bianchi_lab.cli import main
 from bianchi_lab.conventions import load_conventions
@@ -147,6 +150,30 @@ def test_serial_reports_are_byte_identical(tmp_path):
     assert run(["verify", "--suite", "algebra", "--seed", "5", "--serial",
                 "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "algebra"],
+    ["solve", "--source", "inadmissible-boundary", "--grid", "6"],
+])
+def test_report_meta_records_versions_and_threads(argv, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.delenv("BIANCHI_LAB_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "r.json"
+    assert run([*argv, "--out", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["python"] == platform.python_version()
+    assert meta["numpy"] == numpy.__version__
+    assert meta["scipy"] == scipy.__version__
+    assert meta["platform"] == platform.platform()
+    assert meta["cpu_count"] == os.cpu_count()
+    assert meta["threads"]["OMP_NUM_THREADS"] == "3"
+    assert meta["threads"]["MKL_NUM_THREADS"] is None
+    assert set(meta["threads"]) == {"OMP_NUM_THREADS",
+                                    "OPENBLAS_NUM_THREADS",
+                                    "MKL_NUM_THREADS"}
 
 
 def test_audit_matches_committed_artifact(capsys):

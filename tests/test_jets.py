@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bianchi_lab import jets
+from bianchi_lab.charts import make_chart, sample_points
 from bianchi_lab.jets import Jet, contract, jet_matrix_inverse, stack
 from oracles import jet_mul_loop
 
@@ -106,6 +108,23 @@ def test_matrix_inverse_rejects_vanishing_pivot():
     with pytest.raises(np.linalg.LinAlgError):
         jet_matrix_inverse(stack([stack([zero, one]), stack([one, zero])],
                                  axis=-2))
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (4, 3)])
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("d", (3, 4, 5))
+@pytest.mark.parametrize("preset", ("curved_generic", "conformal_bump",
+                                    "polar_ball"))
+def test_matrix_inverse_matches_gauss_jordan_oracle(preset, d, order, shape):
+    chart = make_chart(preset, d)
+    rng = np.random.default_rng(100 * d + 10 * order + len(shape))
+    x = sample_points(chart, int(np.prod(shape)), rng).reshape(shape + (d,))
+    G = chart.metric_jets(x, order)
+    got = jet_matrix_inverse(G)
+    want = oracles.tensor_jet(np.array(oracles.jet_matrix_inverse(
+        [[G[..., i, j] for j in range(d)] for i in range(d)]), dtype=object))
+    assert (got.order, got.c.shape) == (want.order, want.c.shape)
+    assert np.all(np.abs(got.c - want.c) <= 1e-12 * np.abs(want.c).max())
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +250,19 @@ def test_contract_broadcasts_batch_shapes(order):
     const = _random_jet(rng, 3, order, (3, 3))
     _assert_contract_matches("kl,lij->kij", const, many)
     assert contract("kl,lij->kij", one, many).c.shape[:-1] == (6, 3, 3, 3)
+
+
+@pytest.mark.parametrize("spec,ta,tb", SPECS)
+@pytest.mark.parametrize("sa,sb", [((5, 1), (1, 4)), ((), (6,)), ((6,), ()),
+                                   ((2, 1, 3), (4, 1))])
+def test_order0_contract_broadcasts_batch_shapes(spec, ta, tb, sa, sb):
+    # order 0 skips the pair table: one whole-batch matmul
+    rng = np.random.default_rng(len(spec) + len(sa) + 3 * len(sb))
+    a = _random_jet(rng, 3, 0, sa + ta)
+    b = _random_jet(rng, 3, 0, sb + tb)
+    _assert_contract_matches(spec, a, b)
+    assert contract(spec, a, b).c.shape[:-1] == (
+        np.broadcast_shapes(sa, sb) + (3,) * (len(spec.split("->")[1])))
 
 
 @pytest.mark.parametrize("order", [2, 4])

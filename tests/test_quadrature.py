@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bianchi_lab.charts import make_chart, tensor_values
+from bianchi_lab import charts, quadrature
+from bianchi_lab.charts import chart_geometry, make_chart, tensor_values
 from bianchi_lab.conventions import ricci_action
 from bianchi_lab.quadrature import (
     box_bump_sym_field,
@@ -18,7 +19,7 @@ from bianchi_lab.quadrature import (
     periodic_sym_field,
     periodic_vector_field,
 )
-from bianchi_lab.linearize import trig_poly_sym_field
+from bianchi_lab.linearize import dein_closed, trig_poly_sym_field
 
 ACTION = ricci_action()
 
@@ -177,6 +178,95 @@ def test_dewitt_route_matches_einstein_route():
     d2 = dewitt_green_ric_defect(grid, chart, sigma, eta, ACTION)
     assert abs(d1 - d2) <= 1e-9
     assert dewitt_green_ric_defect(grid, chart, sigma, sigma, ACTION) == 0.0
+
+
+def _reference_integrals(grid, chart, sigma, eta, route, ein_corrected):
+    """(one, two, correction) of a symmetry defect, per field: dEin of each
+    field from its own ``dein_closed`` pass, the correction
+    (<Ein,s> tr e - <Ein,e> tr s)/2 from a separate curvature pass."""
+    x = interior_nodes(grid)
+    gv = tensor_values(chart.metric_jets(x, 0))
+    ginv = np.linalg.inv(gv)
+    dens = np.sqrt(np.linalg.det(gv))
+    sv, ev = sigma(x, 0).value, eta(x, 0).value
+    de_s = dein_closed(chart, x, sigma, ACTION, order=2)
+    de_e = dein_closed(chart, x, eta, ACTION, order=2)
+
+    def inner(a, b):
+        return np.einsum("...ij,...kl,...ik,...jl->...", a, b, ginv, ginv)
+
+    def trace(a):
+        return np.einsum("...ij,...ij->...", ginv, a)
+
+    if route == "dewitt":
+        def pair(a, b):
+            return inner(a, b) - 0.5 * trace(a) * trace(b)
+
+        def op(de):  # B^{-1}
+            return de - (trace(de) / (chart.dim - 2))[..., None, None] * gv
+    else:
+        pair, op = inner, (lambda de: de)
+    one = integrate_scalar_samples(grid, pair(op(de_s), ev) * dens,
+                                   "interior")
+    two = integrate_scalar_samples(grid, pair(sv, op(de_e)) * dens,
+                                   "interior")
+    corr = 0.0
+    if ein_corrected:
+        ein = chart_geometry(chart, x, order=2).ein.value
+        corr = integrate_scalar_samples(
+            grid, 0.5 * (inner(ein, sv) * trace(ev)
+                         - inner(ein, ev) * trace(sv)) * dens, "interior")
+    return one, two, corr
+
+
+def _shared_geometry_cases():
+    flat = slab()
+    ball = make_chart("polar_ball", 3)
+    bump = make_chart("conformal_bump", 3, amp=0.1)
+    return [
+        ("flat", flat, periodic_sym_field(3, 31, normal_vanish=2),
+         periodic_sym_field(3, 32, normal_vanish=2), False),
+        ("ball", ball, box_bump_sym_field(ball, 33),
+         box_bump_sym_field(ball, 34), False),
+        ("bump", bump, periodic_sym_field(3, 35, normal_vanish=2),
+         periodic_sym_field(3, 36, normal_vanish=2), True),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("route,defect", [
+    ("einstein", green_einstein_sym_defect),
+    ("dewitt", dewitt_green_ric_defect)])
+def test_shared_geometry_defect_matches_per_field_reference(case, route,
+                                                            defect):
+    _, chart, sigma, eta, corrected = _shared_geometry_cases()[case]
+    grid = GridSpec.for_chart(chart, 8)
+    one, two, corr = _reference_integrals(grid, chart, sigma, eta, route,
+                                          corrected)
+    got = defect(grid, chart, sigma, eta, ACTION, ein_corrected=corrected)
+    # roundoff of the integrals whose difference the defect is
+    assert abs(got - abs(one - two - corr)) <= 1e-12 * (
+        abs(one) + abs(two) + abs(corr))
+
+
+@pytest.mark.parametrize("defect", [green_einstein_sym_defect,
+                                    dewitt_green_ric_defect])
+def test_symmetry_defect_builds_one_geometry_per_chunk(defect, monkeypatch):
+    chart = make_chart("conformal_bump", 3, amp=0.1)
+    grid = GridSpec.for_chart(chart, 8)
+    sigma = periodic_sym_field(3, 37, normal_vanish=2)
+    eta = periodic_sym_field(3, 38, normal_vanish=2)
+    calls = []
+    build = quadrature.geometry_from_jets
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].c.shape[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "geometry_from_jets", counted)
+    monkeypatch.setattr(charts, "_CHUNK", 128)
+    defect(grid, chart, sigma, eta, ACTION, ein_corrected=True)
+    assert calls == [128] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -302,13 +302,19 @@ def _dein_and_value(geom, field, x, action):
     return dein_closed_jets(geom, sig, action).value, sig.value
 
 
+def _pair(a, b, ginv):
+    """<a, b>_g = g^{ik} g^{jl} a_ij b_kl on values."""
+    return np.einsum("...ij,...kl,...ik,...jl->...", a, b, ginv, ginv)
+
+
+def _trace(a, ginv):
+    return np.einsum("...ij,...ij->...", ginv, a)
+
+
 def _ein_pairing_correction(ein, ginv, sv, ev):
     """The tensorial symmetry correction (<Ein,s> tr e - <Ein,e> tr s)/2."""
-    pair_es = np.einsum("...ij,...kl,...ik,...jl->...", ein, sv, ginv, ginv)
-    pair_ee = np.einsum("...ij,...kl,...ik,...jl->...", ein, ev, ginv, ginv)
-    tr_s = np.einsum("...ij,...ij->...", ginv, sv)
-    tr_e = np.einsum("...ij,...ij->...", ginv, ev)
-    return 0.5 * (pair_es * tr_e - pair_ee * tr_s)
+    return 0.5 * (_pair(ein, sv, ginv) * _trace(ev, ginv)
+                  - _pair(ein, ev, ginv) * _trace(sv, ginv))
 
 
 def _symmetry_defect(grid, chart, sigma, eta, action, check_kernel,
@@ -340,18 +346,14 @@ def _symmetry_defect(grid, chart, sigma, eta, action, check_kernel,
 
 
 def _einstein_pairs(gv, ginv, sv, de_s, ev, de_e):
-    def pair(a, b):
-        return np.einsum("...ij,...kl,...ik,...jl->...", a, b, ginv, ginv)
-
-    return pair(de_s, ev), pair(sv, de_e)
+    return _pair(de_s, ev, ginv), _pair(sv, de_e, ginv)
 
 
 def _dewitt_pairs(gv, ginv, sv, de_s, ev, de_e):
     d = gv.shape[-1]
 
     def ric_route(de):  # B^{-1} dEin
-        tr = np.einsum("...ij,...ij->...", ginv, de)
-        return de - (tr / (d - 2))[..., None, None] * gv
+        return de - (_trace(de, ginv) / (d - 2))[..., None, None] * gv
 
     return (dewitt_inner(ric_route(de_s), ev, gv),
             dewitt_inner(sv, ric_route(de_e), gv))

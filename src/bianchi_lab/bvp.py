@@ -35,7 +35,7 @@ import scipy.sparse.linalg as spla
 
 from .charts import MetricChart, sym_from_upper
 from .conventions import ricci_action
-from .jets import Jet, contract
+from .jets import cos_coeffs, poly_coeffs, separable
 from .linearize import dein_closed
 
 __all__ = [
@@ -454,14 +454,16 @@ def _continuum_potential(d: int, seed: int):
     upper = np.triu_indices(d)
     coef, ks = coef[upper], np.minimum(ks, np.transpose(ks, (1, 0, 2)))[upper]
 
+    # coef x_d^3 (1 - x_d)^3: vanishes to third order at both faces
+    cut3 = np.outer(coef, (0.0, 0.0, 0.0, 1.0, -3.0, 3.0, -1.0))
+    w = 2 * np.pi * ks
+
     def fn(x, order):
-        xs = Jet.variables(x, order)
-        cut = xs[-1] * (1.0 - xs[-1])
-        cut3 = (cut * cut) * cut  # vanishes to third order at both faces
-        term = Jet.const(d, order, coef)
-        for a in range(d - 1):
-            term = term * (xs[a][..., None] * (2 * np.pi * ks[:, a])).cos()
-        return sym_from_upper(contract("i,->i", term, cut3), d)
+        x = x[..., None, :]  # entries broadcast
+        factors = {a: cos_coeffs(w[:, a], w[:, a] * x[..., a], order)
+                   for a in range(d - 1)}
+        factors[d - 1] = poly_coeffs(x[..., -1], cut3, order)
+        return sym_from_upper(separable(d, order, factors), d)
 
     return Perturbation(fn, d, 3)
 

@@ -19,7 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import KmCovector
-from .jets import Jet, contract, jet_matrix_inverse, stack
+from .jets import (
+    Jet,
+    contract,
+    cos_coeffs,
+    jet_matrix_inverse,
+    poly_coeffs,
+    separable,
+    series_mul,
+    sin_coeffs,
+)
 
 __all__ = [
     "MetricChart",
@@ -136,31 +145,35 @@ def _metric_flat(chart: MetricChart, x, order: int):
 
 
 def _metric_polar_ball(chart: MetricChart, x, order: int):
-    """Flat metric in spherical coordinates (angles..., u), r = R - u."""
+    """Flat metric in spherical coordinates (angles..., u), r = R - u:
+    diag(r^2, r^2 sin^2 x_0, ..., r^2 prod_{a < d-2} sin^2 x_a, 1), each
+    entry a separable jet."""
     d = chart.dim
     R = chart.param_dict["radius"]
-    xs = Jet.variables(x, order)
-    r = R - xs[-1]
-    diag = [r * r]
-    for i in range(d - 2):
-        s = xs[i].sin()
-        diag.append(diag[-1] * (s * s))
-    diag.append(Jet.const(d, order, np.ones(x.shape[:-1])))
-    return stack(diag)[..., None] * np.eye(d)
+    unit = np.eye(1, order + 1)[0]
+    entry = np.arange(d)[:, None]  # diagonal entry e
+    factors = {}
+    for a in range(d - 2):  # sin^2 x_a in the entries a < e < d - 1
+        s = sin_coeffs(1.0, x[..., None, a], order)
+        factors[a] = np.where((a < entry) & (entry < d - 1),
+                              series_mul(s, s), unit)
+    radial = np.where(entry < d - 1, (R * R, -2.0 * R, 1.0), (1.0, 0.0, 0.0))
+    factors[d - 1] = poly_coeffs(x[..., None, -1], radial, order)
+    return separable(d, order, factors)[..., None] * np.eye(d)
 
 
 def _metric_conformal(chart: MetricChart, x, order: int):
+    """e^{2 phi} delta with phi = amp prod_{a < d-1} cos(2 pi freq
+    (x_a - c_a)) prof(x_d); phi is a separable jet."""
     d = chart.dim
     p = chart.param_dict
-    xs = Jet.variables(x, order)
-    phi = Jet.const(d, order, np.full(x.shape[:-1], p["amp"]))
-    for a in range(d - 1):
-        phi = phi * ((xs[a] - p["centers"][a]) * (2 * np.pi * p["freq"])).cos()
-    prof = Jet.const(d, order, np.zeros(x.shape[:-1]))
-    for k, ck in enumerate(p["profile"]):
-        prof = prof + ck * xs[-1] ** k
-    phi = phi * prof
-    conf = (2.0 * phi).exp()
+    w = 2 * np.pi * p["freq"]
+    factors = {a: cos_coeffs(w, w * (x[..., a] - p["centers"][a]), order)
+               for a in range(d - 1)}
+    factors[d - 1] = poly_coeffs(x[..., -1],
+                                 2.0 * p["amp"] * np.array(p["profile"]),
+                                 order)
+    conf = separable(d, order, factors).exp()
     return conf[..., None, None] * np.eye(d)
 
 
@@ -180,18 +193,19 @@ def _generic_modes(dim, seed, nmodes, amp):
 
 
 def _metric_curved_generic(chart: MetricChart, x, order: int):
+    """delta + sum_m bump_m coef_m, with the separable mode bumps
+    bump_m = prod_{a < d-1} cos(2 pi ks_ma x_a + phase_ma) poly_m(x_d)."""
     d = chart.dim
-    modes = chart.param_dict["modes"]
-    xs = Jet.variables(x, order)
-    g = _metric_flat(chart, x, order)
-    for coef, ks, phases, poly in modes:
-        bump = Jet.const(d, order, np.ones(x.shape[:-1]))
-        for a in range(d - 1):
-            bump = bump * (xs[a] * (2 * np.pi * ks[a]) + phases[a]).cos()
-        prof = poly[0] + poly[1] * xs[-1] + poly[2] * xs[-1] ** 2
-        bump = bump * prof
-        g = g + bump[..., None, None] * np.array(coef)
-    return g
+    coef, ks, phases, poly = (np.array(v, dtype=float) for v in
+                              zip(*chart.param_dict["modes"]))
+    x = x[..., None, :]  # modes broadcast
+    w = 2 * np.pi * ks
+    factors = {a: cos_coeffs(w[:, a], w[:, a] * x[..., a] + phases[:, a],
+                             order) for a in range(d - 1)}
+    factors[d - 1] = poly_coeffs(x[..., -1], poly, order)
+    c = np.einsum("...mk,mij->...ijk", separable(d, order, factors).c, coef)
+    c[..., 0] += np.eye(d)
+    return Jet(d, order, c)
 
 
 _METRIC_BUILDERS = {
@@ -370,10 +384,21 @@ def lie_derivative_sym2(X: Jet, T: Jet) -> Jet:
             + contract("kj,ki->ij", T, dX) + contract("ik,kj->ij", T, dX))
 
 
+def _pair(a: np.ndarray, b: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """<a, b>_g = g^{ik} g^{jl} a_ij b_kl on values: M = (g^-1)^T a g^-1
+    by two batched matmuls, then sum_kl M_kl b_kl."""
+    M = np.matmul(np.matmul(np.swapaxes(ginv, -1, -2), a), ginv)
+    return np.einsum("...kl,...kl->...", M, b)
+
+
 def dewitt_inner(sigma: np.ndarray, eta: np.ndarray, gvals: np.ndarray):
-    """Pointwise DeWitt pairing <sigma,eta> - (tr sigma)(tr eta)/2 on values."""
+    """Pointwise DeWitt pairing <sigma,eta> - (tr sigma)(tr eta)/2 on values.
+
+    <sigma, eta> is averaged over the order of its arguments, so that the
+    pairing is symmetric in sigma and eta to the last bit.
+    """
     ginv = np.linalg.inv(gvals)
-    full = np.einsum("...ij,...kl,...ik,...jl->...", sigma, eta, ginv, ginv)
+    full = 0.5 * (_pair(sigma, eta, ginv) + _pair(eta, sigma, ginv))
     tr_s = np.einsum("...ij,...ij->...", ginv, sigma)
     tr_e = np.einsum("...ij,...ij->...", ginv, eta)
     return full - 0.5 * tr_s * tr_e

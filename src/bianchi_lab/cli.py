@@ -89,7 +89,30 @@ def _merged_config(args) -> dict:
         cfg["study"] = True
     if getattr(args, "serial", False):
         cfg["serial"] = True
+    cfg["serial"], cfg["threads"] = _pin_threads(cfg["serial"])
     return cfg
+
+
+def _pin_threads(serial: bool) -> tuple:
+    """Set the BLAS thread variables for ``serial`` (each to "1" unless
+    already set) and for ``BIANCHI_LAB_THREADS`` (each to its value).
+
+    BLAS reads them once, when numpy is first imported.  So when numpy is
+    already loaded nothing is written: the result is (False, the
+    variables as found).  Otherwise it is (serial and all three read
+    "1", the variables as written).
+    """
+    if "numpy" in sys.modules:
+        return False, {var: os.environ.get(var) for var in THREAD_VARS}
+    if serial:
+        for var in THREAD_VARS:
+            os.environ.setdefault(var, "1")
+    threads = os.environ.get("BIANCHI_LAB_THREADS")
+    if threads:
+        for var in THREAD_VARS:
+            os.environ[var] = threads
+    found = {var: os.environ.get(var) for var in THREAD_VARS}
+    return serial and all(v == "1" for v in found.values()), found
 
 
 def _report(cfg: dict, cases: list, extra_meta: dict | None = None) -> dict:
@@ -112,7 +135,7 @@ def _report(cfg: dict, cases: list, extra_meta: dict | None = None) -> dict:
         "scipy": scipy.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "threads": cfg["threads"],
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -216,6 +239,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    _pin_threads(False)
     from .conventions import (canonical_json, compute_conventions,
                               load_conventions, save_conventions)
 
@@ -282,14 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if "--serial" in (argv or sys.argv[1:]):
-        for var in THREAD_VARS:
-            os.environ.setdefault(var, "1")
-    threads = os.environ.get("BIANCHI_LAB_THREADS")
-    if threads:
-        for var in THREAD_VARS:
-            os.environ[var] = threads
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -32,17 +32,30 @@ pair and no S: an order-0 ``*`` is a plain multiply, and an order-0
 degree on the same pair table (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., section 13): one ``np.linalg.inv`` of the values,
 then batched matmuls, with no jet reciprocal.
+
+A product of univariate factors f(x) = prod_a u_a(x_a) needs no jet
+product at all: its coefficients are c_alpha = prod_a u_a[alpha_a], with
+u_a the normalized Taylor coefficients of u_a at x_a (same reference).
+``separable`` forms that product from per-axis coefficient arrays of
+shape (..., order + 1), one gather per axis.  The univariate
+coefficients have closed forms: ``cos_coeffs``/``sin_coeffs`` for
+cos(w t + theta) and sin(w t + theta), ``poly_coeffs`` for a polynomial
+(a Taylor shift), and ``series_mul`` for the truncated product of two
+univariate series, such as sin^k(pi t) or t^k times a factor.  The test
+fields and the preset metrics are built this way; ``Jet.cos``/``sin``/
+``exp`` stay for compositions that are not separable.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import factorial, prod
+from functools import lru_cache, reduce
+from math import comb, factorial, prod
 
 import numpy as np
 import scipy.sparse
 
-__all__ = ["Jet", "contract", "stack", "jet_matrix_inverse"]
+__all__ = ["Jet", "contract", "stack", "jet_matrix_inverse", "separable",
+           "cos_coeffs", "sin_coeffs", "poly_coeffs", "series_mul"]
 
 
 @lru_cache(maxsize=None)
@@ -438,6 +451,87 @@ def stack(jets: list, axis: int = -1) -> Jet:
     cs = np.broadcast_arrays(*[j.c for j in jets])
     return Jet(jets[0].dim, jets[0].order,
                np.stack(cs, axis=axis - 1 if axis < 0 else axis))
+
+
+# ---------------------------------------------------------------------------
+# separable jets: products of univariate factors
+
+
+@lru_cache(maxsize=None)
+def _exponent_array(dim: int, order: int) -> np.ndarray:
+    """``_exponents`` as an integer array of shape (K, dim)."""
+    return np.array(_exponents(dim, order), dtype=np.intp).reshape(-1, dim)
+
+
+def separable(dim: int, order: int, factors: dict) -> Jet:
+    """The jet of prod_a u_a(x_a) from ``factors = {axis: u_a}``.
+
+    Each u_a holds the normalized Taylor coefficients of its factor at the
+    point on a trailing axis of length order + 1; the leading axes (batch,
+    then tensor) broadcast against each other.  An axis absent from
+    ``factors`` is the factor 1, and at least one axis is given.  The
+    coefficients are c_alpha = prod_a u_a[..., alpha_a]: one gather per
+    axis, and no jet product.
+    """
+    E = _exponent_array(dim, order)
+    c = reduce(np.multiply, (np.asarray(u)[..., E[:, a]]
+                             for a, u in factors.items()))  # a fresh array
+    absent = [a for a in range(dim) if a not in factors]
+    c[..., np.any(E[:, absent] > 0, axis=1)] = 0.0
+    return Jet(dim, order, c)
+
+
+def _cos_cycle(w, theta, order: int, quarter: int) -> np.ndarray:
+    """w^m cos(theta + (m - quarter) pi / 2) / m! for m = 0..order, read
+    off the exact cycle (cos, -sin, -cos, sin) of theta."""
+    theta = np.asarray(theta, dtype=float)
+    c, s = np.cos(theta), np.sin(theta)
+    m = np.arange(order + 1)
+    cycle = np.stack([c, -s, -c, s], axis=-1)[..., (m - quarter) % 4]
+    fact = np.array([factorial(k) for k in m], dtype=float)
+    return cycle * (np.asarray(w, dtype=float)[..., None] ** m / fact)
+
+
+def cos_coeffs(w, theta, order: int) -> np.ndarray:
+    """Normalized Taylor coefficients of s -> cos(theta + w s) at s = 0:
+    w^m cos(theta + m pi / 2) / m!, m = 0..order, on a trailing axis.
+    For cos(w t + phase) at t0, pass theta = w t0 + phase."""
+    return _cos_cycle(w, theta, order, 0)
+
+
+def sin_coeffs(w, theta, order: int) -> np.ndarray:
+    """The same for sin(theta + w s) = cos(theta - pi/2 + w s): the cosine
+    cycle shifted back by a quarter period."""
+    return _cos_cycle(w, theta, order, 1)
+
+
+def poly_coeffs(t0, coeffs, order: int) -> np.ndarray:
+    """Normalized Taylor coefficients of s -> sum_k p_k (t0 + s)^k at
+    s = 0, m = 0..order (a Taylor shift):
+
+        c_m = sum_{k >= m} binom(k, m) p_k t0^(k - m).
+
+    ``coeffs`` holds p_0, p_1, ... on its last axis; its leading axes
+    broadcast against the shape of t0.
+    """
+    p = np.asarray(coeffs, dtype=float)
+    k = np.arange(p.shape[-1])[:, None]
+    m = np.arange(order + 1)
+    binom = np.array([[comb(i, j) for j in m] for i in k[:, 0]], dtype=float)
+    shift = binom * np.asarray(t0, dtype=float)[..., None, None] ** np.maximum(
+        k - m, 0)
+    return np.matmul(p[..., None, :], shift)[..., 0, :]
+
+
+def series_mul(u, v) -> np.ndarray:
+    """Truncated product of two univariate coefficient arrays of equal
+    length: w_m = sum_{i <= m} u_i v_(m - i), leading axes broadcast."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    p = u.shape[-1]
+    out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
+    for i in range(p):
+        out[..., i:] += u[..., i, None] * v[..., :p - i]
+    return out
 
 
 @lru_cache(maxsize=None)

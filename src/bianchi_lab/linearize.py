@@ -36,7 +36,14 @@ from .charts import (
     nabla,
     sym_from_upper,
 )
-from .jets import Jet, contract, stack
+from .jets import (
+    Jet,
+    contract,
+    cos_coeffs,
+    poly_coeffs,
+    separable,
+    stack,
+)
 
 __all__ = [
     "Perturbation",
@@ -102,16 +109,18 @@ def trig_poly_sym_field(dim: int, seed: int, boundary_order: int = 0,
     upper = np.triu_indices(dim)
     coef, ks, phases, poly = coef[upper], ks[upper], phases[upper], poly[upper]
 
+    # coef (1 + p0 + p1 x_d) x_d^boundary_order as one polynomial in x_d
+    normal = np.zeros((len(coef), boundary_order + 2))
+    normal[:, boundary_order] = coef * (poly[:, 0] + 1.0)
+    normal[:, boundary_order + 1] = coef * poly[:, 1]
+    w = 2 * np.pi * ks
+
     def fn(x, order):
-        xs = Jet.variables(x, order)
-        term = Jet.const(dim, order, coef)
-        for a in range(dim - 1):
-            term = term * (xs[a][..., None] * (2 * np.pi * ks[:, a])
-                           + phases[:, a]).cos()
-        term = term * (poly[:, 0] + 1.0 + xs[-1][..., None] * poly[:, 1])
-        for _ in range(boundary_order):
-            term = contract("i,->i", term, xs[-1])
-        return sym_from_upper(term, dim)
+        x = x[..., None, :]  # entries broadcast
+        factors = {a: cos_coeffs(w[:, a], w[:, a] * x[..., a] + phases[:, a],
+                                 order) for a in range(dim - 1)}
+        factors[dim - 1] = poly_coeffs(x[..., -1], normal, order)
+        return sym_from_upper(separable(dim, order, factors), dim)
 
     return Perturbation(fn, dim, boundary_order)
 
@@ -127,16 +136,17 @@ def bump_sym_field(dim: int, seed: int, center=0.5, width=0.25,
     coef = rng.standard_normal((dim, dim))
     coef = 0.5 * (coef + coef.T) * amp
 
+    w2 = width * width
+    # ((s^2 - w^2) / w^2)^2 in s = x_d - c, with d/ds = d/dx_d
+    bump = (1.0, 0.0, -2.0 / w2, 0.0, 1.0 / w2 ** 2)
+    upper = coef[np.triu_indices(dim)]
+
     def fn(x, order):
-        xs = Jet.variables(x, order)
-        w2 = width * width
-        b = (xs[-1] - center) * (xs[-1] - center) - w2
-        bump = b * b * (1.0 / w2 ** 2)
         inside = np.abs(x[..., -1] - center) < width
-        upper = coef[np.triu_indices(dim)]
-        term = Jet.const(dim, order, upper)
-        term = contract("i,->i", term, (xs[0] * (2 * np.pi)).cos())
-        term = contract("i,->i", term, bump)
+        term = separable(dim, order, {
+            0: cos_coeffs(2 * np.pi, 2 * np.pi * x[..., None, 0], order)
+            * upper[:, None],
+            dim - 1: poly_coeffs(x[..., None, -1] - center, bump, order)})
         term.c[...] = np.where(inside[..., None, None], term.c, 0.0)
         return sym_from_upper(term, dim)
 

@@ -17,6 +17,7 @@ import numpy as np
 from .charts import (
     MetricChart,
     _by_chunks,
+    _pair,
     bianchi_b,
     dewitt_inner,
     divergence,
@@ -24,7 +25,15 @@ from .charts import (
     killing,
     sym_from_upper,
 )
-from .jets import Jet, contract
+from .jets import (
+    Jet,
+    contract,
+    cos_coeffs,
+    poly_coeffs,
+    separable,
+    series_mul,
+    sin_coeffs,
+)
 from .linearize import dein_closed_jets
 
 __all__ = [
@@ -37,6 +46,7 @@ __all__ = [
     "green_killing_defect",
     "green_einstein_sym_defect",
     "dewitt_green_ric_defect",
+    "green_symmetry_defects",
     "convergence_study",
     "periodic_sym_field",
     "periodic_vector_field",
@@ -142,16 +152,17 @@ def integrate(sample: FieldSample) -> float:
 
 def _trig_terms(x, order, coef, ks, ph, normal_vanish):
     """Jets of coef_i prod_a cos(2 pi ks_ia x_a + ph_ia), times
-    sin(pi x_d)^normal_vanish, one entry per row of ks."""
-    xs = Jet.variables(x, order)
-    term = Jet.const(len(xs), order, coef)
-    for a, xa in enumerate(xs):
-        term = term * (xa[..., None] * (2 * np.pi * ks[:, a]) + ph[:, a]).cos()
-    if normal_vanish:
-        s = (xs[-1] * np.pi).sin()
-        for _ in range(normal_vanish):
-            term = contract("i,->i", term, s)
-    return term
+    sin(pi x_d)^normal_vanish, one entry per row of ks: a separable jet."""
+    d = ks.shape[1]
+    x = np.asarray(x, dtype=float)[..., None, :]  # entries broadcast
+    w = 2 * np.pi * ks
+    factors = {a: cos_coeffs(w[:, a], w[:, a] * x[..., a] + ph[:, a], order)
+               for a in range(d)}
+    factors[0] = factors[0] * coef[:, None]
+    s = sin_coeffs(np.pi, np.pi * x[..., -1], order)
+    for _ in range(normal_vanish):
+        factors[d - 1] = series_mul(factors[d - 1], s)
+    return separable(d, order, factors)
 
 
 def periodic_sym_field(dim: int, seed: int, normal_vanish: int = 0,
@@ -216,10 +227,11 @@ def box_bump_sym_field(chart: MetricChart, seed: int, amp: float = 1.0):
         xs = Jet.variables(x, order)
         ts = [(xs[a] - lo) * (1.0 / (hi - lo))
               for a, (lo, hi) in enumerate(chart.domain)]
-        bump = Jet.const(dim, order, np.ones(x.shape[:-1]))
-        for t in ts:
-            b = t * (1.0 - t)
-            bump = bump * (b * b * 16.0)
+        # 16 t^2 (1 - t)^2 per axis, in x: the t-coefficients over width^m
+        bump = separable(dim, order, {
+            a: poly_coeffs(t.value, (0, 0, 16, -32, 16), order)
+            / (hi - lo) ** np.arange(order + 1)
+            for a, (t, (lo, hi)) in enumerate(zip(ts, chart.domain))})
         poly = Jet.const(dim, order, coef)
         for a in range(dim):
             poly = poly + ts[a][..., None] * lin[:, a]
@@ -253,10 +265,18 @@ def green_killing_defect(grid: GridSpec, chart: MetricChart, x_field,
 
     The identity reads <killing X, sigma>_De = <X, div B sigma>
     - sum_faces (B sigma)(X, n_in) dA with inward unit normals.
+
+    The interior integrands read only the values of killing X and of
+    div B sigma, and both are first-order operators: their values need
+    the 1-jets of g, X and sigma (the Christoffel symbols as values).  So
+    the metric and the fields are evaluated at jet order 1.  Truncated
+    jet arithmetic computes each coefficient from coefficients of equal
+    or lower degree only, so these values are the ones an order-2
+    evaluation gives, up to roundoff.
     """
     def integrands(x):
-        geom = geometry_from_jets(chart.metric_jets(x, 2), curvature=False)
-        X, sig = x_field(x, 2), sigma(x, 2)
+        geom = geometry_from_jets(chart.metric_jets(x, 1), curvature=False)
+        X, sig = x_field(x, 1), sigma(x, 1)
         gvals = geom.g.value
         dens = _volume_density(gvals)
         lhs = dewitt_inner(killing(geom, X).value, sig.value, gvals)
@@ -302,11 +322,6 @@ def _dein_and_value(geom, field, x, action):
     return dein_closed_jets(geom, sig, action).value, sig.value
 
 
-def _pair(a, b, ginv):
-    """<a, b>_g = g^{ik} g^{jl} a_ij b_kl on values."""
-    return np.einsum("...ij,...kl,...ik,...jl->...", a, b, ginv, ginv)
-
-
 def _trace(a, ginv):
     return np.einsum("...ij,...ij->...", ginv, a)
 
@@ -317,13 +332,15 @@ def _ein_pairing_correction(ein, ginv, sv, ev):
                   - _pair(ein, ev, ginv) * _trace(sv, ginv))
 
 
-def _symmetry_defect(grid, chart, sigma, eta, action, check_kernel,
-                     ein_corrected, pairs) -> float:
-    """|int one - int two [- int correction]| over the interior nodes, with
-    (one, two) = pairs(g, g^-1, sigma, dEin sigma, eta, dEin eta) in values.
+def _symmetry_defects(grid, chart, sigma, eta, action, check_kernel,
+                      ein_corrected, pairs) -> list:
+    """|int one - int two [- int correction]| over the interior nodes, one
+    defect per function of ``pairs``, each giving (one, two) =
+    pairs(g, g^-1, sigma, dEin sigma, eta, dEin eta) in values.
 
     Each chunk of nodes builds one Geometry, which serves dEin sigma,
-    dEin eta and the (g, Ein) values of the correction.
+    dEin eta and the (g, Ein) values of the correction, and every pairs
+    function reads the same dEin values.
     """
     if check_kernel:
         _check_kernel_pair(chart, grid, (sigma, eta))
@@ -334,15 +351,19 @@ def _symmetry_defect(grid, chart, sigma, eta, action, check_kernel,
         dens = _volume_density(gv)
         (de_s, sv), (de_e, ev) = (_dein_and_value(geom, f, xc, action)
                                   for f in (sigma, eta))
-        out = [v * dens for v in pairs(gv, ginv, sv, de_s, ev, de_e)]
+        out = [v * dens for pair in pairs
+               for v in pair(gv, ginv, sv, de_s, ev, de_e)]
         if ein_corrected:
             out.append(_ein_pairing_correction(geom.ein.value, ginv, sv, ev)
                        * dens)
         return out
 
-    one, two, *corr = (integrate_scalar_samples(grid, v, "interior")
-                       for v in _by_chunks(samples, interior_nodes(grid)))
-    return abs(one - two - sum(corr))
+    ints = [integrate_scalar_samples(grid, v, "interior")
+            for v in _by_chunks(samples, interior_nodes(grid))]
+    n = 2 * len(pairs)
+    corr = sum(ints[n:])
+    return [abs(one - two - corr) for one, two in zip(ints[0:n:2],
+                                                      ints[1:n:2])]
 
 
 def _einstein_pairs(gv, ginv, sv, de_s, ev, de_e):
@@ -369,8 +390,8 @@ def green_einstein_sym_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
     (<Ein,sigma> tr eta - <Ein,eta> tr sigma)/2 is subtracted, closing the
     identity on every background.
     """
-    return _symmetry_defect(grid, chart, sigma, eta, action, check_kernel,
-                            ein_corrected, _einstein_pairs)
+    return _symmetry_defects(grid, chart, sigma, eta, action, check_kernel,
+                             ein_corrected, (_einstein_pairs,))[0]
 
 
 def dewitt_green_ric_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
@@ -378,8 +399,18 @@ def dewitt_green_ric_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
                             ein_corrected: bool = False) -> float:
     """Same symmetry defect for the trace-reversed operator in the DeWitt
     pairing; algebraically identical to the Einstein-route defect."""
-    return _symmetry_defect(grid, chart, sigma, eta, action, check_kernel,
-                            ein_corrected, _dewitt_pairs)
+    return _symmetry_defects(grid, chart, sigma, eta, action, check_kernel,
+                             ein_corrected, (_dewitt_pairs,))[0]
+
+
+def green_symmetry_defects(grid: GridSpec, chart: MetricChart, sigma, eta,
+                           action, check_kernel: bool = True,
+                           ein_corrected: bool = False) -> tuple:
+    """(``green_einstein_sym_defect``, ``dewitt_green_ric_defect``) from
+    one pass over the nodes: dEin sigma and dEin eta are built once."""
+    return tuple(_symmetry_defects(grid, chart, sigma, eta, action,
+                                   check_kernel, ein_corrected,
+                                   (_einstein_pairs, _dewitt_pairs)))
 
 
 # ---------------------------------------------------------------------------

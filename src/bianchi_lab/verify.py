@@ -38,7 +38,7 @@ from .linearize import (
     sample_connection,
     trig_poly_sym_field,
 )
-from .jets import Jet, stack
+from .jets import poly_coeffs, separable, sin_coeffs, stack
 
 __all__ = ["run_suite", "SUITES", "slab_solve_cases",
            "slab_unchecked_reason"]
@@ -236,6 +236,23 @@ def suite_boundary(cfg) -> list:
 # linearization
 
 
+def _probe_vector_field(x, order):
+    """X = (0.3 sin 2 x_1, 0.2 x_0 x_2, 0.1 x_0), separable components."""
+    return stack([
+        separable(3, order, {1: 0.3 * sin_coeffs(2.0, 2.0 * x[..., 1], order)}),
+        separable(3, order, {0: poly_coeffs(x[..., 0], (0.0, 0.2), order),
+                             2: poly_coeffs(x[..., 2], (0.0, 1.0), order)}),
+        separable(3, order, {0: poly_coeffs(x[..., 0], (0.0, 0.1), order)})])
+
+
+def _lateral_wave(x, order):
+    """sigma = x_2^2 sin(2 pi x_1) dx_0^2, a separable jet."""
+    wave = separable(3, order, {
+        1: sin_coeffs(2 * np.pi, 2 * np.pi * x[..., 1], order),
+        2: poly_coeffs(x[..., 2], (0.0, 0.0, 1.0), order)})
+    return wave[..., None, None] * np.diag([1.0, 0.0, 0.0])
+
+
 def suite_linearization(cfg) -> list:
     rng = np.random.default_rng(cfg["seed"])
     action = ricci_action()
@@ -248,13 +265,9 @@ def suite_linearization(cfg) -> list:
     cases.append(_case("ricci-variation-richardson-slope", slope, 1.9,
                        "ricci-variation.closed-vs-fd", at_least=True))
 
-    def xf(x, order):
-        xs = Jet.variables(x, order)
-        return stack([(xs[1] * 2.0).sin() * 0.3, xs[2] * xs[0] * 0.2,
-                      0.1 * xs[0]])
-
     cases.append(_case("equivariance-killing-directions",
-                       equivariance_residual(chart, pts, xf, action), 1e-6,
+                       equivariance_residual(chart, pts, _probe_vector_field,
+                                             action), 1e-6,
                        "equivariance.lie-ricci"))
 
     base = trig_poly_sym_field(3, cfg["seed"] + 2)
@@ -280,13 +293,8 @@ def suite_linearization(cfg) -> list:
 
     # at order two the first normal trace is -div(T^tan), not zero: for
     # sigma = x_d^2 sin(2 pi x_1) dx_0^2 it is (0, -2 pi cos 2 pi x_1, 0)
-    def lateral_wave(x, order):
-        xs = Jet.variables(x, order)
-        wave = xs[2] * xs[2] * (xs[1] * (2 * np.pi)).sin()
-        return wave[..., None, None] * np.diag([1.0, 0.0, 0.0])
-
     _, r2, _ = normal_identity_residuals(
-        collar, y, Perturbation(lateral_wave, 3, 2), action)
+        collar, y, Perturbation(_lateral_wave, 3, 2), action)
     closed = 2 * np.pi * float(np.abs(np.cos(2 * np.pi * y[:, 1])).max())
     cases.append(_case("normal-trace-first-order2", abs(r2 - closed), 1e-6,
                        "normal-trace.first"))
@@ -315,9 +323,9 @@ def suite_green(cfg) -> list:
         GridSpec,
         box_bump_sym_field,
         convergence_study,
-        dewitt_green_ric_defect,
         green_einstein_sym_defect,
         green_killing_defect,
+        green_symmetry_defects,
         periodic_sym_field,
         periodic_vector_field,
     )
@@ -346,12 +354,12 @@ def suite_green(cfg) -> list:
 
     sig2 = periodic_sym_field(3, seed + 5, normal_vanish=2)
     eta2 = periodic_sym_field(3, seed + 6, normal_vanish=2)
-    ein_defect = green_einstein_sym_defect(grid, slab, sig2, eta2, action)
+    ein_defect, dewitt_defect = green_symmetry_defects(grid, slab, sig2,
+                                                       eta2, action)
     cases.append(_case("einstein-symmetry-interior", ein_defect, 1e-9,
                        "green.einstein-symmetry"))
     cases.append(_case("dewitt-ricci-route-agreement",
-                       abs(ein_defect - dewitt_green_ric_defect(
-                           grid, slab, sig2, eta2, action)), 1e-9,
+                       abs(ein_defect - dewitt_defect), 1e-9,
                        "green.dewitt-ricci"))
 
     ball = make_chart("polar_ball", 3)

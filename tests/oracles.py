@@ -12,7 +12,11 @@ solve of ``bvp.py``, which touches the assembled matrix only through
 products; and the object-array jet engine: the former geometry,
 boundary and linearization layers, which hold a tensor as an object
 ndarray of scalar ``Jet``s and sum every index by hand, reading only the
-library's scalar jet arithmetic and the ``Geometry`` record.
+library's scalar jet arithmetic and the ``Geometry`` record; the former
+test-field and metric builders, which compose ``Jet.cos``/``sin``/``exp``
+and multiply whole jets where the library forms separable jets; and
+``green_killing_integrals``, the former order-2 Killing adjunction, which
+reads the library's geometry operators.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ import scipy.sparse.linalg as spla
 
 from bianchi_lab import bvp
 from bianchi_lab.bvp import DiscreteSystem, SolveReport, SourceSpec
-from bianchi_lab.charts import Geometry
-from bianchi_lab.jets import Jet, _exp_index, _exponents, stack
+from bianchi_lab.charts import Geometry, sym_from_upper
+from bianchi_lab.jets import Jet, _exp_index, _exponents, contract, stack
+from bianchi_lab.linearize import Perturbation
 
 
 def bubble_parity(seq):
@@ -1018,3 +1023,236 @@ def dein_closed_jets(geom: Geometry, sig: np.ndarray, action,
             for j in range(d):
                 out[i, j] = out[i, j] + Jet.const(d, o, corr[..., i, j])
     return out
+
+
+# ---------------------------------------------------------------------------
+# jet-composition field and metric builders: the former library versions,
+# which compose Jet.cos/sin/exp and multiply full jets where the library
+# now forms separable jets from closed-form univariate coefficients
+
+
+def trig_terms(x, order, coef, ks, ph, normal_vanish):
+    """Jets of coef_i prod_a cos(2 pi ks_ia x_a + ph_ia), times
+    sin(pi x_d)^normal_vanish, one entry per row of ks."""
+    xs = Jet.variables(x, order)
+    term = Jet.const(len(xs), order, coef)
+    for a, xa in enumerate(xs):
+        term = term * (xa[..., None] * (2 * np.pi * ks[:, a]) + ph[:, a]).cos()
+    if normal_vanish:
+        s = (xs[-1] * np.pi).sin()
+        for _ in range(normal_vanish):
+            term = contract("i,->i", term, s)
+    return term
+
+
+def trig_poly_sym_field(dim: int, seed: int, boundary_order: int = 0,
+                        freq: int = 1, amp: float = 1.0) -> Perturbation:
+    """Random lateral trig polynomial times a normal-axis factor.
+
+    The normal factor is x_d^boundary_order * (smooth), so the field
+    vanishes at the lower collar face to exactly the requested order.
+    """
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal((dim, dim))
+    coef = 0.5 * (coef + coef.T) * amp
+    ks = rng.integers(0, freq + 1, size=(dim, dim, dim - 1))
+    ks = np.minimum(ks, np.transpose(ks, (1, 0, 2)))
+    phases = rng.uniform(0, 2 * np.pi, size=(dim, dim, dim - 1))
+    phases = 0.5 * (phases + np.transpose(phases, (1, 0, 2)))
+    poly = rng.uniform(-1, 1, size=(dim, dim, 2))
+    poly = 0.5 * (poly + np.transpose(poly, (1, 0, 2)))
+
+    upper = np.triu_indices(dim)
+    coef, ks, phases, poly = coef[upper], ks[upper], phases[upper], poly[upper]
+
+    def fn(x, order):
+        xs = Jet.variables(x, order)
+        term = Jet.const(dim, order, coef)
+        for a in range(dim - 1):
+            term = term * (xs[a][..., None] * (2 * np.pi * ks[:, a])
+                           + phases[:, a]).cos()
+        term = term * (poly[:, 0] + 1.0 + xs[-1][..., None] * poly[:, 1])
+        for _ in range(boundary_order):
+            term = contract("i,->i", term, xs[-1])
+        return sym_from_upper(term, dim)
+
+    return Perturbation(fn, dim, boundary_order)
+
+
+def bump_sym_field(dim: int, seed: int, center=0.5, width=0.25,
+                   amp: float = 1.0) -> Perturbation:
+    """Interior-supported-in-spirit field: lateral trig times a normal
+    polynomial bump ((x_d - c)^2 - w^2)^2 clipped outside |x_d - c| < w.
+
+    The clip keeps jets polynomial near the support; callers sample inside.
+    """
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal((dim, dim))
+    coef = 0.5 * (coef + coef.T) * amp
+
+    def fn(x, order):
+        xs = Jet.variables(x, order)
+        w2 = width * width
+        b = (xs[-1] - center) * (xs[-1] - center) - w2
+        bump = b * b * (1.0 / w2 ** 2)
+        inside = np.abs(x[..., -1] - center) < width
+        upper = coef[np.triu_indices(dim)]
+        term = Jet.const(dim, order, upper)
+        term = contract("i,->i", term, (xs[0] * (2 * np.pi)).cos())
+        term = contract("i,->i", term, bump)
+        term.c[...] = np.where(inside[..., None, None], term.c, 0.0)
+        return sym_from_upper(term, dim)
+
+    return Perturbation(fn, dim, boundary_order=4)
+
+
+def box_bump_sym_field(chart, seed: int, amp: float = 1.0):
+    """Polynomial field vanishing to second order on the whole box boundary.
+
+    Each component carries the factor prod_a (t_a (1 - t_a))^2 in box
+    coordinates, so side-wall and collar-face contributions to the Green
+    identities vanish; the components stay jet-exact polynomials.
+    """
+    dim = chart.dim
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal((dim, dim)) * amp
+    coef = 0.5 * (coef + coef.T)
+    lin = rng.standard_normal((dim, dim, dim)) * 0.5
+    lin = 0.5 * (lin + np.transpose(lin, (1, 0, 2)))
+    upper = np.triu_indices(dim)
+    coef, lin = coef[upper], lin[upper]
+
+    def fn(x, order):
+        xs = Jet.variables(x, order)
+        ts = [(xs[a] - lo) * (1.0 / (hi - lo))
+              for a, (lo, hi) in enumerate(chart.domain)]
+        bump = Jet.const(dim, order, np.ones(x.shape[:-1]))
+        for t in ts:
+            b = t * (1.0 - t)
+            bump = bump * (b * b * 16.0)
+        poly = Jet.const(dim, order, coef)
+        for a in range(dim):
+            poly = poly + ts[a][..., None] * lin[:, a]
+        return sym_from_upper(contract(",i->i", bump, poly), dim)
+
+    return Perturbation(fn, dim, 2)
+
+
+def continuum_potential(d: int, seed: int):
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal((d, d))
+    coef = 0.5 * (coef + coef.T)
+    ks = rng.integers(0, 2, size=(d, d, d - 1))
+    upper = np.triu_indices(d)
+    coef, ks = coef[upper], np.minimum(ks, np.transpose(ks, (1, 0, 2)))[upper]
+
+    def fn(x, order):
+        xs = Jet.variables(x, order)
+        cut = xs[-1] * (1.0 - xs[-1])
+        cut3 = (cut * cut) * cut  # vanishes to third order at both faces
+        term = Jet.const(d, order, coef)
+        for a in range(d - 1):
+            term = term * (xs[a][..., None] * (2 * np.pi * ks[:, a])).cos()
+        return sym_from_upper(contract("i,->i", term, cut3), d)
+
+    return Perturbation(fn, d, 3)
+
+
+def probe_vector_field(x, order):
+    """The vector field of the linearization suite's equivariance case."""
+    xs = Jet.variables(x, order)
+    return stack([(xs[1] * 2.0).sin() * 0.3, xs[2] * xs[0] * 0.2,
+                  0.1 * xs[0]])
+
+
+def lateral_wave(x, order):
+    """The linearization suite's sigma = x_d^2 sin(2 pi x_1) dx_0^2."""
+    xs = Jet.variables(x, order)
+    wave = xs[2] * xs[2] * (xs[1] * (2 * np.pi)).sin()
+    return wave[..., None, None] * np.diag([1.0, 0.0, 0.0])
+
+
+def metric_flat(chart, x, order: int):
+    d = chart.dim
+    return Jet.const(d, order, np.broadcast_to(np.eye(d),
+                                               x.shape[:-1] + (d, d)))
+
+
+def metric_polar_ball(chart, x, order: int):
+    """Flat metric in spherical coordinates (angles..., u), r = R - u."""
+    d = chart.dim
+    R = chart.param_dict["radius"]
+    xs = Jet.variables(x, order)
+    r = R - xs[-1]
+    diag = [r * r]
+    for i in range(d - 2):
+        s = xs[i].sin()
+        diag.append(diag[-1] * (s * s))
+    diag.append(Jet.const(d, order, np.ones(x.shape[:-1])))
+    return stack(diag)[..., None] * np.eye(d)
+
+
+def metric_conformal(chart, x, order: int):
+    d = chart.dim
+    p = chart.param_dict
+    xs = Jet.variables(x, order)
+    phi = Jet.const(d, order, np.full(x.shape[:-1], p["amp"]))
+    for a in range(d - 1):
+        phi = phi * ((xs[a] - p["centers"][a]) * (2 * np.pi * p["freq"])).cos()
+    prof = Jet.const(d, order, np.zeros(x.shape[:-1]))
+    for k, ck in enumerate(p["profile"]):
+        prof = prof + ck * xs[-1] ** k
+    phi = phi * prof
+    conf = (2.0 * phi).exp()
+    return conf[..., None, None] * np.eye(d)
+
+
+def metric_curved_generic(chart, x, order: int):
+    d = chart.dim
+    modes = chart.param_dict["modes"]
+    xs = Jet.variables(x, order)
+    g = metric_flat(chart, x, order)
+    for coef, ks, phases, poly in modes:
+        bump = Jet.const(d, order, np.ones(x.shape[:-1]))
+        for a in range(d - 1):
+            bump = bump * (xs[a] * (2 * np.pi * ks[a]) + phases[a]).cos()
+        prof = poly[0] + poly[1] * xs[-1] + poly[2] * xs[-1] ** 2
+        bump = bump * prof
+        g = g + bump[..., None, None] * np.array(coef)
+    return g
+
+
+def green_killing_integrals(grid, chart, x_field, sigma):
+    """The Killing-adjunction integrals (lhs, bulk, flux) with the interior
+    integrands at jet order 2, the former ``quadrature.green_killing_defect``;
+    its defect is |lhs - bulk + flux|."""
+    from bianchi_lab.charts import (_by_chunks, bianchi_b, dewitt_inner,
+                                    divergence, geometry_from_jets, killing)
+    from bianchi_lab.quadrature import (_face_geometry, _volume_density,
+                                        integrate_scalar_samples,
+                                        interior_nodes)
+
+    def integrands(x):
+        geom = geometry_from_jets(chart.metric_jets(x, 2), curvature=False)
+        X, sig = x_field(x, 2), sigma(x, 2)
+        gvals = geom.g.value
+        dens = _volume_density(gvals)
+        lhs = dewitt_inner(killing(geom, X).value, sig.value, gvals)
+        dbs = divergence(geom, bianchi_b(geom, sig)).value
+        bulk = np.einsum("...i,...j,...ij->...", X.value, dbs, gvals)
+        return lhs * dens, bulk * dens
+
+    lhs, bulk = (integrate_scalar_samples(grid, v, "interior")
+                 for v in _by_chunks(integrands, interior_nodes(grid)))
+
+    flux = 0.0
+    for face in (0, 1):
+        xf, gf, nvec, fdens = _face_geometry(chart, grid, face)
+        sigf = sigma(xf, 1).value
+        ginv_f = np.linalg.inv(gf)
+        tr = np.einsum("...ij,...ij->...", ginv_f, sigf)
+        bsig = sigf - 0.5 * tr[..., None, None] * gf
+        xvf = x_field(xf, 1).value
+        val = np.einsum("...ij,...i,...j->...", bsig, xvf, nvec)
+        flux += integrate_scalar_samples(grid, val * fdens, "boundary")
+    return lhs, bulk, flux

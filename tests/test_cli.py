@@ -1,6 +1,8 @@
 import json
 import os
 import platform
+import subprocess
+import sys
 
 import numpy
 import pytest
@@ -150,6 +152,56 @@ def test_serial_reports_are_byte_identical(tmp_path):
     assert run(["verify", "--suite", "algebra", "--seed", "5", "--serial",
                 "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("how", ["flag", "manifest"])
+def test_serial_in_a_fresh_interpreter_pins_the_thread_variables(how,
+                                                                 tmp_path):
+    out = tmp_path / "r.json"
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps({"serial": True}))
+    serial = ["--serial"] if how == "flag" else ["--manifest", str(man)]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("BIANCHI_LAB_THREADS", "OMP_NUM_THREADS",
+                        "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-m", "bianchi_lab.cli", "verify", "--suite",
+         "algebra", *serial, "--out", str(out)],
+        env=env, capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["serial"] is True
+    assert meta["threads"] == {"OMP_NUM_THREADS": "1",
+                               "OPENBLAS_NUM_THREADS": "1",
+                               "MKL_NUM_THREADS": "1"}
+
+
+@pytest.mark.parametrize("how", ["--serial", "BIANCHI_LAB_THREADS"])
+def test_thread_pinning_after_numpy_import_is_not_reported(how, tmp_path,
+                                                           monkeypatch):
+    # numpy is loaded in this process, so BLAS has read its thread count
+    # already: main must neither claim serial nor record values it wrote
+    assert "numpy" in sys.modules
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    argv = ["verify", "--suite", "algebra", "--out", str(tmp_path / "r.json")]
+    if how == "--serial":
+        monkeypatch.delenv("BIANCHI_LAB_THREADS", raising=False)
+        argv.append("--serial")
+    else:
+        monkeypatch.setenv("BIANCHI_LAB_THREADS", "1")
+    assert run(argv) == 0
+    meta = json.loads((tmp_path / "r.json").read_text())["meta"]
+    assert meta["serial"] is False
+    assert meta["threads"] == {"OMP_NUM_THREADS": "2",
+                               "OPENBLAS_NUM_THREADS": None,
+                               "MKL_NUM_THREADS": None}
+    assert os.environ["OMP_NUM_THREADS"] == "2"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from bianchi_lab import charts, quadrature
 from bianchi_lab.charts import chart_geometry, make_chart, tensor_values
 from bianchi_lab.conventions import ricci_action
@@ -13,6 +14,7 @@ from bianchi_lab.quadrature import (
     face_nodes,
     green_einstein_sym_defect,
     green_killing_defect,
+    green_symmetry_defects,
     integrate,
     integrate_scalar_samples,
     interior_nodes,
@@ -288,3 +290,83 @@ def test_convergence_study_exact_status():
 def test_convergence_study_needs_three_points():
     with pytest.raises(ValueError):
         convergence_study(lambda n: 1.0 / n, (8, 16))
+
+
+# ---------------------------------------------------------------------------
+# value pairings, one pass for both symmetry routes, Killing jet order
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)], ids=str)
+def test_pair_matmuls_match_the_einsum(batch):
+    rng = np.random.default_rng(len(batch))
+    a, b, ginv = (rng.standard_normal(batch + (4, 4)) for _ in range(3))
+    ref = np.einsum("...ij,...kl,...ik,...jl->...", a, b, ginv, ginv)
+    got = charts._pair(a, b, ginv)  # ginv not symmetric here
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+    g = ginv @ np.swapaxes(ginv, -1, -2) + np.eye(4)  # a metric
+    gi = np.linalg.inv(g)
+    tr_a, tr_b = (np.einsum("...ij,...ij->...", gi, t) for t in (a, b))
+    dw = (np.einsum("...ij,...kl,...ik,...jl->...", a, b, gi, gi)
+          - 0.5 * tr_a * tr_b)
+    assert np.allclose(charts.dewitt_inner(a, b, g), dw, rtol=1e-13,
+                       atol=0)
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+def test_symmetry_defects_one_pass_equal_the_single_routes(corrected):
+    chart = make_chart("conformal_bump", 3, amp=0.1) if corrected else slab()
+    grid = GridSpec.for_chart(chart, 8)
+    sigma = periodic_sym_field(3, 39, normal_vanish=2)
+    eta = periodic_sym_field(3, 40, normal_vanish=2)
+    both = green_symmetry_defects(grid, chart, sigma, eta, ACTION,
+                                  ein_corrected=corrected)
+    assert both == (
+        green_einstein_sym_defect(grid, chart, sigma, eta, ACTION,
+                                  ein_corrected=corrected),
+        dewitt_green_ric_defect(grid, chart, sigma, eta, ACTION,
+                                ein_corrected=corrected))
+
+
+def _killing_cases():
+    return {
+        "slab": (slab(), periodic_vector_field(3, 41, normal_vanish=2),
+                 periodic_sym_field(3, 42)),
+        "conformal_bump": (make_chart("conformal_bump", 3, amp=0.1),
+                           periodic_vector_field(3, 43),
+                           trig_poly_sym_field(3, 44)),
+    }
+
+
+@pytest.mark.parametrize("case", ["slab", "conformal_bump"])
+def test_killing_defect_matches_the_order2_oracle(case):
+    chart, X, sigma = _killing_cases()[case]
+    grid = GridSpec.for_chart(chart, 8)
+    lhs, bulk, flux = oracles.green_killing_integrals(grid, chart, X, sigma)
+    got = green_killing_defect(grid, chart, X, sigma)
+    # relative to the integrals whose sum the defect is
+    assert abs(got - abs(lhs - bulk + flux)) <= 1e-12 * max(
+        abs(lhs), abs(bulk), abs(flux))
+
+
+@pytest.mark.parametrize("case", ["slab", "conformal_bump"])
+def test_killing_defect_asks_for_jet_order_at_most_one(case, monkeypatch):
+    chart, X, sigma = _killing_cases()[case]
+    orders = []
+
+    def recorded(field):
+        def wrapped(x, order):
+            orders.append(order)
+            return field(x, order)
+        return wrapped
+
+    metric_jets = charts.MetricChart.metric_jets
+
+    def metric_recorded(self, x, order):
+        orders.append(order)
+        return metric_jets(self, x, order)
+
+    monkeypatch.setattr(charts.MetricChart, "metric_jets", metric_recorded)
+    green_killing_defect(GridSpec.for_chart(chart, 8), chart, recorded(X),
+                         recorded(sigma))
+    assert orders and max(orders) <= 1

@@ -55,7 +55,6 @@ __all__ = [
     "BoundaryFrameData",
     "BoundaryState",
     "boundary_state",
-    "boundary_frame_at",
     "projections_at",
     "normal_derivative",
     "constraint_pieces",
@@ -290,10 +289,6 @@ def boundary_state(collar: CollarChart, y, order: int = 4) -> BoundaryState:
                          bgeom=bgeom, a_lateral=a_lat, frame=frame)
 
 
-def boundary_frame_at(collar: CollarChart, y, order: int = 4) -> BoundaryFrameData:
-    return boundary_state(collar, y, order).frame
-
-
 # ---------------------------------------------------------------------------
 # projections of ambient symmetric tensors
 
@@ -353,14 +348,8 @@ def _frame_to_coord_sym(st: BoundaryState, sym_frame: np.ndarray) -> np.ndarray:
 
 def _e_of_a_wedge_a(st: BoundaryState) -> np.ndarray:
     """E_{g_bnd}(A wedge A) in boundary coordinates, per point."""
-    af = _boundary_frame_sym(st, st.frame.second_ff)
-    npts = af.shape[0]
-    out = np.empty_like(af)
-    for i in range(npts):
-        a_cov = sym_matrix_covector(af[i])
-        waa = wedge(a_cov, a_cov)
-        out[i] = op_e(waa).sym_matrix()
-    return _frame_to_coord_sym(st, out)
+    a_cov = sym_matrix_covector(_boundary_frame_sym(st, st.frame.second_ff))
+    return _frame_to_coord_sym(st, op_e(wedge(a_cov, a_cov)).sym_matrix())
 
 
 def _boundary_div_a(st: BoundaryState) -> np.ndarray:
@@ -470,7 +459,6 @@ def weyl_constraint_residual_at(collar: CollarChart, y, constants,
     frame_rows = np.concatenate(
         [st.frame.tangent_frame, st.frame.normal[..., None, :]], axis=-2)
     gram = np.einsum("...ai,...bj,...ij->...ab", frame_rows, frame_rows, gvals)
-    npts = gram.shape[0]
 
     lhs_tt_f = sym_to_frame(ein, frame_rows)[..., : d - 1, : d - 1]
 
@@ -480,26 +468,23 @@ def weyl_constraint_residual_at(collar: CollarChart, y, constants,
     a_f = _boundary_frame_sym(st, st.frame.second_ff)
 
     _, e5, e6 = constants["line3"]
-    out = np.empty((npts, d - 1, d - 1))
-    rm_defect = np.empty((npts, d - 1, d - 1))
-    schouten_term = np.empty((npts, d - 1, d - 1))
-    for i in range(npts):
-        rm = rm_covector(riem, frame_rows, i)
-        p, wey = schouten_weyl_split(rm, tol=1e-6)
-        nfr = FrameVector.basis(d, d - 1)
-        pnn_wey = restrict_covector(
-            interior(nfr, interior(nfr, wey, "first"), "second"),
+    nfr = FrameVector.basis(d, d - 1)
+
+    def pnn(psi):
+        """psi(., n, ., n) restricted to the tangent frame."""
+        return restrict_covector(
+            interior(nfr, interior(nfr, psi, "first"), "second"),
             drop_axis=d - 1).sym_matrix()
-        pnn_rm = restrict_covector(
-            interior(nfr, interior(nfr, rm, "first"), "second"),
-            drop_axis=d - 1).sym_matrix()
-        a_cov = sym_matrix_covector(a_f[i])
-        eaa = op_e(wedge(a_cov, a_cov)).sym_matrix()
-        schouten_term[i] = -(d - 3) * p.sym_matrix()[d - 1, d - 1] \
-            * np.eye(d - 1)
-        out[i] = ((d - 3) / (d - 2)) * lhs_tt_f[i] - (
-            ein_b_f[i] - e5 * pnn_wey + e6 * 0.5 * eaa + schouten_term[i])
-        rm_defect[i] = pnn_rm - e5 * m_plus_a2_f[i]
+
+    rm = rm_covector(riem, frame_rows)
+    p, wey = schouten_weyl_split(rm, tol=1e-6)
+    a_cov = sym_matrix_covector(a_f)
+    eaa = op_e(wedge(a_cov, a_cov)).sym_matrix()
+    schouten_term = -(d - 3) * p.sym_matrix()[..., d - 1, d - 1, None, None] \
+        * np.eye(d - 1)
+    out = ((d - 3) / (d - 2)) * lhs_tt_f - (
+        ein_b_f - e5 * pnn(wey) + e6 * 0.5 * eaa + schouten_term)
+    rm_defect = pnn(rm) - e5 * m_plus_a2_f
 
     gram_defect = float(np.abs(gram - np.eye(d)).max())
     return {"state": st, "residual": out, "rm_defect": rm_defect,

@@ -36,8 +36,6 @@ __all__ = [
     "Geometry",
     "geometry_from_jets",
     "chart_geometry",
-    "christoffel_at",
-    "curvature_at",
     "rm_covector",
     "nabla",
     "divergence",
@@ -340,11 +338,15 @@ def nabla(geom: Geometry, T: Jet) -> Jet:
     (nabla T)_{k,i1..ir} = d_k T - sum_s Gamma^l_{k i_s} T[.. l ..].
     """
     idx = "abcdefgh"[:_rank(geom, T)]
-    out = contract(f"{idx}k->k{idx}", T.grad())
-    low = T.truncate(out.order)
+    dT = contract(f"{idx}k->k{idx}", T.grad())
+    # one contiguous copy, the layout an out-of-place difference has, then
+    # every Christoffel term is subtracted in place
+    order = min(dT.order, geom.gamma.order)
+    out = Jet(T.dim, order, np.ascontiguousarray(dT.truncate(order).c))
+    low = T.truncate(order)
     for s, i in enumerate(idx):
         moved = idx[:s] + "l" + idx[s + 1:]
-        out = out - contract(f"lk{i},{moved}->k{idx}", geom.gamma, low)
+        out.c -= contract(f"lk{i},{moved}->k{idx}", geom.gamma, low).c
     return out
 
 
@@ -404,46 +406,17 @@ def dewitt_inner(sigma: np.ndarray, eta: np.ndarray, gvals: np.ndarray):
     return full - 0.5 * tr_s * tr_e
 
 
-# ---------------------------------------------------------------------------
-# chart-level convenience wrappers
-
-
-def christoffel_at(chart: MetricChart, x) -> np.ndarray:
-    """Christoffel values Gamma^k_ij, batched (..., k, i, j)."""
-    geom = chart_geometry(chart, x, order=2, curvature=False)
-    return geom.gamma.value
-
-
-def curvature_at(chart: MetricChart, x, order: int = 4):
-    """Geometry with curvature plus plain-value views.
-
-    Returns (geom, rm_values, ric_values, sc_values, ein_values, frame)
-    where rm_values are lower Riemann components in the coordinate frame
-    and frame rows give the Gram-Schmidt orthonormal frame.
-    """
-    geom = chart_geometry(chart, x, order=order)
-    frame = orthonormal_frame(geom.g.value)
-    return (geom, geom.riem.value, geom.ric.value, geom.sc.value,
-            geom.ein.value, frame)
-
-
-def rm_covector(riem_vals: np.ndarray, frame: np.ndarray,
-                point_index=()) -> KmCovector:
-    """Riemann values at one point as a Bianchi (2,2)-covector.
+def rm_covector(riem_vals: np.ndarray, frame: np.ndarray) -> KmCovector:
+    """Riemann values as Bianchi (2,2)-covectors, batched like the values.
 
     Components are pushed to the orthonormal frame; the coefficient on
     (theta^a^theta^b) x (theta^c^theta^e) is Riem(E_a,E_b,E_c,E_e).
     """
-    L = frame[point_index]
-    R = riem_vals[point_index]
-    d = L.shape[0]
-    Rf = np.einsum("ai,bj,ck,el,ijkl->abce", L, L, L, L, R)
-    out = KmCovector.zero(d, 2, 2)
-    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    for ii, (a, b) in enumerate(pairs):
-        for jj, (c, e) in enumerate(pairs):
-            out.coeffs[ii, jj] = Rf[a, b, c, e]
-    return out
+    d = frame.shape[-1]
+    Rf = np.einsum("...ai,...bj,...ck,...el,...ijkl->...abce",
+                   frame, frame, frame, frame, riem_vals, optimize=True)
+    a, b = np.triu_indices(d, 1)  # the increasing pairs, in basis order
+    return KmCovector(d, 2, 2, Rf[..., a[:, None], b[:, None], a, b])
 
 
 def sym_to_frame(sym_vals: np.ndarray, frame: np.ndarray) -> np.ndarray:

@@ -366,25 +366,8 @@ class Jet:
     def reciprocal(self) -> "Jet":
         return self._series(lambda v, k: (-1.0) ** k / v ** (k + 1))
 
-    def sqrt(self) -> "Jet":
-        def coef(v, k):
-            b = 1.0  # binomial(1/2, k)
-            for i in range(k):
-                b *= (0.5 - i) / (i + 1)
-            return b * np.power(v, 0.5 - k)
-
-        return self._series(coef)
-
     def exp(self) -> "Jet":
         return self._series(lambda v, k: np.exp(v) / factorial(k))
-
-    def log(self) -> "Jet":
-        def coef(v, k):
-            if k == 0:
-                return np.log(v)
-            return (-1.0) ** (k + 1) / (k * np.power(v, k))
-
-        return self._series(coef)
 
     def sin(self) -> "Jet":
         cycle = [np.sin, np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)]

@@ -141,25 +141,19 @@ def suite_calculus(cfg) -> list:
             frame = orthonormal_frame(geom.g.value)
             ein_f = sym_to_frame(ein, frame)
             tag = f"{preset}-d{d}"
-            worst_b, worst_e, worst_w, worst_cp = 0.0, 0.0, 0.0, 0.0
-            g_alg = alg.metric_covector(d)
-            for i in range(npts):
-                rm = rm_covector(riem, frame, i)
-                scale = max(1.0, rm.norm_inf())
-                worst_b = max(worst_b,
-                              alg.bianchi_sum(rm).norm_inf() / scale)
-                worst_e = max(worst_e,
-                              float(np.abs(alg.op_e(rm).sym_matrix()
-                                           - ein_f[i]).max()) / scale)
-                if d >= 4:
-                    p, wey = alg.schouten_weyl_split(rm, tol=1e-6)
-                    recon = -1.0 * alg.wedge(g_alg, p) + wey
-                    worst_w = max(worst_w,
-                                  (recon - rm).norm_inf() / scale,
-                                  alg.trace(wey).norm_inf() / scale)
-                    cp = -(d - 2) * alg.op_c(p).sym_matrix()
-                    worst_cp = max(worst_cp,
-                                   float(np.abs(cp - ein_f[i]).max()) / scale)
+            rm = rm_covector(riem, frame)
+            scale = np.maximum(1.0, rm.norm_inf())
+            worst_b = np.max(alg.bianchi_sum(rm).norm_inf() / scale)
+            worst_e = np.max(np.abs(alg.op_e(rm).sym_matrix() - ein_f)
+                             .max(axis=(-2, -1)) / scale)
+            if d >= 4:
+                p, wey = alg.schouten_weyl_split(rm, tol=1e-6)
+                recon = -1.0 * alg.wedge(alg.metric_covector(d), p) + wey
+                worst_w = np.max(np.maximum((recon - rm).norm_inf(),
+                                            alg.trace(wey).norm_inf()) / scale)
+                cp = -(d - 2) * alg.op_c(p).sym_matrix()
+                worst_cp = np.max(np.abs(cp - ein_f).max(axis=(-2, -1))
+                                  / scale)
             cases.append(_case(f"first-bianchi-{tag}", worst_b, 1e-8,
                                "curvature.first-bianchi"))
             cases.append(_case(f"einstein-contraction-{tag}", worst_e, 1e-8,

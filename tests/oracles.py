@@ -64,7 +64,51 @@ def naive_wedge_dict(a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def naive_interior_dict(x, a: dict) -> dict:
+    """i_X in the first index group of a dict with increasing keys."""
+    out: dict = {}
+    for (I, J), v in a.items():
+        for pos, axis in enumerate(I):
+            key = (I[:pos] + I[pos + 1:], J)
+            out[key] = out.get(key, 0) + (-1) ** pos * x[axis] * v
+    return out
+
+
+def transpose_dict(a: dict) -> dict:
+    return {(J, I): v for (I, J), v in a.items()}
+
+
+def naive_hodge_dict(a: dict, d: int) -> dict:
+    """Hodge dual in the first index group: theta^I -> +-theta^(I^c)."""
+    out: dict = {}
+    for (I, J), v in a.items():
+        comp = tuple(x for x in range(d) if x not in I)
+        out[(comp, J)] = bubble_parity(I + comp) * v
+    return out
+
+
+def naive_bianchi_sum_dict(a: dict) -> dict:
+    """b psi = sum_i theta^i wedge i^V_{E_i} psi on a dict."""
+    out: dict = {}
+    for (I, J), v in a.items():
+        for pos, axis in enumerate(J):
+            sign = bubble_parity((axis,) + I)
+            if sign:
+                key = (tuple(sorted((axis,) + I)), J[:pos] + J[pos + 1:])
+                out[key] = out.get(key, 0) + sign * (-1) ** pos * v
+    return out
+
+
+def naive_restrict_dict(a: dict, drop_axis: int) -> dict:
+    """Drop every term that involves ``drop_axis``; relabel the rest."""
+    def relabel(I):
+        return tuple(x - (x > drop_axis) for x in I)
+    return {(relabel(I), relabel(J)): v for (I, J), v in a.items()
+            if drop_axis not in I + J}
+
+
 def covector_to_dict(a) -> dict:
+    """{(I, J): coeff} of the nonzero coefficients, Fractions kept exact."""
     subs_k = list(combinations(range(a.dim), a.k))
     subs_m = list(combinations(range(a.dim), a.m))
     out = {}
@@ -72,7 +116,7 @@ def covector_to_dict(a) -> dict:
         for j, J in enumerate(subs_m):
             v = a.coeffs[i, j]
             if v != 0:
-                out[(I, J)] = float(v)
+                out[(I, J)] = v
     return out
 
 

@@ -144,7 +144,7 @@ def test_criterion_03_curvature_identities():
             ein_f = sym_to_frame(ein, frame)
             g_alg = alg.metric_covector(d)
             for i in range(len(pts)):
-                rm = rm_covector(riem, frame, i)
+                rm = rm_covector(riem[i], frame[i])
                 scale = max(1.0, rm.norm_inf())
                 worst["bianchi"] = max(worst["bianchi"],
                                        alg.bianchi_sum(rm).norm_inf() / scale)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bianchi_lab.algebra import (
     FrameVector,
     KmCovector,
+    _require_bianchi,
     basis_covector,
     bianchi_dim,
     bianchi_sum,
@@ -18,10 +19,12 @@ from bianchi_lab.algebra import (
     interior,
     metric_covector,
     op_c,
+    op_c_inverse,
     op_e,
     project_bianchi,
     random_bianchi,
     random_covector,
+    restrict_covector,
     schouten_weyl_split,
     star_star_v,
     sym_matrix_covector,
@@ -29,13 +32,25 @@ from bianchi_lab.algebra import (
     transpose,
     wedge,
 )
+from bianchi_lab.charts import (
+    chart_geometry,
+    make_chart,
+    orthonormal_frame,
+    rm_covector,
+    sample_points,
+)
 
 from oracles import (
     bubble_parity,
     covector_to_dict,
     dict_allclose,
+    naive_bianchi_sum_dict,
+    naive_hodge_dict,
+    naive_interior_dict,
+    naive_restrict_dict,
     naive_wedge_dict,
     trace_oracle,
+    transpose_dict,
 )
 
 
@@ -400,3 +415,199 @@ def test_rational_wedge_associativity_exact():
     right = wedge(a, wedge(b, c))
     assert (left - right).norm_inf() == 0
     assert left.rational
+
+
+# ---------------------------------------------------------------------------
+# batch axes: a stacked batch equals the operation point by point
+
+BATCH = (2, 3)
+
+
+def stacked(covs, batch=BATCH):
+    """One batched covector from a list of unbatched ones."""
+    c = covs[0]
+    coeffs = np.stack([a.coeffs for a in covs])
+    return KmCovector(c.dim, c.k, c.m, coeffs.reshape(batch + c.coeffs.shape))
+
+
+def point(a, idx):
+    return KmCovector(a.dim, a.k, a.m, a.coeffs[idx])
+
+
+def random_rational(r, d, k, m):
+    num = r.integers(-9, 10, size=(comb(d, k), comb(d, m)))
+    return KmCovector(d, k, m, np.array(
+        [[Fraction(int(v), 4) for v in row] for row in num], dtype=object))
+
+
+def unary_ops(d):
+    """name -> (input bidegree, operation), every output a covector."""
+    def normal(a):
+        return FrameVector.basis(d, d - 1, a.rational)
+
+    return {
+        "transpose": ((2, 1), transpose),
+        "interior-first": ((2, 2), lambda a: interior(normal(a), a, "first")),
+        "interior-second": ((2, 2),
+                            lambda a: interior(normal(a), a, "second")),
+        "hodge-first": ((2, 1), lambda a: hodge(a, "first")),
+        "hodge-second": ((1, 2), lambda a: hodge(a, "second")),
+        "star-star": ((2, 2), star_star_v),
+        "trace": ((2, 2), trace),
+        "trace-twice": ((2, 2), lambda a: trace(a, times=2)),
+        "bianchi-sum": ((2, 2), bianchi_sum),
+        "op-e": ((2, 2), op_e),
+        "op-c": ((1, 1), op_c),
+        "op-c-inverse": ((1, 1), op_c_inverse),
+        "restrict": ((2, 1), lambda a: restrict_covector(a, 1)),
+        "wedge-metric": ((2, 2), lambda a: wedge(metric_covector(
+            d, a.rational), a)),
+        "schouten": ((2, 2), lambda a: schouten_weyl_split(a)[0]),
+        "weyl": ((2, 2), lambda a: schouten_weyl_split(a)[1]),
+    }
+
+
+BACKENDS = [(False, 3), (False, 4), (False, 5), (False, 6), (True, 4)]
+
+
+def assert_batch_matches_points(batched, per_point, exact):
+    """``per_point`` lists the unbatched results in ``np.ndindex`` order."""
+    for idx, want in zip(np.ndindex(BATCH), per_point):
+        got = point(batched, idx)
+        assert (got.dim, got.k, got.m) == (want.dim, want.k, want.m)
+        if exact:
+            assert all(isinstance(v, Fraction) for v in got.coeffs.flat)
+            assert (got - want).norm_inf() == 0
+        else:
+            assert (got - want).norm_inf() <= 1e-13 * max(1.0, want.norm_inf())
+
+
+def batch_inputs(r, d, k, m, rational):
+    n = int(np.prod(BATCH))
+    if (k, m) in ((1, 1), (2, 2)):
+        return [random_bianchi(r, d, k, m, rational) for _ in range(n)]
+    make = random_rational if rational else random_covector
+    return [make(r, d, k, m) for _ in range(n)]
+
+
+@pytest.mark.parametrize("rational,d", BACKENDS)
+@pytest.mark.parametrize("name", list(unary_ops(4)))
+def test_unary_op_on_batch_matches_points(name, rational, d):
+    (k, m), op = unary_ops(d)[name]
+    covs = batch_inputs(rng(100 + d), d, k, m, rational)
+    assert_batch_matches_points(op(stacked(covs)), [op(a) for a in covs],
+                                exact=rational)
+
+
+@pytest.mark.parametrize("rational,d", BACKENDS)
+def test_binary_ops_on_batch_match_points(rational, d):
+    r = rng(300 + d)
+    a = batch_inputs(r, d, 2, 1, rational)
+    b = batch_inputs(r, d, 1, 1, rational)
+    x = r.integers(-3, 4, size=BATCH + (d,))
+    if rational:
+        x = np.array(x.tolist(), dtype=object) * Fraction(1, 2)
+    X = FrameVector(d, x)
+    frames = [FrameVector(d, x[idx]) for idx in np.ndindex(BATCH)]
+    for op in (wedge, lambda p, q: wedge(q, p)):
+        assert_batch_matches_points(op(stacked(a), stacked(b)),
+                                    [op(p, q) for p, q in zip(a, b)],
+                                    exact=rational)
+    for slot in ("first", "second"):
+        assert_batch_matches_points(interior(X, stacked(a), slot),
+                                    [interior(Xp, p, slot)
+                                     for Xp, p in zip(frames, a)],
+                                    exact=rational)
+    # an unbatched factor broadcasts against the batch
+    assert_batch_matches_points(wedge(stacked(a), b[0]),
+                                [wedge(p, b[0]) for p in a], exact=rational)
+
+
+def test_norms_scalars_and_residuals_per_point():
+    r = rng(400)
+    d = 4
+    psi = [random_bianchi(r, d, 2, 2) for _ in range(6)]
+    sig = [random_bianchi(r, d, 1, 1) for _ in range(6)]
+    big_psi, big_sig = stacked(psi), stacked(sig)
+    norms = big_psi.norm_inf()
+    assert norms.shape == BATCH and isinstance(psi[0].norm_inf(), float)
+    tt = trace(big_psi, times=2).scalar()
+    r1, r2 = duality_residuals(big_psi, big_sig)
+    assert r1.shape == r2.shape == BATCH
+    for idx, p, s in zip(np.ndindex(BATCH), psi, sig):
+        assert norms[idx] == p.norm_inf()
+        assert abs(tt[idx] - trace(p, times=2).scalar()) <= 1e-13 * norms[idx]
+        q1, q2 = duality_residuals(p, s)
+        scale = max(p.norm_inf(), s.norm_inf(), 1.0)
+        assert r1[idx] <= 1e-12 * scale and abs(r1[idx] - q1) <= 1e-13 * scale
+        assert r2[idx] <= 1e-12 * scale and abs(r2[idx] - q2) <= 1e-13 * scale
+    scaled = big_sig * np.arange(6.0).reshape(BATCH)
+    for idx, s in zip(np.ndindex(BATCH), sig):
+        expect = s * float(np.ravel_multi_index(idx, BATCH))
+        assert (point(scaled, idx) - expect).norm_inf() == 0
+
+
+def test_projection_on_batch_matches_points():
+    r = rng(401)
+    covs = [random_covector(r, 5, 2, 2) for _ in range(6)]
+    assert_batch_matches_points(project_bianchi(stacked(covs)),
+                                [project_bianchi(a) for a in covs],
+                                exact=False)
+
+
+def test_require_bianchi_checks_each_point_against_its_own_scale():
+    r = rng(402)
+    d = 4
+    covs = [1e6 * random_bianchi(r, d, 2, 2) for _ in range(6)]
+    small = random_bianchi(r, d, 2, 2)
+    small = small * (1.0 / small.norm_inf())
+    bad = small + 1e-6 * random_covector(r, d, 2, 2)
+    assert bianchi_sum(bad).norm_inf() > 1e-9 * max(1.0, bad.norm_inf())
+    covs[4] = bad
+    batch = stacked(covs)
+    # against the largest scale in the batch the bad point would pass
+    assert bianchi_sum(batch).norm_inf().max() <= 1e-9 * batch.norm_inf().max()
+    with pytest.raises(ValueError):
+        _require_bianchi(batch, 1e-9, "batch")
+    with pytest.raises(ValueError):
+        schouten_weyl_split(batch)
+    covs[4] = small
+    _require_bianchi(stacked(covs), 1e-9, "batch")
+
+
+@pytest.mark.parametrize("rational,d", BACKENDS)
+def test_table_operations_against_dict_oracles(rational, d):
+    r = rng(500 + d)
+    make = random_rational if rational else random_covector
+    x = r.standard_normal(d)
+    if rational:
+        x = np.array([Fraction(int(v), 3) for v in r.integers(-5, 6, d)],
+                     dtype=object)
+    X = FrameVector(d, x)
+    for k, m in [(1, 1), (2, 1), (2, 2), (1, 3)]:
+        a = make(r, d, k, m)
+        ad = covector_to_dict(a)
+        pairs = [
+            (interior(X, a, "first"), naive_interior_dict(x, ad)),
+            (interior(X, a, "second"),
+             transpose_dict(naive_interior_dict(x, transpose_dict(ad)))),
+            (hodge(a, "first"), naive_hodge_dict(ad, d)),
+            (bianchi_sum(a), naive_bianchi_sum_dict(ad)),
+            (restrict_covector(a, 1), naive_restrict_dict(ad, 1)),
+        ]
+        for got, want in pairs:
+            assert dict_allclose(covector_to_dict(got), want,
+                                 0 if rational else 1e-12)
+
+
+def test_rm_covector_on_batch_matches_points():
+    for d in (3, 4, 5):
+        chart = make_chart("curved_generic", d, seed=11)
+        pts = sample_points(chart, 6, rng(403)).reshape(BATCH + (d,))
+        geom = chart_geometry(chart, pts, order=2)
+        riem = geom.riem.value
+        frame = orthonormal_frame(geom.g.value)
+        assert_batch_matches_points(
+            rm_covector(riem, frame),
+            [rm_covector(riem[idx], frame[idx]) for idx in np.ndindex(BATCH)],
+            exact=False)

@@ -3,7 +3,6 @@ import pytest
 
 from bianchi_lab.boundary import (
     CollarChart,
-    boundary_frame_at,
     boundary_state,
     collar_metric_jets,
     combine_constraint_residuals,
@@ -48,7 +47,8 @@ CONSTS = constraint_constants()
 def test_slab_boundary_is_totally_geodesic_both_faces():
     chart = make_chart("flat_slab_periodic", 3)
     for face in (0, 1):
-        fr = boundary_frame_at(CollarChart(chart, face), lateral_points(3, 4, 1))
+        fr = boundary_state(CollarChart(chart, face),
+                            lateral_points(3, 4, 1)).frame
         assert np.abs(fr.second_ff).max() <= 1e-12
         assert np.abs(fr.mean_curv).max() <= 1e-12
         assert np.abs(fr.normal_deriv_a).max() <= 1e-12
@@ -61,7 +61,7 @@ def test_polar_ball_shape_operator_closed_forms():
         R = 2.0
         chart = make_chart("polar_ball", d, radius=R)
         y = lateral_points(d, 3, 2, lo=0.9, hi=1.1)
-        fr = boundary_frame_at(CollarChart(chart), y)
+        fr = boundary_state(CollarChart(chart), y).frame
         assert np.abs(fr.second_ff + fr.induced_metric / R).max() <= 1e-10
         assert np.abs(fr.mean_curv + (d - 1) / R).max() <= 1e-10
         assert np.abs(fr.normal_deriv_a + fr.induced_metric / R ** 2).max() <= 1e-10
@@ -71,7 +71,7 @@ def test_second_ff_matches_normal_flow_oracle():
     chart = make_chart("conformal_bump", 3, amp=0.1)
     collar = CollarChart(chart)
     y = lateral_points(3, 3, 3)
-    fr = boundary_frame_at(collar, y)
+    fr = boundary_state(collar, y).frame
 
     def metric_fn(p):
         return tensor_values(chart.metric_jets(p, 0))
@@ -86,7 +86,7 @@ def test_boundary_invariants_curved():
     for preset, kw in [("conformal_bump", {"amp": 0.12}),
                        ("curved_generic", {"seed": 5})]:
         chart = make_chart(preset, 4, **kw)
-        fr = boundary_frame_at(CollarChart(chart), lateral_points(4, 4, 4))
+        fr = boundary_state(CollarChart(chart), lateral_points(4, 4, 4)).frame
         assert fr.normal_defect <= 1e-11
         assert np.abs(fr.second_ff - np.swapaxes(fr.second_ff, -1, -2)).max() \
             <= 1e-12
@@ -238,7 +238,8 @@ def test_upper_face_mirrors_lower_face_on_curved_chart():
     y = lateral_points(d, 3, 14)
     sig_lo, sig_up = mirrored_sym_field(d, False), mirrored_sym_field(d, True)
 
-    fr_lo, fr_up = boundary_frame_at(lower, y), boundary_frame_at(upper, y)
+    fr_lo = boundary_state(lower, y).frame
+    fr_up = boundary_state(upper, y).frame
     for name in ("second_ff", "mean_curv", "normal_deriv_a"):
         lo, up = getattr(fr_lo, name), getattr(fr_up, name)
         assert np.abs(lo).max() > 1e-2

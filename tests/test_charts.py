@@ -15,8 +15,6 @@ from bianchi_lab.charts import (
     bianchi_b,
     bianchi_b_inverse,
     chart_geometry,
-    christoffel_at,
-    curvature_at,
     dewitt_inner,
     divergence,
     geometry_from_jets,
@@ -93,14 +91,15 @@ def test_out_of_domain_rejected():
 
 def test_flat_christoffel_zero():
     chart = make_chart("flat_slab_periodic", 3)
-    gam = christoffel_at(chart, sample_points(chart, 5, rng(1)))
+    gam = chart_geometry(chart, sample_points(chart, 5, rng(1)), order=2,
+                         curvature=False).gamma.value
     assert np.allclose(gam, 0.0, atol=1e-14)
 
 
 def test_polar_ball_christoffel_closed_form_and_fd():
     chart = make_chart("polar_ball", 3, radius=2.0)
     pts = sample_points(chart, 4, rng(2))
-    gam = christoffel_at(chart, pts)
+    gam = chart_geometry(chart, pts, order=2, curvature=False).gamma.value
     r = 2.0 - pts[:, 2]
     # axes are (theta, phi, u) with u = R - r, so Gamma^u_{theta theta} = r
     assert np.allclose(gam[:, 2, 0, 0], r, atol=1e-12)
@@ -110,7 +109,8 @@ def test_polar_ball_christoffel_closed_form_and_fd():
 
 def test_christoffel_symmetric_lower_indices():
     chart = make_chart("curved_generic", 3, seed=5)
-    gam = christoffel_at(chart, sample_points(chart, 6, rng(5)))
+    gam = chart_geometry(chart, sample_points(chart, 6, rng(5)), order=2,
+                         curvature=False).gamma.value
     assert np.allclose(gam, np.swapaxes(gam, 2, 3), atol=1e-14)
 
 
@@ -122,10 +122,10 @@ def test_flat_presets_have_zero_curvature():
     for preset in ("flat_cartesian", "flat_slab_periodic", "polar_ball"):
         chart = make_chart(preset, 3)
         pts = sample_points(chart, 4, rng(6))
-        _, riem, ric, sc, ein, _ = curvature_at(chart, pts)
-        assert np.max(np.abs(riem)) <= 1e-12
-        assert np.max(np.abs(ric)) <= 1e-12
-        assert np.max(np.abs(ein)) <= 1e-12
+        geom = chart_geometry(chart, pts, order=4)
+        assert np.max(np.abs(geom.riem.value)) <= 1e-12
+        assert np.max(np.abs(geom.ric.value)) <= 1e-12
+        assert np.max(np.abs(geom.ein.value)) <= 1e-12
 
 
 def sphere_geometry(radius, x, order=4):
@@ -146,7 +146,7 @@ def test_round_sphere_scalar_curvature_positive():
 def test_ricci_against_fd_oracle_on_curved_chart():
     chart = make_chart("conformal_bump", 3, amp=0.1)
     pts = sample_points(chart, 3, rng(7))
-    _, _, ric, _, _, _ = curvature_at(chart, pts)
+    ric = chart_geometry(chart, pts, order=4).ric.value
     for i, p in enumerate(pts):
         oracle = fd_ricci(metric_value_fn(chart), p)
         assert np.allclose(ric[i], oracle, atol=2e-4)
@@ -155,9 +155,11 @@ def test_ricci_against_fd_oracle_on_curved_chart():
 def test_curvature_identities_conformal_bump():
     chart = make_chart("conformal_bump", 3, amp=0.1)
     pts = sample_points(chart, 25, rng(8))
-    _, riem, ric, sc, ein, frame = curvature_at(chart, pts)
+    geom = chart_geometry(chart, pts, order=4)
+    riem, ric, ein = geom.riem.value, geom.ric.value, geom.ein.value
+    frame = orthonormal_frame(geom.g.value)
     for i in range(len(pts)):
-        rm = rm_covector(riem, frame, i)
+        rm = rm_covector(riem[i], frame[i])
         scale = max(1.0, rm.norm_inf())
         assert bianchi_sum(rm).norm_inf() <= 1e-9 * scale
         ein_f = sym_to_frame(ein, frame)[i]
@@ -171,10 +173,12 @@ def test_curvature_identities_conformal_bump():
 def test_weyl_pipeline_d4():
     chart = make_chart("curved_generic", 4, seed=3)
     pts = sample_points(chart, 10, rng(9))
-    _, riem, ric, sc, ein, frame = curvature_at(chart, pts)
+    geom = chart_geometry(chart, pts, order=4)
+    riem, ein = geom.riem.value, geom.ein.value
+    frame = orthonormal_frame(geom.g.value)
     g4 = metric_covector(4)
     for i in range(len(pts)):
-        rm = rm_covector(riem, frame, i)
+        rm = rm_covector(riem[i], frame[i])
         p, weyl = schouten_weyl_split(rm, tol=1e-7)
         scale = max(1.0, rm.norm_inf())
         recon = -1.0 * wedge(g4, p) + weyl

@@ -2,8 +2,9 @@
 problem on the flat periodic slab.
 
 Every discrete operator is assembled from one shared family of
-first-derivative matrices {P_k} (periodic central stencils laterally;
-central with third-order one-sided end rows on the collar axis).  The
+first-derivative matrices {P_k} and face rows E (``_stencils``: periodic
+central stencils laterally; central with third-order one-sided end rows
+on the collar axis).  The
 family commutes, so flat-background polynomial operator identities -- the
 gauged divergence of the interior operator vanishing, and the interior
 operator annihilating Killing deformations -- hold exactly at the matrix
@@ -99,6 +100,19 @@ def _face_operator(op1d: sp.spmatrix, n: int, d: int):
     return sp.kron(sp.identity(n ** (d - 1)), op1d, format="csr")
 
 
+def _stencils(n: int, d: int, closed_torus: bool = False):
+    """(P, E_faces) on the full n^d grid: the derivative family P_k
+    (periodic laterally, and on the collar axis too on the closed torus)
+    and the face rows of both faces, none on the closed torus."""
+    h = 1.0 / n
+    P = [_axis_operator(_first_derivative_1d(n, h, k < d - 1 or closed_torus),
+                        k, n, d) for k in range(d)]
+    E_faces = [] if closed_torus else [
+        _face_operator(_face_extrapolation_1d(n, face), n, d)
+        for face in (0, 1)]
+    return P, E_faces
+
+
 def slab_nodes(n: int, d: int) -> np.ndarray:
     axes = [(np.arange(n) + 0.5) / n] * d
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -107,6 +121,14 @@ def slab_nodes(n: int, d: int) -> np.ndarray:
 
 def _sym_pairs(d: int):
     return [(i, j) for i in range(d) for j in range(i, d)]
+
+
+def _component_table(d: int) -> np.ndarray:
+    """(d, d) table of the stacked component of sigma_ij = sigma_ji."""
+    table = np.empty((d, d), dtype=int)
+    for c, (i, j) in enumerate(_sym_pairs(d)):
+        table[i, j] = table[j, i] = c
+    return table
 
 
 def vec_components(values: np.ndarray, pairs) -> np.ndarray:
@@ -139,14 +161,6 @@ class DiscreteSystem:
     weights: tuple            # (interior, gauge, boundary) row weights
     matrix: sp.csr_matrix     # weighted stack
 
-    @property
-    def n_unknowns(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def node_count(self) -> int:
-        return self.n ** self.dim
-
     def rhs_from_einstein_block(self, t_vec: np.ndarray) -> np.ndarray:
         b = np.zeros(self.matrix.shape[0])
         b[: self.einstein.shape[0]] = self.weights[0] * t_vec
@@ -174,13 +188,6 @@ def _summed_blocks(nc: int, terms) -> list:
     return blocks
 
 
-def _interior_operators(n: int, d: int):
-    h = 1.0 / n
-    P = [_axis_operator(_first_derivative_1d(n, h, periodic=(k < d - 1)),
-                        k, n, d) for k in range(d)]
-    return P
-
-
 def _interior_from_P(P, d: int, N: int):
     """DEin and the gauge operator delta B from a commuting P family.
 
@@ -189,11 +196,9 @@ def _interior_from_P(P, d: int, N: int):
     """
     pairs = _sym_pairs(d)
     nc = len(pairs)
+    sym = _component_table(d)
     I = sp.identity(N, format="csr")
     lap = sum(Pk @ Pk for Pk in P)
-
-    def sym_index(i, j):
-        return pairs.index((min(i, j), max(i, j)))
 
     # B as a pointwise block matrix on components
     bmatrix = np.zeros((nc, nc))
@@ -201,12 +206,12 @@ def _interior_from_P(P, d: int, N: int):
         bmatrix[ci, ci] += 1.0
         if i == j:
             for k in range(d):
-                bmatrix[ci, sym_index(k, k)] -= 0.5
+                bmatrix[ci, sym[k, k]] -= 0.5
     B = sp.bmat([[bmatrix[ci, cj] * I if bmatrix[ci, cj] else None
                   for cj in range(nc)] for ci in range(nc)], format="csr")
 
     # divergence: (div sigma)_j = -sum_i P_i sigma_ij
-    DIV = sp.bmat([_summed_blocks(nc, [(sym_index(i, j), -P[i])
+    DIV = sp.bmat([_summed_blocks(nc, [(sym[i, j], -P[i])
                                        for i in range(d)])
                    for j in range(d)], format="csr")
 
@@ -227,11 +232,6 @@ def _interior_from_P(P, d: int, N: int):
     return EIN, GAUGE, B, DIV, DSTAR
 
 
-def _build_einstein_gauge(n: int, d: int):
-    P = _interior_operators(n, d)
-    return (P,) + _interior_from_P(P, d, n ** d)
-
-
 def _boundary_from_P(P, E_faces, d: int, N: int, NF: int):
     """Rows for the pullback, the linearized second fundamental form and
     its normal derivative, on both faces (exact flat-slab forms), then
@@ -242,16 +242,12 @@ def _boundary_from_P(P, E_faces, d: int, N: int, NF: int):
     dx_a . dx_d and dx_d^2 that move a face by an isometry (see
     DECISIONS.md, "slab kernel").
     """
-    pairs = _sym_pairs(d)
-    nc = len(pairs)
-
-    def sym_index(i, j):
-        return pairs.index((min(i, j), max(i, j)))
-
+    sym = _component_table(d)
+    nc = len(_sym_pairs(d))
     rows = []
 
     def row(*terms):
-        blocks = _summed_blocks(nc, [(sym_index(i, j), t)
+        blocks = _summed_blocks(nc, [(sym[i, j], t)
                                      for (i, j), t in terms])
         rows.append(sp.hstack([b if b is not None else sp.csr_matrix((NF, N))
                                for b in blocks], format="csr"))
@@ -304,20 +300,15 @@ def _boundary_rows(d: int, NF: int, families) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _build_boundary(n: int, d: int, P):
-    E_faces = [_face_operator(_face_extrapolation_1d(n, face), n, d)
-               for face in (0, 1)]
-    return _boundary_from_P(P, E_faces, d, n ** d, n ** (d - 1))
-
-
 def assemble(n: int, chart: MetricChart, weights=None) -> DiscreteSystem:
     """Assemble the slab system; rejects non-Ricci-flat presets."""
     if chart.preset != "flat_slab_periodic":
         raise ValueError("the discrete problem is posed on the flat periodic "
                          "slab; other presets would need lifted operators")
     d = chart.dim
-    P, EIN, GAUGE, _, _, _ = _build_einstein_gauge(n, d)
-    BND = _build_boundary(n, d, P)
+    P, E_faces = _stencils(n, d)
+    EIN, GAUGE = _interior_from_P(P, d, n ** d)[:2]
+    BND = _boundary_from_P(P, E_faces, d, n ** d, n ** (d - 1))
     h = 1.0 / n
     if weights is None:
         # boundary rows carry h^(-1/2) so the L^2(M)-vs-L^2(boundary)
@@ -339,7 +330,7 @@ class SourceSpec:
     kind: str
     values: np.ndarray          # stacked component vector
     div_rel: float              # |delta_h T| / |T|
-    boundary_rel: float         # face-extrapolated |T| / |T|
+    boundary_rel: float         # face-extrapolated |T|, both faces, / |T|
     potential: np.ndarray | None = None
 
 
@@ -356,12 +347,11 @@ def _normal_profile(n: int, lo: int, hi: int) -> np.ndarray:
     return prof
 
 
-def _double_curl_source(n: int, d: int, rng, normal_support) -> np.ndarray:
+def _double_curl_source(P, n: int, d: int, rng,
+                        normal_support) -> np.ndarray:
     """tau_ij = P_k P_l phi_{ikjl} from bivector-pair potentials: exactly
-    divergence-free under the shared stencils."""
-    P = _interior_operators(n, d)
+    divergence-free under the stencils P of ``_stencils``."""
     N = n ** d
-    pairs = _sym_pairs(d)
     x = slab_nodes(n, d)
     bivs = _bivector_basis(d)
     prof = normal_support(x[:, -1])
@@ -392,12 +382,11 @@ def make_source(n: int, chart: MetricChart, kind: str,
         raise ValueError("sources are built on the flat periodic slab")
     rng = np.random.default_rng(seed)
     pairs = _sym_pairs(d)
-    N = n ** d
     x = slab_nodes(n, d)
+    P, E_faces = _stencils(n, d)
+    EIN, _, _, DIV, _ = _interior_from_P(P, d, n ** d)
 
     if kind == "discrete-admissible":
-        sys_ops = _build_einstein_gauge(n, d)
-        P, EIN = sys_ops[0], sys_ops[1]
         # the potential must clear the reach of the boundary rows (layers
         # <= 4 and >= n-5) plus the two-layer spread of the double curl
         lo, hi = 7, n - 8
@@ -405,15 +394,13 @@ def make_source(n: int, chart: MetricChart, kind: str,
             raise ValueError("grid too coarse for an interior potential "
                              "(needs n >= 15)")
         tau = _double_curl_source(
-            n, d, rng, lambda xd: _normal_profile(n, lo, hi)[
+            P, n, d, rng, lambda xd: _normal_profile(n, lo, hi)[
                 np.clip((xd * n - 0.5).astype(int), 0, n - 1)])
         # mu = B^{-1} tau keeps the gauge rows exactly zero
         tr = np.einsum("nii->n", tau)
         mu = tau - tr[:, None, None] / (d - 2) * np.eye(d)
-        mu_vec = vec_components(mu, pairs)
-        t_vec = EIN @ mu_vec
-        values = t_vec
-        potential = mu_vec
+        potential = vec_components(mu, pairs)
+        values = EIN @ potential
     elif kind == "continuum-admissible":
         tvals = dein_closed(chart, x, _continuum_potential(d, seed),
                             ricci_action(), order=2)
@@ -427,11 +414,11 @@ def make_source(n: int, chart: MetricChart, kind: str,
         values = vec_components(tvals, pairs)
         potential = None
     elif kind == "inadmissible-boundary":
-        tau = _double_curl_source(n, d, rng,
+        tau = _double_curl_source(P, n, d, rng,
                                   lambda xd: 1.0 + 0.5 * np.cos(np.pi * xd))
         values = vec_components(tau, pairs)
         # normalize so the face-center extrapolated magnitude is 1
-        bnorm = _face_value_norm(n, d, values, pairs)
+        bnorm = _face_max(E_faces, values)
         if bnorm < 1e-9:
             raise RuntimeError("boundary-violating source degenerated")
         values = values / bnorm
@@ -439,9 +426,11 @@ def make_source(n: int, chart: MetricChart, kind: str,
     else:
         raise ValueError(f"unknown source kind {kind!r}")
 
-    div_rel, bnd_rel = _source_diagnostics(n, d, values, pairs)
-    return SourceSpec(kind=kind, values=values, div_rel=div_rel,
-                      boundary_rel=bnd_rel, potential=potential)
+    scale = max(np.abs(values).max(), 1e-300)
+    return SourceSpec(kind=kind, values=values,
+                      div_rel=float(np.abs(DIV @ values).max() / scale),
+                      boundary_rel=_face_max(E_faces, values) / scale,
+                      potential=potential)
 
 
 def _continuum_potential(d: int, seed: int):
@@ -468,27 +457,13 @@ def _continuum_potential(d: int, seed: int):
     return Perturbation(fn, d, 3)
 
 
-def _face_value_norm(n, d, values, pairs):
-    E = _face_operator(_face_extrapolation_1d(n, 0), n, d)
-    N = n ** d
-    worst = 0.0
-    for c in range(len(pairs)):
-        worst = max(worst, float(np.abs(E @ values[c * N:(c + 1) * N]).max()))
-    return worst
-
-
-def _source_diagnostics(n, d, values, pairs):
-    P = _interior_operators(n, d)
-    N = n ** d
-    tmat = unvec_components(values, pairs, d)
-    div = np.zeros((N, d))
-    for j in range(d):
-        for i in range(d):
-            div[:, j] -= P[i] @ tmat[:, i, j]
-    scale = max(np.abs(values).max(), 1e-300)
-    div_rel = float(np.abs(div).max() / scale)
-    bnd_rel = float(_face_value_norm(n, d, values, pairs) / scale)
-    return div_rel, bnd_rel
+def _face_max(E_faces, values: np.ndarray) -> float:
+    """Largest face-extrapolated magnitude of a stacked component vector,
+    over every component and both faces of ``E_faces``."""
+    faces = sp.vstack(E_faces, format="csr")
+    nc = values.size // faces.shape[1]
+    return float(np.abs(sp.block_diag([faces] * nc, format="csr")
+                        @ values).max())
 
 
 # ---------------------------------------------------------------------------
@@ -535,20 +510,13 @@ def _h0_from_P(P, E_faces, d: int, N: int, bw: float):
     return DSTAR, sp.vstack(faces, format="csr") if faces else None
 
 
-def h0_operator(n: int, d: int, closed_torus: bool = False,
-                with_boundary: bool = True) -> sp.csr_matrix:
-    """The Killing operator with optional boundary-restriction rows.
+def h0_operator(n: int, d: int, closed_torus: bool = False) -> sp.csr_matrix:
+    """The Killing operator with the boundary-restriction rows of X.
 
     ``closed_torus`` makes the collar axis periodic and drops the faces.
     """
-    h = 1.0 / n
-    P = [_axis_operator(
-        _first_derivative_1d(n, h, periodic=(k < d - 1) or closed_torus),
-        k, n, d) for k in range(d)]
-    E_faces = ([_face_operator(_face_extrapolation_1d(n, face), n, d)
-                for face in (0, 1)]
-               if with_boundary and not closed_torus else [])
-    DSTAR, faces = _h0_from_P(P, E_faces, d, n ** d, h ** -0.5)
+    P, E_faces = _stencils(n, d, closed_torus)
+    DSTAR, faces = _h0_from_P(P, E_faces, d, n ** d, (1.0 / n) ** -0.5)
     return DSTAR if faces is None else sp.vstack([DSTAR, faces],
                                                  format="csr")
 
@@ -787,18 +755,13 @@ def lateral_block_svals(n: int, d: int, weights=None) -> dict:
                                   svals[:, -1].tolist()))}
 
 
-def _h0_polynomial(n: int, d: int, closed_torus: bool = False,
-                   with_boundary: bool = True) -> _Polynomial:
+def _h0_polynomial(n: int, d: int, closed_torus: bool = False
+                   ) -> _Polynomial:
     """``_block_polynomial`` of the H0 operator (see ``h0_operator``)."""
     bw = (1.0 / n) ** -0.5
-
-    def stack(P, E_faces, N, NF):
-        if not with_boundary:
-            E_faces = []
-        return _h0_from_P(P, E_faces, d, N, bw)
-
-    return _block_polynomial(n, d, stack, [(a,) for a in range(d)],
-                             closed_torus)
+    return _block_polynomial(
+        n, d, lambda P, E_faces, N, NF: _h0_from_P(P, E_faces, d, N, bw),
+        [(a,) for a in range(d)], closed_torus)
 
 
 def _h1_polynomial(n: int, d: int) -> _Polynomial:
@@ -812,12 +775,11 @@ def _h1_polynomial(n: int, d: int) -> _Polynomial:
                          row_parity=poly.row_parity[keep])
 
 
-def h0_spectrum(n: int, d: int, closed_torus: bool = False,
-                with_boundary: bool = True) -> np.ndarray:
+def h0_spectrum(n: int, d: int, closed_torus: bool = False) -> np.ndarray:
     """Exact spectrum of the H0 operator via lateral Fourier blocks (on the
     closed torus, Fourier modes in all d axes)."""
-    return np.sort(_block_svals(
-        _h0_polynomial(n, d, closed_torus, with_boundary), n).ravel())
+    return np.sort(_block_svals(_h0_polynomial(n, d, closed_torus),
+                                n).ravel())
 
 
 def h1_spectrum(n: int, d: int) -> np.ndarray:
@@ -919,15 +881,13 @@ def cohomology_probe(n: int, chart: MetricChart, closed_torus: bool = False,
     """
     d = chart.dim
     out = {}
-    spec0 = h0_spectrum(n, d, closed_torus=closed_torus,
-                        with_boundary=not closed_torus)
+    spec0 = h0_spectrum(n, d, closed_torus=closed_torus)
     tau0 = tau_factor * spec0[-1]
     out["dim_h0"] = int(np.sum(spec0 < tau0))
     out["tau_h0"] = float(tau0)
 
     # translation witnesses against the assembled operator
-    op0 = h0_operator(n, d, closed_torus=closed_torus,
-                      with_boundary=not closed_torus)
+    op0 = h0_operator(n, d, closed_torus=closed_torus)
     N = n ** d
     witness = []
     for i in range(d):

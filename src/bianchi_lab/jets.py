@@ -42,8 +42,9 @@ coefficients have closed forms: ``cos_coeffs``/``sin_coeffs`` for
 cos(w t + theta) and sin(w t + theta), ``poly_coeffs`` for a polynomial
 (a Taylor shift), and ``series_mul`` for the truncated product of two
 univariate series, such as sin^k(pi t) or t^k times a factor.  The test
-fields and the preset metrics are built this way; ``Jet.cos``/``sin``/
-``exp`` stay for compositions that are not separable.
+fields and the preset metrics are built this way.  ``Jet.exp`` and
+``Jet.reciprocal`` compose a jet with a smooth primitive where no
+separable form applies: the conformal metric factor and jet division.
 """
 
 from __future__ import annotations
@@ -368,14 +369,6 @@ class Jet:
 
     def exp(self) -> "Jet":
         return self._series(lambda v, k: np.exp(v) / factorial(k))
-
-    def sin(self) -> "Jet":
-        cycle = [np.sin, np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)]
-        return self._series(lambda v, k: cycle[k % 4](v) / factorial(k))
-
-    def cos(self) -> "Jet":
-        cycle = [np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v), np.sin]
-        return self._series(lambda v, k: cycle[k % 4](v) / factorial(k))
 
 
 def _rows(c: np.ndarray, rank: int, batch: tuple, K: int) -> np.ndarray:

@@ -13,17 +13,18 @@ products; and the object-array jet engine: the former geometry,
 boundary and linearization layers, which hold a tensor as an object
 ndarray of scalar ``Jet``s and sum every index by hand, reading only the
 library's scalar jet arithmetic and the ``Geometry`` record; the former
-test-field and metric builders, which compose ``Jet.cos``/``sin``/``exp``
-and multiply whole jets where the library forms separable jets; and
-``green_killing_integrals``, the former order-2 Killing adjunction, which
-reads the library's geometry operators.
+test-field and metric builders, which compose ``jet_cos``/``jet_sin``
+(the former ``Jet.cos``/``sin``, on the library's ``Jet._series``) and
+``Jet.exp`` and multiply whole jets where the library forms separable
+jets; and ``green_killing_integrals``, the former order-2 Killing
+adjunction, which reads the library's geometry operators.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from itertools import product as iproduct
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import scipy.sparse as sp
@@ -501,8 +502,7 @@ def h1_blocks_loop(n: int, d: int):
         yield kmodes, A.toarray()
 
 
-def h0_blocks_loop(n: int, d: int, closed_torus: bool = False,
-                   with_boundary: bool = True):
+def h0_blocks_loop(n: int, d: int, closed_torus: bool = False):
     """(kmodes, dense block) of the H0 stack, mode by mode (all d axes
     are lateral on the closed torus)."""
     h = 1.0 / n
@@ -519,7 +519,7 @@ def h0_blocks_loop(n: int, d: int, closed_torus: bool = False,
             P = [sp.identity(n, format="csr", dtype=complex) * s
                  for s in sym] + [Pd]
         rows = [dstar_from_P(P, d)]
-        if with_boundary and not closed_torus:
+        if not closed_torus:
             bw = h ** -0.5
             for E in E_faces:
                 rows.append(bw * sp.block_diag([E] * d, format="csr"))
@@ -1071,8 +1071,21 @@ def dein_closed_jets(geom: Geometry, sig: np.ndarray, action,
 
 # ---------------------------------------------------------------------------
 # jet-composition field and metric builders: the former library versions,
-# which compose Jet.cos/sin/exp and multiply full jets where the library
-# now forms separable jets from closed-form univariate coefficients
+# which compose jet_cos/jet_sin and Jet.exp and multiply full jets where
+# the library now forms separable jets from closed-form univariate
+# coefficients
+
+
+def jet_sin(j: Jet) -> Jet:
+    """sin of a jet, composed through ``Jet._series``."""
+    cycle = [np.sin, np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)]
+    return j._series(lambda v, k: cycle[k % 4](v) / factorial(k))
+
+
+def jet_cos(j: Jet) -> Jet:
+    """cos of a jet, composed through ``Jet._series``."""
+    cycle = [np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v), np.sin]
+    return j._series(lambda v, k: cycle[k % 4](v) / factorial(k))
 
 
 def trig_terms(x, order, coef, ks, ph, normal_vanish):
@@ -1081,9 +1094,10 @@ def trig_terms(x, order, coef, ks, ph, normal_vanish):
     xs = Jet.variables(x, order)
     term = Jet.const(len(xs), order, coef)
     for a, xa in enumerate(xs):
-        term = term * (xa[..., None] * (2 * np.pi * ks[:, a]) + ph[:, a]).cos()
+        term = term * jet_cos(xa[..., None] * (2 * np.pi * ks[:, a])
+                              + ph[:, a])
     if normal_vanish:
-        s = (xs[-1] * np.pi).sin()
+        s = jet_sin(xs[-1] * np.pi)
         for _ in range(normal_vanish):
             term = contract("i,->i", term, s)
     return term
@@ -1113,8 +1127,8 @@ def trig_poly_sym_field(dim: int, seed: int, boundary_order: int = 0,
         xs = Jet.variables(x, order)
         term = Jet.const(dim, order, coef)
         for a in range(dim - 1):
-            term = term * (xs[a][..., None] * (2 * np.pi * ks[:, a])
-                           + phases[:, a]).cos()
+            term = term * jet_cos(xs[a][..., None] * (2 * np.pi * ks[:, a])
+                                  + phases[:, a])
         term = term * (poly[:, 0] + 1.0 + xs[-1][..., None] * poly[:, 1])
         for _ in range(boundary_order):
             term = contract("i,->i", term, xs[-1])
@@ -1142,7 +1156,7 @@ def bump_sym_field(dim: int, seed: int, center=0.5, width=0.25,
         inside = np.abs(x[..., -1] - center) < width
         upper = coef[np.triu_indices(dim)]
         term = Jet.const(dim, order, upper)
-        term = contract("i,->i", term, (xs[0] * (2 * np.pi)).cos())
+        term = contract("i,->i", term, jet_cos(xs[0] * (2 * np.pi)))
         term = contract("i,->i", term, bump)
         term.c[...] = np.where(inside[..., None, None], term.c, 0.0)
         return sym_from_upper(term, dim)
@@ -1196,7 +1210,7 @@ def continuum_potential(d: int, seed: int):
         cut3 = (cut * cut) * cut  # vanishes to third order at both faces
         term = Jet.const(d, order, coef)
         for a in range(d - 1):
-            term = term * (xs[a][..., None] * (2 * np.pi * ks[:, a])).cos()
+            term = term * jet_cos(xs[a][..., None] * (2 * np.pi * ks[:, a]))
         return sym_from_upper(contract("i,->i", term, cut3), d)
 
     return Perturbation(fn, d, 3)
@@ -1205,14 +1219,14 @@ def continuum_potential(d: int, seed: int):
 def probe_vector_field(x, order):
     """The vector field of the linearization suite's equivariance case."""
     xs = Jet.variables(x, order)
-    return stack([(xs[1] * 2.0).sin() * 0.3, xs[2] * xs[0] * 0.2,
+    return stack([jet_sin(xs[1] * 2.0) * 0.3, xs[2] * xs[0] * 0.2,
                   0.1 * xs[0]])
 
 
 def lateral_wave(x, order):
     """The linearization suite's sigma = x_d^2 sin(2 pi x_1) dx_0^2."""
     xs = Jet.variables(x, order)
-    wave = xs[2] * xs[2] * (xs[1] * (2 * np.pi)).sin()
+    wave = xs[2] * xs[2] * jet_sin(xs[1] * (2 * np.pi))
     return wave[..., None, None] * np.diag([1.0, 0.0, 0.0])
 
 
@@ -1230,7 +1244,7 @@ def metric_polar_ball(chart, x, order: int):
     r = R - xs[-1]
     diag = [r * r]
     for i in range(d - 2):
-        s = xs[i].sin()
+        s = jet_sin(xs[i])
         diag.append(diag[-1] * (s * s))
     diag.append(Jet.const(d, order, np.ones(x.shape[:-1])))
     return stack(diag)[..., None] * np.eye(d)
@@ -1242,7 +1256,8 @@ def metric_conformal(chart, x, order: int):
     xs = Jet.variables(x, order)
     phi = Jet.const(d, order, np.full(x.shape[:-1], p["amp"]))
     for a in range(d - 1):
-        phi = phi * ((xs[a] - p["centers"][a]) * (2 * np.pi * p["freq"])).cos()
+        phi = phi * jet_cos((xs[a] - p["centers"][a])
+                            * (2 * np.pi * p["freq"]))
     prof = Jet.const(d, order, np.zeros(x.shape[:-1]))
     for k, ck in enumerate(p["profile"]):
         prof = prof + ck * xs[-1] ** k
@@ -1259,7 +1274,7 @@ def metric_curved_generic(chart, x, order: int):
     for coef, ks, phases, poly in modes:
         bump = Jet.const(d, order, np.ones(x.shape[:-1]))
         for a in range(d - 1):
-            bump = bump * (xs[a] * (2 * np.pi * ks[a]) + phases[a]).cos()
+            bump = bump * jet_cos(xs[a] * (2 * np.pi * ks[a]) + phases[a])
         prof = poly[0] + poly[1] * xs[-1] + poly[2] * xs[-1] ** 2
         bump = bump * prof
         g = g + bump[..., None, None] * np.array(coef)

@@ -26,7 +26,7 @@ from bianchi_lab.conventions import (
 from bianchi_lab.jets import Jet, stack
 from bianchi_lab.linearize import dboundary_data_fd
 
-from oracles import fd_second_fundamental_form
+from oracles import fd_second_fundamental_form, jet_cos
 
 
 def rng(seed=0):
@@ -162,7 +162,7 @@ def test_projections_vanishing_sigma_keeps_first_jet():
         out = [[None] * d for _ in range(d)]
         for i in range(d):
             for j in range(d):
-                out[i][j] = xs[-1] * ((1.0 + xs[0]).cos() + (i + j))
+                out[i][j] = xs[-1] * (jet_cos(1.0 + xs[0]) + (i + j))
         return out
 
     proj = projections_at(collar, y, sym_field_from_matrix_fn(d, entries))
@@ -219,7 +219,7 @@ def mirrored_sym_field(d, mirror):
         for i in range(d):
             for j in range(i, d):
                 mixed = mirror and (i == d - 1) != (j == d - 1)
-                lateral = (xs[0] * (2 * np.pi) + (i + j)).cos() * 0.3 \
+                lateral = jet_cos(xs[0] * (2 * np.pi) + (i + j)) * 0.3 \
                     + mat[i, j]
                 v = lateral * (s * s * 0.7 + s * 0.5 + 1.0)
                 out[i][j] = out[j][i] = -v if mixed else v

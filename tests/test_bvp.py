@@ -4,7 +4,9 @@ import pytest
 from bianchi_lab.boundary import CollarChart
 from bianchi_lab.bvp import (
     DiscreteSystem,
-    _build_einstein_gauge,
+    _face_max,
+    _interior_from_P,
+    _stencils,
     assemble,
     cohomology_probe,
     deflated_gap,
@@ -76,7 +78,8 @@ def test_constant_field_annihilated_by_interior_rows():
 def test_flat_operator_identities_hold_exactly():
     # the gauged divergence of the interior operator and the interior
     # operator on Killing deformations vanish at the matrix level
-    P, EIN, GAUGE, B, DIV, DSTAR = _build_einstein_gauge(8, 3)
+    P = _stencils(8, 3)[0]
+    EIN, _, _, DIV, DSTAR = _interior_from_P(P, 3, 8 ** 3)
     comp1 = DIV @ EIN
     comp2 = EIN @ DSTAR
     scale = max(np.abs(EIN.data).max(), 1.0)
@@ -212,6 +215,23 @@ def test_source_diagnostics_by_kind():
         make_source(n, CHART, "bogus")
 
 
+def test_boundary_rel_reads_both_faces():
+    # this source reads about 1.0 on the lower face and 0.33 on the upper;
+    # reflecting the collar axis swaps the faces and keeps boundary_rel
+    n = 8
+    src = make_source(n, CHART, "inadmissible-boundary", seed=2)
+    E_faces = _stencils(n, 3)[1]
+    reflected = src.values.reshape(-1, n)[:, ::-1].ravel()
+    lower, upper = (_face_max([E], src.values) for E in E_faces)
+    assert lower > 2 * upper
+    assert _face_max([E_faces[1]], reflected) == pytest.approx(lower,
+                                                                rel=1e-14)
+    scale = np.abs(src.values).max()
+    assert src.boundary_rel * scale == pytest.approx(lower, rel=1e-14)
+    assert _face_max(E_faces, reflected) / scale == pytest.approx(
+        src.boundary_rel, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # solves
 
@@ -344,7 +364,7 @@ def test_killing_candidates_stay_away_from_kernel():
     # X vanishing on both faces
     cut = np.sin(np.pi * x[:, 2]) ** 2
     N = n ** 3
-    _, _, _, _, _, DSTAR = _build_einstein_gauge(n, 3)
+    DSTAR = _interior_from_P(_stencils(n, 3)[0], 3, N)[4]
     rng = np.random.default_rng(7)
     for _ in range(5):
         X = np.concatenate([cut * np.cos(2 * np.pi * x[:, 0] + rng.uniform())
@@ -356,7 +376,7 @@ def test_killing_candidates_stay_away_from_kernel():
 
 def test_rank_deficient_toy_system():
     # interior rows only: every Killing deformation is exact kernel
-    _, EIN, _, _, _, _ = _build_einstein_gauge(8, 3)
+    EIN = _interior_from_P(_stencils(8, 3)[0], 3, 8 ** 3)[0]
     est = kernel_probe(EIN.tocsr())
     assert est <= 1e-8
 

@@ -32,7 +32,7 @@ from bianchi_lab.charts import (
 )
 from bianchi_lab.jets import Jet, contract, stack
 
-from oracles import fd_christoffel, fd_ricci
+from oracles import fd_christoffel, fd_ricci, jet_sin
 
 
 def rng(seed=0):
@@ -131,7 +131,7 @@ def test_flat_presets_have_zero_curvature():
 def sphere_geometry(radius, x, order=4):
     """Round 2-sphere of given radius in colatitude/longitude coordinates."""
     th, ph = Jet.variables(x, order)
-    s = th.sin()
+    s = jet_sin(th)
     diag = stack([Jet.const(2, order, np.full(np.shape(x)[:-1], radius ** 2)),
                   (radius ** 2) * s * s])
     return geometry_from_jets(diag[..., None] * np.eye(2))
@@ -233,7 +233,7 @@ def test_leibniz_rule():
     pts = sample_points(chart, 5, rng(13))
     geom = chart_geometry(chart, pts, order=3, curvature=False)
     xs = Jet.variables(pts, 3)
-    f = (xs[0] + 0.3 * xs[2]).sin() + 1.5
+    f = jet_sin(xs[0] + 0.3 * xs[2]) + 1.5
     sig = stack([stack([xs[i] * xs[j] + (1.0 if i == j else 0.0)
                         for j in range(3)]) for i in range(3)], axis=-2)
     fsig = contract(",ij->ij", f, sig)
@@ -305,7 +305,7 @@ def test_lie_derivative_identities_and_flow_oracle():
     xs = Jet.variables(pts, 3)
 
     def xfield(xjets):
-        return stack([(xjets[1] * 2.0).sin() * 0.5, xjets[2] * xjets[0],
+        return stack([jet_sin(xjets[1] * 2.0) * 0.5, xjets[2] * xjets[0],
                       0.2 + 0.1 * xjets[0]])
 
     X = xfield(xs)
@@ -324,8 +324,9 @@ def test_lie_derivative_identities_and_flow_oracle():
         return out
 
     def sig_jets(xjets):
-        return stack([stack([xjets[i].sin() * xjets[j] + (1.0 if i == j else 0.0)
-                             for j in range(3)]) for i in range(3)], axis=-2)
+        return stack([stack([jet_sin(xjets[i]) * xjets[j]
+                             + (1.0 if i == j else 0.0) for j in range(3)])
+                      for i in range(3)], axis=-2)
 
     lie = tensor_values(lie_derivative_sym2(X, sig_jets(xs)))
     t = 1e-4

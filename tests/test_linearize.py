@@ -30,6 +30,8 @@ from bianchi_lab.linearize import (
     trig_poly_sym_field,
 )
 
+from oracles import jet_cos, jet_sin
+
 ACTION = ricci_action()
 
 
@@ -204,7 +206,7 @@ def x_field(dim, seed):
         for i in range(dim):
             acc = Jet.const(dim, order, np.full(x.shape[:-1], 0.1 * i))
             for j in range(dim):
-                acc = acc + coef[i, j] * (xs[j] * 2.0).sin()
+                acc = acc + coef[i, j] * jet_sin(xs[j] * 2.0)
             X.append(acc)
         return stack(X)
 
@@ -304,8 +306,8 @@ def test_killing_fields_preserve_cauchy_data():
                                curvature=False)
         xs = Jet.variables(x, order + 1)
         cut = xs[2] * (1.0 - xs[2])
-        X = stack([cut * (xs[0] * 2.0).sin(), cut * xs[1] * 0.5,
-                   cut * ((xs[1] * 2.0).cos() + 0.3)])
+        X = stack([cut * jet_sin(xs[0] * 2.0), cut * xs[1] * 0.5,
+                   cut * (jet_cos(xs[1] * 2.0) + 0.3)])
         return killing(g, X).truncate(order)
 
     sig = Perturbation(killing_field, 3)
@@ -334,7 +336,7 @@ def test_normal_identities_order_two():
     # and feeds the tangential divergence; see the order-three case below
     def lateral_wave(x, order):
         xs = Jet.variables(x, order)
-        wave = xs[2] * xs[2] * (xs[1] * (2 * np.pi)).sin()
+        wave = xs[2] * xs[2] * jet_sin(xs[1] * (2 * np.pi))
         return wave[..., None, None] * np.diag([1.0, 0.0, 0.0])
 
     _, r2w, _ = normal_identity_residuals(collar, y,

@@ -17,6 +17,7 @@ from bianchi_lab.jets import (
     series_mul,
     sin_coeffs,
 )
+from oracles import jet_cos, jet_sin
 
 ORDERS = range(5)
 SHAPES = [(), (7,), (4, 3)]
@@ -28,14 +29,14 @@ def test_univariate_coefficients_match_jet_composition(order):
     (t,) = Jet.variables(t0[:, None], order)
     w, ph = 2.7, 0.9
     assert np.allclose(cos_coeffs(w, w * t0 + ph, order),
-                       (t * w + ph).cos().c, rtol=0, atol=1e-13)
+                       jet_cos(t * w + ph).c, rtol=0, atol=1e-13)
     assert np.allclose(sin_coeffs(w, w * t0 + ph, order),
-                       (t * w + ph).sin().c, rtol=0, atol=1e-13)
+                       jet_sin(t * w + ph).c, rtol=0, atol=1e-13)
     p = (0.5, -2.0, 0.0, 3.0, 1.5)
     ref = sum(ck * t ** k for k, ck in enumerate(p))
     assert np.allclose(poly_coeffs(t0, p, order), ref.c, rtol=0,
                        atol=1e-12 * np.abs(ref.c).max())
-    s = (t * np.pi).sin()
+    s = jet_sin(t * np.pi)
     su = sin_coeffs(np.pi, np.pi * t0, order)
     assert np.allclose(series_mul(su, su), (s * s).c, rtol=0, atol=1e-13)
 
@@ -45,7 +46,7 @@ def test_separable_absent_axis_is_the_factor_one():
     xs = Jet.variables(x, 3)
     got = separable(3, 3, {0: cos_coeffs(2.0, 2.0 * x[:, 0], 3),
                            2: poly_coeffs(x[:, 2], (1.0, 0.0, -2.0), 3)})
-    ref = (xs[0] * 2.0).cos() * (1.0 - 2.0 * xs[2] * xs[2])
+    ref = jet_cos(xs[0] * 2.0) * (1.0 - 2.0 * xs[2] * xs[2])
     assert np.allclose(got.c, ref.c, rtol=0, atol=1e-14)
 
 

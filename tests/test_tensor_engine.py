@@ -23,6 +23,7 @@ from bianchi_lab.charts import make_chart, sample_points
 from bianchi_lab.conventions import ricci_action
 from bianchi_lab.jets import Jet, stack
 from bianchi_lab.linearize import sample_connection, trig_poly_sym_field
+from oracles import jet_sin
 
 PRESETS = ("curved_generic", "conformal_bump", "polar_ball")
 GEOMETRY = ("g", "ginv", "gamma", "riem", "ric", "sc", "ein")
@@ -45,7 +46,7 @@ def _assert_matches(new: Jet, old, scale: float):
 
 def _vector_field(x, order):
     xs = Jet.variables(x, order)
-    return stack([(xs[1] * 2.0).sin() * 0.3, xs[-1] * xs[0] * 0.2]
+    return stack([jet_sin(xs[1] * 2.0) * 0.3, xs[-1] * xs[0] * 0.2]
                  + [0.1 * xs[a] for a in range(2, len(xs))])
 
 

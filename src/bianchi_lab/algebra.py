@@ -92,6 +92,18 @@ def _wedge_table(d: int, k1: int, k2: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _wedge_splits(d: int, k1: int, k2: int):
+    """The nonzero entries of ``_wedge_table`` grouped by output: arrays
+    (i1, i2, sign), each of shape (C(d, k1+k2), C(k1+k2, k1)), listing
+    every split theta^K = sign theta^I1 wedge theta^I2."""
+    W = _wedge_table(d, k1, k2)
+    out, i1, i2 = np.nonzero(W)  # C order: grouped by output
+    shape = (W.shape[0], comb(k1 + k2, k1))
+    return (i1.reshape(shape), i2.reshape(shape),
+            W[out, i1, i2].reshape(shape))
+
+
+@lru_cache(maxsize=None)
 def _interior_table(d: int, k: int) -> np.ndarray:
     """T[axis, out, in]: i_{e_axis} theta^I = sum_out T theta^out."""
     out_index = _subset_index(d, k - 1)
@@ -252,14 +264,14 @@ def _apply(M: np.ndarray, a: KmCovector, k: int, m: int) -> KmCovector:
 # constructors
 
 
-def basis_covector(d: int, I: tuple[int, ...], J: tuple[int, ...],
-                   rational: bool = False) -> KmCovector:
+def basis_covector(d: int, I: tuple[int, ...], J: tuple[int, ...]
+                   ) -> KmCovector:
     """(theta^I) tensor (theta^J) for increasing index tuples I, J."""
     I, J = tuple(I), tuple(J)
-    out = KmCovector.zero(d, len(I), len(J), rational)
+    out = KmCovector.zero(d, len(I), len(J))
     i = _subset_index(d, len(I))[I]
     j = _subset_index(d, len(J))[J]
-    out.coeffs[i, j] = Fraction(1) if rational else 1.0
+    out.coeffs[i, j] = 1.0
     return out
 
 
@@ -282,15 +294,19 @@ def sym_matrix_covector(mat: np.ndarray, rational: bool = False) -> KmCovector:
 
 def wedge(a: KmCovector, b: KmCovector) -> KmCovector:
     """Graded bilinear product acting on both index groups:
-    out = W_k (a outer b) W_m^T, the outer product flattened per group."""
+
+        out[K, M] = sum s t a[I1, J1] b[I2, J2]
+
+    over the splits theta^K = s theta^I1 wedge theta^I2 and theta^M =
+    t theta^J1 wedge theta^J2 (``_wedge_splits``).  Only these terms are
+    formed, never the whole outer product of a and b, and the splits of K
+    are summed first, then those of M."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    Wk = _wedge_table(a.dim, a.k, b.k)
-    Wm = _wedge_table(a.dim, a.m, b.m)
-    nk, nm = Wk.shape[1] * Wk.shape[2], Wm.shape[1] * Wm.shape[2]
-    ab = a.coeffs[..., :, None, :, None] * b.coeffs[..., None, :, None, :]
-    ab = ab.reshape(ab.shape[:-4] + (nk, nm))
-    out = Wk.reshape(Wk.shape[0], nk) @ ab @ Wm.reshape(Wm.shape[0], nm).T
+    i1, i2, s = (x[:, :, None, None] for x in _wedge_splits(a.dim, a.k, b.k))
+    j1, j2, t = _wedge_splits(a.dim, a.m, b.m)
+    terms = (s * t) * a.coeffs[..., i1, j1] * b.coeffs[..., i2, j2]
+    out = terms.sum(axis=-3).sum(axis=-1)
     return KmCovector(a.dim, a.k + b.k, a.m + b.m, out)
 
 
@@ -474,21 +490,22 @@ def _metric_power(d: int, n: int, rational: bool) -> KmCovector:
     return out
 
 
-def duality_residuals(psi: KmCovector, sigma: KmCovector,
-                      tol: float = 1e-9) -> tuple[float, float]:
+def duality_residuals(psi: KmCovector,
+                      sigma: KmCovector) -> tuple[float, float]:
     """Max-abs defects of the two contraction/duality identities.
 
     For Bianchi inputs psi (2,2) and sigma (1,1) in dimension d the double
     Hodge of g^{d-3} psi equals (d-3)! op_e(psi), and the double Hodge of
-    g^{d-2} sigma equals (d-2)! op_c(sigma).
+    g^{d-2} sigma equals (d-2)! op_c(sigma).  Raises ``ValueError`` unless
+    both inputs are Bianchi to 1e-9 (see ``_require_bianchi``).
     """
     d = psi.dim
     if sigma.dim != d:
         raise ValueError("dimension mismatch")
     if d < 3:
         raise ValueError("first identity needs d >= 3")
-    _require_bianchi(psi, tol, "psi")
-    _require_bianchi(sigma, tol, "sigma")
+    _require_bianchi(psi, 1e-9, "psi")
+    _require_bianchi(sigma, 1e-9, "sigma")
     rat = psi.rational
     lhs1 = star_star_v(wedge(_metric_power(d, d - 3, rat), psi))
     rhs1 = factorial(d - 3) * op_e(psi)

@@ -134,15 +134,19 @@ def collar_metric_jets(collar: CollarChart, y, order: int):
 # eikonal distance jet
 
 
-def distance_jet(geom: Geometry, newton_steps: int = 12,
-                 tol: float = 1e-12) -> Jet:
+# Largest |Taylor coefficient| of |grad r|^2_g - 1 accepted from the
+# eikonal Newton solve.
+_EIKONAL_TOL = 1e-12
+
+
+def distance_jet(geom: Geometry, newton_steps: int = 12) -> Jet:
     """Jet of the boundary-distance function at face points.
 
     Solves |grad r|^2_g = 1 with r = 0 on the face for the Taylor
     coefficients of r with nonzero normal exponent.  The system is square
     order by order; a Newton iteration on the full coefficient vector
     converges quadratically from r = x^d.  Raises RuntimeError if the
-    residual is not below ``tol`` after ``newton_steps`` steps.
+    residual is not below ``_EIKONAL_TOL`` after ``newton_steps`` steps.
     """
     d, p = geom.dim, geom.order
     exps = _exponents(d, p)
@@ -164,12 +168,12 @@ def distance_jet(geom: Geometry, newton_steps: int = 12,
         n_low = contract("ij,i->j", geom.ginv, dr)  # g^{ij} d_i r
         res = contract("j,j->", n_low, dr) - 1.0
         err = float(np.max(np.abs(res.c)))
-        if err < tol:
+        if err < _EIKONAL_TOL:
             return r
         if step == newton_steps:
             raise RuntimeError(
                 f"eikonal Newton solve did not converge in {newton_steps} "
-                f"steps: residual {err:.3e} >= tol {tol:.1e}")
+                f"steps: residual {err:.3e} >= tol {_EIKONAL_TOL:.1e}")
         # J[:, u] = 2 sum g^{ij} d_i r d_j e_u
         J = 2.0 * np.swapaxes(
             contract("j,j->", n_low[..., None, :], basis).c, -1, -2)
@@ -293,16 +297,16 @@ def boundary_state(collar: CollarChart, y, order: int = 4) -> BoundaryState:
 # projections of ambient symmetric tensors
 
 
-def projections_at(collar: CollarChart, y, sigma_field, order: int = 3):
+def projections_at(collar: CollarChart, y, sigma_field):
     """Boundary projections and normal jets of a symmetric tensor field.
 
-    ``sigma_field(x, order)`` must return the (d, d) tensor jet.
-    Returns a dict with tangential/normal splits and the k-th normal
-    derivatives for k <= 2.
+    ``sigma_field(x, order)`` must return the (d, d) tensor jet; it and
+    the metric are taken at order 3.  Returns a dict with
+    tangential/normal splits and the k-th normal derivatives for k <= 2.
     """
-    st = boundary_state(collar, y, order=max(order, 3))
+    st = boundary_state(collar, y, order=3)
     d = collar.dim
-    sig = face_adapted_jets(collar, y, sigma_field, max(order, 3))
+    sig = face_adapted_jets(collar, y, sigma_field, 3)
     svals = sig.value
     n = st.frame.normal
     gvals = st.geom.g.value
@@ -375,14 +379,14 @@ def _c_gb(st: BoundaryState, sym_coord: np.ndarray) -> np.ndarray:
     return -sym_coord + tr[..., None, None] * gb
 
 
-def constraint_pieces(collar: CollarChart, y, order: int = 4) -> dict:
+def constraint_pieces(collar: CollarChart, y) -> dict:
     """Raw terms of the three constraint lines, batched over points.
 
     The curvature route gives the left sides (ambient Einstein
     projections); the boundary route gives the right-side building blocks.
     The convention audit searches sign/factor combinations over these.
     """
-    st = boundary_state(collar, y, order=order)
+    st = boundary_state(collar, y)
     d = collar.dim
     ein = st.geom.ein.value
     n = st.frame.normal
@@ -422,13 +426,13 @@ def combine_constraint_residuals(pieces: dict, constants) -> dict:
     return {"rnn": rnn, "rnt": rnt, "rtt": rtt}
 
 
-def constraint_residuals_at(collar: CollarChart, y, constants, order: int = 4):
+def constraint_residuals_at(collar: CollarChart, y, constants):
     """LHS - RHS of the three constraint lines with audited constants.
 
     Returns dict with rnn (scalar), rnt (covector), rtt (sym tensor),
     batched over the points, plus the individual line-1 terms.
     """
-    pieces = constraint_pieces(collar, y, order=order)
+    pieces = constraint_pieces(collar, y)
     out = combine_constraint_residuals(pieces, constants)
     out["state"] = pieces["state"]
     out["terms_nn"] = (pieces["lhs_nn"], pieces["sc_b"], pieces["a_sq"],
@@ -436,8 +440,7 @@ def constraint_residuals_at(collar: CollarChart, y, constants, order: int = 4):
     return out
 
 
-def weyl_constraint_residual_at(collar: CollarChart, y, constants,
-                                order: int = 4):
+def weyl_constraint_residual_at(collar: CollarChart, y, constants):
     """Residual of the electric-Weyl form of the tangential constraint.
 
     Valid for d > 3.  The right side carries the Schouten correction
@@ -448,7 +451,7 @@ def weyl_constraint_residual_at(collar: CollarChart, y, constants,
     curvature-equation consistency defect |pnn Rm - (nabla_n A + A^2)|
     used by the first identity.
     """
-    st = boundary_state(collar, y, order=order)
+    st = boundary_state(collar, y)
     d = collar.dim
     if d <= 3:
         return {"state": st, "residual": None, "skipped": "d <= 3"}

@@ -188,6 +188,15 @@ def _summed_blocks(nc: int, terms) -> list:
     return blocks
 
 
+def _divergence(P, d: int) -> sp.csr_matrix:
+    """(div sigma)_j = -sum_i P_i sigma_ij on stacked components."""
+    sym = _component_table(d)
+    nc = len(_sym_pairs(d))
+    return sp.bmat([_summed_blocks(nc, [(sym[i, j], -P[i])
+                                        for i in range(d)])
+                    for j in range(d)], format="csr")
+
+
 def _interior_from_P(P, d: int, N: int):
     """DEin and the gauge operator delta B from a commuting P family.
 
@@ -210,10 +219,7 @@ def _interior_from_P(P, d: int, N: int):
     B = sp.bmat([[bmatrix[ci, cj] * I if bmatrix[ci, cj] else None
                   for cj in range(nc)] for ci in range(nc)], format="csr")
 
-    # divergence: (div sigma)_j = -sum_i P_i sigma_ij
-    DIV = sp.bmat([_summed_blocks(nc, [(sym[i, j], -P[i])
-                                       for i in range(d)])
-                   for j in range(d)], format="csr")
+    DIV = _divergence(P, d)
 
     # killing: (delta* X)_{ij} = (P_i X_j + P_j X_i) / 2
     ds_blocks = [[None] * d for _ in range(nc)]
@@ -300,7 +306,14 @@ def _boundary_rows(d: int, NF: int, families) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def assemble(n: int, chart: MetricChart, weights=None) -> DiscreteSystem:
+def _row_weights(n: int) -> tuple:
+    """(interior, gauge, boundary) row weights of the slab system: the
+    boundary rows carry h^(-1/2) so the L^2(M)-vs-L^2(boundary) balance,
+    and hence the singular-value ladder, is grid-stable."""
+    return (1.0, 1.0, (1.0 / n) ** -0.5)
+
+
+def assemble(n: int, chart: MetricChart) -> DiscreteSystem:
     """Assemble the slab system; rejects non-Ricci-flat presets."""
     if chart.preset != "flat_slab_periodic":
         raise ValueError("the discrete problem is posed on the flat periodic "
@@ -309,11 +322,7 @@ def assemble(n: int, chart: MetricChart, weights=None) -> DiscreteSystem:
     P, E_faces = _stencils(n, d)
     EIN, GAUGE = _interior_from_P(P, d, n ** d)[:2]
     BND = _boundary_from_P(P, E_faces, d, n ** d, n ** (d - 1))
-    h = 1.0 / n
-    if weights is None:
-        # boundary rows carry h^(-1/2) so the L^2(M)-vs-L^2(boundary)
-        # balance, and hence the singular-value ladder, is grid-stable
-        weights = (1.0, 1.0, h ** -0.5)
+    weights = _row_weights(n)
     A = sp.vstack([weights[0] * EIN, weights[1] * GAUGE, weights[2] * BND],
                   format="csr")
     return DiscreteSystem(dim=d, n=n, chart=chart, pairs=_sym_pairs(d),
@@ -384,7 +393,6 @@ def make_source(n: int, chart: MetricChart, kind: str,
     pairs = _sym_pairs(d)
     x = slab_nodes(n, d)
     P, E_faces = _stencils(n, d)
-    EIN, _, _, DIV, _ = _interior_from_P(P, d, n ** d)
 
     if kind == "discrete-admissible":
         # the potential must clear the reach of the boundary rows (layers
@@ -393,6 +401,7 @@ def make_source(n: int, chart: MetricChart, kind: str,
         if hi < lo:
             raise ValueError("grid too coarse for an interior potential "
                              "(needs n >= 15)")
+        EIN = _interior_from_P(P, d, n ** d)[0]
         tau = _double_curl_source(
             P, n, d, rng, lambda xd: _normal_profile(n, lo, hi)[
                 np.clip((xd * n - 0.5).astype(int), 0, n - 1)])
@@ -428,7 +437,8 @@ def make_source(n: int, chart: MetricChart, kind: str,
 
     scale = max(np.abs(values).max(), 1e-300)
     return SourceSpec(kind=kind, values=values,
-                      div_rel=float(np.abs(DIV @ values).max() / scale),
+                      div_rel=float(np.abs(_divergence(P, d) @ values).max()
+                                    / scale),
                       boundary_rel=_face_max(E_faces, values) / scale,
                       potential=potential)
 
@@ -481,11 +491,10 @@ class SolveReport:
     schema: str = "solve-report/1"
 
 
-def kernel_probe(matrix: sp.spmatrix, iters: int = 60,
-                 seed: int = 0) -> float:
-    """Smallest-singular-value estimate via shifted inverse power iteration
-    on the normal matrix, with a Rayleigh quotient against the unshifted
-    normal matrix so exact kernels report near-zero."""
+def kernel_probe(matrix: sp.spmatrix, seed: int = 0) -> float:
+    """Smallest-singular-value estimate via 60 steps of shifted inverse
+    power iteration on the normal matrix, with a Rayleigh quotient against
+    the unshifted normal matrix so exact kernels report near-zero."""
     A = matrix.tocsr()
     Nmat = (A.T @ A).tocsc()
     scale = spla.norm(Nmat, ord=1)
@@ -494,7 +503,7 @@ def kernel_probe(matrix: sp.spmatrix, iters: int = 60,
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(Nmat.shape[0])
     x /= np.linalg.norm(x)
-    for _ in range(iters):
+    for _ in range(60):
         x = lu.solve(x)
         x /= np.linalg.norm(x)
     lam = float(x @ (Nmat @ x))
@@ -516,7 +525,7 @@ def h0_operator(n: int, d: int, closed_torus: bool = False) -> sp.csr_matrix:
     ``closed_torus`` makes the collar axis periodic and drops the faces.
     """
     P, E_faces = _stencils(n, d, closed_torus)
-    DSTAR, faces = _h0_from_P(P, E_faces, d, n ** d, (1.0 / n) ** -0.5)
+    DSTAR, faces = _h0_from_P(P, E_faces, d, n ** d, _row_weights(n)[2])
     return DSTAR if faces is None else sp.vstack([DSTAR, faces],
                                                  format="csr")
 
@@ -699,9 +708,12 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
                        col)
 
 
-def _slab_polynomial(n: int, d: int, weights) -> _Polynomial:
+def _slab_polynomial(n: int, d: int) -> _Polynomial:
     """``_block_polynomial`` of the weighted slab stack: interior, gauge
-    and boundary rows, in the row order of ``assemble``."""
+    and boundary rows, in the row order and with the weights of
+    ``assemble``."""
+    weights = _row_weights(n)
+
     def stack(P, E_faces, N, NF):
         EIN, GAUGE = _interior_from_P(P, d, N)[:2]
         nodes = sp.vstack([weights[0] * EIN, weights[1] * GAUGE],
@@ -738,7 +750,7 @@ def _block_svals(poly: _Polynomial, n: int) -> np.ndarray:
     return np.concatenate(svals)
 
 
-def lateral_block_svals(n: int, d: int, weights=None) -> dict:
+def lateral_block_svals(n: int, d: int) -> dict:
     """Exact singular spectrum via lateral Fourier block diagonalization.
 
     All operators are lateral-translation invariant, so conjugating by the
@@ -747,9 +759,7 @@ def lateral_block_svals(n: int, d: int, weights=None) -> dict:
     Returns the sorted global spectrum and per-block minima.  Serves as an
     independent oracle for the sparse kernel probes at any resolution.
     """
-    if weights is None:
-        weights = (1.0, 1.0, (1.0 / n) ** -0.5)
-    svals = _block_svals(_slab_polynomial(n, d, weights), n)
+    svals = _block_svals(_slab_polynomial(n, d), n)
     return {"spectrum": np.sort(svals.ravel()),
             "block_min": dict(zip(product(range(n), repeat=d - 1),
                                   svals[:, -1].tolist()))}
@@ -758,7 +768,7 @@ def lateral_block_svals(n: int, d: int, weights=None) -> dict:
 def _h0_polynomial(n: int, d: int, closed_torus: bool = False
                    ) -> _Polynomial:
     """``_block_polynomial`` of the H0 operator (see ``h0_operator``)."""
-    bw = (1.0 / n) ** -0.5
+    bw = _row_weights(n)[2]
     return _block_polynomial(
         n, d, lambda P, E_faces, N, NF: _h0_from_P(P, E_faces, d, N, bw),
         [(a,) for a in range(d)], closed_torus)
@@ -770,7 +780,7 @@ def _h1_polynomial(n: int, d: int) -> _Polynomial:
     nint = (len(_sym_pairs(d)) + d) * n
     keep = np.concatenate([np.arange(nint),
                            nint + _boundary_rows(d, 1, H1_FAMILIES)])
-    poly = _slab_polynomial(n, d, (1.0, 1.0, (1.0 / n) ** -0.5))
+    poly = _slab_polynomial(n, d)
     return poly._replace(coef=poly.coef[:, keep],
                          row_parity=poly.row_parity[keep])
 
@@ -807,7 +817,7 @@ def solve_least_squares(system: DiscreteSystem, source: SourceSpec
     d, n = system.dim, system.n
     m, nc = d - 1, len(system.pairs)
     lateral = tuple(range(1, d))
-    poly = _slab_polynomial(n, d, system.weights)
+    poly = _slab_polynomial(n, d)
     _, R, C = poly.coef.shape
     b = system.rhs_from_einstein_block(source.values)
     split = (nc + d) * n ** d
@@ -855,12 +865,10 @@ def solve_least_squares(system: DiscreteSystem, source: SourceSpec
     )
 
 
-def deflated_gap(n: int, d: int, weights=None,
-                 zero_tol: float = 1e-10) -> tuple[float, int]:
+def deflated_gap(n: int, d: int) -> tuple[float, int]:
     """(smallest singular value beyond the kernel, kernel dimension) from
     the exact lateral-Fourier spectrum."""
-    return spectral_gap(lateral_block_svals(n, d, weights)["spectrum"],
-                        zero_tol)
+    return spectral_gap(lateral_block_svals(n, d)["spectrum"])
 
 
 def spectral_gap(spec, zero_tol: float = 1e-10) -> tuple[float, int]:
@@ -871,20 +879,17 @@ def spectral_gap(spec, zero_tol: float = 1e-10) -> tuple[float, int]:
     return float(spec[nkernel]), nkernel
 
 
-def cohomology_probe(n: int, chart: MetricChart, closed_torus: bool = False,
-                     tau_factor: float = 1e-6) -> dict:
+def cohomology_probe(n: int, chart: MetricChart,
+                     closed_torus: bool = False) -> dict:
     """Counts of near-kernel directions of the H0 and H1 operators.
 
-    Counting runs on the exact lateral-Fourier spectra; witnesses apply
+    Counting runs on the exact lateral-Fourier spectra, with kernel
+    threshold 1e-6 times the largest singular value; witnesses apply
     the assembled sparse operators directly.  On the closed torus the
     translations lie in the kernel; the boundary rows remove them.
     """
     d = chart.dim
-    out = {}
-    spec0 = h0_spectrum(n, d, closed_torus=closed_torus)
-    tau0 = tau_factor * spec0[-1]
-    out["dim_h0"] = int(np.sum(spec0 < tau0))
-    out["tau_h0"] = float(tau0)
+    out = {"dim_h0": spectral_gap(h0_spectrum(n, d, closed_torus), 1e-6)[1]}
 
     # translation witnesses against the assembled operator
     op0 = h0_operator(n, d, closed_torus=closed_torus)
@@ -900,11 +905,8 @@ def cohomology_probe(n: int, chart: MetricChart, closed_torus: bool = False,
         out["dim_h1"] = None
         return out
 
-    spec1 = h1_spectrum(n, d)
-    tau1 = tau_factor * spec1[-1]
-    out["dim_h1"] = int(np.sum(spec1 < tau1))
-    out["tau_h1"] = float(tau1)
-    out["h1_gap_beyond_kernel"] = float(spec1[out["dim_h1"]])
+    gap1, out["dim_h1"] = spectral_gap(h1_spectrum(n, d), 1e-6)
+    out["h1_gap_beyond_kernel"] = gap1
 
     # width moduli x dead modes span the kernel of the geometric rows;
     # the full system maps them away from zero through sigma(n, .)

@@ -58,40 +58,39 @@ def _audit_samples():
     return samples
 
 
-def _fit_line(samples, residual_fn, tol):
+# the residual of each constraint line in ``combine_constraint_residuals``
+_LINE_RESIDUALS = {"line1": "rnn", "line2": "rnt", "line3": "rtt"}
+
+
+def _fit_line(samples, line):
+    """The best (c, e1, e2) of one constraint line and its defect."""
+    from .boundary import combine_constraint_residuals
+
     best = None
     for c, e1, e2 in product((0.5, 1.0, 2.0), (-1, 1), (-1, 1)):
+        # every line gets the candidate; only ``line`` is read
+        constants = dict.fromkeys(_LINE_RESIDUALS, (c, e1, e2))
         worst = 0.0
         for p in samples:
-            r = residual_fn(p, c, e1, e2)
-            worst = max(worst, float(np.max(np.abs(r))))
+            r = combine_constraint_residuals(p, constants)
+            worst = max(worst,
+                        float(np.max(np.abs(r[_LINE_RESIDUALS[line]]))))
         if best is None or worst < best[0]:
             best = (worst, c, e1, e2)
-    if best[0] > tol:
+    if best[0] > 1e-8:
         raise RuntimeError(f"constraint audit found no admissible constants "
                            f"(best defect {best[0]:.3e})")
     return [best[1], best[2], best[3]], best[0]
 
 
-def compute_constraint_constants(tol: float = 1e-8):
+def compute_constraint_constants():
     samples = _audit_samples()
-    line1, d1 = _fit_line(
-        samples,
-        lambda p, c, e1, e2: p["lhs_nn"] - c * (
-            e1 * p["sc_b"] + e2 * (p["tr_a_sq"] - p["a_sq"])), tol)
-    line2, d2 = _fit_line(
-        samples,
-        lambda p, c, e1, e2: p["lhs_nt"] - c * (
-            e1 * p["div_a"] + e2 * p["d_tr_a"]), tol)
-    line3, d3 = _fit_line(
-        samples,
-        lambda p, c, e1, e2: p["lhs_tt"] - c * (
-            p["ein_b"] + e1 * p["c_m_a2"] + e2 * p["e_awa"]), tol)
-    return ({"line1": line1, "line2": line2, "line3": line3},
-            max(d1, d2, d3))
+    fits = {line: _fit_line(samples, line) for line in _LINE_RESIDUALS}
+    return ({line: fit[0] for line, fit in fits.items()},
+            max(fit[1] for fit in fits.values()))
 
 
-def compute_conventions(tol: float = 1e-8) -> dict:
+def compute_conventions() -> dict:
     from .charts import make_chart
     from .linearize import fit_ricci_action
 
@@ -99,7 +98,7 @@ def compute_conventions(tol: float = 1e-8) -> dict:
               make_chart("curved_generic", 3, seed=3),
               make_chart("curved_generic", 4, seed=5)]
     (a, b), ric_defect = fit_ricci_action(charts, npts=4)
-    constraints, con_defect = compute_constraint_constants(tol)
+    constraints, con_defect = compute_constraint_constants()
     data = {
         "version": 1,
         "ricci_action": [int(a), int(b)],
@@ -139,11 +138,10 @@ def load_conventions() -> dict:
     return _CACHE
 
 
-def constraint_constants(data: dict | None = None) -> dict:
-    data = data or load_conventions()
-    return {k: tuple(v) for k, v in data["constraints"].items()}
+def constraint_constants() -> dict:
+    return {k: tuple(v)
+            for k, v in load_conventions()["constraints"].items()}
 
 
-def ricci_action(data: dict | None = None) -> tuple[int, int]:
-    data = data or load_conventions()
-    return tuple(data["ricci_action"])
+def ricci_action() -> tuple[int, int]:
+    return tuple(load_conventions()["ricci_action"])

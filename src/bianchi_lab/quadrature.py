@@ -38,10 +38,8 @@ from .linearize import dein_closed_jets
 
 __all__ = [
     "GridSpec",
-    "FieldSample",
     "interior_nodes",
     "face_nodes",
-    "integrate",
     "integrate_scalar_samples",
     "green_killing_defect",
     "green_einstein_sym_defect",
@@ -94,19 +92,6 @@ class GridSpec:
         return cls(chart.dim, n, chart.periodic, tuple(chart.domain))
 
 
-@dataclass
-class FieldSample:
-    grid: GridSpec
-    values: np.ndarray
-    role: str  # "interior" | "boundary"
-
-    def __post_init__(self):
-        if self.role not in ("interior", "boundary"):
-            raise ValueError("role must be interior or boundary")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field sample contains non-finite values")
-
-
 def interior_nodes(grid: GridSpec) -> np.ndarray:
     axes = [lo + (np.arange(grid.n) + 0.5) * (hi - lo) / grid.n
             for lo, hi in grid.box]
@@ -140,12 +125,6 @@ def integrate_scalar_samples(grid: GridSpec, samples: np.ndarray,
     return float(np.sum(samples) * cell)
 
 
-def integrate(sample: FieldSample) -> float:
-    return integrate_scalar_samples(sample.grid, sample.values,
-                                    "interior" if sample.role == "interior"
-                                    else "boundary")
-
-
 # ---------------------------------------------------------------------------
 # test fields
 
@@ -165,9 +144,9 @@ def _trig_terms(x, order, coef, ks, ph, normal_vanish):
     return separable(d, order, factors)
 
 
-def periodic_sym_field(dim: int, seed: int, normal_vanish: int = 0,
-                       kmax: int = 1, amp: float = 1.0):
-    """Symmetric field whose components are period-1 trig polynomials.
+def periodic_sym_field(dim: int, seed: int, normal_vanish: int = 0):
+    """Symmetric field whose components are period-1 trig polynomials,
+    each axis at frequency 0 or 1.
 
     ``normal_vanish=2`` multiplies by sin^2(pi x_d), which vanishes to
     second order at both unit-box collar faces while staying trigonometric.
@@ -175,9 +154,9 @@ def periodic_sym_field(dim: int, seed: int, normal_vanish: int = 0,
     from .linearize import Perturbation
 
     rng = np.random.default_rng(seed)
-    coef = rng.standard_normal((dim, dim)) * amp
+    coef = rng.standard_normal((dim, dim))
     coef = 0.5 * (coef + coef.T)
-    ks = rng.integers(0, kmax + 1, size=(dim, dim, dim))
+    ks = rng.integers(0, 2, size=(dim, dim, dim))
     ks = np.minimum(ks, np.transpose(ks, (1, 0, 2)))
     ph = rng.uniform(0, 2 * np.pi, size=(dim, dim, dim))
     ph = 0.5 * (ph + np.transpose(ph, (1, 0, 2)))
@@ -192,11 +171,11 @@ def periodic_sym_field(dim: int, seed: int, normal_vanish: int = 0,
     return Perturbation(fn, dim, normal_vanish)
 
 
-def periodic_vector_field(dim: int, seed: int, normal_vanish: int = 0,
-                          kmax: int = 1, amp: float = 1.0):
+def periodic_vector_field(dim: int, seed: int, normal_vanish: int = 0):
+    """Vector field in the form of ``periodic_sym_field``."""
     rng = np.random.default_rng(seed)
-    coef = rng.standard_normal(dim) * amp
-    ks = rng.integers(0, kmax + 1, size=(dim, dim))
+    coef = rng.standard_normal(dim)
+    ks = rng.integers(0, 2, size=(dim, dim))
     ph = rng.uniform(0, 2 * np.pi, size=(dim, dim))
 
     def fn(x, order):
@@ -205,7 +184,7 @@ def periodic_vector_field(dim: int, seed: int, normal_vanish: int = 0,
     return fn
 
 
-def box_bump_sym_field(chart: MetricChart, seed: int, amp: float = 1.0):
+def box_bump_sym_field(chart: MetricChart, seed: int):
     """Polynomial field vanishing to second order on the whole box boundary.
 
     Each component carries the factor prod_a (t_a (1 - t_a))^2 in box
@@ -216,7 +195,7 @@ def box_bump_sym_field(chart: MetricChart, seed: int, amp: float = 1.0):
 
     dim = chart.dim
     rng = np.random.default_rng(seed)
-    coef = rng.standard_normal((dim, dim)) * amp
+    coef = rng.standard_normal((dim, dim))
     coef = 0.5 * (coef + coef.T)
     lin = rng.standard_normal((dim, dim, dim)) * 0.5
     lin = 0.5 * (lin + np.transpose(lin, (1, 0, 2)))
@@ -300,7 +279,7 @@ def green_killing_defect(grid: GridSpec, chart: MetricChart, x_field,
     return abs(lhs - bulk + flux)
 
 
-def _check_kernel_pair(chart, grid, fields, tol=1e-8):
+def _check_kernel_pair(chart, grid, fields):
     """Reject inputs whose boundary 1-jets survive (regime of the
     unspecified first-order boundary operator in the Einstein formula)."""
     for face in (0, 1):
@@ -309,7 +288,7 @@ def _check_kernel_pair(chart, grid, fields, tol=1e-8):
             sig = f(xf, 1)
             vals = sig.value
             scale = max(1.0, np.abs(vals).max())
-            if np.abs(vals).max() > tol * scale or \
+            if np.abs(vals).max() > 1e-8 * scale or \
                np.abs(sig.partial(chart.dim - 1).value).max() > 1e-6 * scale:
                 raise ValueError(
                     "Green symmetry probe needs order-2 boundary vanishing")
@@ -332,18 +311,18 @@ def _ein_pairing_correction(ein, ginv, sv, ev):
                   - _pair(ein, ev, ginv) * _trace(sv, ginv))
 
 
-def _symmetry_defects(grid, chart, sigma, eta, action, check_kernel,
-                      ein_corrected, pairs) -> list:
+def _symmetry_defects(grid, chart, sigma, eta, action, ein_corrected,
+                      pairs) -> list:
     """|int one - int two [- int correction]| over the interior nodes, one
     defect per function of ``pairs``, each giving (one, two) =
     pairs(g, g^-1, sigma, dEin sigma, eta, dEin eta) in values.
 
     Each chunk of nodes builds one Geometry, which serves dEin sigma,
     dEin eta and the (g, Ein) values of the correction, and every pairs
-    function reads the same dEin values.
+    function reads the same dEin values.  Raises ``ValueError`` unless
+    sigma and eta vanish to second order on both collar faces.
     """
-    if check_kernel:
-        _check_kernel_pair(chart, grid, (sigma, eta))
+    _check_kernel_pair(chart, grid, (sigma, eta))
 
     def samples(xc):
         geom = geometry_from_jets(chart.metric_jets(xc, 2))
@@ -381,35 +360,34 @@ def _dewitt_pairs(gv, ginv, sv, de_s, ev, de_e):
 
 
 def green_einstein_sym_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
-                              action, check_kernel: bool = True,
-                              ein_corrected: bool = False) -> float:
-    """|<dEin sigma, eta> - <sigma, dEin eta>| for kernel-constrained pairs.
+                              action, ein_corrected: bool = False) -> float:
+    """|<dEin sigma, eta> - <sigma, dEin eta>| for kernel-constrained pairs:
+    sigma and eta must vanish to second order on both collar faces, else
+    ``ValueError``.
 
     The plain symmetry holds exactly only on Ricci-flat interiors; with
     ``ein_corrected`` the derived tensorial correction
     (<Ein,sigma> tr eta - <Ein,eta> tr sigma)/2 is subtracted, closing the
     identity on every background.
     """
-    return _symmetry_defects(grid, chart, sigma, eta, action, check_kernel,
-                             ein_corrected, (_einstein_pairs,))[0]
+    return _symmetry_defects(grid, chart, sigma, eta, action, ein_corrected,
+                             (_einstein_pairs,))[0]
 
 
 def dewitt_green_ric_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
-                            action, check_kernel: bool = True,
-                            ein_corrected: bool = False) -> float:
+                            action, ein_corrected: bool = False) -> float:
     """Same symmetry defect for the trace-reversed operator in the DeWitt
     pairing; algebraically identical to the Einstein-route defect."""
-    return _symmetry_defects(grid, chart, sigma, eta, action, check_kernel,
-                             ein_corrected, (_dewitt_pairs,))[0]
+    return _symmetry_defects(grid, chart, sigma, eta, action, ein_corrected,
+                             (_dewitt_pairs,))[0]
 
 
 def green_symmetry_defects(grid: GridSpec, chart: MetricChart, sigma, eta,
-                           action, check_kernel: bool = True,
-                           ein_corrected: bool = False) -> tuple:
+                           action, ein_corrected: bool = False) -> tuple:
     """(``green_einstein_sym_defect``, ``dewitt_green_ric_defect``) from
     one pass over the nodes: dEin sigma and dEin eta are built once."""
     return tuple(_symmetry_defects(grid, chart, sigma, eta, action,
-                                   check_kernel, ein_corrected,
+                                   ein_corrected,
                                    (_einstein_pairs, _dewitt_pairs)))
 
 

@@ -25,9 +25,7 @@ CHART = make_chart("flat_slab_periodic", 3)
 
 # (polynomial, oracle blocks, public spectrum, symbol axes) per stack
 STACKS = {
-    "full": (lambda n, d: bvp._slab_polynomial(n, d, (1.0, 1.0,
-                                                      (1.0 / n) ** -0.5)),
-             lateral_blocks_loop,
+    "full": (bvp._slab_polynomial, lateral_blocks_loop,
              lambda n, d: bvp.lateral_block_svals(n, d)["spectrum"],
              lambda d: d - 1),
     "h1": (bvp._h1_polynomial, h1_blocks_loop, bvp.h1_spectrum,
@@ -89,7 +87,7 @@ def test_block_minima_match_per_block_oracle(d, n):
 def test_small_chunk_budget_gives_the_same_blocks(monkeypatch):
     # 25 modes in chunks of 3: eight full chunks and a partial last one
     n, d = 5, 3
-    poly = bvp._slab_polynomial(n, d, (1.0, 1.0, (1.0 / n) ** -0.5))
+    poly = bvp._slab_polynomial(n, d)
     _, R, C = poly.coef.shape
     monkeypatch.setattr(bvp, "_CHUNK_BYTES", 3 * 8 * R * C + 7)
     starts, blocks = built_blocks(poly, n)
@@ -239,7 +237,7 @@ def test_solve_keeps_one_chunk_live():
     n = 16
     system = bvp.assemble(n, CHART)
     src = bvp.make_source(n, CHART, "continuum-admissible", seed=1)
-    J, R, C = bvp._slab_polynomial(n, 3, system.weights).coef.shape
+    J, R, C = bvp._slab_polynomial(n, 3).coef.shape
     rows, cols = system.matrix.shape
     b = bvp._CHUNK_BYTES // (8 * R * C)
     chunk = 8 * b * (2 * R * C + C + C * C)

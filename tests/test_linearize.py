@@ -374,6 +374,12 @@ def test_normal_identities_reject_bad_input():
     with pytest.raises(ValueError):
         normal_identity_residuals(collar, y, trig_poly_sym_field(3, 27),
                                   ACTION)
+    # vanishing to first order only: the value passes, the normal
+    # derivative does not
+    with pytest.raises(ValueError, match="second order"):
+        normal_identity_residuals(collar, y,
+                                  trig_poly_sym_field(3, 27, boundary_order=1),
+                                  ACTION)
     curved = make_chart("conformal_bump", 3)
     with pytest.raises(ValueError):
         normal_identity_residuals(CollarChart(curved), y,

@@ -7,7 +7,6 @@ from bianchi_lab.charts import chart_geometry, make_chart, tensor_values
 from bianchi_lab.conventions import ricci_action
 from bianchi_lab.quadrature import (
     box_bump_sym_field,
-    FieldSample,
     GridSpec,
     convergence_study,
     dewitt_green_ric_defect,
@@ -15,7 +14,6 @@ from bianchi_lab.quadrature import (
     green_einstein_sym_defect,
     green_killing_defect,
     green_symmetry_defects,
-    integrate,
     integrate_scalar_samples,
     interior_nodes,
     periodic_sym_field,
@@ -37,10 +35,10 @@ def slab(d=3):
 def test_integrate_constant_and_periodic_modes():
     grid = GridSpec.for_chart(slab(), 8)
     x = interior_nodes(grid)
-    ones = FieldSample(grid, np.ones(len(x)), "interior")
-    assert np.isclose(integrate(ones), 1.0, atol=1e-14)
-    wave = FieldSample(grid, np.sin(2 * np.pi * x[:, 0]), "interior")
-    assert abs(integrate(wave)) <= 1e-14
+    assert np.isclose(integrate_scalar_samples(grid, np.ones(len(x)),
+                                               "interior"), 1.0, atol=1e-14)
+    wave = np.sin(2 * np.pi * x[:, 0])
+    assert abs(integrate_scalar_samples(grid, wave, "interior")) <= 1e-14
     # sub-Nyquist products integrate exactly on the periodic torus factor
     prod = np.sin(2 * np.pi * x[:, 0]) * np.sin(2 * np.pi * x[:, 0])
     assert np.isclose(integrate_scalar_samples(grid, prod, "interior"), 0.5,
@@ -71,8 +69,6 @@ def test_grid_validation():
     grid = GridSpec.for_chart(slab(), 8)
     with pytest.raises(ValueError):
         integrate_scalar_samples(grid, np.ones(7), "interior")
-    with pytest.raises(ValueError):
-        FieldSample(grid, np.array([np.nan]), "interior")
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +132,11 @@ def test_einstein_symmetry_rejects_surviving_boundary_jets():
     eta = periodic_sym_field(3, 11, normal_vanish=2)
     with pytest.raises(ValueError):
         green_einstein_sym_defect(grid, chart, sigma, eta, ACTION)
+    # vanishing to first order only: the face values pass, the normal
+    # derivatives do not
+    first = periodic_sym_field(3, 10, normal_vanish=1)
+    with pytest.raises(ValueError, match="order-2 boundary vanishing"):
+        green_einstein_sym_defect(grid, chart, first, eta, ACTION)
 
 
 def test_einstein_symmetry_defect_limit_is_the_tensorial_correction():

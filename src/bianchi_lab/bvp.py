@@ -18,10 +18,17 @@ the lateral symbols i t_a (``_block_polynomial``).  A diagonal phase makes
 every block real: the operators commute with the reflection of all
 lateral axes, so a term of degree |e| only couples components whose
 numbers of lateral indices differ by |e| mod 2, and scaling each block row
-and column by i to the power of that number cancels every i.  The exact
+and column by i to the power of that number cancels every i.
+
+They also commute with the reflection of each lateral axis a alone, which
+maps t_a to -t_a; on a real block that is the similarity by a +-1
+diagonal on each side.  And t_a = sin(2 pi k_a / n) is the same for k_a
+and n/2 - k_a, and changes sign from k_a to -k_a.  So every block is
++-1 diagonals times the block of its class of |t| (``_symbol_classes``):
+floor(n/4) + 1 classes per axis on even n, (n + 1)/2 on odd n.  The exact
 spectra and the one least-squares solver, ``solve_least_squares`` (a
-direct SVD solve of each real block), run on those blocks.  LSMR and the
-dense SVD of the assembled matrix are their oracles in ``tests/oracles.py``.
+direct SVD solve), factor one real block per class.  LSMR and the dense
+SVD of the assembled matrix are their oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -393,6 +400,7 @@ def make_source(n: int, chart: MetricChart, kind: str,
     pairs = _sym_pairs(d)
     x = slab_nodes(n, d)
     P, E_faces = _stencils(n, d)
+    DIV = None
 
     if kind == "discrete-admissible":
         # the potential must clear the reach of the boundary rows (layers
@@ -401,7 +409,7 @@ def make_source(n: int, chart: MetricChart, kind: str,
         if hi < lo:
             raise ValueError("grid too coarse for an interior potential "
                              "(needs n >= 15)")
-        EIN = _interior_from_P(P, d, n ** d)[0]
+        EIN, _, _, DIV, _ = _interior_from_P(P, d, n ** d)
         tau = _double_curl_source(
             P, n, d, rng, lambda xd: _normal_profile(n, lo, hi)[
                 np.clip((xd * n - 0.5).astype(int), 0, n - 1)])
@@ -435,10 +443,11 @@ def make_source(n: int, chart: MetricChart, kind: str,
     else:
         raise ValueError(f"unknown source kind {kind!r}")
 
+    if DIV is None:
+        DIV = _divergence(P, d)
     scale = max(np.abs(values).max(), 1e-300)
     return SourceSpec(kind=kind, values=values,
-                      div_rel=float(np.abs(_divergence(P, d) @ values).max()
-                                    / scale),
+                      div_rel=float(np.abs(DIV @ values).max() / scale),
                       boundary_rel=_face_max(E_faces, values) / scale,
                       potential=potential)
 
@@ -488,6 +497,9 @@ class SolveReport:
     block_residuals: dict
     solution_norm: float
     sigma_min_estimate: float | None = None
+    # modes whose block the SVD cut-off made rank-deficient; None from a
+    # solver without blocks
+    rank_deficient_blocks: int | None = None
     schema: str = "solve-report/1"
 
 
@@ -597,8 +609,8 @@ def discrete_kernel_basis(n: int, d: int) -> np.ndarray:
 
 # Bytes of the blocks built at once.  The solve frees each chunk's blocks
 # and their SVD factors before it builds the next chunk, so what is live
-# stays a few times this at any n: all blocks at once needed about 5 GB at
-# n=48 (d=3).
+# stays a few times this at any n: the 169 class blocks of n=48 (d=3)
+# at once would take 178 MB.
 _CHUNK_BYTES = 1 << 22
 # Largest |Im x| / max |x| accepted from the inverse DFT of the solve; the
 # phased solutions of the modes k and -k are conjugate up to roundoff.
@@ -608,12 +620,16 @@ _IMAG_TOL = 1e-10
 class _Polynomial(NamedTuple):
     """The lateral-Fourier blocks as a real polynomial in t_a = sin(2 pi
     k_a / n): sum_e t^e coef[e] is the block of mode k with row r scaled
-    by i^(-row_parity[r]) and column c by i^(col_parity[c]) (see
-    ``_block_polynomial``)."""
+    by i^(-row_parity[r]) and column c by i^(col_parity[c]).  row_axes
+    (m x rows) and col_axes (m x cols) hold the parity of each row and
+    column under the reflection of each lateral axis alone; row_parity
+    and col_parity are their sums mod 2 (see ``_block_polynomial``)."""
     terms: list
     coef: np.ndarray
     row_parity: np.ndarray
     col_parity: np.ndarray
+    row_axes: np.ndarray
+    col_axes: np.ndarray
 
 
 def _block_polynomial(n: int, d: int, stack, unknowns,
@@ -641,14 +657,16 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
     P_a = diag(u_a) on it.  No operator is derived a second time.
 
     The coefficients are real, and u = i t.  The operators commute with
-    the reflection of all lateral axes, which flips each u_a and the sign
-    of each tensor component with an odd number p of lateral indices.  So
-    a term u^e can couple row r to column c only when |e| + p_c - p_r is
-    even, and then i^(|e| + p_c - p_r) is +1 or -1: scaling row r by
-    i^(-p_r) and column c by i^(p_c) makes every block real.  The column
-    parities come from ``unknowns``; each row takes the parity its
-    coefficients demand, and a coefficient that demands the other one
-    raises ``ValueError``.
+    the reflection of each lateral axis a, which flips u_a and the sign
+    of each tensor component with an odd number p_a of indices a.  So a
+    term u^e can couple row r to column c only when e_a + p_a(c) - p_a(r)
+    is even for every a, with e_a the number of a's in e.  Summed over
+    the axes, |e| + p_c - p_r is even, with p the number of lateral
+    indices mod 2, and then i^(|e| + p_c - p_r) is +1 or -1: scaling row
+    r by i^(-p_r) and column c by i^(p_c) makes every block real.  The
+    column parities come from ``unknowns``; each row takes, per axis, the
+    parity its coefficients demand, and a coefficient that demands the
+    other one raises ``ValueError``.
     """
     h = 1.0 / n
     m = d if closed_torus else d - 1
@@ -692,20 +710,31 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
             coef.append(0.5 * (plus[a] + minus[a]) - A0 if a == b else
                         at(next(mixed)) - plus[a] - plus[b] + A0)
     coef = np.stack(coef)
+    # The mixed differences cancel exact zeros only to roundoff (3.6e-15,
+    # 2e-17 of the largest coefficient, at d=4, n=4), and the per-axis
+    # gate below would read such a remainder as a coupling.  The smallest
+    # true coefficient is 13 orders above the cut (1.2e-4 of the largest
+    # at d=3, n=24).
+    coef[np.abs(coef) <= 1e-12 * np.abs(coef).max()] = 0.0
 
-    deg = np.array([len(e) for e in terms])[:, None, None]
-    col = np.repeat([sum(i < m for i in comp) % 2 for comp in unknowns],
-                    line)
-    odd = (deg + col) % 2 == 1
     nonzero = coef != 0
-    row = np.any(nonzero & odd, axis=(0, 2))
-    if np.any(row & np.any(nonzero & ~odd, axis=(0, 2))):
-        raise ValueError("a block coefficient breaks the lateral parity "
-                         "grading, so no diagonal phase makes it real")
+    col_axes = np.repeat([[comp.count(a) % 2 for comp in unknowns]
+                          for a in range(m)], line, axis=1)
+    row_axes = np.empty((m, coef.shape[1]), dtype=int)
+    for a in range(m):
+        odd = (np.array([e.count(a) for e in terms])[:, None, None]
+               + col_axes[a]) % 2 == 1
+        row_axes[a] = np.any(nonzero & odd, axis=(0, 2))
+        if np.any(row_axes[a] & np.any(nonzero & ~odd, axis=(0, 2))):
+            raise ValueError("a block coefficient breaks the lateral "
+                             "parity grading, so no diagonal phase makes "
+                             "it real")
+    row, col = row_axes.sum(axis=0) % 2, col_axes.sum(axis=0) % 2
     # i^(|e| + p_c - p_r) is -1 where the exponent is 2 mod 4
+    deg = np.array([len(e) for e in terms])[:, None, None]
     flip = (deg + col - row[:, None]) % 4 == 2
-    return _Polynomial(terms, np.where(flip, -coef, coef), row.astype(int),
-                       col)
+    return _Polynomial(terms, np.where(flip, -coef, coef), row, col,
+                       row_axes, col_axes)
 
 
 def _slab_polynomial(n: int, d: int) -> _Polynomial:
@@ -723,31 +752,77 @@ def _slab_polynomial(n: int, d: int) -> _Polynomial:
     return _block_polynomial(n, d, stack, _sym_pairs(d))
 
 
+def _class_count(n: int) -> int:
+    """Number of distinct |sin(2 pi k / n)| over k = 0 .. n-1."""
+    return n // 4 + 1 if n % 2 == 0 else (n + 1) // 2
+
+
+def _symbol_classes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(representative, negated axes) of every lateral mode.
+
+    Modes run over (k_0, ..., k_{m-1}) in ``itertools.product`` order,
+    which is also the C order of the lateral axes of an ``np.fft.fftn``.
+    t = sin(2 pi k / n) changes sign from k to n - k and, on even n, is
+    the same at k and n/2 - k; so |t_a| takes ``_class_count(n)``
+    values, those of k_a = j = 0, 1, ..., and t_a is negative exactly
+    where 2 k_a > n.  The representative of a mode is the index of its
+    (j_0, ..., j_{m-1}) in product order over the classes.
+    """
+    k = np.indices((n,) * m).reshape(m, -1)
+    j = np.minimum(k, n - k)
+    if n % 2 == 0:
+        j = np.minimum(j, n // 2 - j)
+    return (np.ravel_multi_index(tuple(j), (_class_count(n),) * m),
+            (2 * k > n).T)
+
+
+def _class_members(rep: np.ndarray) -> np.ndarray:
+    """(classes, largest class) table of the modes of each class, in mode
+    order, padded with -1."""
+    sizes = np.bincount(rep)
+    order = np.argsort(rep, kind="stable")
+    slot = np.arange(rep.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    table = np.full((sizes.size, sizes.max()), -1)
+    table[rep[order], slot] = order
+    return table
+
+
+def _reflect(v: np.ndarray, axis_parity: np.ndarray,
+             negated: np.ndarray) -> None:
+    """Scale row i of each mode's v (modes x rows or columns) by
+    (-1)^axis_parity[a, i] for every axis a that the mode negates, in
+    place: the diagonal that maps the block of its representative to the
+    block of the mode, on that side."""
+    for a, parity in enumerate(axis_parity):
+        np.multiply(v, 1 - 2 * parity, out=v, where=negated[:, a, None])
+
+
 def _fourier_blocks(poly: _Polynomial, n: int):
-    """Every lateral-Fourier block of ``poly``, real, in chunks of at most
-    ``_CHUNK_BYTES``: yields (first mode, blocks (b, rows, cols)).  Modes
-    run over (k_0, ..., k_{m-1}) in ``itertools.product`` order, which is
-    also the C order of the lateral axes of an ``np.fft.fftn``."""
+    """The lateral-Fourier block of each representative of
+    ``_symbol_classes``, real, in chunks of at most ``_CHUNK_BYTES``:
+    yields (first representative, blocks (b, rows, cols))."""
     J, R, C = poly.coef.shape
-    m = sum(len(e) == 1 for e in poly.terms)
-    t = np.sin(2 * np.pi * np.arange(n) / n)
-    modes = np.indices((n,) * m).reshape(m, -1).T
+    m = len(poly.row_axes)
+    K = _class_count(n)
+    t = np.sin(2 * np.pi * np.arange(K) / n)
+    reps = np.indices((K,) * m).reshape(m, -1).T
     flat = poly.coef.reshape(J, -1)
     step = max(1, _CHUNK_BYTES // (flat.itemsize * R * C))
-    for start in range(0, n ** m, step):
-        symbols = t[modes[start:start + step]]
+    for start in range(0, K ** m, step):
+        symbols = t[reps[start:start + step]]
         W = np.stack([np.prod(symbols[:, list(e)], axis=1)
                       for e in poly.terms], axis=1)
         yield start, (W @ flat).reshape(-1, R, C)
 
 
 def _block_svals(poly: _Polynomial, n: int) -> np.ndarray:
-    """Singular values of every block, descending, one row per mode."""
+    """Singular values of every block, descending, one row per mode: those
+    of its class's block, which the reflections leave unchanged."""
     svals = []
     for _, blocks in _fourier_blocks(poly, n):
         svals.append(np.linalg.svd(blocks, compute_uv=False))
         del blocks  # before the next chunk is built
-    return np.concatenate(svals)
+    return np.concatenate(svals)[_symbol_classes(n, len(poly.row_axes))[0]]
 
 
 def lateral_block_svals(n: int, d: int) -> dict:
@@ -756,6 +831,8 @@ def lateral_block_svals(n: int, d: int) -> dict:
     All operators are lateral-translation invariant, so conjugating by the
     lateral DFT splits the system into n^(d-1) collar-line blocks in which
     each lateral derivative becomes the scalar symbol i sin(2 pi k / n) n.
+    The blocks of one class of |sin| share their singular values, so each
+    class is factored once (``_block_svals``).
     Returns the sorted global spectrum and per-block minima.  Serves as an
     independent oracle for the sparse kernel probes at any resolution.
     """
@@ -782,7 +859,8 @@ def _h1_polynomial(n: int, d: int) -> _Polynomial:
                            nint + _boundary_rows(d, 1, H1_FAMILIES)])
     poly = _slab_polynomial(n, d)
     return poly._replace(coef=poly.coef[:, keep],
-                         row_parity=poly.row_parity[keep])
+                         row_parity=poly.row_parity[keep],
+                         row_axes=poly.row_axes[:, keep])
 
 
 def h0_spectrum(n: int, d: int, closed_torus: bool = False) -> np.ndarray:
@@ -801,18 +879,24 @@ def h1_spectrum(n: int, d: int) -> np.ndarray:
 def solve_least_squares(system: DiscreteSystem, source: SourceSpec
                         ) -> tuple[np.ndarray, SolveReport]:
     """Min-norm least squares on the weighted stack, one real lateral-
-    Fourier block at a time.
+    Fourier block per symbol class.
 
     The unitary lateral DFT of each row family of b, with the row phases
     of ``_block_polynomial``, gives the right-hand side of each real
     block.  The min-norm solutions of the blocks (by SVD, with cut-off
     eps max(rows, cols) sigma_max of the block), with the column phases
     and the inverse DFT, are the min-norm least-squares solution of the
-    whole system.  b is real, so x is real up to roundoff; anything more
-    raises ``RuntimeError``.  The residual is recomputed from
-    ``system.matrix``; ``sigma_min_estimate`` is the exact smallest
-    singular value of the system.  A direct solve: ``converged`` is
-    always True and ``iterations`` 0.
+    whole system.  The block of a mode is D_r B D_c, with B the block of
+    its class of |t| and D_r, D_c the +-1 diagonals of the reflection of
+    the axes it negates (``_symbol_classes``, ``_reflect``).  So one SVD
+    B = U S V^T per class solves every mode of the class, each as more
+    right-hand sides: x = D_c V S^+ U^T D_r b.  b is real, so x is real
+    up to roundoff; anything more raises ``RuntimeError``.  The residual
+    is recomputed from ``system.matrix``; ``sigma_min_estimate`` is the
+    exact smallest singular value of the system, and
+    ``rank_deficient_blocks`` counts the modes whose block the cut-off
+    truncated.  A direct solve: ``converged`` is always True and
+    ``iterations`` 0.
     """
     d, n = system.dim, system.n
     m, nc = d - 1, len(system.pairs)
@@ -831,20 +915,30 @@ def solve_least_squares(system: DiscreteSystem, source: SourceSpec
                            np.moveaxis(b_bnd, 0, m).reshape(n ** m, -1)],
                           axis=1)
     bhat *= np.where(poly.row_parity, -1j, 1)
+    rep, negated = _symbol_classes(n, m)
+    _reflect(bhat, poly.row_axes, negated)
+    members = _class_members(rep)
+    M = members.shape[1]
     xhat = np.zeros((n ** m, C), dtype=complex)
-    # real blocks: the real and imaginary parts are two right-hand sides
+    # real blocks: the real and imaginary parts of each member mode are
+    # two right-hand sides
     rhs = bhat.view(float).reshape(n ** m, R, 2)
     sol = xhat.view(float).reshape(n ** m, C, 2)
-    sigma_min = np.inf
+    sigma_min, deficient = np.inf, 0
     for start, blocks in _fourier_blocks(poly, n):
         U, s, Vh = np.linalg.svd(blocks, full_matrices=False)
-        chunk = slice(start, start + len(blocks))
+        group = members[start:start + len(blocks)]
         keep = (s > np.finfo(float).eps * max(R, C) * s[:, :1])[..., None]
-        c = np.divide(U.transpose(0, 2, 1) @ rhs[chunk], s[..., None],
-                      out=np.zeros((len(blocks), C, 2)), where=keep)
-        sol[chunk] = Vh.transpose(0, 2, 1) @ c
+        y = rhs[group].transpose(0, 2, 1, 3).reshape(len(group), R, 2 * M)
+        c = np.divide(U.transpose(0, 2, 1) @ y, s[..., None],
+                      out=np.zeros((len(group), C, 2 * M)), where=keep)
+        z = (Vh.transpose(0, 2, 1) @ c).reshape(len(group), C, M, 2)
+        listed = group >= 0
+        sol[group[listed]] = z.transpose(0, 2, 1, 3)[listed]
         sigma_min = min(sigma_min, float(s[:, -1].min()))
-        del blocks, U, s, Vh  # before the next chunk is built
+        deficient += int(listed[~keep.all(axis=(1, 2))].sum())
+        del blocks, U, s, Vh, y, c, z  # before the next chunk is built
+    _reflect(xhat, poly.col_axes, negated)
     xhat *= np.where(poly.col_parity, 1j, 1)
     x = np.fft.ifftn(np.moveaxis(xhat.reshape((n,) * m + (nc, n)), m, 0),
                      axes=lateral, norm="ortho").ravel()
@@ -862,6 +956,7 @@ def solve_least_squares(system: DiscreteSystem, source: SourceSpec
         block_residuals=system.block_residuals(x, source.values),
         solution_norm=float(np.linalg.norm(x)),
         sigma_min_estimate=sigma_min,
+        rank_deficient_blocks=deficient,
     )
 
 

@@ -53,6 +53,17 @@ def phased(oracle, poly):
     return np.stack([rows[:, None] * A * cols for _, A in oracle])
 
 
+def served(poly, n, blocks):
+    """Every mode's block as D_r B D_c: B the block of its class, D_r and
+    D_c the signs (-1)^parity of the reflection of each negated axis."""
+    rep, negated = bvp._symbol_classes(n, len(poly.row_axes))
+    rows = np.stack([np.prod(1 - 2 * poly.row_axes[neg], axis=0)
+                     for neg in negated])
+    cols = np.stack([np.prod(1 - 2 * poly.col_axes[neg], axis=0)
+                     for neg in negated])
+    return rows[:, :, None] * blocks[rep] * cols[:, None, :]
+
+
 @pytest.mark.parametrize("stack", sorted(STACKS))
 @pytest.mark.parametrize("d,n", [(3, 4), (3, 5), (3, 8), (4, 4)])
 def test_blocks_and_spectra_match_per_block_oracle(stack, d, n):
@@ -60,13 +71,17 @@ def test_blocks_and_spectra_match_per_block_oracle(stack, d, n):
     oracle = list(oracle_fn(n, d))
     assert [k for k, _ in oracle] == list(product(range(n), repeat=axes(d)))
     poly = poly_fn(n, d)
+    assert np.array_equal(poly.row_axes.sum(axis=0) % 2, poly.row_parity)
+    assert np.array_equal(poly.col_axes.sum(axis=0) % 2, poly.col_parity)
     ref = phased(oracle, poly)
     _, blocks = built_blocks(poly, n)
     assert blocks.dtype == np.float64
-    assert blocks.shape == ref.shape
+    assert len(blocks) == bvp._class_count(n) ** axes(d)
+    got = served(poly, n, blocks)
+    assert got.shape == ref.shape
     scale = np.abs(ref).max()
     assert np.abs(ref.imag).max() <= 1e-12 * scale
-    assert np.abs(blocks - ref).max() <= 1e-12 * scale
+    assert np.abs(got - ref).max() <= 1e-12 * scale
 
     want = block_spectrum(oracle)["spectrum"]
     got = spectrum_fn(n, d)
@@ -85,15 +100,17 @@ def test_block_minima_match_per_block_oracle(d, n):
 
 
 def test_small_chunk_budget_gives_the_same_blocks(monkeypatch):
-    # 25 modes in chunks of 3: eight full chunks and a partial last one
+    # the 9 class blocks of the 25 modes in chunks of 2: four full chunks
+    # and a partial last one
     n, d = 5, 3
     poly = bvp._slab_polynomial(n, d)
     _, R, C = poly.coef.shape
-    monkeypatch.setattr(bvp, "_CHUNK_BYTES", 3 * 8 * R * C + 7)
+    monkeypatch.setattr(bvp, "_CHUNK_BYTES", 2 * 8 * R * C + 7)
     starts, blocks = built_blocks(poly, n)
-    assert starts == list(range(0, 25, 3))
+    assert starts == list(range(0, 9, 2))
     ref = phased(lateral_blocks_loop(n, d), poly)
-    assert np.abs(blocks - ref).max() <= 1e-12 * np.abs(ref).max()
+    got = served(poly, n, blocks)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     spec = bvp.lateral_block_svals(n, d)["spectrum"]
     want = block_spectrum(lateral_blocks_loop(n, d))["spectrum"]
     assert np.abs(spec - want).max() <= 1e-12 * want[-1]
@@ -140,6 +157,45 @@ def test_coefficient_that_breaks_the_parity_grading_raises():
 
 
 # ---------------------------------------------------------------------------
+# the symbol classes
+
+
+@pytest.mark.parametrize("n", range(4, 18))
+def test_symbol_class_count_per_axis(n):
+    rep, negated = bvp._symbol_classes(n, 1)
+    t = np.sin(2 * np.pi * np.arange(n) / n)
+    want = n // 4 + 1 if n % 2 == 0 else (n + 1) // 2
+    assert len(np.unique(np.round(np.abs(t), 12))) == want
+    assert bvp._class_count(n) == want
+    assert sorted(set(rep.tolist())) == list(range(want))
+    assert negated.shape == (n, 1)
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (5, 2), (8, 2), (9, 3), (12, 3),
+                                 (15, 2), (16, 2)])
+def test_every_mode_has_the_symbol_magnitudes_of_its_class(n, m):
+    rep, negated = bvp._symbol_classes(n, m)
+    K = bvp._class_count(n)
+    modes = np.array(list(product(range(n), repeat=m)))
+    t = np.sin(2 * np.pi * modes / n)
+    t_rep = np.sin(2 * np.pi * np.array(np.unravel_index(rep, (K,) * m)).T
+                   / n)
+    assert np.all(t_rep >= 0)
+    assert np.abs(np.abs(t) - t_rep).max() <= 4 * np.finfo(float).eps
+    # the negated axes are those with t < 0; t = 0 needs no reflection
+    signed = np.abs(t) > 1e-12
+    assert np.array_equal(negated[signed], t[signed] < 0)
+    # each class lists its modes once, in mode order
+    table = bvp._class_members(rep)
+    assert table.shape[0] == K ** m
+    listed = table[table >= 0]
+    assert sorted(listed.tolist()) == list(range(n ** m))
+    assert np.array_equal(rep[table.clip(0)][table >= 0],
+                          np.repeat(np.arange(K ** m),
+                                    (table >= 0).sum(axis=1)))
+
+
+# ---------------------------------------------------------------------------
 # the least-squares solve on the real blocks
 
 
@@ -181,31 +237,98 @@ def test_fourier_solve_of_discrete_admissible_source_is_exact():
         <= 1e-10 * np.linalg.norm(src.potential)
 
 
-def _conjugate_one_block(build):
-    # the block of mode (0, 1) with conjugated symbols t -> -t, which
-    # flips the sign of every odd-degree term, that is, of the entries
-    # whose row and column parities differ; its partner (0, n - 1) keeps
-    # the true symbols
-    def blocks_of(poly, n):
-        sign_r = 1 - 2 * poly.row_parity
-        sign_c = 1 - 2 * poly.col_parity
-        for start, blocks in build(poly, n):
-            if start <= 1 < start + len(blocks):
-                blocks[1 - start] *= sign_r[:, None] * sign_c
-            yield start, blocks
+@pytest.mark.parametrize("n", [5, 6])
+def test_fourier_solve_matches_lsmr_on_three_lateral_axes(n):
+    # d=4, with a random right-hand side: every class and every
+    # reflection of the three lateral axes carries data
+    chart = make_chart("flat_slab_periodic", 4)
+    system = bvp.assemble(n, chart)
+    src = bvp.make_source(n, chart, "continuum-admissible", seed=5)
+    src.values = np.random.default_rng(n).standard_normal(src.values.size)
+    x, rep = bvp.solve_least_squares(system, src)
+    x_ref, ref = lsmr_solve(system, src)
+    assert ref.converged
+    assert rep.rank_deficient_blocks == 0
+    assert abs(rep.relative_residual - ref.relative_residual) \
+        <= 1e-6 * ref.relative_residual
+    assert np.linalg.norm(x - x_ref) <= 1e-6 * np.linalg.norm(x_ref)
 
-    return blocks_of
+
+@pytest.mark.parametrize("kind", ["discrete-admissible",
+                                  "continuum-admissible",
+                                  "inadmissible-divergence",
+                                  "inadmissible-boundary"])
+def test_no_block_of_the_slab_system_is_rank_deficient(kind):
+    n = 15
+    system = bvp.assemble(n, CHART)
+    _, rep = bvp.solve_least_squares(
+        system, bvp.make_source(n, CHART, kind, seed=2))
+    assert rep.rank_deficient_blocks == 0
+
+
+def test_rank_deficient_blocks_counts_every_truncated_mode(monkeypatch):
+    # one unknown of the collar line dropped from every block: each of the
+    # n^2 modes loses rank, and the min-norm solve leaves it zero
+    n = 5
+    poly_fn = bvp._slab_polynomial
+
+    def without_first_column(*args):
+        poly = poly_fn(*args)
+        coef = poly.coef.copy()
+        coef[:, :, 0] = 0.0
+        return poly._replace(coef=coef)
+
+    monkeypatch.setattr(bvp, "_slab_polynomial", without_first_column)
+    system = bvp.assemble(n, CHART)
+    x, rep = bvp.solve_least_squares(
+        system, bvp.make_source(n, CHART, "inadmissible-boundary", seed=2))
+    assert rep.rank_deficient_blocks == n ** 2
+    # column 0 of every block is collar node 0 of component 0
+    assert np.abs(x.reshape(-1, n)[: n ** 2, 0]).max() \
+        <= 1e-12 * np.abs(x).max()
+
+
+def test_discrete_admissible_divergence_is_the_divergence_operator():
+    # the divergence taken from the interior operators is the same matrix
+    # as the one the other kinds build, bit for bit
+    n, d = 15, 3
+    src = bvp.make_source(n, CHART, "discrete-admissible", seed=3)
+    DIV = bvp._divergence(bvp._stencils(n, d)[0], d)
+    assert src.div_rel == float(np.abs(DIV @ src.values).max()
+                                / np.abs(src.values).max())
+
+
+def _skip_row_reflection_of(mode, rows):
+    # _reflect with the row signs D_r of one mode left out: that mode is
+    # served the right-hand side of its class's block, not its own; its
+    # conjugate partner keeps the true one
+    reflect = bvp._reflect
+
+    def mutant(v, axis_parity, negated):
+        assert negated[mode].any()
+        before = v[mode].copy()
+        reflect(v, axis_parity, negated)
+        if v.shape[1] == rows:
+            # the mutation has teeth: D_r moves this right-hand side
+            assert np.abs(v[mode] - before).max() \
+                >= 0.1 * np.abs(before).max()
+            v[mode] = before
+
+    return mutant
 
 
 def test_fourier_solve_rejects_a_complex_solution(monkeypatch):
     # each mutation breaks the conjugate symmetry between the phased
     # solutions of the modes k and -k, so x comes back with an imaginary
-    # part of its size: one block with conjugated symbols, the right-hand
-    # side without its row phase, the solution without its column phase
-    system = bvp.assemble(8, CHART)
+    # part of its size: one mode without its row reflection, the
+    # right-hand side without its row phase, the solution without its
+    # column phase
+    n = 8
+    system = bvp.assemble(n, CHART)
     # lateral modes with |k_a| <= 1, on rows of both parities
-    src = bvp.make_source(8, CHART, "continuum-admissible", seed=1)
+    src = bvp.make_source(n, CHART, "continuum-admissible", seed=1)
     poly_fn = bvp._slab_polynomial
+    R = poly_fn(n, 3).coef.shape[1]
 
     def dephased(field):
         def build(*args):
@@ -213,8 +336,9 @@ def test_fourier_solve_rejects_a_complex_solution(monkeypatch):
             return poly._replace(**{field: 0 * getattr(poly, field)})
         return build
 
+    # mode (n - 1, 0): k_0 = -1 negates axis 0
     for name, mutant in (
-            ("_fourier_blocks", _conjugate_one_block(bvp._fourier_blocks)),
+            ("_reflect", _skip_row_reflection_of((n - 1) * n, R)),
             ("_slab_polynomial", dephased("row_parity")),
             ("_slab_polynomial", dephased("col_parity"))):
         with monkeypatch.context() as patch:

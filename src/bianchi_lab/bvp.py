@@ -11,6 +11,11 @@ operator annihilating Killing deformations -- hold exactly at the matrix
 level.  That exactness is what makes "discrete-admissible" sources
 solvable to solver tolerance rather than discretization accuracy.
 
+Each operator is written once, as a stack builder ``stack(P, E_faces, N,
+NF)`` (``_slab_stack``, ``_h0_stack``), and evaluated twice: on the full
+grid (``_on_grid``) and on the block-polynomial grid
+(``_block_polynomial``).
+
 Every operator is also invariant under lateral translation, so the lateral
 DFT splits it into one collar-line block per lateral mode, and has degree
 <= 2 in the P's, so each block is exactly a polynomial of degree <= 2 in
@@ -158,31 +163,44 @@ def unvec_components(vec: np.ndarray, pairs, d: int) -> np.ndarray:
 
 @dataclass
 class DiscreteSystem:
+    """The slab system A sigma = b on the n^d grid, ``matrix`` = A.
+
+    Rows, in blocks of N = n^d node rows or NF = n^(d-1) face-node rows
+    (``_stack_rows`` names the families): "einstein", DEin, one block of
+    N per component of ``pairs``; "gauge", delta B, d blocks of N; then
+    the rows of ``_boundary_from_P`` weighted by ``_boundary_weight(n)``:
+    per face (d-1)d/2 blocks of NF for each of "pullback", "dA" and
+    "dnA" (d(nabla_n A)), then d "normal" (sigma(n, .)) blocks per face.
+    """
     dim: int
     n: int
-    chart: MetricChart
-    pairs: list
-    einstein: sp.csr_matrix   # unweighted interior operator rows
-    gauge: sp.csr_matrix
-    boundary: sp.csr_matrix
-    weights: tuple            # (interior, gauge, boundary) row weights
-    matrix: sp.csr_matrix     # weighted stack
+    matrix: sp.csr_matrix
+
+    @property
+    def pairs(self) -> list:
+        return _sym_pairs(self.dim)
+
+    def _rows(self, families) -> np.ndarray:
+        d, n = self.dim, self.n
+        return _stack_rows(d, n ** d, n ** (d - 1), families)
 
     def rhs_from_einstein_block(self, t_vec: np.ndarray) -> np.ndarray:
         b = np.zeros(self.matrix.shape[0])
-        b[: self.einstein.shape[0]] = self.weights[0] * t_vec
+        b[self._rows(("einstein",))] = t_vec
         return b
 
     def block_residuals(self, x: np.ndarray, t_vec: np.ndarray) -> dict:
-        r_int = self.einstein @ x - t_vec
-        r_g = self.gauge @ x
-        r_b = self.boundary @ x
+        """|r| of the interior, gauge and (unweighted) boundary rows of
+        r = A x - b, relative to |t_vec|."""
+        r = self.matrix @ x - self.rhs_from_einstein_block(t_vec)
         scale = max(np.linalg.norm(t_vec), 1e-300)
-        return {
-            "einstein": float(np.linalg.norm(r_int) / scale),
-            "gauge": float(np.linalg.norm(r_g) / scale),
-            "boundary": float(np.linalg.norm(r_b) / scale),
-        }
+
+        def rel(families):
+            return float(np.linalg.norm(r[self._rows(families)]) / scale)
+
+        return {"einstein": rel(("einstein",)), "gauge": rel(("gauge",)),
+                "boundary": rel(BOUNDARY_FAMILIES)
+                / _boundary_weight(self.n)}
 
 
 def _summed_blocks(nc: int, terms) -> list:
@@ -293,31 +311,66 @@ def _boundary_from_P(P, E_faces, d: int, N: int, NF: int):
     return sp.vstack(rows, format="csr")
 
 
-GEOMETRIC_FAMILIES = ("pullback", "dA", "dnA")
-H1_FAMILIES = ("pullback", "dA", "normal")
+BOUNDARY_FAMILIES = ("pullback", "dA", "dnA", "normal")
+GEOMETRIC_FAMILIES = ("einstein", "gauge", "pullback", "dA", "dnA")
+H1_FAMILIES = ("einstein", "gauge", "pullback", "dA", "normal")
 
 
-def _boundary_rows(d: int, NF: int, families) -> np.ndarray:
-    """Row indices of the named families in the ``_boundary_from_P``
-    layout: per face, (d-1)d/2 rows per face node for each of pullback,
-    dA and dnA; then d "normal" (sigma(n, .)) rows per node of each face."""
-    nt = (d - 1) * d // 2
-    blocks = []
-    for face in (0, 1):
-        for k, fam in enumerate(GEOMETRIC_FAMILIES):
-            if fam in families:
-                start = (3 * face + k) * nt * NF
-                blocks.append(np.arange(start, start + nt * NF))
-    if "normal" in families:
-        blocks.append(np.arange(6 * nt * NF, (6 * nt + 2 * d) * NF))
-    return np.concatenate(blocks)
+def _stack_rows(d: int, line: int, NF: int, families) -> np.ndarray:
+    """Indices of the rows of the named families in the slab stack, in
+    the order of ``DiscreteSystem``, with ``line`` nodes and NF face
+    nodes: n^d and n^(d-1) on the full grid, n and 1 in a lateral-Fourier
+    block."""
+    face = [(fam, (d - 1) * d // 2 * NF) for fam in ("pullback", "dA", "dnA")]
+    layout = ([("einstein", len(_sym_pairs(d)) * line), ("gauge", d * line)]
+              + 2 * face + [("normal", 2 * d * NF)])
+    ends = np.cumsum([size for _, size in layout])
+    return np.concatenate([np.arange(end - size, end) for (fam, size), end
+                           in zip(layout, ends) if fam in families])
 
 
-def _row_weights(n: int) -> tuple:
-    """(interior, gauge, boundary) row weights of the slab system: the
-    boundary rows carry h^(-1/2) so the L^2(M)-vs-L^2(boundary) balance,
-    and hence the singular-value ladder, is grid-stable."""
-    return (1.0, 1.0, (1.0 / n) ** -0.5)
+def _boundary_weight(n: int) -> float:
+    """Weight of the boundary rows of the slab system, h^(-1/2), so that
+    the L^2(M)-vs-L^2(boundary) balance, and hence the singular-value
+    ladder, is grid-stable; the interior and gauge rows carry 1."""
+    return (1.0 / n) ** -0.5
+
+
+def _slab_stack(n: int, d: int):
+    """The slab stack builder: per-node rows DEin and delta B, and
+    per-face-node rows, those of ``_boundary_from_P`` weighted by
+    ``_boundary_weight(n)`` (see ``_block_polynomial``)."""
+    bw = _boundary_weight(n)
+
+    def stack(P, E_faces, N, NF):
+        EIN, GAUGE = _interior_from_P(P, d, N)[:2]
+        return (sp.vstack([EIN, GAUGE], format="csr"),
+                bw * _boundary_from_P(P, E_faces, d, N, NF))
+
+    return stack
+
+
+def _h0_stack(n: int, d: int):
+    """The H0 stack builder: the Killing operator delta* per node, then
+    the restriction of X to each face, weighted by
+    ``_boundary_weight(n)``; no face rows without faces."""
+    bw = _boundary_weight(n)
+
+    def stack(P, E_faces, N, NF):
+        faces = [bw * sp.block_diag([E] * d, format="csr") for E in E_faces]
+        return (_interior_from_P(P, d, N)[4],
+                sp.vstack(faces, format="csr") if faces else None)
+
+    return stack
+
+
+def _on_grid(n: int, d: int, stack, closed_torus: bool = False
+             ) -> sp.csr_matrix:
+    """``stack`` on the full n^d grid: its node rows, then its face rows."""
+    P, E_faces = _stencils(n, d, closed_torus)
+    nodes, faces = stack(P, E_faces, n ** d, n ** (d - 1))
+    return nodes if faces is None else sp.vstack([nodes, faces],
+                                                 format="csr")
 
 
 def assemble(n: int, chart: MetricChart) -> DiscreteSystem:
@@ -326,15 +379,8 @@ def assemble(n: int, chart: MetricChart) -> DiscreteSystem:
         raise ValueError("the discrete problem is posed on the flat periodic "
                          "slab; other presets would need lifted operators")
     d = chart.dim
-    P, E_faces = _stencils(n, d)
-    EIN, GAUGE = _interior_from_P(P, d, n ** d)[:2]
-    BND = _boundary_from_P(P, E_faces, d, n ** d, n ** (d - 1))
-    weights = _row_weights(n)
-    A = sp.vstack([weights[0] * EIN, weights[1] * GAUGE, weights[2] * BND],
-                  format="csr")
-    return DiscreteSystem(dim=d, n=n, chart=chart, pairs=_sym_pairs(d),
-                          einstein=EIN, gauge=GAUGE, boundary=BND,
-                          weights=weights, matrix=A)
+    return DiscreteSystem(dim=d, n=n, matrix=_on_grid(n, d,
+                                                      _slab_stack(n, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +526,7 @@ def _face_max(E_faces, values: np.ndarray) -> float:
     """Largest face-extrapolated magnitude of a stacked component vector,
     over every component and both faces of ``E_faces``."""
     faces = sp.vstack(E_faces, format="csr")
-    nc = values.size // faces.shape[1]
-    return float(np.abs(sp.block_diag([faces] * nc, format="csr")
-                        @ values).max())
+    return float(np.abs(faces @ values.reshape(-1, faces.shape[1]).T).max())
 
 
 # ---------------------------------------------------------------------------
@@ -522,33 +566,13 @@ def kernel_probe(matrix: sp.spmatrix, seed: int = 0) -> float:
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def _h0_from_P(P, E_faces, d: int, N: int, bw: float):
-    """The Killing operator delta* (from ``_interior_from_P``), then the
-    restriction of X to each face of ``E_faces`` with weight bw, or None
-    without faces."""
-    DSTAR = _interior_from_P(P, d, N)[4]
-    faces = [bw * sp.block_diag([E] * d, format="csr") for E in E_faces]
-    return DSTAR, sp.vstack(faces, format="csr") if faces else None
-
-
 def h0_operator(n: int, d: int, closed_torus: bool = False) -> sp.csr_matrix:
-    """The Killing operator with the boundary-restriction rows of X.
+    """The Killing operator with the boundary-restriction rows of X
+    (``_h0_stack``).
 
     ``closed_torus`` makes the collar axis periodic and drops the faces.
     """
-    P, E_faces = _stencils(n, d, closed_torus)
-    DSTAR, faces = _h0_from_P(P, E_faces, d, n ** d, _row_weights(n)[2])
-    return DSTAR if faces is None else sp.vstack([DSTAR, faces],
-                                                 format="csr")
-
-
-def row_stack(system: DiscreteSystem, families) -> sp.csr_matrix:
-    """The weighted interior and gauge rows with the named boundary
-    families (see ``_boundary_rows``)."""
-    keep = _boundary_rows(system.dim, system.n ** (system.dim - 1), families)
-    w = system.weights
-    return sp.vstack([w[0] * system.einstein, w[1] * system.gauge,
-                      w[2] * system.boundary[keep]], format="csr")
+    return _on_grid(n, d, _h0_stack(n, d), closed_torus)
 
 
 def width_modulus_fields(n: int, d: int) -> np.ndarray:
@@ -576,32 +600,17 @@ def discrete_kernel_basis(n: int, d: int) -> np.ndarray:
     The width-modulus component patterns (dx_a . dx_d and dx_d^2) times
     every lateral function killed by the central difference: the constant
     and, on even grids, the per-axis Nyquist checkerboard (-1)^j, giving
-    d * 2^(d-1) vectors on even grids.
+    d * 2^(d-1) vectors on even grids.  The columns run mode-major: each
+    dead mode times the d patterns of ``width_modulus_fields``.
     """
-    pairs = _sym_pairs(d)
-    N = n ** d
-    x_idx = np.stack(np.meshgrid(*[np.arange(n)] * d, indexing="ij"),
-                     axis=-1).reshape(-1, d)
-    dead = [np.ones(N)]
-    if n % 2 == 0:
-        import itertools
-
-        for combo in itertools.product((0, 1), repeat=d - 1):
-            if not any(combo):
-                continue
-            chi = np.ones(N)
-            for a, use in enumerate(combo):
-                if use:
-                    chi = chi * ((-1.0) ** x_idx[:, a])
-            dead.append(chi)
-    cols = []
-    for chi in dead:
-        for a in range(d):
-            mat = np.zeros((N, d, d))
-            mat[:, a, d - 1] = mat[:, d - 1, a] = chi
-            cols.append(vec_components(mat, pairs))
-    K = np.stack(cols, axis=1)
-    return np.linalg.qr(K)[0]
+    lateral = np.indices((n,) * d).reshape(d, -1)[:-1]
+    combos = np.array(list(product((0, 1), repeat=d - 1)))
+    dead = (-1.0) ** (combos[: None if n % 2 == 0 else 1] @ lateral)
+    W = width_modulus_fields(n, d)
+    K = np.tile(dead, len(_sym_pairs(d))).T[:, :, None] * W[:, None, :]
+    # + 0.0 turns the -0.0 of 0 * (-1) into 0.0: the Householder QR takes
+    # a zero pivot's sign, so a signed zero would flip a column of Q
+    return np.linalg.qr(K.reshape(len(W), -1) + 0.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -638,13 +647,13 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
     symbols.
 
     ``stack(P, E_faces, N, NF)`` assembles (per-node rows, per-face-node
-    rows or None) from a commuting derivative family P and face rows, as
-    ``_interior_from_P`` and ``_boundary_from_P`` do on the full grid; its
-    columns are the components ``unknowns`` (index tuples) of the unknown
-    field.  In the block of lateral mode k each lateral P_a is i t_a / h
-    times the identity, with t_a = sin(2 pi k_a / n); the collar P (absent
-    on the closed torus, where all d axes are lateral) is the collar
-    line's stencil.  Every row of the slab system has degree <= 2 in the
+    rows or None) from a commuting derivative family P and face rows, the
+    builder that ``_on_grid`` evaluates on the full grid; its columns are
+    the components ``unknowns`` (index tuples) of the unknown field.  In
+    the block of lateral mode k each lateral P_a is i t_a / h times the
+    identity, with t_a = sin(2 pi k_a / n); the collar P (absent on the
+    closed torus, where all d axes are lateral) is the collar line's
+    stencil.  Every row of the slab system has degree <= 2 in the
     P's (the interior rows through the Laplacian and delta* delta B, the
     boundary rows through E P_d P_a and E P_a P_b), so with u_a / h in
     place of each lateral P_a
@@ -738,18 +747,8 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
 
 
 def _slab_polynomial(n: int, d: int) -> _Polynomial:
-    """``_block_polynomial`` of the weighted slab stack: interior, gauge
-    and boundary rows, in the row order and with the weights of
-    ``assemble``."""
-    weights = _row_weights(n)
-
-    def stack(P, E_faces, N, NF):
-        EIN, GAUGE = _interior_from_P(P, d, N)[:2]
-        nodes = sp.vstack([weights[0] * EIN, weights[1] * GAUGE],
-                          format="csr")
-        return nodes, weights[2] * _boundary_from_P(P, E_faces, d, N, NF)
-
-    return _block_polynomial(n, d, stack, _sym_pairs(d))
+    """``_block_polynomial`` of the slab stack of ``assemble``."""
+    return _block_polynomial(n, d, _slab_stack(n, d), _sym_pairs(d))
 
 
 def _class_count(n: int) -> int:
@@ -844,19 +843,15 @@ def lateral_block_svals(n: int, d: int) -> dict:
 
 def _h0_polynomial(n: int, d: int, closed_torus: bool = False
                    ) -> _Polynomial:
-    """``_block_polynomial`` of the H0 operator (see ``h0_operator``)."""
-    bw = _row_weights(n)[2]
-    return _block_polynomial(
-        n, d, lambda P, E_faces, N, NF: _h0_from_P(P, E_faces, d, N, bw),
-        [(a,) for a in range(d)], closed_torus)
+    """``_block_polynomial`` of the H0 stack of ``h0_operator``."""
+    return _block_polynomial(n, d, _h0_stack(n, d), [(a,) for a in range(d)],
+                             closed_torus)
 
 
 def _h1_polynomial(n: int, d: int) -> _Polynomial:
     """The rows of the H1 operator in ``_slab_polynomial``: interior,
     gauge, pullback, dA and sigma(n, .), no normal-derivative data."""
-    nint = (len(_sym_pairs(d)) + d) * n
-    keep = np.concatenate([np.arange(nint),
-                           nint + _boundary_rows(d, 1, H1_FAMILIES)])
+    keep = _stack_rows(d, n, 1, H1_FAMILIES)
     poly = _slab_polynomial(n, d)
     return poly._replace(coef=poly.coef[:, keep],
                          row_parity=poly.row_parity[keep],
@@ -899,15 +894,15 @@ def solve_least_squares(system: DiscreteSystem, source: SourceSpec
     ``iterations`` 0.
     """
     d, n = system.dim, system.n
-    m, nc = d - 1, len(system.pairs)
+    m = d - 1
     lateral = tuple(range(1, d))
     poly = _slab_polynomial(n, d)
     _, R, C = poly.coef.shape
     b = system.rhs_from_einstein_block(source.values)
-    split = (nc + d) * n ** d
+    split = system._rows(("einstein", "gauge")).size
     # block rows: each interior and gauge component along the collar line,
     # then one row per boundary family
-    b_int = np.fft.fftn(b[:split].reshape((nc + d,) + (n,) * d),
+    b_int = np.fft.fftn(b[:split].reshape((-1,) + (n,) * d),
                         axes=lateral, norm="ortho")
     b_bnd = np.fft.fftn(b[split:].reshape((-1,) + (n,) * m),
                         axes=lateral, norm="ortho")
@@ -940,7 +935,7 @@ def solve_least_squares(system: DiscreteSystem, source: SourceSpec
         del blocks, U, s, Vh, y, c, z  # before the next chunk is built
     _reflect(xhat, poly.col_axes, negated)
     xhat *= np.where(poly.col_parity, 1j, 1)
-    x = np.fft.ifftn(np.moveaxis(xhat.reshape((n,) * m + (nc, n)), m, 0),
+    x = np.fft.ifftn(np.moveaxis(xhat.reshape((n,) * m + (-1, n)), m, 0),
                      axes=lateral, norm="ortho").ravel()
     imag = float(np.abs(x.imag).max())
     if imag > _IMAG_TOL * max(float(np.abs(x).max()), 1e-300):
@@ -1007,7 +1002,7 @@ def cohomology_probe(n: int, chart: MetricChart,
     # the full system maps them away from zero through sigma(n, .)
     system = assemble(n, chart)
     K = discrete_kernel_basis(n, d)
-    geometric = row_stack(system, GEOMETRIC_FAMILIES)
+    geometric = system.matrix[system._rows(GEOMETRIC_FAMILIES)]
     out["kernel_certificate_norms"] = [
         float(np.linalg.norm(geometric @ K[:, c]))
         for c in range(K.shape[1])]

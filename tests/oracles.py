@@ -451,16 +451,26 @@ def dstar_from_P(P, d: int):
     return sp.bmat(filled, format="csr")
 
 
+def grid_stencils(n: int, d: int, closed_torus: bool = False):
+    """(P, E_faces) on the full n^d grid, each axis operator and face row
+    built from the 1-D stencils of ``bvp`` (no face rows on the closed
+    torus)."""
+    h = 1.0 / n
+    P = [bvp._axis_operator(
+        bvp._first_derivative_1d(n, h, k < d - 1 or closed_torus), k, n, d)
+        for k in range(d)]
+    E_faces = [] if closed_torus else [
+        bvp._face_operator(bvp._face_extrapolation_1d(n, face), n, d)
+        for face in (0, 1)]
+    return P, E_faces
+
+
 def assemble_loop(n: int, d: int):
     """The weighted slab stack of ``bvp.assemble`` from the copies above."""
-    h = 1.0 / n
-    P = [bvp._axis_operator(bvp._first_derivative_1d(n, h, k < d - 1),
-                            k, n, d) for k in range(d)]
+    P, E_faces = grid_stencils(n, d)
     EIN, GAUGE, _, _, _ = interior_from_P_loop(P, d, n ** d)
-    E_faces = [bvp._face_operator(bvp._face_extrapolation_1d(n, face), n, d)
-               for face in (0, 1)]
     BND = boundary_from_P_loop(P, E_faces, d, n ** d, n ** (d - 1))
-    return sp.vstack([EIN, GAUGE, h ** -0.5 * BND], format="csr")
+    return sp.vstack([EIN, GAUGE, (1.0 / n) ** -0.5 * BND], format="csr")
 
 
 def lateral_blocks_loop(n: int, d: int, weights=None):
@@ -496,10 +506,9 @@ def h1_blocks_loop(n: int, d: int):
         P.append(Pd)
         EIN, GAUGE, _, _, _ = interior_from_P_loop(P, d, n)
         BND = boundary_from_P_loop(P, E_faces, d, n, 1)
-        keep = bvp._boundary_rows(d, 1, bvp.H1_FAMILIES)
         A = sp.vstack([weights[0] * EIN, weights[1] * GAUGE,
-                       weights[2] * BND.tocsr()[keep]], format="csr")
-        yield kmodes, A.toarray()
+                       weights[2] * BND], format="csr")
+        yield kmodes, A[bvp._stack_rows(d, n, 1, bvp.H1_FAMILIES)].toarray()
 
 
 def h0_blocks_loop(n: int, d: int, closed_torus: bool = False):

@@ -339,7 +339,7 @@ def test_criterion_07_first_normal_trace_at_order_two():
 
 def test_criterion_08_solvability_probe():
     # the n >= 12 solves and the continuum study use the direct solve on
-    # the real lateral-Fourier blocks; at n=8 the dense-SVD range distance
+    # the real lateral-Fourier blocks; at n=8 the dense-QR range distance
     # checks it and LSMR
     from bianchi_lab.bvp import assemble, make_source, solve_least_squares
     from oracles import lsmr_solve
@@ -361,15 +361,16 @@ def test_criterion_08_solvability_probe():
                              np.log(rels), 1)[0])
 
     system8 = assemble(8, chart)
-    A = system8.matrix.toarray()
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    Ur = U[:, s > 1e-10 * s[0]]
+    # A has full column rank, so the Q of its reduced QR spans range(A)
+    Q, R = np.linalg.qr(system8.matrix.toarray())
+    diag = np.abs(np.diag(R))
+    assert diag.min() > 1e-10 * diag.max()
     worst_inadm = 1.0
     oracle_consistent = True
     for kind in ("inadmissible-divergence", "inadmissible-boundary"):
         src8 = make_source(8, chart, kind, seed=83)
         b = system8.rhs_from_einstein_block(src8.values)
-        dist = np.linalg.norm(b - Ur @ (Ur.T @ b)) / np.linalg.norm(b)
+        dist = np.linalg.norm(b - Q @ (Q.T @ b)) / np.linalg.norm(b)
         _, r8 = lsmr_solve(system8, src8)
         _, f8 = solve_least_squares(system8, src8)
         oracle_consistent &= abs(dist - r8.relative_residual) <= 1e-6
@@ -384,7 +385,7 @@ def test_criterion_08_solvability_probe():
     report("criterion 8 (solvability probe)", ok,
            f"discrete-admissible residual {discrete_rel:.2e} (tol 1e-8), "
            f"continuum slope {slope:.2f} (>=1.8), inadmissible residual "
-           f">= {worst_inadm:.3f} (need 0.05, dense-SVD range oracle "
+           f">= {worst_inadm:.3f} (need 0.05, dense-QR range oracle "
            f"{'agrees' if oracle_consistent else 'DISAGREES'} with LSMR and "
            f"the Fourier solve), runtime {elapsed:.0f}s (budget 90s)")
 

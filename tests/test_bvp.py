@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bianchi_lab.boundary import CollarChart
 from bianchi_lab.bvp import (
-    DiscreteSystem,
+    BOUNDARY_FAMILIES,
+    _boundary_weight,
     _face_max,
     _interior_from_P,
     _stencils,
@@ -31,7 +33,14 @@ from bianchi_lab.linearize import (
 
 from bianchi_lab.verify import run_suite, slab_solve_cases
 
-from oracles import loglog_slope, lsmr_solve
+from oracles import (
+    boundary_from_P_loop,
+    dstar_from_P,
+    grid_stencils,
+    interior_from_P_loop,
+    loglog_slope,
+    lsmr_solve,
+)
 
 ACTION = ricci_action()
 CHART = make_chart("flat_slab_periodic", 3)
@@ -42,6 +51,11 @@ def sample_field(n, field):
     return x, tensor_values(field(x, 0))
 
 
+def rows_of(system, *families):
+    """The rows of the named families of the assembled matrix."""
+    return system.matrix[system._rows(families)]
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -50,12 +64,16 @@ def test_system_dimensions_match_row_bookkeeping():
     n = 8
     system = assemble(n, CHART)
     N = n ** 3
-    assert system.einstein.shape == (6 * N, 6 * N)
-    assert system.gauge.shape == (3 * N, 6 * N)
+    assert rows_of(system, "einstein").shape == (6 * N, 6 * N)
+    assert rows_of(system, "gauge").shape == (3 * N, 6 * N)
     # per face node: 3 pullback, 3 dA and 3 d(nabla_n A) rows on each
     # face, then 3 sigma(n, .) rows on each face
-    assert system.boundary.shape == (12 * 2 * n ** 2, 6 * N)
+    assert rows_of(system, *BOUNDARY_FAMILIES).shape == (12 * 2 * n ** 2,
+                                                         6 * N)
     assert system.matrix.shape == (6 * N + 3 * N + 24 * n ** 2, 6 * N)
+    # the families tile the stack in order
+    every = system._rows(("einstein", "gauge") + BOUNDARY_FAMILIES)
+    assert np.array_equal(every, np.arange(system.matrix.shape[0]))
 
 
 def test_assemble_rejects_other_presets():
@@ -65,14 +83,54 @@ def test_assemble_rejects_other_presets():
         assemble(8, make_chart("polar_ball", 3))
 
 
+@pytest.mark.parametrize("d,n", [(3, 6), (4, 4)])
+def test_block_residuals_match_the_per_term_oracle(d, n):
+    # the interior, gauge and unweighted boundary parts of A x - b against
+    # the per-term copies of the three operators, on a random x and source
+    system = assemble(n, make_chart("flat_slab_periodic", d))
+    P, E_faces = grid_stencils(n, d)
+    EIN, GAUGE = interior_from_P_loop(P, d, n ** d)[:2]
+    BND = boundary_from_P_loop(P, E_faces, d, n ** d, n ** (d - 1))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(system.matrix.shape[1])
+    t = rng.standard_normal(EIN.shape[0])
+    scale = np.linalg.norm(t)
+    want = {"einstein": np.linalg.norm(EIN @ x - t) / scale,
+            "gauge": np.linalg.norm(GAUGE @ x) / scale,
+            "boundary": np.linalg.norm(BND @ x) / scale}
+    got = system.block_residuals(x, t)
+    assert list(got) == list(want)
+    for key, val in want.items():
+        assert got[key] == pytest.approx(val, rel=1e-12), key
+
+
+@pytest.mark.parametrize("closed_torus", [False, True])
+@pytest.mark.parametrize("d,n", [(3, 6), (4, 5)])
+def test_h0_operator_is_bit_identical_to_the_oracle(d, n, closed_torus):
+    # delta* from its oracle copy, then the restriction of X to each face
+    # with weight h^(-1/2); no face rows on the closed torus
+    P, E_faces = grid_stencils(n, d, closed_torus)
+    want = sp.vstack([dstar_from_P(P, d)]
+                     + [(1.0 / n) ** -0.5 * sp.block_diag([E] * d,
+                                                          format="csr")
+                        for E in E_faces], format="csr")
+    got = h0_operator(n, d, closed_torus=closed_torus)
+    assert got.shape == ((d * (d + 1) // 2) * n ** d
+                         + (0 if closed_torus else 2 * d * n ** (d - 1)),
+                         d * n ** d)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
 def test_constant_field_annihilated_by_interior_rows():
     n = 8
     system = assemble(n, CHART)
     const = np.zeros((n ** 3, 3, 3))
     const[:] = np.array([[1.0, 0.3, 0.0], [0.3, -0.5, 0.2], [0.0, 0.2, 2.0]])
     v = vec_components(const, system.pairs)
-    assert np.abs(system.einstein @ v).max() <= 1e-12
-    assert np.abs(system.gauge @ v).max() <= 1e-12
+    assert np.abs(rows_of(system, "einstein") @ v).max() <= 1e-12
+    assert np.abs(rows_of(system, "gauge") @ v).max() <= 1e-12
 
 
 def test_flat_operator_identities_hold_exactly():
@@ -96,7 +154,7 @@ def test_stencil_consistency_second_order():
         x = slab_nodes(n, 3)
         vals = tensor_values(field(x, 0))
         v = vec_components(vals, system.pairs)
-        disc = system.einstein @ v
+        disc = rows_of(system, "einstein") @ v
         geom = geometry_from_jets(CHART.metric_jets(x, 2))
         cont = tensor_values(dein_closed_jets(geom, field(x, 2), ACTION))
         cont_v = vec_components(cont, system.pairs)
@@ -151,6 +209,14 @@ def test_closed_form_boundary_operators_match_fd_oracle():
             assert np.abs(dna[:, c] - dM[:, a, b]).max() <= 1e-4 * scale
 
 
+def face_rows(system, family, v):
+    """One boundary family of the assembled matrix applied to v,
+    unweighted, as (face, face node, tangential component)."""
+    n = system.n
+    rows = (rows_of(system, family) @ v) / _boundary_weight(n)
+    return rows.reshape(2, -1, n ** 2).transpose(0, 2, 1)
+
+
 def test_assembled_boundary_rows_converge_to_closed_form():
     field = trig_poly_sym_field(3, 32)
     errs = {"ptt": [], "da": [], "dna": []}
@@ -159,15 +225,10 @@ def test_assembled_boundary_rows_converge_to_closed_form():
         system = assemble(n, CHART)
         x = slab_nodes(n, 3)
         v = vec_components(tensor_values(field(x, 0)), system.pairs)
-        rows = system.boundary @ v
-        NF = n ** 2
         lat = slab_nodes(n, 2)
         ptt_c, da_c, dna_c = _closed_form_boundary_rows(field, lat, 0)
-        ptt = np.stack([rows[c * NF:(c + 1) * NF] for c in range(3)], axis=-1)
-        da = np.stack([rows[(3 + c) * NF:(4 + c) * NF] for c in range(3)],
-                      axis=-1)
-        dna = np.stack([rows[(6 + c) * NF:(7 + c) * NF] for c in range(3)],
-                       axis=-1)
+        ptt, da, dna = (face_rows(system, fam, v)[0]
+                        for fam in ("pullback", "dA", "dnA"))
         errs["ptt"].append(np.abs(ptt - ptt_c).max())
         errs["da"].append(np.abs(da - da_c).max())
         errs["dna"].append(np.abs(dna - dna_c).max())
@@ -181,12 +242,9 @@ def test_assembled_boundary_rows_converge_to_closed_form():
     system = assemble(n, CHART)
     x = slab_nodes(n, 3)
     v = vec_components(tensor_values(field(x, 0)), system.pairs)
-    rows = system.boundary @ v
-    NF = n ** 2
     lat = slab_nodes(n, 2)
     _, da_c, _ = _closed_form_boundary_rows(field, lat, 1)
-    da_top = np.stack([rows[(9 + 3 + c) * NF:(9 + 4 + c) * NF]
-                       for c in range(3)], axis=-1)
+    da_top = face_rows(system, "dA", v)[1]
     assert np.abs(da_top - da_c).max() <= 0.1
 
 
@@ -323,13 +381,12 @@ def test_fourier_spectrum_matches_dense_svd():
 
 def test_width_modulus_fields_span_exact_kernel():
     # the fields span the exact kernel of the interior, gauge, pullback,
-    # dA and d(nabla_n A) rows (the first 2 x 9 n^2 boundary rows); the
-    # sigma(n, .) rows that close the system map each away from zero
+    # dA and d(nabla_n A) rows; the sigma(n, .) rows that close the
+    # system map each away from zero
     for n in (8, 16):
         system = assemble(n, CHART)
-        w = system.weights
-        geometric = [w[0] * system.einstein, w[1] * system.gauge,
-                     w[2] * system.boundary[:18 * n ** 2]]
+        geometric = [rows_of(system, "einstein"), rows_of(system, "gauge"),
+                     rows_of(system, "pullback", "dA", "dnA")]
         W = width_modulus_fields(n, 3)
         for c in range(W.shape[1]):
             norm = np.linalg.norm(W[:, c])

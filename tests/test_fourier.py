@@ -139,10 +139,10 @@ def test_coefficient_that_breaks_the_parity_grading_raises():
     # X_0 has one lateral index and X_2 (the collar component) none: a
     # zeroth-order row coupling them can be made real by no diagonal phase
     n, d = 5, 3
-    bw = (1.0 / n) ** -0.5
+    h0 = bvp._h0_stack(n, d)
 
     def stack(P, E_faces, N, NF):
-        dstar, faces = bvp._h0_from_P(P, E_faces, d, N, bw)
+        dstar, faces = h0(P, E_faces, N, NF)
         eye = sp.identity(N, format="csr")
         mixed = sp.hstack([eye, 0 * eye, eye], format="csr")
         return sp.vstack([dstar, mixed], format="csr"), faces
@@ -151,8 +151,7 @@ def test_coefficient_that_breaks_the_parity_grading_raises():
     with pytest.raises(ValueError, match="parity"):
         bvp._block_polynomial(n, d, stack, unknowns)
     # the same stack without the coupling row is graded
-    poly = bvp._block_polynomial(
-        n, d, lambda P, E, N, NF: bvp._h0_from_P(P, E, d, N, bw), unknowns)
+    poly = bvp._block_polynomial(n, d, bvp._h0_stack(n, d), unknowns)
     assert np.array_equal(poly.coef, bvp._h0_polynomial(n, d).coef)
 
 

@@ -31,14 +31,18 @@ diagonal on each side.  And t_a = sin(2 pi k_a / n) is the same for k_a
 and n/2 - k_a, and changes sign from k_a to -k_a.  So every block is
 +-1 diagonals times the block of its class of |t| (``_symbol_classes``):
 floor(n/4) + 1 classes per axis on even n, (n + 1)/2 on odd n.  The exact
-spectra and the one least-squares solver, ``solve_least_squares`` (a
-direct SVD solve), factor one real block per class.  LSMR and the dense
-SVD of the assembled matrix are their oracles in ``tests/oracles.py``.
+spectra factor one real block per class.  The one least-squares solver,
+``solve_least_squares`` (a direct SVD solve), factors one real block per
+class that the lateral DFT of the right-hand side touches: every source
+kind lies on the modes with |k_a| <= 1, so at most 2^(d-1) classes at
+any n.  LSMR, a per-mode dense solve and the dense SVD of the assembled
+matrix are their oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -540,11 +544,16 @@ class SolveReport:
     relative_residual: float
     block_residuals: dict
     solution_norm: float
+    # smallest singular value of the blocks solved; None when no block
+    # was factored
     sigma_min_estimate: float | None = None
-    # modes whose block the SVD cut-off made rank-deficient; None from a
-    # solver without blocks
+    # modes of the solved classes whose block the SVD cut-off made
+    # rank-deficient; None from a solver without blocks
     rank_deficient_blocks: int | None = None
-    schema: str = "solve-report/1"
+    # class blocks factored: those holding a mode that b-hat touches;
+    # None from a solver without blocks
+    classes_solved: int | None = None
+    schema: str = "solve-report/2"
 
 
 def kernel_probe(matrix: sp.spmatrix, seed: int = 0) -> float:
@@ -633,7 +642,7 @@ class _Polynomial(NamedTuple):
     (m x rows) and col_axes (m x cols) hold the parity of each row and
     column under the reflection of each lateral axis alone; row_parity
     and col_parity are their sums mod 2 (see ``_block_polynomial``)."""
-    terms: list
+    terms: tuple
     coef: np.ndarray
     row_parity: np.ndarray
     col_parity: np.ndarray
@@ -742,13 +751,21 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
     # i^(|e| + p_c - p_r) is -1 where the exponent is 2 mod 4
     deg = np.array([len(e) for e in terms])[:, None, None]
     flip = (deg + col - row[:, None]) % 4 == 2
-    return _Polynomial(terms, np.where(flip, -coef, coef), row, col,
+    return _Polynomial(tuple(terms), np.where(flip, -coef, coef), row, col,
                        row_axes, col_axes)
 
 
+# A polynomial takes J R C doubles, 6.3 MB at d=3, n=48.  Eight grids
+# hold every (n, d) that one ``verify --suite bvp`` run solves on.
+@lru_cache(maxsize=8)
 def _slab_polynomial(n: int, d: int) -> _Polynomial:
-    """``_block_polynomial`` of the slab stack of ``assemble``."""
-    return _block_polynomial(n, d, _slab_stack(n, d), _sym_pairs(d))
+    """``_block_polynomial`` of the slab stack of ``assemble``, built
+    once per (n, d) and shared by every caller, so its arrays are
+    read-only."""
+    poly = _block_polynomial(n, d, _slab_stack(n, d), _sym_pairs(d))
+    for array in poly[1:]:
+        array.flags.writeable = False
+    return poly
 
 
 def _class_count(n: int) -> int:
@@ -796,18 +813,19 @@ def _reflect(v: np.ndarray, axis_parity: np.ndarray,
         np.multiply(v, 1 - 2 * parity, out=v, where=negated[:, a, None])
 
 
-def _fourier_blocks(poly: _Polynomial, n: int):
-    """The lateral-Fourier block of each representative of
-    ``_symbol_classes``, real, in chunks of at most ``_CHUNK_BYTES``:
-    yields (first representative, blocks (b, rows, cols))."""
+def _fourier_blocks(poly: _Polynomial, n: int, classes: np.ndarray):
+    """The real lateral-Fourier block of each class in ``classes``
+    (representatives of ``_symbol_classes``), in chunks of at most
+    ``_CHUNK_BYTES``: yields (position in ``classes`` of the chunk's
+    first class, blocks (b, rows, cols))."""
     J, R, C = poly.coef.shape
     m = len(poly.row_axes)
     K = _class_count(n)
     t = np.sin(2 * np.pi * np.arange(K) / n)
-    reps = np.indices((K,) * m).reshape(m, -1).T
+    reps = np.array(np.unravel_index(classes, (K,) * m)).T
     flat = poly.coef.reshape(J, -1)
     step = max(1, _CHUNK_BYTES // (flat.itemsize * R * C))
-    for start in range(0, K ** m, step):
+    for start in range(0, len(reps), step):
         symbols = t[reps[start:start + step]]
         W = np.stack([np.prod(symbols[:, list(e)], axis=1)
                       for e in poly.terms], axis=1)
@@ -817,11 +835,13 @@ def _fourier_blocks(poly: _Polynomial, n: int):
 def _block_svals(poly: _Polynomial, n: int) -> np.ndarray:
     """Singular values of every block, descending, one row per mode: those
     of its class's block, which the reflections leave unchanged."""
+    m = len(poly.row_axes)
     svals = []
-    for _, blocks in _fourier_blocks(poly, n):
+    for _, blocks in _fourier_blocks(poly, n,
+                                     np.arange(_class_count(n) ** m)):
         svals.append(np.linalg.svd(blocks, compute_uv=False))
         del blocks  # before the next chunk is built
-    return np.concatenate(svals)[_symbol_classes(n, len(poly.row_axes))[0]]
+    return np.concatenate(svals)[_symbol_classes(n, m)[0]]
 
 
 def lateral_block_svals(n: int, d: int) -> dict:
@@ -874,24 +894,28 @@ def h1_spectrum(n: int, d: int) -> np.ndarray:
 def solve_least_squares(system: DiscreteSystem, source: SourceSpec
                         ) -> tuple[np.ndarray, SolveReport]:
     """Min-norm least squares on the weighted stack, one real lateral-
-    Fourier block per symbol class.
+    Fourier block per symbol class that the right-hand side touches.
 
     The unitary lateral DFT of each row family of b, with the row phases
     of ``_block_polynomial``, gives the right-hand side of each real
     block.  The min-norm solutions of the blocks (by SVD, with cut-off
     eps max(rows, cols) sigma_max of the block), with the column phases
     and the inverse DFT, are the min-norm least-squares solution of the
-    whole system.  The block of a mode is D_r B D_c, with B the block of
-    its class of |t| and D_r, D_c the +-1 diagonals of the reflection of
-    the axes it negates (``_symbol_classes``, ``_reflect``).  So one SVD
+    whole system.  A mode with |b-hat_k| <= eps max(rows, cols) |b| is
+    silent: its min-norm solution is roundoff divided by sigma_min, so it
+    keeps x-hat_k = 0, and only the classes with a non-silent mode are
+    factored.  The block of a mode is D_r B D_c, with B the block of its
+    class of |t| and D_r, D_c the +-1 diagonals of the reflection of the
+    axes it negates (``_symbol_classes``, ``_reflect``).  So one SVD
     B = U S V^T per class solves every mode of the class, each as more
     right-hand sides: x = D_c V S^+ U^T D_r b.  b is real, so x is real
     up to roundoff; anything more raises ``RuntimeError``.  The residual
-    is recomputed from ``system.matrix``; ``sigma_min_estimate`` is the
-    exact smallest singular value of the system, and
-    ``rank_deficient_blocks`` counts the modes whose block the cut-off
-    truncated.  A direct solve: ``converged`` is always True and
-    ``iterations`` 0.
+    is recomputed from ``system.matrix``.  ``classes_solved`` counts the
+    class blocks factored; ``sigma_min_estimate`` is the exact smallest
+    singular value of those blocks (None when there are none, for b = 0),
+    and ``rank_deficient_blocks`` counts the modes of those classes whose
+    block the cut-off truncated.  A direct solve: ``converged`` is always
+    True and ``iterations`` 0.
     """
     d, n = system.dim, system.n
     m = d - 1
@@ -911,26 +935,29 @@ def solve_least_squares(system: DiscreteSystem, source: SourceSpec
                           axis=1)
     bhat *= np.where(poly.row_parity, -1j, 1)
     rep, negated = _symbol_classes(n, m)
+    tol = np.finfo(float).eps * max(R, C)
+    classes = np.unique(rep[np.linalg.norm(bhat, axis=1)
+                            > tol * np.linalg.norm(b)])
     _reflect(bhat, poly.row_axes, negated)
-    members = _class_members(rep)
+    members = _class_members(rep)[classes]
     M = members.shape[1]
     xhat = np.zeros((n ** m, C), dtype=complex)
     # real blocks: the real and imaginary parts of each member mode are
     # two right-hand sides
     rhs = bhat.view(float).reshape(n ** m, R, 2)
     sol = xhat.view(float).reshape(n ** m, C, 2)
-    sigma_min, deficient = np.inf, 0
-    for start, blocks in _fourier_blocks(poly, n):
+    sigma_min, deficient = [], 0
+    for start, blocks in _fourier_blocks(poly, n, classes):
         U, s, Vh = np.linalg.svd(blocks, full_matrices=False)
         group = members[start:start + len(blocks)]
-        keep = (s > np.finfo(float).eps * max(R, C) * s[:, :1])[..., None]
+        keep = (s > tol * s[:, :1])[..., None]
         y = rhs[group].transpose(0, 2, 1, 3).reshape(len(group), R, 2 * M)
         c = np.divide(U.transpose(0, 2, 1) @ y, s[..., None],
                       out=np.zeros((len(group), C, 2 * M)), where=keep)
         z = (Vh.transpose(0, 2, 1) @ c).reshape(len(group), C, M, 2)
         listed = group >= 0
         sol[group[listed]] = z.transpose(0, 2, 1, 3)[listed]
-        sigma_min = min(sigma_min, float(s[:, -1].min()))
+        sigma_min.append(float(s[:, -1].min()))
         deficient += int(listed[~keep.all(axis=(1, 2))].sum())
         del blocks, U, s, Vh, y, c, z  # before the next chunk is built
     _reflect(xhat, poly.col_axes, negated)
@@ -950,8 +977,9 @@ def solve_least_squares(system: DiscreteSystem, source: SourceSpec
         relative_residual=rel,
         block_residuals=system.block_residuals(x, source.values),
         solution_norm=float(np.linalg.norm(x)),
-        sigma_min_estimate=sigma_min,
+        sigma_min_estimate=min(sigma_min, default=None),
         rank_deficient_blocks=deficient,
+        classes_solved=len(classes),
     )
 
 

@@ -9,7 +9,8 @@ lateral-Fourier block oracle: the former per-block sparse path of
 ``bvp.py``, which reads the library's 1-D stencils, component pairs and
 boundary row layout; ``lsmr_solve``, the former LSMR least-squares
 solve of ``bvp.py``, which touches the assembled matrix only through
-products; and the object-array jet engine: the former geometry,
+products; ``lstsq_solve_loop``, a dense solve per lateral mode on the
+blocks of that oracle; and the object-array jet engine: the former geometry,
 boundary and linearization layers, which hold a tensor as an object
 ndarray of scalar ``Jet``s and sum every index by hand, reading only the
 library's scalar jet arithmetic and the ``Geometry`` record; the former
@@ -580,6 +581,52 @@ def lsmr_solve(system: DiscreteSystem, source: SourceSpec,
         block_residuals=system.block_residuals(x, source.values),
         solution_norm=float(np.linalg.norm(x)),
     )
+
+
+def lstsq_solve_loop(system: DiscreteSystem, sources
+                     ) -> list[tuple[np.ndarray, SolveReport]]:
+    """Min-norm least squares mode by mode, for each of ``sources``.
+
+    The unitary lateral DFT of each row family of b gives one complex
+    right-hand side per lateral mode: each interior and gauge component
+    along the collar line, then one entry per face row.
+    ``np.linalg.lstsq`` solves it on the mode's block from
+    ``lateral_blocks_loop``, every mode, with the default cut-off
+    eps max(rows, cols) sigma_max; the inverse DFT of the solutions is x.
+    All sources share one pass over the blocks.
+    """
+    d, n = system.dim, system.n
+    nc, S = len(system.pairs), len(sources)
+    # axes (source, component or row family, lateral..., [collar])
+    lateral = tuple(range(2, d + 1))
+    bs = np.stack([system.rhs_from_einstein_block(src.values)
+                   for src in sources])
+    nodes = (nc + d) * n ** d
+    b_int = np.fft.fftn(bs[:, :nodes].reshape((S, -1) + (n,) * d),
+                        axes=lateral, norm="ortho")
+    b_bnd = np.fft.fftn(bs[:, nodes:].reshape((S, -1) + (n,) * (d - 1)),
+                        axes=lateral, norm="ortho")
+    xhat = np.zeros((S, nc) + (n,) * d, dtype=complex)
+    for k, A in lateral_blocks_loop(n, d):
+        at = (slice(None), slice(None)) + k
+        rhs = np.concatenate([b_int[at].reshape(S, -1), b_bnd[at]], axis=1)
+        sol = np.linalg.lstsq(A, rhs.T, rcond=None)[0]
+        xhat[at] = sol.T.reshape(S, nc, n)
+    xs = np.fft.ifftn(xhat, axes=lateral, norm="ortho").reshape(S, -1)
+    if np.abs(xs.imag).max() > 1e-10 * np.abs(xs).max():
+        raise RuntimeError("per-mode solve: x is not real")
+    out = []
+    for src, b, x in zip(sources, bs, xs.real):
+        rel = float(np.linalg.norm(system.matrix @ x - b)
+                    / max(np.linalg.norm(b), 1e-300))
+        out.append((x, SolveReport(
+            converged=True,
+            iterations=0,
+            relative_residual=rel,
+            block_residuals=system.block_residuals(x, src.values),
+            solution_norm=float(np.linalg.norm(x)),
+        )))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 solve on its blocks, against the per-block sparse oracle, LSMR and the
 dense SVD."""
 
+import dataclasses
 import tracemalloc
 from itertools import product
 
@@ -19,6 +20,7 @@ from oracles import (
     h1_blocks_loop,
     lateral_blocks_loop,
     lsmr_solve,
+    lstsq_solve_loop,
 )
 
 CHART = make_chart("flat_slab_periodic", 3)
@@ -40,7 +42,8 @@ STACKS = {
 
 
 def built_blocks(poly, n):
-    chunks = list(bvp._fourier_blocks(poly, n))
+    classes = np.arange(bvp._class_count(n) ** len(poly.row_axes))
+    chunks = list(bvp._fourier_blocks(poly, n, classes))
     return [start for start, _ in chunks], \
         np.concatenate([blocks for _, blocks in chunks])
 
@@ -218,11 +221,22 @@ def test_fourier_solve_matches_lsmr(kind, n):
                                                          abs=1e-12)
 
 
-def test_fourier_solve_reports_the_exact_sigma_min():
-    system = bvp.assemble(8, CHART)
-    src = bvp.make_source(8, CHART, "inadmissible-divergence", seed=1)
+KINDS = ("discrete-admissible", "continuum-admissible",
+         "inadmissible-divergence", "inadmissible-boundary")
+
+
+@pytest.mark.parametrize("d,n,kind", [(3, 16, KINDS[0])]
+                         + [(d, 8, kind) for d in (3, 4)
+                            for kind in KINDS[1:]])
+def test_fourier_solve_reports_the_exact_sigma_min(d, n, kind):
+    # sigma_min_estimate covers only the classes solved; every source
+    # touches the class that holds the smallest singular value of the
+    # whole system
+    chart = make_chart("flat_slab_periodic", d)
+    system = bvp.assemble(n, chart)
+    src = bvp.make_source(n, chart, kind, seed=1)
     _, rep = bvp.solve_least_squares(system, src)
-    sigma_min = bvp.lateral_block_svals(8, 3)["spectrum"][0]
+    sigma_min = bvp.lateral_block_svals(n, d)["spectrum"][0]
     assert abs(rep.sigma_min_estimate - sigma_min) <= 1e-12
 
 
@@ -234,6 +248,86 @@ def test_fourier_solve_of_discrete_admissible_source_is_exact():
     # the potential solves the system exactly, and x is unique
     assert np.linalg.norm(x - src.potential) \
         <= 1e-10 * np.linalg.norm(src.potential)
+
+
+def _lifted_mode(src, n, d, size):
+    """A copy of ``src`` plus a field on the lateral modes (+-2, 0, ...)
+    of norm ``size`` |values|: modes that no source kind touches."""
+    x = bvp.slab_nodes(n, d)
+    p = np.zeros_like(src.values)
+    p[: n ** d] = np.cos(4 * np.pi * x[:, 0]) * np.sin(np.pi * x[:, -1])
+    return dataclasses.replace(src, values=src.values + size * p
+                               * np.linalg.norm(src.values)
+                               / np.linalg.norm(p))
+
+
+@pytest.mark.parametrize("d,n", [(3, n) for n in range(6, 17)] + [(4, 8)])
+def test_touched_class_solve_matches_per_mode_lstsq(d, n):
+    # The solve factors only the classes that b-hat touches and leaves
+    # x-hat = 0 elsewhere; the oracle solves every mode.  x agrees to the
+    # roundoff of a least-squares solve, a few eps times the condition
+    # number sigma_max / sigma_min (2.0e3 at d=3, n=8: there a dense
+    # lstsq of the assembled matrix differs from both by 0.9-1.2e-12).
+    # The residual is stationary in x and agrees to 1e-12 relative; the
+    # residual of one row family is not, and may move by up to
+    # sigma_max |x - x_ref| / |t| besides.  The discrete-admissible
+    # residual is roundoff on both sides.
+    chart = make_chart("flat_slab_periodic", d)
+    system = bvp.assemble(n, chart)
+    sources = [bvp.make_source(n, chart, kind, seed=2) for kind in KINDS
+               if n >= 15 or kind != "discrete-admissible"]
+    # a random right-hand side touches every class; a silent mode of the
+    # continuum source lifted to 1e-10 |b|, far below the data and far
+    # above the cut-off, must be solved
+    base = sources[-3]
+    sources.append(dataclasses.replace(
+        base, values=np.random.default_rng(n).standard_normal(
+            base.values.size)))
+    sources.append(_lifted_mode(base, n, d, 1e-10))
+    refs = lstsq_solve_loop(system, sources)
+    spec = bvp.lateral_block_svals(n, d)["spectrum"]
+    x_tol = 20 * np.finfo(float).eps * spec[-1] / spec[0]
+    solves = [bvp.solve_least_squares(system, src) for src in sources]
+    for src, (x_ref, ref), (x, rep) in zip(sources, refs, solves):
+        dx = np.linalg.norm(x - x_ref)
+        assert dx <= x_tol * np.linalg.norm(x_ref), src.kind
+        if src.kind == "discrete-admissible":
+            assert max(rep.relative_residual, ref.relative_residual) <= 1e-12
+            continue
+        assert rep.relative_residual == pytest.approx(
+            ref.relative_residual, rel=1e-12, abs=1e-300), src.kind
+        moved = spec[-1] * dx / max(np.linalg.norm(src.values), 1e-300)
+        for key, val in ref.block_residuals.items():
+            assert abs(rep.block_residuals[key] - val) \
+                <= 1e-12 * val + moved, (src.kind, key)
+    assert solves[-2][1].classes_solved == bvp._class_count(n) ** (d - 1)
+    # the lifted modes open one more class where |sin(4 pi / n)| is not
+    # one of the classes of |k| <= 1 (n >= 7), and their part of x is the
+    # oracle's
+    (x_base, rep_base), (x_lift, rep_lift) = solves[-5], solves[-1]
+    assert rep_lift.classes_solved == rep_base.classes_solved + (n >= 7)
+    part = refs[-1][0] - refs[-5][0]
+    assert np.linalg.norm(x_lift - x_base - part) \
+        <= 1e-2 * np.linalg.norm(part)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_source_factors_only_the_classes_it_touches(kind):
+    # Every source lies on the lateral modes with |k_a| <= 1, which fill
+    # the 2^(d-1) classes of j_a in {0, 1}; the divergence source varies
+    # along x_0 alone and fills 2.  A solve that factors every class (25
+    # at d=3, n=16; 27 at d=4, n=8) fails here.
+    for d, n in ((3, 16), (4, 8)):
+        if kind == "discrete-admissible" and n < 15:
+            continue
+        chart = make_chart("flat_slab_periodic", d)
+        _, rep = bvp.solve_least_squares(
+            bvp.assemble(n, chart), bvp.make_source(n, chart, kind, seed=2))
+        if d == 3:
+            want = 2 if kind == "inadmissible-divergence" else 4
+            assert rep.classes_solved == want, (d, n)
+        else:
+            assert rep.classes_solved <= 2 ** (d - 1), (d, n)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -253,10 +347,7 @@ def test_fourier_solve_matches_lsmr_on_three_lateral_axes(n):
     assert np.linalg.norm(x - x_ref) <= 1e-6 * np.linalg.norm(x_ref)
 
 
-@pytest.mark.parametrize("kind", ["discrete-admissible",
-                                  "continuum-admissible",
-                                  "inadmissible-divergence",
-                                  "inadmissible-boundary"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_no_block_of_the_slab_system_is_rank_deficient(kind):
     n = 15
     system = bvp.assemble(n, CHART)
@@ -265,9 +356,10 @@ def test_no_block_of_the_slab_system_is_rank_deficient(kind):
     assert rep.rank_deficient_blocks == 0
 
 
-def test_rank_deficient_blocks_counts_every_truncated_mode(monkeypatch):
-    # one unknown of the collar line dropped from every block: each of the
-    # n^2 modes loses rank, and the min-norm solve leaves it zero
+def _truncated_solve(monkeypatch, random_rhs):
+    """The n=5 solve with one unknown of the collar line dropped from every
+    block: each block loses rank, and the min-norm solve leaves that
+    unknown zero."""
     n = 5
     poly_fn = bvp._slab_polynomial
 
@@ -278,13 +370,31 @@ def test_rank_deficient_blocks_counts_every_truncated_mode(monkeypatch):
         return poly._replace(coef=coef)
 
     monkeypatch.setattr(bvp, "_slab_polynomial", without_first_column)
-    system = bvp.assemble(n, CHART)
-    x, rep = bvp.solve_least_squares(
-        system, bvp.make_source(n, CHART, "inadmissible-boundary", seed=2))
-    assert rep.rank_deficient_blocks == n ** 2
+    src = bvp.make_source(n, CHART, "inadmissible-boundary", seed=2)
+    if random_rhs:
+        src.values = np.random.default_rng(5).standard_normal(
+            src.values.size)
+    x, rep = bvp.solve_least_squares(bvp.assemble(n, CHART), src)
     # column 0 of every block is collar node 0 of component 0
     assert np.abs(x.reshape(-1, n)[: n ** 2, 0]).max() \
         <= 1e-12 * np.abs(x).max()
+    return rep
+
+
+def test_rank_deficient_blocks_counts_every_truncated_mode(monkeypatch):
+    # the source lies on the 9 modes with |k_a| <= 1, which fill 4 of the
+    # 9 classes at n=5; every mode of a solved class is counted
+    rep = _truncated_solve(monkeypatch, random_rhs=False)
+    assert rep.classes_solved == 4
+    assert rep.rank_deficient_blocks == 9
+
+
+def test_rank_deficient_blocks_counts_every_mode_of_a_random_rhs(
+        monkeypatch):
+    # a random right-hand side touches all 9 classes, so all 5^2 modes
+    rep = _truncated_solve(monkeypatch, random_rhs=True)
+    assert rep.classes_solved == 9
+    assert rep.rank_deficient_blocks == 25
 
 
 def test_discrete_admissible_divergence_is_the_divergence_operator():

@@ -12,9 +12,11 @@ level.  That exactness is what makes "discrete-admissible" sources
 solvable to solver tolerance rather than discretization accuracy.
 
 Each operator is written once, as a stack builder ``stack(P, E_faces, N,
-NF)`` (``_slab_stack``, ``_h0_stack``), and evaluated twice: on the full
-grid (``_on_grid``) and on the block-polynomial grid
-(``_block_polynomial``).
+NF)`` (``_slab_stack``, ``_h0_stack``), and evaluated on the
+block-polynomial grid (``_block_polynomial``).  The full grid is
+evaluated once, in ``assemble``, for the slab stack: the solve's residual
+and the oracles read it, and ``kernel_probe`` is handed it.  The spectra
+and ``cohomology_probe`` read only the blocks.
 
 Every operator is also invariant under lateral translation, so the lateral
 DFT splits it into one collar-line block per lateral mode, and has degree
@@ -64,11 +66,8 @@ __all__ = [
     "solve_least_squares",
     "kernel_probe",
     "cohomology_probe",
-    "h0_operator",
     "slab_nodes",
     "vec_components",
-    "unvec_components",
-    "width_modulus_fields",
 ]
 
 
@@ -116,16 +115,14 @@ def _face_operator(op1d: sp.spmatrix, n: int, d: int):
     return sp.kron(sp.identity(n ** (d - 1)), op1d, format="csr")
 
 
-def _stencils(n: int, d: int, closed_torus: bool = False):
+def _stencils(n: int, d: int):
     """(P, E_faces) on the full n^d grid: the derivative family P_k
-    (periodic laterally, and on the collar axis too on the closed torus)
-    and the face rows of both faces, none on the closed torus."""
+    (periodic laterally) and the face rows of both faces."""
     h = 1.0 / n
-    P = [_axis_operator(_first_derivative_1d(n, h, k < d - 1 or closed_torus),
-                        k, n, d) for k in range(d)]
-    E_faces = [] if closed_torus else [
-        _face_operator(_face_extrapolation_1d(n, face), n, d)
-        for face in (0, 1)]
+    P = [_axis_operator(_first_derivative_1d(n, h, k < d - 1), k, n, d)
+         for k in range(d)]
+    E_faces = [_face_operator(_face_extrapolation_1d(n, face), n, d)
+               for face in (0, 1)]
     return P, E_faces
 
 
@@ -150,15 +147,6 @@ def _component_table(d: int) -> np.ndarray:
 def vec_components(values: np.ndarray, pairs) -> np.ndarray:
     """Stack per-component node vectors: values shape (N, d, d)."""
     return np.concatenate([values[:, i, j] for i, j in pairs])
-
-
-def unvec_components(vec: np.ndarray, pairs, d: int) -> np.ndarray:
-    N = vec.size // len(pairs)
-    out = np.zeros((N, d, d))
-    for c, (i, j) in enumerate(pairs):
-        out[:, i, j] = vec[c * N:(c + 1) * N]
-        out[:, j, i] = vec[c * N:(c + 1) * N]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +304,6 @@ def _boundary_from_P(P, E_faces, d: int, N: int, NF: int):
 
 
 BOUNDARY_FAMILIES = ("pullback", "dA", "dnA", "normal")
-GEOMETRIC_FAMILIES = ("einstein", "gauge", "pullback", "dA", "dnA")
 H1_FAMILIES = ("einstein", "gauge", "pullback", "dA", "normal")
 
 
@@ -368,23 +355,25 @@ def _h0_stack(n: int, d: int):
     return stack
 
 
-def _on_grid(n: int, d: int, stack, closed_torus: bool = False
-             ) -> sp.csr_matrix:
-    """``stack`` on the full n^d grid: its node rows, then its face rows."""
-    P, E_faces = _stencils(n, d, closed_torus)
-    nodes, faces = stack(P, E_faces, n ** d, n ** (d - 1))
-    return nodes if faces is None else sp.vstack([nodes, faces],
-                                                 format="csr")
+def _slab_dim(chart: MetricChart) -> int:
+    """The dimension of ``chart``, which must be the flat periodic slab:
+    the only background the discrete problem is posed on."""
+    if chart.preset != "flat_slab_periodic":
+        raise ValueError(f"the discrete problem is posed on the flat "
+                         f"periodic slab, not on {chart.preset!r}; other "
+                         f"presets would need lifted operators")
+    return chart.dim
 
 
 def assemble(n: int, chart: MetricChart) -> DiscreteSystem:
-    """Assemble the slab system; rejects non-Ricci-flat presets."""
-    if chart.preset != "flat_slab_periodic":
-        raise ValueError("the discrete problem is posed on the flat periodic "
-                         "slab; other presets would need lifted operators")
-    d = chart.dim
-    return DiscreteSystem(dim=d, n=n, matrix=_on_grid(n, d,
-                                                      _slab_stack(n, d)))
+    """The slab system: the slab stack on the full n^d grid, its node rows
+    then its face rows.  The one full-grid evaluation of a stack
+    builder."""
+    d = _slab_dim(chart)
+    P, E_faces = _stencils(n, d)
+    nodes, faces = _slab_stack(n, d)(P, E_faces, n ** d, n ** (d - 1))
+    return DiscreteSystem(dim=d, n=n,
+                          matrix=sp.vstack([nodes, faces], format="csr"))
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +429,25 @@ def _double_curl_source(P, n: int, d: int, rng,
     return tau
 
 
+# The smallest grid on which each source kind is built.  The one-sided
+# collar rows of ``_first_derivative_1d`` span four nodes.  The
+# discrete-admissible potential lives on the layers 7 .. n-8 and the
+# divergence profile on 3 .. n-4; below these grids the layers are empty
+# and the source would be 0.
+SOURCE_MIN_GRID = {"discrete-admissible": 15, "continuum-admissible": 4,
+                   "inadmissible-divergence": 7, "inadmissible-boundary": 4}
+
+
 def make_source(n: int, chart: MetricChart, kind: str,
                 seed: int = 1) -> SourceSpec:
-    """Construct sources matching or violating the solvability conditions."""
-    d = chart.dim
-    if chart.preset != "flat_slab_periodic":
-        raise ValueError("sources are built on the flat periodic slab")
+    """Construct sources matching or violating the solvability conditions;
+    a grid below the kind's ``SOURCE_MIN_GRID`` raises ``ValueError``."""
+    d = _slab_dim(chart)
+    if kind not in SOURCE_MIN_GRID:
+        raise ValueError(f"unknown source kind {kind!r}")
+    if n < SOURCE_MIN_GRID[kind]:
+        raise ValueError(f"the {kind} source needs a grid >= "
+                         f"{SOURCE_MIN_GRID[kind]}, not {n}")
     rng = np.random.default_rng(seed)
     pairs = _sym_pairs(d)
     x = slab_nodes(n, d)
@@ -456,9 +458,6 @@ def make_source(n: int, chart: MetricChart, kind: str,
         # the potential must clear the reach of the boundary rows (layers
         # <= 4 and >= n-5) plus the two-layer spread of the double curl
         lo, hi = 7, n - 8
-        if hi < lo:
-            raise ValueError("grid too coarse for an interior potential "
-                             "(needs n >= 15)")
         EIN, _, _, DIV, _ = _interior_from_P(P, d, n ** d)
         tau = _double_curl_source(
             P, n, d, rng, lambda xd: _normal_profile(n, lo, hi)[
@@ -480,7 +479,7 @@ def make_source(n: int, chart: MetricChart, kind: str,
         tvals = scalar[:, None, None] * np.eye(d)
         values = vec_components(tvals, pairs)
         potential = None
-    elif kind == "inadmissible-boundary":
+    else:  # inadmissible-boundary
         tau = _double_curl_source(P, n, d, rng,
                                   lambda xd: 1.0 + 0.5 * np.cos(np.pi * xd))
         values = vec_components(tau, pairs)
@@ -490,8 +489,6 @@ def make_source(n: int, chart: MetricChart, kind: str,
             raise RuntimeError("boundary-violating source degenerated")
         values = values / bnorm
         potential = None
-    else:
-        raise ValueError(f"unknown source kind {kind!r}")
 
     if DIV is None:
         DIV = _divergence(P, d)
@@ -575,53 +572,6 @@ def kernel_probe(matrix: sp.spmatrix, seed: int = 0) -> float:
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def h0_operator(n: int, d: int, closed_torus: bool = False) -> sp.csr_matrix:
-    """The Killing operator with the boundary-restriction rows of X
-    (``_h0_stack``).
-
-    ``closed_torus`` makes the collar axis periodic and drops the faces.
-    """
-    return _on_grid(n, d, _h0_stack(n, d), closed_torus)
-
-
-def width_modulus_fields(n: int, d: int) -> np.ndarray:
-    """Constant fields dx_a . dx_d and dx_d^2 (the slab-width modulus and
-    its shear companions), proportional to delta* of x_d d_a; annihilated
-    by the interior, gauge and geometric boundary rows and removed only by
-    the normal restriction rows sigma(n, .).
-
-    Each column is a stacked component vector.
-    """
-    pairs = _sym_pairs(d)
-    N = n ** d
-    cols = []
-    for a in range(d):
-        mat = np.zeros((N, d, d))
-        mat[:, a, d - 1] = mat[:, d - 1, a] = 1.0
-        cols.append(vec_components(mat, pairs))
-    return np.stack(cols, axis=1)
-
-
-def discrete_kernel_basis(n: int, d: int) -> np.ndarray:
-    """Orthonormal basis of the kernel of the slab system without its
-    normal restriction rows (interior, gauge and geometric boundary rows).
-
-    The width-modulus component patterns (dx_a . dx_d and dx_d^2) times
-    every lateral function killed by the central difference: the constant
-    and, on even grids, the per-axis Nyquist checkerboard (-1)^j, giving
-    d * 2^(d-1) vectors on even grids.  The columns run mode-major: each
-    dead mode times the d patterns of ``width_modulus_fields``.
-    """
-    lateral = np.indices((n,) * d).reshape(d, -1)[:-1]
-    combos = np.array(list(product((0, 1), repeat=d - 1)))
-    dead = (-1.0) ** (combos[: None if n % 2 == 0 else 1] @ lateral)
-    W = width_modulus_fields(n, d)
-    K = np.tile(dead, len(_sym_pairs(d))).T[:, :, None] * W[:, None, :]
-    # + 0.0 turns the -0.0 of 0 * (-1) into 0.0: the Householder QR takes
-    # a zero pivot's sign, so a signed zero would flip a column of Q
-    return np.linalg.qr(K.reshape(len(W), -1) + 0.0)[0]
-
-
 # ---------------------------------------------------------------------------
 # lateral-Fourier blocks
 
@@ -656,8 +606,8 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
     symbols.
 
     ``stack(P, E_faces, N, NF)`` assembles (per-node rows, per-face-node
-    rows or None) from a commuting derivative family P and face rows, the
-    builder that ``_on_grid`` evaluates on the full grid; its columns are
+    rows or None) from a commuting derivative family P and face rows, as
+    ``assemble`` evaluates it on the full grid; its columns are
     the components ``unknowns`` (index tuples) of the unknown field.  In
     the block of lateral mode k each lateral P_a is i t_a / h times the
     identity, with t_a = sin(2 pi k_a / n); the collar P (absent on the
@@ -863,7 +813,7 @@ def lateral_block_svals(n: int, d: int) -> dict:
 
 def _h0_polynomial(n: int, d: int, closed_torus: bool = False
                    ) -> _Polynomial:
-    """``_block_polynomial`` of the H0 stack of ``h0_operator``."""
+    """``_block_polynomial`` of ``_h0_stack``, over the vector field X."""
     return _block_polynomial(n, d, _h0_stack(n, d), [(a,) for a in range(d)],
                              closed_torus)
 
@@ -999,44 +949,28 @@ def spectral_gap(spec, zero_tol: float = 1e-10) -> tuple[float, int]:
 
 def cohomology_probe(n: int, chart: MetricChart,
                      closed_torus: bool = False) -> dict:
-    """Counts of near-kernel directions of the H0 and H1 operators.
+    """Counts of near-kernel directions of the H0 and H1 operators, and
+    the images of the translations under H0.
 
     Counting runs on the exact lateral-Fourier spectra, with kernel
-    threshold 1e-6 times the largest singular value; witnesses apply
-    the assembled sparse operators directly.  On the closed torus the
-    translations lie in the kernel; the boundary rows remove them.
+    threshold 1e-6 times the largest singular value.  A translation X =
+    e_i lies on lateral mode 0, and the lateral DFT is unitary, so
+    |H0 X| / |X| is |A_0 (e_i x 1)| / sqrt(line) for the mode-0 block A_0
+    (the t = 0 coefficient of ``_h0_polynomial``, whose phases are
+    unitary) over a collar line of ``line`` nodes: n on the slab, 1 on the
+    closed torus.  On the closed torus the translations lie in the
+    kernel; the boundary rows remove them.
     """
-    d = chart.dim
+    d = _slab_dim(chart)
     out = {"dim_h0": spectral_gap(h0_spectrum(n, d, closed_torus), 1e-6)[1]}
-
-    # translation witnesses against the assembled operator
-    op0 = h0_operator(n, d, closed_torus=closed_torus)
-    N = n ** d
-    witness = []
-    for i in range(d):
-        X = np.zeros(d * N)
-        X[i * N:(i + 1) * N] = 1.0
-        witness.append(float(np.linalg.norm(op0 @ X) / np.linalg.norm(X)))
-    out["translation_image_norms"] = witness
-
+    A0 = _h0_polynomial(n, d, closed_torus).coef[0]
+    line = A0.shape[1] // d
+    out["translation_image_norms"] = (
+        np.linalg.norm(A0.reshape(-1, d, line).sum(axis=2), axis=0)
+        / np.sqrt(line)).tolist()
     if closed_torus:
         out["dim_h1"] = None
         return out
-
     gap1, out["dim_h1"] = spectral_gap(h1_spectrum(n, d), 1e-6)
     out["h1_gap_beyond_kernel"] = gap1
-
-    # width moduli x dead modes span the kernel of the geometric rows;
-    # the full system maps them away from zero through sigma(n, .)
-    system = assemble(n, chart)
-    K = discrete_kernel_basis(n, d)
-    geometric = system.matrix[system._rows(GEOMETRIC_FAMILIES)]
-    out["kernel_certificate_norms"] = [
-        float(np.linalg.norm(geometric @ K[:, c]))
-        for c in range(K.shape[1])]
-    W = width_modulus_fields(n, d)
-    out["full_system_width_modulus_norms"] = [
-        float(np.linalg.norm(system.matrix @ W[:, c])
-              / np.linalg.norm(W[:, c]))
-        for c in range(W.shape[1])]
     return out

@@ -390,8 +390,10 @@ def suite_green(cfg) -> list:
 def slab_unchecked_reason(kind: str, grids, study: bool = True):
     """Why ``slab_solve_cases`` builds no case for a slab source of this
     kind on these grids, or None when it builds one."""
-    if kind == "discrete-admissible" and max(grids) < 15:
-        return "needs a grid >= 15"
+    from .bvp import SOURCE_MIN_GRID
+
+    if max(grids) < SOURCE_MIN_GRID[kind]:
+        return f"needs a grid >= {SOURCE_MIN_GRID[kind]}"
     if kind == "continuum-admissible" and not (study and len(grids) >= 3):
         return ("is checked only by its convergence slope: needs --study "
                 "and at least 3 grids")
@@ -402,22 +404,27 @@ def slab_solve_cases(chart, runs, study: bool = True):
     """Solve slab sources with ``solve_least_squares`` and judge them, one
     rule per kind.
 
-    ``runs`` holds (kind, grids, seed) triples.  discrete-admissible: one
-    case per grid >= 15, residual <= 1e-8.  continuum-admissible: its
+    ``runs`` holds (kind, grids, seed) triples; grids below the kind's
+    ``SOURCE_MIN_GRID`` are dropped.  discrete-admissible: one case per
+    grid, residual <= 1e-8.  continuum-admissible: its
     convergence slope >= 1.8, over at least 3 grids and only with
     ``study``.  inadmissible-*: the smallest residual over the grids stays
     >= 0.05.  Returns (cases, residual tables {kind: [[n, residual]]} of
     the kinds solved, {kind: reason} of the kinds that got no case).
     """
-    from .bvp import assemble, make_source, solve_least_squares
+    from .bvp import (
+        SOURCE_MIN_GRID,
+        assemble,
+        make_source,
+        solve_least_squares,
+    )
 
     cases, tables, unchecked = [], {}, {}
     for kind, grids, seed in runs:
         reason = slab_unchecked_reason(kind, grids, study)
         if reason:
             unchecked[kind] = reason
-        if kind == "discrete-admissible":
-            grids = [n for n in grids if n >= 15]
+        grids = [n for n in grids if n >= SOURCE_MIN_GRID[kind]]
         rels = [solve_least_squares(assemble(n, chart),
                                     make_source(n, chart, kind, seed=seed)
                                     )[1].relative_residual for n in grids]

@@ -5,9 +5,11 @@ permutation parity computed by bubble sort, full-tensor contractions, and
 finite-difference geometry.  None of it shares code with the library,
 except ``jet_mul_loop``: the former per-output jet product loop, which
 reads the library's per-output pair table ``jets._mul_table``; the
-lateral-Fourier block oracle: the former per-block sparse path of
-``bvp.py``, which reads the library's 1-D stencils, component pairs and
-boundary row layout; ``lsmr_solve``, the former LSMR least-squares
+per-term slab assembly and the lateral-Fourier block oracle (the lateral
+DFT of its impulse responses), which read the library's 1-D stencils,
+component pairs and boundary row layout; the slab kernel fields
+``width_modulus_fields`` and ``discrete_kernel_basis``, which read the
+component pairs; ``lsmr_solve``, the former LSMR least-squares
 solve of ``bvp.py``, which touches the assembled matrix only through
 products; ``lstsq_solve_loop``, a dense solve per lateral mode on the
 blocks of that oracle; and the object-array jet engine: the former geometry,
@@ -474,42 +476,39 @@ def assemble_loop(n: int, d: int):
     return sp.vstack([EIN, GAUGE, (1.0 / n) ** -0.5 * BND], format="csr")
 
 
-def lateral_blocks_loop(n: int, d: int, weights=None):
-    """(kmodes, dense block) of the weighted slab stack, mode by mode."""
-    h = 1.0 / n
-    if weights is None:
-        weights = (1.0, 1.0, h ** -0.5)
-    Pd = bvp._first_derivative_1d(n, h, periodic=False)
-    E_faces = [bvp._face_extrapolation_1d(n, face) for face in (0, 1)]
-    for kmodes in iproduct(range(n), repeat=d - 1):
-        P = [sp.identity(n, format="csr", dtype=complex)
-             * (1j * np.sin(2 * np.pi * k / n) / h) for k in kmodes]
-        P.append(Pd.astype(complex))
-        EIN, GAUGE, _, _, _ = interior_from_P_loop(P, d, n)
-        BND = boundary_from_P_loop([p for p in P],
-                                   [e.astype(complex) for e in E_faces],
-                                   d, n, 1)
-        A = sp.vstack([weights[0] * EIN, weights[1] * GAUGE,
-                       weights[2] * BND], format="csr")
-        yield kmodes, A.toarray()
+def lateral_blocks_loop(n: int, d: int):
+    """(kmodes, dense block) of the weighted slab stack, every lateral
+    mode in ``itertools.product`` order.
+
+    The stack of ``assemble_loop`` is invariant under lateral
+    translation, so its columns at the lateral origin (each component at
+    each collar node) hold every impulse response, and their lateral DFT
+    is every mode's block.  Rows run as in the stack: each interior and
+    gauge component along the collar line, then one row per boundary
+    family row.
+    """
+    A = assemble_loop(n, d)
+    nc, m = len(bvp._sym_pairs(d)), d - 1
+    cols = (np.arange(nc)[:, None] * n ** d + np.arange(n)).ravel()
+    impulse = A[:, cols].toarray()
+    nodes = (nc + d) * n ** d
+    lateral = tuple(range(1, d))
+    # axes (family row, lateral..., [collar], column) -> (mode, row, column)
+    interior = np.fft.fftn(impulse[:nodes].reshape((nc + d,) + (n,) * d
+                                                   + (nc * n,)), axes=lateral)
+    faces = np.fft.fftn(impulse[nodes:].reshape((-1,) + (n,) * m
+                                                + (nc * n,)), axes=lateral)
+    blocks = np.concatenate(
+        [np.moveaxis(interior, 0, m).reshape(n ** m, -1, nc * n),
+         np.moveaxis(faces, 0, m).reshape(n ** m, -1, nc * n)], axis=1)
+    return zip(iproduct(range(n), repeat=m), blocks)
 
 
 def h1_blocks_loop(n: int, d: int):
-    """(kmodes, dense block) of the H1 stack, mode by mode."""
-    h = 1.0 / n
-    weights = (1.0, 1.0, h ** -0.5)
-    Pd = bvp._first_derivative_1d(n, h, periodic=False).astype(complex)
-    E_faces = [bvp._face_extrapolation_1d(n, face).astype(complex)
-               for face in (0, 1)]
-    for kmodes in iproduct(range(n), repeat=d - 1):
-        P = [sp.identity(n, format="csr", dtype=complex)
-             * (1j * np.sin(2 * np.pi * k / n) / h) for k in kmodes]
-        P.append(Pd)
-        EIN, GAUGE, _, _, _ = interior_from_P_loop(P, d, n)
-        BND = boundary_from_P_loop(P, E_faces, d, n, 1)
-        A = sp.vstack([weights[0] * EIN, weights[1] * GAUGE,
-                       weights[2] * BND], format="csr")
-        yield kmodes, A[bvp._stack_rows(d, n, 1, bvp.H1_FAMILIES)].toarray()
+    """(kmodes, dense block) of the H1 stack: the rows of
+    ``bvp.H1_FAMILIES`` in the blocks of ``lateral_blocks_loop``."""
+    rows = bvp._stack_rows(d, n, 1, bvp.H1_FAMILIES)
+    return ((k, A[rows]) for k, A in lateral_blocks_loop(n, d))
 
 
 def h0_blocks_loop(n: int, d: int, closed_torus: bool = False):
@@ -547,6 +546,44 @@ def block_spectrum(blocks) -> dict:
         block_min[kmodes] = float(svals[-1])
     return {"spectrum": np.sort(np.concatenate(all_svals)),
             "block_min": block_min}
+
+
+def width_modulus_fields(n: int, d: int) -> np.ndarray:
+    """Constant fields dx_a . dx_d and dx_d^2 (the slab-width modulus and
+    its shear companions), proportional to delta* of x_d d_a; annihilated
+    by the interior, gauge and geometric boundary rows and removed only by
+    the normal restriction rows sigma(n, .).
+
+    Each column is a stacked component vector (components in the order of
+    ``bvp._sym_pairs``).
+    """
+    pairs = bvp._sym_pairs(d)
+    N = n ** d
+    W = np.zeros((len(pairs) * N, d))
+    for a in range(d):
+        c = pairs.index((a, d - 1))
+        W[c * N:(c + 1) * N, a] = 1.0
+    return W
+
+
+def discrete_kernel_basis(n: int, d: int) -> np.ndarray:
+    """Orthonormal basis of the kernel of the slab system without its
+    normal restriction rows (interior, gauge and geometric boundary rows).
+
+    The width-modulus component patterns (dx_a . dx_d and dx_d^2) times
+    every lateral function killed by the central difference: the constant
+    and, on even grids, the per-axis Nyquist checkerboard (-1)^j, giving
+    d * 2^(d-1) vectors on even grids.  The columns run mode-major: each
+    dead mode times the d patterns of ``width_modulus_fields``.
+    """
+    lateral = np.indices((n,) * d).reshape(d, -1)[:-1]
+    combos = np.array(list(iproduct((0, 1), repeat=d - 1)))
+    dead = (-1.0) ** (combos[: None if n % 2 == 0 else 1] @ lateral)
+    W = width_modulus_fields(n, d)
+    K = np.tile(dead, len(bvp._sym_pairs(d))).T[:, :, None] * W[:, None, :]
+    # + 0.0 turns the -0.0 of 0 * (-1) into 0.0: the Householder QR takes
+    # a zero pivot's sign, so a signed zero would flip a column of Q
+    return np.linalg.qr(K.reshape(len(W), -1) + 0.0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from bianchi_lab.boundary import CollarChart
 from bianchi_lab.bvp import (
     BOUNDARY_FAMILIES,
+    SOURCE_MIN_GRID,
     _boundary_weight,
     _face_max,
     _interior_from_P,
@@ -12,16 +13,12 @@ from bianchi_lab.bvp import (
     assemble,
     cohomology_probe,
     deflated_gap,
-    discrete_kernel_basis,
-    h0_operator,
     kernel_probe,
     lateral_block_svals,
     make_source,
     slab_nodes,
     solve_least_squares,
-    unvec_components,
     vec_components,
-    width_modulus_fields,
 )
 from bianchi_lab.charts import geometry_from_jets, make_chart, tensor_values
 from bianchi_lab.conventions import ricci_action
@@ -31,15 +28,22 @@ from bianchi_lab.linearize import (
     trig_poly_sym_field,
 )
 
-from bianchi_lab.verify import run_suite, slab_solve_cases
+from bianchi_lab import bvp
+from bianchi_lab.verify import (
+    run_suite,
+    slab_solve_cases,
+    slab_unchecked_reason,
+)
 
 from oracles import (
     boundary_from_P_loop,
+    discrete_kernel_basis,
     dstar_from_P,
     grid_stencils,
     interior_from_P_loop,
     loglog_slope,
     lsmr_solve,
+    width_modulus_fields,
 )
 
 ACTION = ricci_action()
@@ -83,6 +87,18 @@ def test_assemble_rejects_other_presets():
         assemble(8, make_chart("polar_ball", 3))
 
 
+@pytest.mark.parametrize("call", [
+    lambda chart: assemble(8, chart),
+    lambda chart: make_source(8, chart, "continuum-admissible"),
+    lambda chart: cohomology_probe(8, chart),
+    lambda chart: cohomology_probe(8, chart, closed_torus=True),
+], ids=["assemble", "make_source", "cohomology_probe", "torus_probe"])
+def test_every_slab_entry_point_rejects_other_presets(call):
+    # one check with one message, on the torus path of the probe too
+    with pytest.raises(ValueError, match="not on 'polar_ball'"):
+        call(make_chart("polar_ball", 3))
+
+
 @pytest.mark.parametrize("d,n", [(3, 6), (4, 4)])
 def test_block_residuals_match_the_per_term_oracle(d, n):
     # the interior, gauge and unweighted boundary parts of A x - b against
@@ -106,21 +122,29 @@ def test_block_residuals_match_the_per_term_oracle(d, n):
 
 @pytest.mark.parametrize("closed_torus", [False, True])
 @pytest.mark.parametrize("d,n", [(3, 6), (4, 5)])
-def test_h0_operator_is_bit_identical_to_the_oracle(d, n, closed_torus):
-    # delta* from its oracle copy, then the restriction of X to each face
-    # with weight h^(-1/2); no face rows on the closed torus
+def test_translation_images_match_the_oracle_h0(d, n, closed_torus):
+    # |H0 X| / |X| for each translation X = e_i, with H0 the oracle copy
+    # of delta* then the restriction of X to each face with weight
+    # h^(-1/2), no face rows on the closed torus; the probe reads the
+    # mode-0 block
     P, E_faces = grid_stencils(n, d, closed_torus)
-    want = sp.vstack([dstar_from_P(P, d)]
-                     + [(1.0 / n) ** -0.5 * sp.block_diag([E] * d,
-                                                          format="csr")
-                        for E in E_faces], format="csr")
-    got = h0_operator(n, d, closed_torus=closed_torus)
-    assert got.shape == ((d * (d + 1) // 2) * n ** d
-                         + (0 if closed_torus else 2 * d * n ** (d - 1)),
-                         d * n ** d)
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
+    H0 = sp.vstack([dstar_from_P(P, d)]
+                   + [(1.0 / n) ** -0.5 * sp.block_diag([E] * d,
+                                                        format="csr")
+                      for E in E_faces], format="csr")
+    N = n ** d
+    want = []
+    for i in range(d):
+        X = np.zeros(d * N)
+        X[i * N:(i + 1) * N] = 1.0
+        want.append(float(np.linalg.norm(H0 @ X) / np.linalg.norm(X)))
+    got = cohomology_probe(n, make_chart("flat_slab_periodic", d),
+                           closed_torus=closed_torus)
+    if closed_torus:
+        assert got["translation_image_norms"] == want == [0.0] * d
+    else:
+        assert got["translation_image_norms"] == pytest.approx(want,
+                                                               rel=1e-12)
 
 
 def test_constant_field_annihilated_by_interior_rows():
@@ -273,6 +297,25 @@ def test_source_diagnostics_by_kind():
         make_source(n, CHART, "bogus")
 
 
+@pytest.mark.parametrize("kind", sorted(SOURCE_MIN_GRID))
+def test_each_source_kind_raises_below_its_minimum_grid(kind):
+    # below the minimum the source's layers are empty, and a solve would
+    # read the zero source as solved
+    n = SOURCE_MIN_GRID[kind]
+    with pytest.raises(ValueError, match=f"needs a grid >= {n}"):
+        make_source(n - 1, CHART, kind, seed=3)
+    src = make_source(n, CHART, kind, seed=3)
+    assert np.abs(src.values).max() > 0.1
+    # the verify rules read the same table: no case below the minimum,
+    # and a grid under it is dropped
+    assert slab_unchecked_reason(kind, [n - 1]) == f"needs a grid >= {n}"
+    if kind != "continuum-admissible":  # judged only by its slope
+        assert slab_unchecked_reason(kind, [n - 1, n]) is None
+    _, tables, _ = slab_solve_cases(CHART, [(kind, [n - 1, n], 3)],
+                                    study=False)
+    assert [m for m, _ in tables[kind]] == [n]
+
+
 def test_boundary_rel_reads_both_faces():
     # this source reads about 1.0 on the lower face and 0.33 on the upper;
     # reflecting the collar axis swaps the faces and keeps boundary_rel
@@ -369,21 +412,26 @@ def test_dense_range_distance_oracle_matches_lsmr_residual():
 # kernel and cohomology probes
 
 
-def test_kernel_probe_matches_dense_svd():
+@pytest.fixture(scope="module")
+def dense8():
+    """The assembled n=8 system and its singular values, descending, from
+    one dense SVD."""
+    system = assemble(8, CHART)
+    return system, np.linalg.svd(system.matrix.toarray(), compute_uv=False)
+
+
+def test_kernel_probe_matches_dense_svd(dense8):
     # the full system has no kernel; the probe must find the smallest
     # singular value itself (the exact-kernel case is
     # test_rank_deficient_toy_system)
-    system = assemble(8, CHART)
+    system, dense = dense8
     est = kernel_probe(system.matrix)
-    dense = np.linalg.svd(system.matrix.toarray(), compute_uv=False)
     assert dense[-1] > 1e-8 * dense[0]
     assert abs(est - dense[-1]) <= 1e-8 * dense[0]
 
 
-def test_fourier_spectrum_matches_dense_svd():
-    system = assemble(8, CHART)
-    dense = np.sort(np.linalg.svd(system.matrix.toarray(),
-                                  compute_uv=False))
+def test_fourier_spectrum_matches_dense_svd(dense8):
+    dense = np.sort(dense8[1])
     fourier = lateral_block_svals(8, 3)["spectrum"]
     assert np.abs(dense - fourier).max() <= 1e-8
 
@@ -391,7 +439,9 @@ def test_fourier_spectrum_matches_dense_svd():
 def test_width_modulus_fields_span_exact_kernel():
     # the fields span the exact kernel of the interior, gauge, pullback,
     # dA and d(nabla_n A) rows; the sigma(n, .) rows that close the
-    # system map each away from zero
+    # system map each away from zero: a unit field on one component
+    # meets one sigma(n, .) row per face node of both faces, of weight
+    # h^(-1/2), so its image is sqrt(2) of its norm
     for n in (8, 16):
         system = assemble(n, CHART)
         geometric = [rows_of(system, "einstein"), rows_of(system, "gauge"),
@@ -401,7 +451,8 @@ def test_width_modulus_fields_span_exact_kernel():
             norm = np.linalg.norm(W[:, c])
             img = max(np.linalg.norm(op @ W[:, c]) for op in geometric)
             assert img / norm <= 1e-12
-            assert np.linalg.norm(system.matrix @ W[:, c]) / norm >= 1.0
+            assert np.linalg.norm(system.matrix @ W[:, c]) / norm \
+                == pytest.approx(np.sqrt(2.0), rel=1e-12)
         K = discrete_kernel_basis(n, 3)
         assert K.shape[1] == 12  # 3 patterns x 4 lateral dead modes
         assert max(np.linalg.norm(op @ K[:, c])
@@ -448,12 +499,16 @@ def test_rank_deficient_toy_system():
 
 
 def test_cohomology_probe_slab_and_torus():
+    # the kernel of the geometric rows and its images under the full
+    # system are test_width_modulus_fields_span_exact_kernel's
     out8 = cohomology_probe(8, CHART)
+    assert set(out8) == {"dim_h0", "dim_h1", "h1_gap_beyond_kernel",
+                         "translation_image_norms"}
     assert out8["dim_h0"] == 0
     assert out8["dim_h1"] == 0
-    assert max(out8["kernel_certificate_norms"]) <= 1e-12
-    assert min(out8["full_system_width_modulus_norms"]) >= 1.0
-    assert min(out8["translation_image_norms"]) > 1e-3
+    # each translation meets the weighted restriction rows of both faces
+    assert out8["translation_image_norms"] == pytest.approx(
+        [np.sqrt(2.0)] * 3, rel=1e-12)
 
     out12 = cohomology_probe(12, CHART)
     assert (out12["dim_h0"], out12["dim_h1"]) == (0, 0)
@@ -465,6 +520,25 @@ def test_cohomology_probe_slab_and_torus():
     assert torus["dim_h1"] is None
 
 
+@pytest.mark.parametrize("d,grids", [(3, (8, 12)), (4, (8,))])
+def test_cohomology_probe_reads_only_the_class_blocks(d, grids, monkeypatch):
+    # the probe builds no full-grid matrix: with the full-grid stencils and
+    # the assembly raising, it still runs, on the slab and the torus
+    def full_grid(*args, **kwargs):
+        raise AssertionError("the probe evaluated the full grid")
+
+    monkeypatch.setattr(bvp, "assemble", full_grid)
+    monkeypatch.setattr(bvp, "_stencils", full_grid)
+    chart = make_chart("flat_slab_periodic", d)
+    for n in grids:
+        out = cohomology_probe(n, chart)
+        assert (out["dim_h0"], out["dim_h1"]) == (0, 0)
+    if d == 3:
+        torus = cohomology_probe(8, chart, closed_torus=True)
+        assert torus["dim_h0"] >= d
+        assert torus["translation_image_norms"] == [0.0] * d
+
+
 def test_vec_roundtrip():
     n = 6
     rng = np.random.default_rng(11)
@@ -472,7 +546,9 @@ def test_vec_roundtrip():
     vals = 0.5 * (vals + np.swapaxes(vals, 1, 2))
     pairs = [(i, j) for i in range(3) for j in range(i, 3)]
     v = vec_components(vals, pairs)
-    back = unvec_components(v, pairs, 3)
+    back = np.empty_like(vals)
+    for c, (i, j) in enumerate(pairs):
+        back[:, i, j] = back[:, j, i] = v[c * n ** 3:(c + 1) * n ** 3]
     assert np.abs(back - vals).max() <= 1e-15
 
 

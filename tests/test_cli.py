@@ -104,10 +104,18 @@ def test_solve_rejects_non_flat_preset():
     ["--source", "continuum-admissible", "--grid", "8"],
     ["--source", "continuum-admissible", "--grid", "6,8", "--study"],
     ["--source", "discrete-admissible", "--grid", "8,12"],
+    ["--source", "inadmissible-divergence", "--grid", "6"],
 ])
 def test_solve_rejects_a_source_that_builds_no_case(argv, capsys):
     assert run(["solve", *argv]) == 2
     assert "source" in capsys.readouterr().err
+
+
+def test_solve_names_the_minimum_grid_of_a_coarse_source(capsys):
+    # the divergence source is empty below n=7, so there is no solve
+    assert run(["solve", "--source", "inadmissible-divergence",
+                "--grid", "5,6"]) == 2
+    assert "needs a grid >= 7" in capsys.readouterr().err
 
 
 def test_solve_lists_the_kinds_it_cannot_check(tmp_path):

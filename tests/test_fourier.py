@@ -1,6 +1,6 @@
 """The batched real lateral-Fourier block builder and the least-squares
-solve on its blocks, against the per-block sparse oracle, LSMR and the
-dense SVD."""
+solve on its blocks, against the per-block oracles, LSMR and the dense
+SVD."""
 
 import dataclasses
 import tracemalloc
@@ -274,12 +274,14 @@ def test_touched_class_solve_matches_per_mode_lstsq(d, n):
     # residual is roundoff on both sides.
     chart = make_chart("flat_slab_periodic", d)
     system = bvp.assemble(n, chart)
+    # the kinds that apply on this grid
     sources = [bvp.make_source(n, chart, kind, seed=2) for kind in KINDS
-               if n >= 15 or kind != "discrete-admissible"]
+               if n >= bvp.SOURCE_MIN_GRID[kind]]
     # a random right-hand side touches every class; a silent mode of the
     # continuum source lifted to 1e-10 |b|, far below the data and far
     # above the cut-off, must be solved
-    base = sources[-3]
+    at_base = [src.kind for src in sources].index("continuum-admissible")
+    base = sources[at_base]
     sources.append(dataclasses.replace(
         base, values=np.random.default_rng(n).standard_normal(
             base.values.size)))
@@ -304,9 +306,9 @@ def test_touched_class_solve_matches_per_mode_lstsq(d, n):
     # the lifted modes open one more class where |sin(4 pi / n)| is not
     # one of the classes of |k| <= 1 (n >= 7), and their part of x is the
     # oracle's
-    (x_base, rep_base), (x_lift, rep_lift) = solves[-5], solves[-1]
+    (x_base, rep_base), (x_lift, rep_lift) = solves[at_base], solves[-1]
     assert rep_lift.classes_solved == rep_base.classes_solved + (n >= 7)
-    part = refs[-1][0] - refs[-5][0]
+    part = refs[-1][0] - refs[at_base][0]
     assert np.linalg.norm(x_lift - x_base - part) \
         <= 1e-2 * np.linalg.norm(part)
 
@@ -318,7 +320,7 @@ def test_each_source_factors_only_the_classes_it_touches(kind):
     # along x_0 alone and fills 2.  A solve that factors every class (25
     # at d=3, n=16; 27 at d=4, n=8) fails here.
     for d, n in ((3, 16), (4, 8)):
-        if kind == "discrete-admissible" and n < 15:
+        if n < bvp.SOURCE_MIN_GRID[kind]:
             continue
         chart = make_chart("flat_slab_periodic", d)
         _, rep = bvp.solve_least_squares(

@@ -14,9 +14,14 @@ solvable to solver tolerance rather than discretization accuracy.
 Each operator is written once, as a stack builder ``stack(P, E_faces, N,
 NF)`` (``_slab_stack``, ``_h0_stack``), and evaluated on the
 block-polynomial grid (``_block_polynomial``).  The full grid is
-evaluated once, in ``assemble``, for the slab stack: the solve's residual
-and the oracles read it, and ``kernel_probe`` is handed it.  The spectra
-and ``cohomology_probe`` read only the blocks.
+evaluated once per (n, d) and process, for the slab stack, in ``_grid``:
+a read-only bundle of the stencils, the divergence and the weighted slab
+matrix.  ``assemble`` wraps its matrix, which the solve's residual and
+the oracles read and ``kernel_probe`` is handed; ``make_source`` reads
+its stencils, divergence and einstein rows.  The spectra and
+``cohomology_probe`` read only the blocks.  The continuum-admissible
+source is evaluated on 4 lateral nodes per axis and interpolated
+exactly, as it has lateral frequencies |k_a| <= 1.
 
 Every operator is also invariant under lateral translation, so the lateral
 DFT splits it into one collar-line block per lateral mode, and has degree
@@ -126,10 +131,18 @@ def _stencils(n: int, d: int):
     return P, E_faces
 
 
-def slab_nodes(n: int, d: int) -> np.ndarray:
-    axes = [(np.arange(n) + 0.5) / n] * d
+def _cell_centers(n: int) -> np.ndarray:
+    return (np.arange(n) + 0.5) / n
+
+
+def _mesh(axes) -> np.ndarray:
+    """The nodes of the tensor grid of ``axes``, the last axis fastest."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
+def slab_nodes(n: int, d: int) -> np.ndarray:
+    return _mesh([_cell_centers(n)] * d)
 
 
 def _sym_pairs(d: int):
@@ -155,7 +168,8 @@ def vec_components(values: np.ndarray, pairs) -> np.ndarray:
 
 @dataclass
 class DiscreteSystem:
-    """The slab system A sigma = b on the n^d grid, ``matrix`` = A.
+    """The slab system A sigma = b on the n^d grid, ``matrix`` = A
+    (``assemble``'s is shared and read-only).
 
     Rows, in blocks of N = n^d node rows or NF = n^(d-1) face-node rows
     (``_stack_rows`` names the families): "einstein", DEin, one block of
@@ -365,15 +379,39 @@ def _slab_dim(chart: MetricChart) -> int:
     return chart.dim
 
 
-def assemble(n: int, chart: MetricChart) -> DiscreteSystem:
-    """The slab system: the slab stack on the full n^d grid, its node rows
-    then its face rows.  The one full-grid evaluation of a stack
-    builder."""
-    d = _slab_dim(chart)
+class _Grid(NamedTuple):
+    """The full n^d grid's operators: the stencils of ``_stencils``, the
+    divergence and the weighted slab matrix."""
+    P: tuple
+    E_faces: tuple
+    DIV: sp.csr_matrix
+    matrix: sp.csr_matrix
+
+
+# ``slab_solve_cases`` and benchlab's slab-solve pass go kind by kind
+# over their grids, so two cached grids serve most of their solves.
+@lru_cache(maxsize=2)
+def _grid(n: int, d: int) -> _Grid:
+    """The slab stack on the full n^d grid, its node rows then its face
+    rows, with the stencils it was built from and the divergence: the one
+    full-grid evaluation of a stack builder, built once per (n, d) and
+    shared by ``assemble`` and ``make_source``, so its arrays are
+    read-only."""
     P, E_faces = _stencils(n, d)
     nodes, faces = _slab_stack(n, d)(P, E_faces, n ** d, n ** (d - 1))
-    return DiscreteSystem(dim=d, n=n,
-                          matrix=sp.vstack([nodes, faces], format="csr"))
+    grid = _Grid(tuple(P), tuple(E_faces), _divergence(P, d),
+                 sp.vstack([nodes, faces], format="csr"))
+    for mat in (*grid.P, *grid.E_faces, grid.DIV, grid.matrix):
+        for array in (mat.data, mat.indices, mat.indptr):
+            array.flags.writeable = False
+    return grid
+
+
+def assemble(n: int, chart: MetricChart) -> DiscreteSystem:
+    """The slab system on the full n^d grid; its matrix is ``_grid``'s,
+    shared and read-only."""
+    d = _slab_dim(chart)
+    return DiscreteSystem(dim=d, n=n, matrix=_grid(n, d).matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +479,13 @@ SOURCE_MIN_GRID = {"discrete-admissible": 15, "continuum-admissible": 4,
 def make_source(n: int, chart: MetricChart, kind: str,
                 seed: int = 1) -> SourceSpec:
     """Construct sources matching or violating the solvability conditions;
-    a grid below the kind's ``SOURCE_MIN_GRID`` raises ``ValueError``."""
+    a grid below the kind's ``SOURCE_MIN_GRID`` raises ``ValueError``.
+
+    The stencils, the divergence and the slab matrix come from ``_grid``,
+    built once per (n, d): the discrete-admissible source is the einstein
+    rows of the slab matrix applied to its potential.  The continuum-
+    admissible source evaluates ``dein_closed`` on 4 lateral nodes per
+    axis only (``_continuum_source``)."""
     d = _slab_dim(chart)
     if kind not in SOURCE_MIN_GRID:
         raise ValueError(f"unknown source kind {kind!r}")
@@ -450,15 +494,13 @@ def make_source(n: int, chart: MetricChart, kind: str,
                          f"{SOURCE_MIN_GRID[kind]}, not {n}")
     rng = np.random.default_rng(seed)
     pairs = _sym_pairs(d)
-    x = slab_nodes(n, d)
-    P, E_faces = _stencils(n, d)
-    DIV = None
+    grid = _grid(n, d)
+    P, E_faces = grid.P, grid.E_faces
 
     if kind == "discrete-admissible":
         # the potential must clear the reach of the boundary rows (layers
         # <= 4 and >= n-5) plus the two-layer spread of the double curl
         lo, hi = 7, n - 8
-        EIN, _, _, DIV, _ = _interior_from_P(P, d, n ** d)
         tau = _double_curl_source(
             P, n, d, rng, lambda xd: _normal_profile(n, lo, hi)[
                 np.clip((xd * n - 0.5).astype(int), 0, n - 1)])
@@ -466,13 +508,12 @@ def make_source(n: int, chart: MetricChart, kind: str,
         tr = np.einsum("nii->n", tau)
         mu = tau - tr[:, None, None] / (d - 2) * np.eye(d)
         potential = vec_components(mu, pairs)
-        values = EIN @ potential
+        values = (grid.matrix @ potential)[:len(pairs) * n ** d]
     elif kind == "continuum-admissible":
-        tvals = dein_closed(chart, x, _continuum_potential(d, seed),
-                            ricci_action(), order=2)
-        values = vec_components(tvals, pairs)
+        values = _continuum_source(n, chart, seed)
         potential = None
     elif kind == "inadmissible-divergence":
+        x = slab_nodes(n, d)
         prof = _normal_profile(n, 3, n - 4)  # clear of the face stencils
         scalar = prof[np.clip((x[:, -1] * n - 0.5).astype(int), 0, n - 1)]
         scalar = scalar * (1.0 + 0.4 * np.cos(2 * np.pi * x[:, 0]))
@@ -490,13 +531,40 @@ def make_source(n: int, chart: MetricChart, kind: str,
         values = values / bnorm
         potential = None
 
-    if DIV is None:
-        DIV = _divergence(P, d)
     scale = max(np.abs(values).max(), 1e-300)
     return SourceSpec(kind=kind, values=values,
-                      div_rel=float(np.abs(DIV @ values).max() / scale),
+                      div_rel=float(np.abs(grid.DIV @ values).max()
+                                    / scale),
                       boundary_rel=_face_max(E_faces, values) / scale,
                       potential=potential)
+
+
+# Lateral nodes per axis on which the continuum source is evaluated.
+_CONTINUUM_NODES = 4
+
+
+def _continuum_source(n: int, chart: MetricChart, seed: int) -> np.ndarray:
+    """dEin of ``_continuum_potential`` at the n^d nodes, stacked.
+
+    The potential has lateral frequencies |k_a| <= 1 and dEin on the flat
+    slab has constant coefficients, so along each lateral axis the source
+    is a trigonometric polynomial of degree <= 1.  ``dein_closed`` runs on
+    4 lateral nodes per axis times the n collar nodes, and the
+    interpolation matrix (1 + 2 cos 2 pi (x_i - y_j)) / 4 from the 4
+    nodes y_j to the n nodes x_i, exact on the frequencies -1, 0 and 1
+    (its only aliases are +-4), fills in each lateral axis.
+    """
+    d = chart.dim
+    coarse = _cell_centers(_CONTINUUM_NODES)
+    tvals = dein_closed(chart, _mesh([coarse] * (d - 1) + [_cell_centers(n)]),
+                        _continuum_potential(d, seed), ricci_action(),
+                        order=2)
+    tvals = tvals.reshape((_CONTINUUM_NODES,) * (d - 1) + (n, d, d))
+    interp = (1.0 + 2.0 * np.cos(2 * np.pi * (_cell_centers(n)[:, None]
+                                              - coarse))) / _CONTINUUM_NODES
+    for a in range(d - 1):
+        tvals = np.moveaxis(np.tensordot(interp, tvals, axes=(1, a)), 0, a)
+    return vec_components(tvals.reshape(n ** d, d, d), _sym_pairs(d))
 
 
 def _continuum_potential(d: int, seed: int):
@@ -556,12 +624,17 @@ class SolveReport:
 def kernel_probe(matrix: sp.spmatrix, seed: int = 0) -> float:
     """Smallest-singular-value estimate via 60 steps of shifted inverse
     power iteration on the normal matrix, with a Rayleigh quotient against
-    the unshifted normal matrix so exact kernels report near-zero."""
+    the unshifted normal matrix so exact kernels report near-zero.  The
+    shifted normal matrix is symmetric positive definite, so SuperLU
+    factors it in its symmetric mode: a minimum-degree ordering of its
+    pattern and pivots on the diagonal."""
     A = matrix.tocsr()
     Nmat = (A.T @ A).tocsc()
     scale = spla.norm(Nmat, ord=1)
     shift = 1e-12 * scale
-    lu = spla.splu(Nmat + shift * sp.identity(Nmat.shape[0], format="csc"))
+    lu = spla.splu(Nmat + shift * sp.identity(Nmat.shape[0], format="csc"),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(Nmat.shape[0])
     x /= np.linalg.norm(x)
@@ -828,17 +901,21 @@ def _h1_polynomial(n: int, d: int) -> _Polynomial:
                          row_axes=poly.row_axes[:, keep])
 
 
+def _spectrum(poly: _Polynomial, n: int) -> np.ndarray:
+    """The singular values of every block of ``poly``, ascending."""
+    return np.sort(_block_svals(poly, n).ravel())
+
+
 def h0_spectrum(n: int, d: int, closed_torus: bool = False) -> np.ndarray:
     """Exact spectrum of the H0 operator via lateral Fourier blocks (on the
     closed torus, Fourier modes in all d axes)."""
-    return np.sort(_block_svals(_h0_polynomial(n, d, closed_torus),
-                                n).ravel())
+    return _spectrum(_h0_polynomial(n, d, closed_torus), n)
 
 
 def h1_spectrum(n: int, d: int) -> np.ndarray:
     """Exact spectrum of the middle-cohomology operator via Fourier
     blocks (rows as in ``_h1_polynomial``)."""
-    return np.sort(_block_svals(_h1_polynomial(n, d), n).ravel())
+    return _spectrum(_h1_polynomial(n, d), n)
 
 
 def solve_least_squares(system: DiscreteSystem, source: SourceSpec
@@ -959,11 +1036,13 @@ def cohomology_probe(n: int, chart: MetricChart,
     (the t = 0 coefficient of ``_h0_polynomial``, whose phases are
     unitary) over a collar line of ``line`` nodes: n on the slab, 1 on the
     closed torus.  On the closed torus the translations lie in the
-    kernel; the boundary rows remove them.
+    kernel; the boundary rows remove them.  One H0 polynomial serves the
+    spectrum and the translations.
     """
     d = _slab_dim(chart)
-    out = {"dim_h0": spectral_gap(h0_spectrum(n, d, closed_torus), 1e-6)[1]}
-    A0 = _h0_polynomial(n, d, closed_torus).coef[0]
+    h0 = _h0_polynomial(n, d, closed_torus)
+    out = {"dim_h0": spectral_gap(_spectrum(h0, n), 1e-6)[1]}
+    A0 = h0.coef[0]
     line = A0.shape[1] // d
     out["translation_image_norms"] = (
         np.linalg.norm(A0.reshape(-1, d, line).sum(axis=2), axis=0)

@@ -9,7 +9,9 @@ per-term slab assembly and the lateral-Fourier block oracle (the lateral
 DFT of its impulse responses), which read the library's 1-D stencils,
 component pairs and boundary row layout; the slab kernel fields
 ``width_modulus_fields`` and ``discrete_kernel_basis``, which read the
-component pairs; ``lsmr_solve``, the former LSMR least-squares
+component pairs; ``continuum_source_full_grid``, the former full-grid
+continuum-admissible source, which reads the library's ``dein_closed``
+and continuum potential; ``lsmr_solve``, the former LSMR least-squares
 solve of ``bvp.py``, which touches the assembled matrix only through
 products; ``lstsq_solve_loop``, a dense solve per lateral mode on the
 blocks of that oracle; and the object-array jet engine: the former geometry,
@@ -35,9 +37,10 @@ import scipy.sparse.linalg as spla
 
 from bianchi_lab import bvp
 from bianchi_lab.bvp import DiscreteSystem, SolveReport, SourceSpec
-from bianchi_lab.charts import Geometry, sym_from_upper
+from bianchi_lab.charts import Geometry, make_chart, sym_from_upper
+from bianchi_lab.conventions import ricci_action
 from bianchi_lab.jets import Jet, _exp_index, _exponents, contract, stack
-from bianchi_lab.linearize import Perturbation
+from bianchi_lab.linearize import Perturbation, dein_closed
 
 
 def bubble_parity(seq):
@@ -466,6 +469,25 @@ def grid_stencils(n: int, d: int, closed_torus: bool = False):
         bvp._face_operator(bvp._face_extrapolation_1d(n, face), n, d)
         for face in (0, 1)]
     return P, E_faces
+
+
+def continuum_source_full_grid(n: int, d: int, seed: int):
+    """(values, div_rel, boundary_rel) of the continuum-admissible source
+    of ``bvp.make_source`` with ``dein_closed`` evaluated at every node of
+    the n^d grid, and the divergence and face rows of the copies above."""
+    chart = make_chart("flat_slab_periodic", d)
+    tvals = dein_closed(chart, bvp.slab_nodes(n, d),
+                        bvp._continuum_potential(d, seed), ricci_action(),
+                        order=2)
+    values = np.concatenate([tvals[:, i, j] for i in range(d)
+                             for j in range(i, d)])
+    P, E_faces = grid_stencils(n, d)
+    DIV = interior_from_P_loop(P, d, n ** d)[3]
+    faces = np.concatenate([E @ values.reshape(-1, n ** d).T
+                            for E in E_faces])
+    scale = np.abs(values).max()
+    return (values, float(np.abs(DIV @ values).max() / scale),
+            float(np.abs(faces).max() / scale))
 
 
 def assemble_loop(n: int, d: int):

@@ -6,12 +6,15 @@ benchmark run fail fails here.
 """
 
 import ast
+import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 
+import bianchi_lab
 from bianchi_lab import bvp, charts
 
 BENCHLAB = Path(__file__).resolve().parents[1] / "benchlab"
@@ -82,3 +85,20 @@ def test_slab_spectra_pass_runs_clean(workloads):
     assert tally.failures == []
     assert tally.problems == []
     assert tally.attempted >= 8
+
+
+def test_two_slab_solve_passes_run_clean(workloads):
+    # the benchmark clears every lazy table between passes, so the second
+    # pass rebuilds each grid as the first did
+    run = _load("run")
+    modules = [importlib.import_module(f"bianchi_lab.{info.name}")
+               for info in pkgutil.iter_modules(bianchi_lab.__path__)]
+    tally = workloads.Tally()
+    for _ in range(2):
+        run.clear_lazy_tables(modules)
+        assert bvp._grid.cache_info().currsize == 0
+        workloads.slab_solve(1, tally)
+    assert tally.failures == []
+    assert tally.problems == []
+    assert tally.attempted == 2 * sum(len(grids) for _, grids
+                                      in workloads.SOLVES)

@@ -37,6 +37,7 @@ from bianchi_lab.verify import (
 
 from oracles import (
     boundary_from_P_loop,
+    continuum_source_full_grid,
     discrete_kernel_basis,
     dstar_from_P,
     grid_stencils,
@@ -97,6 +98,57 @@ def test_every_slab_entry_point_rejects_other_presets(call):
     # one check with one message, on the torus path of the probe too
     with pytest.raises(ValueError, match="not on 'polar_ball'"):
         call(make_chart("polar_ball", 3))
+
+
+def test_assemble_shares_one_read_only_grid():
+    # the full grid is built once per (n, d); its arrays are shared by
+    # every caller, so none of them can be written
+    matrix = assemble(8, CHART).matrix
+    assert assemble(8, CHART).matrix is matrix
+    grid = bvp._grid(8, 3)
+    assert grid.matrix is matrix
+    for mat in (*grid.P, *grid.E_faces, grid.DIV, matrix):
+        for array in (mat.data, mat.indices, mat.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+
+def test_clearing_the_grid_cache_changes_no_result():
+    n = 15
+    matrix = assemble(n, CHART).matrix
+    sources = {kind: make_source(n, CHART, kind, seed=4)
+               for kind in SOURCE_MIN_GRID}
+    bvp._grid.cache_clear()
+    fresh = assemble(n, CHART).matrix
+    assert fresh is not matrix
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(fresh, attr), getattr(matrix, attr))
+    for kind, src in sources.items():
+        bvp._grid.cache_clear()
+        again = make_source(n, CHART, kind, seed=4)
+        assert np.array_equal(again.values, src.values), kind
+        assert (again.div_rel, again.boundary_rel) == (src.div_rel,
+                                                       src.boundary_rel)
+        assert (again.potential is None) == (src.potential is None)
+        if src.potential is not None:
+            assert np.array_equal(again.potential, src.potential)
+
+
+def test_sources_read_the_grid_built_once(monkeypatch):
+    # once the grid is built, assemble and every source kind build no
+    # stencil, interior operator or divergence again
+    n = 15
+    bvp._grid.cache_clear()
+    bvp._grid(n, 3)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("the full grid was built again")
+
+    for name in ("_stencils", "_interior_from_P", "_divergence"):
+        monkeypatch.setattr(bvp, name, rebuilt)
+    assemble(n, CHART)
+    for kind in SOURCE_MIN_GRID:
+        make_source(n, CHART, kind, seed=1)
 
 
 @pytest.mark.parametrize("d,n", [(3, 6), (4, 4)])
@@ -295,6 +347,25 @@ def test_source_diagnostics_by_kind():
     assert src.boundary_rel >= 0.5
     with pytest.raises(ValueError):
         make_source(n, CHART, "bogus")
+
+
+@pytest.mark.parametrize("d,n", [(3, n) for n in range(4, 25)]
+                         + [(4, 8), (4, 12)])
+def test_continuum_source_matches_the_full_grid_evaluation(d, n):
+    # make_source evaluates dEin on 4 lateral nodes per axis and
+    # interpolates; the oracle evaluates it at every node
+    chart = make_chart("flat_slab_periodic", d)
+    src = make_source(n, chart, "continuum-admissible", seed=2)
+    values, div_rel, boundary_rel = continuum_source_full_grid(n, d, 2)
+    scale = np.abs(values).max()
+    assert np.abs(src.values - values).max() <= 1e-14 * scale
+    assert src.div_rel == pytest.approx(div_rel, rel=1e-14)
+    assert src.boundary_rel == pytest.approx(boundary_rel, rel=1e-14)
+    if d == 3:
+        # at seed 2 the source fills the classes of j_a in {0, 1} and
+        # no other
+        report = solve_least_squares(assemble(n, chart), src)[1]
+        assert report.classes_solved == 4
 
 
 @pytest.mark.parametrize("kind", sorted(SOURCE_MIN_GRID))
@@ -527,6 +598,7 @@ def test_cohomology_probe_reads_only_the_class_blocks(d, grids, monkeypatch):
     def full_grid(*args, **kwargs):
         raise AssertionError("the probe evaluated the full grid")
 
+    bvp._grid.cache_clear()  # a cached grid would bypass the patches
     monkeypatch.setattr(bvp, "assemble", full_grid)
     monkeypatch.setattr(bvp, "_stencils", full_grid)
     chart = make_chart("flat_slab_periodic", d)

@@ -55,7 +55,6 @@ __all__ = [
     "BoundaryFrameData",
     "BoundaryState",
     "boundary_state",
-    "projections_at",
     "normal_derivative",
     "constraint_pieces",
     "combine_constraint_residuals",
@@ -291,48 +290,6 @@ def boundary_state(collar: CollarChart, y, order: int = 4) -> BoundaryState:
     return BoundaryState(collar=collar, y=np.atleast_2d(y), geom=geom,
                          rjet=rjet, nvec=nvec, a_field=hess, dn_a=dn_a,
                          bgeom=bgeom, a_lateral=a_lat, frame=frame)
-
-
-# ---------------------------------------------------------------------------
-# projections of ambient symmetric tensors
-
-
-def projections_at(collar: CollarChart, y, sigma_field):
-    """Boundary projections and normal jets of a symmetric tensor field.
-
-    ``sigma_field(x, order)`` must return the (d, d) tensor jet; it and
-    the metric are taken at order 3.  Returns a dict with
-    tangential/normal splits and the k-th normal derivatives for k <= 2.
-    """
-    st = boundary_state(collar, y, order=3)
-    d = collar.dim
-    sig = face_adapted_jets(collar, y, sigma_field, 3)
-    svals = sig.value
-    n = st.frame.normal
-    gvals = st.geom.g.value
-    ginv = np.linalg.inv(gvals)
-
-    ptt = svals[..., : d - 1, : d - 1]
-    sn_low = np.einsum("...ij,...i->...j", svals, n)
-    pn = np.einsum("...ij,...j->...i", ginv, sn_low)
-    pnn = np.einsum("...j,...j->...", sn_low, n)
-    pnt_coord = sn_low[..., : d - 1]
-    pnt_frame = np.einsum("...ai,...i->...a", st.frame.tangent_frame, sn_low)
-
-    dn1 = normal_derivative(st.geom, st.nvec, sig)
-    dn2 = normal_derivative(st.geom, st.nvec, dn1)
-    return {
-        "state": st,
-        "values": svals,
-        "ptt": ptt,
-        "pn": pn,
-        "pnn": pnn,
-        "pnt": pnt_coord,
-        "pnt_frame": pnt_frame,
-        "dn0": svals,
-        "dn1": dn1.value,
-        "dn2": dn2.value,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,8 @@ import scipy.sparse.linalg as spla
 from .charts import MetricChart, sym_from_upper
 from .conventions import ricci_action
 from .jets import cos_coeffs, poly_coeffs, separable
-from .linearize import dein_closed
+from .linearize import Perturbation, dein_closed
+from .quadrature import _mesh
 
 __all__ = [
     "DiscreteSystem",
@@ -135,12 +136,6 @@ def _cell_centers(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def _mesh(axes) -> np.ndarray:
-    """The nodes of the tensor grid of ``axes``, the last axis fastest."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
-
 def slab_nodes(n: int, d: int) -> np.ndarray:
     return _mesh([_cell_centers(n)] * d)
 
@@ -173,18 +168,15 @@ class DiscreteSystem:
 
     Rows, in blocks of N = n^d node rows or NF = n^(d-1) face-node rows
     (``_stack_rows`` names the families): "einstein", DEin, one block of
-    N per component of ``pairs``; "gauge", delta B, d blocks of N; then
-    the rows of ``_boundary_from_P`` weighted by ``_boundary_weight(n)``:
-    per face (d-1)d/2 blocks of NF for each of "pullback", "dA" and
-    "dnA" (d(nabla_n A)), then d "normal" (sigma(n, .)) blocks per face.
+    N per component of ``_sym_pairs(dim)``; "gauge", delta B, d blocks
+    of N; then the rows of ``_boundary_from_P`` weighted by
+    ``_boundary_weight(n)``: per face (d-1)d/2 blocks of NF for each of
+    "pullback", "dA" and "dnA" (d(nabla_n A)), then d "normal"
+    (sigma(n, .)) blocks per face.
     """
     dim: int
     n: int
     matrix: sp.csr_matrix
-
-    @property
-    def pairs(self) -> list:
-        return _sym_pairs(self.dim)
 
     def _rows(self, families) -> np.ndarray:
         d, n = self.dim, self.n
@@ -198,7 +190,11 @@ class DiscreteSystem:
     def block_residuals(self, x: np.ndarray, t_vec: np.ndarray) -> dict:
         """|r| of the interior, gauge and (unweighted) boundary rows of
         r = A x - b, relative to |t_vec|."""
-        r = self.matrix @ x - self.rhs_from_einstein_block(t_vec)
+        return self._residual_blocks(
+            self.matrix @ x - self.rhs_from_einstein_block(t_vec), t_vec)
+
+    def _residual_blocks(self, r: np.ndarray, t_vec: np.ndarray) -> dict:
+        """``block_residuals`` from the residual r."""
         scale = max(np.linalg.norm(t_vec), 1e-300)
 
         def rel(families):
@@ -228,11 +224,19 @@ def _divergence(P, d: int) -> sp.csr_matrix:
                     for j in range(d)], format="csr")
 
 
-def _interior_from_P(P, d: int, N: int):
-    """DEin and the gauge operator delta B from a commuting P family.
+def _killing(P, d: int) -> sp.csr_matrix:
+    """(delta* X)_ij = (P_i X_j + P_j X_i) / 2 on stacked components."""
+    return sp.bmat([_summed_blocks(d, [(i, P[i])] if i == j else
+                                   [(j, 0.5 * P[i]), (i, 0.5 * P[j])])
+                    for i, j in _sym_pairs(d)], format="csr")
 
-    Works for the full kron operators and for the lateral-Fourier blocks
-    (where the lateral P's are complex multiples of the identity).
+
+def _interior_from_P(P, d: int, N: int):
+    """(DEin, delta B): the interior and gauge operators from a commuting
+    P family.
+
+    Works for the full kron operators and for the block polynomial's
+    points axis (where each lateral P is diagonal).
     """
     pairs = _sym_pairs(d)
     nc = len(pairs)
@@ -250,23 +254,11 @@ def _interior_from_P(P, d: int, N: int):
     B = sp.bmat([[bmatrix[ci, cj] * I if bmatrix[ci, cj] else None
                   for cj in range(nc)] for ci in range(nc)], format="csr")
 
-    DIV = _divergence(P, d)
-
-    # killing: (delta* X)_{ij} = (P_i X_j + P_j X_i) / 2
-    ds_blocks = [[None] * d for _ in range(nc)]
-    for c, (i, j) in enumerate(pairs):
-        if i == j:
-            ds_blocks[c][i] = P[i]
-        else:
-            ds_blocks[c][j] = 0.5 * P[i]
-            ds_blocks[c][i] = 0.5 * P[j]
-    DSTAR = sp.bmat(ds_blocks, format="csr")
-
     LAP = sp.block_diag([lap] * nc, format="csr")
-    GAUGE = (DIV @ B).tocsr()
-    DRIC = (-0.5 * LAP - DSTAR @ GAUGE).tocsr()
+    GAUGE = (_divergence(P, d) @ B).tocsr()
+    DRIC = (-0.5 * LAP - _killing(P, d) @ GAUGE).tocsr()
     EIN = (B @ DRIC).tocsr()
-    return EIN, GAUGE, B, DIV, DSTAR
+    return EIN, GAUGE
 
 
 def _boundary_from_P(P, E_faces, d: int, N: int, NF: int):
@@ -348,7 +340,7 @@ def _slab_stack(n: int, d: int):
     bw = _boundary_weight(n)
 
     def stack(P, E_faces, N, NF):
-        EIN, GAUGE = _interior_from_P(P, d, N)[:2]
+        EIN, GAUGE = _interior_from_P(P, d, N)
         return (sp.vstack([EIN, GAUGE], format="csr"),
                 bw * _boundary_from_P(P, E_faces, d, N, NF))
 
@@ -363,7 +355,7 @@ def _h0_stack(n: int, d: int):
 
     def stack(P, E_faces, N, NF):
         faces = [bw * sp.block_diag([E] * d, format="csr") for E in E_faces]
-        return (_interior_from_P(P, d, N)[4],
+        return (_killing(P, d),
                 sp.vstack(faces, format="csr") if faces else None)
 
     return stack
@@ -389,7 +381,11 @@ class _Grid(NamedTuple):
 
 
 # ``slab_solve_cases`` and benchlab's slab-solve pass go kind by kind
-# over their grids, so two cached grids serve most of their solves.
+# over their grids.  One ``verify --suite bvp`` run (seed 1) builds its
+# three grids in 5 misses and 12 hits: the continuum study's n = 8, 12, 16
+# evicts the discrete-admissible n = 16, and the divergence source's n = 8
+# then misses again.  The two rebuilds take about 0.07 s of the 0.8 s
+# suite (one BLAS thread); a third slot would add a grid to peak memory.
 @lru_cache(maxsize=2)
 def _grid(n: int, d: int) -> _Grid:
     """The slab stack on the full n^d grid, its node rows then its face
@@ -568,8 +564,6 @@ def _continuum_source(n: int, chart: MetricChart, seed: int) -> np.ndarray:
 
 
 def _continuum_potential(d: int, seed: int):
-    from .linearize import Perturbation
-
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal((d, d))
     coef = 0.5 * (coef + coef.T)
@@ -996,13 +990,13 @@ def solve_least_squares(system: DiscreteSystem, source: SourceSpec
         raise RuntimeError(f"Fourier solve: imaginary part {imag:.1e} of x "
                            f"is above roundoff")
     x = x.real.copy()
-    rel = float(np.linalg.norm(system.matrix @ x - b)
-                / max(np.linalg.norm(b), 1e-300))
+    r = system.matrix @ x - b
     return x, SolveReport(
         converged=True,
         iterations=0,
-        relative_residual=rel,
-        block_residuals=system.block_residuals(x, source.values),
+        relative_residual=float(np.linalg.norm(r)
+                                / max(np.linalg.norm(b), 1e-300)),
+        block_residuals=system._residual_blocks(r, source.values),
         solution_norm=float(np.linalg.norm(x)),
         sigma_min_estimate=min(sigma_min, default=None),
         rank_deficient_blocks=deficient,

@@ -49,7 +49,6 @@ __all__ = [
     "sym_from_upper",
     "orthonormal_frame",
     "sample_points",
-    "positive_definite_audit",
     "PRESETS",
 ]
 
@@ -234,14 +233,6 @@ def sample_points(chart: MetricChart, n: int, rng: np.random.Generator,
         pad = (hi - lo) * margin
         pts[:, a] = rng.uniform(lo + pad, hi - pad, size=n)
     return pts
-
-
-def positive_definite_audit(chart: MetricChart, n: int,
-                            rng: np.random.Generator) -> float:
-    """Smallest metric eigenvalue over n sample points (must be > 0)."""
-    pts = sample_points(chart, n, rng, margin=0.0)
-    g = chart.metric_jets(pts, order=0).value
-    return float(np.linalg.eigvalsh(g).min())
 
 
 # ---------------------------------------------------------------------------

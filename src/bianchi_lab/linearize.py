@@ -48,7 +48,6 @@ from .jets import (
 __all__ = [
     "Perturbation",
     "trig_poly_sym_field",
-    "bump_sym_field",
     "jet_surgery_pair",
     "perturbed_geometry",
     "dric_parts_jets",
@@ -124,35 +123,6 @@ def trig_poly_sym_field(dim: int, seed: int, boundary_order: int = 0,
         return sym_from_upper(separable(dim, order, factors), dim)
 
     return Perturbation(fn, dim, boundary_order)
-
-
-def bump_sym_field(dim: int, seed: int) -> Perturbation:
-    """Interior-supported-in-spirit field: lateral trig times a normal
-    polynomial bump ((x_d - c)^2 - w^2)^2 clipped outside |x_d - c| < w,
-    with c = 1/2 and w = 1/4.
-
-    The clip keeps jets polynomial near the support; callers sample inside.
-    """
-    rng = np.random.default_rng(seed)
-    coef = rng.standard_normal((dim, dim))
-    coef = 0.5 * (coef + coef.T)
-
-    center, width = 0.5, 0.25
-    w2 = width * width
-    # ((s^2 - w^2) / w^2)^2 in s = x_d - c, with d/ds = d/dx_d
-    bump = (1.0, 0.0, -2.0 / w2, 0.0, 1.0 / w2 ** 2)
-    upper = coef[np.triu_indices(dim)]
-
-    def fn(x, order):
-        inside = np.abs(x[..., -1] - center) < width
-        term = separable(dim, order, {
-            0: cos_coeffs(2 * np.pi, 2 * np.pi * x[..., None, 0], order)
-            * upper[:, None],
-            dim - 1: poly_coeffs(x[..., None, -1] - center, bump, order)})
-        term.c[...] = np.where(inside[..., None, None], term.c, 0.0)
-        return sym_from_upper(term, dim)
-
-    return Perturbation(fn, dim, boundary_order=4)
 
 
 def jet_surgery_pair(base: Perturbation, x0):

@@ -34,7 +34,7 @@ from .jets import (
     series_mul,
     sin_coeffs,
 )
-from .linearize import dein_closed_jets
+from .linearize import Perturbation, dein_closed_jets
 
 __all__ = [
     "GridSpec",
@@ -72,10 +72,6 @@ class GridSpec:
             raise ValueError("per-axis data must match the dimension")
 
     @property
-    def h(self) -> float:
-        return 1.0 / self.n
-
-    @property
     def widths(self) -> np.ndarray:
         return np.array([hi - lo for lo, hi in self.box])
 
@@ -92,21 +88,23 @@ class GridSpec:
         return cls(chart.dim, n, chart.periodic, tuple(chart.domain))
 
 
-def interior_nodes(grid: GridSpec) -> np.ndarray:
-    axes = [lo + (np.arange(grid.n) + 0.5) * (hi - lo) / grid.n
-            for lo, hi in grid.box]
+def _mesh(axes) -> np.ndarray:
+    """The nodes of the tensor grid of ``axes``, the last axis fastest."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
+def _cell_axes(grid: GridSpec) -> list:
+    return [lo + (np.arange(grid.n) + 0.5) * (hi - lo) / grid.n
+            for lo, hi in grid.box]
+
+
+def interior_nodes(grid: GridSpec) -> np.ndarray:
+    return _mesh(_cell_axes(grid))
+
+
 def face_nodes(grid: GridSpec, face: int) -> np.ndarray:
-    axes = [lo + (np.arange(grid.n) + 0.5) * (hi - lo) / grid.n
-            for lo, hi in grid.box[:-1]]
-    mesh = np.meshgrid(*axes, indexing="ij") if grid.dim > 1 else []
-    lat = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    lo_d, hi_d = grid.box[-1]
-    depth = np.full((lat.shape[0], 1), lo_d if face == 0 else hi_d)
-    return np.concatenate([lat, depth], axis=-1)
+    return _mesh(_cell_axes(grid)[:-1] + [[grid.box[-1][face]]])
 
 
 def integrate_scalar_samples(grid: GridSpec, samples: np.ndarray,
@@ -151,8 +149,6 @@ def periodic_sym_field(dim: int, seed: int, normal_vanish: int = 0):
     ``normal_vanish=2`` multiplies by sin^2(pi x_d), which vanishes to
     second order at both unit-box collar faces while staying trigonometric.
     """
-    from .linearize import Perturbation
-
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal((dim, dim))
     coef = 0.5 * (coef + coef.T)
@@ -191,8 +187,6 @@ def box_bump_sym_field(chart: MetricChart, seed: int):
     coordinates, so side-wall and collar-face contributions to the Green
     identities vanish; the components stay jet-exact polynomials.
     """
-    from .linearize import Perturbation
-
     dim = chart.dim
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal((dim, dim))

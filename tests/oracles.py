@@ -655,7 +655,7 @@ def lstsq_solve_loop(system: DiscreteSystem, sources
     All sources share one pass over the blocks.
     """
     d, n = system.dim, system.n
-    nc, S = len(system.pairs), len(sources)
+    nc, S = len(bvp._sym_pairs(d)), len(sources)
     # axes (source, component or row family, lateral..., [collar])
     lateral = tuple(range(2, d + 1))
     bs = np.stack([system.rhs_from_einstein_block(src.values)
@@ -1250,33 +1250,6 @@ def trig_poly_sym_field(dim: int, seed: int, boundary_order: int = 0,
         return sym_from_upper(term, dim)
 
     return Perturbation(fn, dim, boundary_order)
-
-
-def bump_sym_field(dim: int, seed: int, center=0.5, width=0.25,
-                   amp: float = 1.0) -> Perturbation:
-    """Interior-supported-in-spirit field: lateral trig times a normal
-    polynomial bump ((x_d - c)^2 - w^2)^2 clipped outside |x_d - c| < w.
-
-    The clip keeps jets polynomial near the support; callers sample inside.
-    """
-    rng = np.random.default_rng(seed)
-    coef = rng.standard_normal((dim, dim))
-    coef = 0.5 * (coef + coef.T) * amp
-
-    def fn(x, order):
-        xs = Jet.variables(x, order)
-        w2 = width * width
-        b = (xs[-1] - center) * (xs[-1] - center) - w2
-        bump = b * b * (1.0 / w2 ** 2)
-        inside = np.abs(x[..., -1] - center) < width
-        upper = coef[np.triu_indices(dim)]
-        term = Jet.const(dim, order, upper)
-        term = contract("i,->i", term, jet_cos(xs[0] * (2 * np.pi)))
-        term = contract("i,->i", term, bump)
-        term.c[...] = np.where(inside[..., None, None], term.c, 0.0)
-        return sym_from_upper(term, dim)
-
-    return Perturbation(fn, dim, boundary_order=4)
 
 
 def box_bump_sym_field(chart, seed: int, amp: float = 1.0):

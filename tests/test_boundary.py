@@ -9,7 +9,7 @@ from bianchi_lab.boundary import (
     constraint_pieces,
     constraint_residuals_at,
     distance_jet,
-    projections_at,
+    face_adapted_jets,
     weyl_constraint_residual_at,
 )
 from bianchi_lab.charts import (
@@ -123,7 +123,7 @@ def test_distance_jet_raises_when_newton_does_not_converge():
 
 
 # ---------------------------------------------------------------------------
-# projections
+# mirrored faces
 
 
 def sym_field_from_matrix_fn(d, entries):
@@ -135,76 +135,6 @@ def sym_field_from_matrix_fn(d, entries):
         return stack([stack(row) for row in entries(xs)], axis=-2)
 
     return fn
-
-
-def test_projections_of_metric():
-    chart = make_chart("curved_generic", 3, seed=11)
-    collar = CollarChart(chart)
-    y = lateral_points(3, 3, 7)
-
-    proj = projections_at(collar, y, lambda x, o: chart.metric_jets(x, o))
-    st = proj["state"]
-    assert np.abs(proj["ptt"] - st.frame.induced_metric).max() <= 1e-12
-    assert np.abs(proj["pnn"] - 1.0).max() <= 1e-12
-    assert np.abs(proj["pnt"]).max() <= 1e-12
-    # metric is parallel: normal jets vanish
-    assert np.abs(proj["dn1"]).max() <= 1e-11
-    assert np.abs(proj["dn2"]).max() <= 1e-10
-
-
-def test_projections_vanishing_sigma_keeps_first_jet():
-    d = 3
-    chart = make_chart("flat_slab_periodic", d)
-    collar = CollarChart(chart)
-    y = lateral_points(d, 3, 8)
-
-    def entries(xs):
-        out = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                out[i][j] = xs[-1] * (jet_cos(1.0 + xs[0]) + (i + j))
-        return out
-
-    proj = projections_at(collar, y, sym_field_from_matrix_fn(d, entries))
-    assert np.abs(proj["ptt"]).max() <= 1e-12
-    assert np.abs(proj["pn"]).max() <= 1e-12
-    assert np.abs(proj["pnn"]).max() <= 1e-12
-    assert np.abs(proj["dn1"]).max() > 0.1  # first normal jet survives
-
-
-def test_projection_reconstruction():
-    d = 4
-    chart = make_chart("curved_generic", d, seed=13)
-    collar = CollarChart(chart)
-    y = lateral_points(d, 4, 9)
-    r = rng(10)
-
-    mat = r.standard_normal((d, d))
-    mat = 0.5 * (mat + mat.T)
-
-    def entries(xs):
-        out = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                out[i][j] = mat[i, j] + 0.3 * xs[0] * (1.0 if i == j else 0.5)
-        return out
-
-    proj = projections_at(collar, y, sym_field_from_matrix_fn(d, entries))
-    st = proj["state"]
-    frame_rows = np.concatenate(
-        [st.frame.tangent_frame, st.frame.normal[..., None, :]], axis=-2)
-    svals = proj["values"]
-    sf = np.einsum("...ai,...bj,...ij->...ab", frame_rows, frame_rows, svals)
-    # rebuild sigma from the frame blocks and compare
-    rebuilt = np.array(sf)
-    einv = np.linalg.inv(frame_rows)
-    back = np.einsum("...ia,...jb,...ab->...ij", einv, einv, rebuilt)
-    assert np.abs(back - svals).max() <= 1e-12
-    # the normal-frame column agrees with the (pnt, pnn) projections
-    lb = st.frame.tangent_frame
-    pnt_f = proj["pnt_frame"]
-    assert np.abs(sf[..., : d - 1, d - 1] - pnt_f).max() <= 1e-11
-    assert np.abs(sf[..., d - 1, d - 1] - proj["pnn"]).max() <= 1e-11
 
 
 def mirrored_sym_field(d, mirror):
@@ -244,11 +174,12 @@ def test_upper_face_mirrors_lower_face_on_curved_chart():
         lo, up = getattr(fr_lo, name), getattr(fr_up, name)
         assert np.abs(lo).max() > 1e-2
         assert np.abs(lo - up).max() <= 1e-12
-    p_lo = projections_at(lower, y, sig_lo)
-    p_up = projections_at(upper, y, sig_up)
-    assert np.abs(p_lo["pnt"]).max() > 0.1
-    for key in ("ptt", "pnn", "pnt", "dn1", "dn2"):
-        assert np.abs(p_lo[key] - p_up[key]).max() <= 1e-12
+    # the upper face's reflection flips the normal derivatives and the
+    # mixed (a, d) entries, which the mirrored field carries with its sign
+    j_lo = face_adapted_jets(lower, y, sig_lo, 3)
+    j_up = face_adapted_jets(upper, y, sig_up, 3)
+    assert np.abs(j_lo.value[..., : d - 1, d - 1]).max() > 0.1
+    assert np.abs(j_lo.c - j_up.c).max() <= 1e-12
     for lo, up in zip(dboundary_data_fd(lower, y, sig_lo),
                       dboundary_data_fd(upper, y, sig_up)):
         assert np.abs(lo).max() > 1e-2

@@ -12,7 +12,6 @@ from bianchi_lab.conventions import load_conventions, ricci_action
 from bianchi_lab.jets import Jet, stack
 from bianchi_lab.linearize import (
     Perturbation,
-    bump_sym_field,
     dboundary_data_fd,
     dein_closed,
     dein_fd,

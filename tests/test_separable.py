@@ -95,8 +95,6 @@ BUILDERS = {
     "trig_poly_sym_field_order3": _field(
         lambda c: linearize.trig_poly_sym_field(c.dim, 4, boundary_order=3),
         lambda c: oracles.trig_poly_sym_field(c.dim, 4, boundary_order=3)),
-    "bump_sym_field": _field(lambda c: linearize.bump_sym_field(c.dim, 5),
-                             lambda c: oracles.bump_sym_field(c.dim, 5)),
     "box_bump_sym_field": _field(
         lambda c: quadrature.box_bump_sym_field(c, 6),
         lambda c: oracles.box_bump_sym_field(c, 6), "polar_ball"),
@@ -123,9 +121,7 @@ CASES = [(name, d) for name in BUILDERS for d in (3, 4, 5)
 def test_builder_matches_jet_composition_oracle(name, d, order, shape):
     chart, new, old = BUILDERS[name](d)
     rng = np.random.default_rng(100 * d + order)
-    # the bump field is clipped to |x_d - 1/2| < 1/4: sample inside it
-    x = sample_points(chart, int(np.prod(shape)), rng,
-                      margin=0.3).reshape(shape + (d,))
+    x = sample_points(chart, int(np.prod(shape)), rng).reshape(shape + (d,))
     got, ref = new(x, order), old(x, order)
     assert got.order == ref.order == order
     assert got.c.shape == ref.c.shape

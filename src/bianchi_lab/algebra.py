@@ -104,6 +104,19 @@ def _wedge_splits(d: int, k1: int, k2: int):
 
 
 @lru_cache(maxsize=None)
+def _wedge_gather(d: int, ka: int, ma: int, kb: int, mb: int):
+    """The terms of ``wedge`` for a (ka, ma) and a (kb, mb) covector as
+    flat gathers (ia, ib), each of shape (K, splits of K, M, splits of M)
+    with K, M the output index sets: ib indexes b's coefficients, flattened
+    to C(d, kb) C(d, mb), and ia those of a followed by those of -a, so
+    that the gather carries the sign s t of the split."""
+    i1, i2, s = (x[:, :, None, None] for x in _wedge_splits(d, ka, kb))
+    j1, j2, t = _wedge_splits(d, ma, mb)
+    ia = i1 * _nck(d, ma) + j1 + (s * t < 0) * (_nck(d, ka) * _nck(d, ma))
+    return ia, i2 * _nck(d, mb) + j2
+
+
+@lru_cache(maxsize=None)
 def _interior_table(d: int, k: int) -> np.ndarray:
     """T[axis, out, in]: i_{e_axis} theta^I = sum_out T theta^out."""
     out_index = _subset_index(d, k - 1)
@@ -303,11 +316,17 @@ def wedge(a: KmCovector, b: KmCovector) -> KmCovector:
     are summed first, then those of M."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    i1, i2, s = (x[:, :, None, None] for x in _wedge_splits(a.dim, a.k, b.k))
-    j1, j2, t = _wedge_splits(a.dim, a.m, b.m)
-    terms = (s * t) * a.coeffs[..., i1, j1] * b.coeffs[..., i2, j2]
-    out = terms.sum(axis=-3).sum(axis=-1)
-    return KmCovector(a.dim, a.k + b.k, a.m + b.m, out)
+    ia, ib = _wedge_gather(a.dim, a.k, a.m, b.k, b.m)
+    # coefficients first, batch axes last (reversed): both gathers take
+    # whole rows, and each sum adds whole batch rows
+    nb = max(a.coeffs.ndim, b.coeffs.ndim) - 2
+    A = a.coeffs.reshape((1,) * (nb + 2 - a.coeffs.ndim)
+                         + a.coeffs.shape[:-2] + (-1,)).T
+    B = b.coeffs.reshape((1,) * (nb + 2 - b.coeffs.ndim)
+                         + b.coeffs.shape[:-2] + (-1,)).T
+    terms = np.concatenate([A, -A]).take(ia, axis=0) * B.take(ib, axis=0)
+    sums = np.add.reduce(np.add.reduce(terms, axis=1), axis=2)  # (K, M, ...)
+    return KmCovector(a.dim, a.k + b.k, a.m + b.m, sums.T.swapaxes(-1, -2))
 
 
 def transpose(a: KmCovector) -> KmCovector:

@@ -89,8 +89,21 @@ def _merged_config(args) -> dict:
         cfg["study"] = True
     if getattr(args, "serial", False):
         cfg["serial"] = True
+    one_cpu = cfg["serial"] and _one_cpu()
     cfg["serial"], cfg["threads"] = _pin_threads(cfg["serial"])
+    cfg["serial"] = cfg["serial"] and one_cpu
     return cfg
+
+
+def _one_cpu() -> bool:
+    """Narrow this thread's CPU affinity to one CPU, so that the chunk
+    pool of ``charts._by_chunks``, which reads the affinity, runs one
+    worker; False where the platform has no affinity call.  ``main``
+    restores the affinity when the command returns."""
+    if not hasattr(os, "sched_setaffinity"):
+        return False
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    return True
 
 
 def _pin_threads(serial: bool) -> tuple:
@@ -122,6 +135,8 @@ def _report(cfg: dict, cases: list, extra_meta: dict | None = None) -> dict:
     import numpy
     import scipy
 
+    from .charts import _chunk_workers
+
     meta = {
         "tool": "bianchi-lab",
         "version": __version__,
@@ -136,6 +151,7 @@ def _report(cfg: dict, cases: list, extra_meta: dict | None = None) -> dict:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "threads": cfg["threads"],
+        "chunk_workers": _chunk_workers(),
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -281,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="report output path")
         p.add_argument("--format", choices=["json", "csv"])
         p.add_argument("--serial", action="store_true",
-                       help="single-threaded, bit-reproducible runs")
+                       help="single-threaded, bit-reproducible runs: one "
+                       "BLAS thread and one chunk worker")
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", choices=list(
@@ -311,6 +328,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
+        else None
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
@@ -324,6 +343,9 @@ def main(argv=None) -> int:
             return 2
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
+    finally:
+        if cpus is not None:
+            os.sched_setaffinity(0, cpus)
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ from functools import lru_cache, reduce
 from math import comb, factorial, prod
 
 import numpy as np
-import scipy.sparse
 
 __all__ = ["Jet", "contract", "stack", "jet_matrix_inverse", "separable",
            "cos_coeffs", "sin_coeffs", "poly_coeffs", "series_mul"]
@@ -514,8 +513,8 @@ def series_mul(u, v) -> np.ndarray:
 def _inverse_table(dim: int, order: int):
     """Per degree n >= 1: (IA, IB, S), the pairs (alpha, gamma - alpha)
     with alpha != 0 of the degree-n outputs gamma in output order, and the
-    sparse 0/1 matrix S of shape (outputs, pairs) that sums each output's
-    pairs."""
+    0/1 matrix S of shape (outputs, pairs) that sums each output's pairs,
+    as ``_mul_flat``'s S does for the product."""
     table = _mul_table(dim, order)
     exps = _exponents(dim, order)
     out = []
@@ -523,10 +522,9 @@ def _inverse_table(dim: int, order: int):
         pairs = [(ia[ia != 0], ib[ia != 0])
                  for g, (ia, ib) in enumerate(table) if sum(exps[g]) == n]
         owner = np.repeat(np.arange(len(pairs)), [len(ia) for ia, _ in pairs])
-        S = scipy.sparse.csr_matrix(
-            (np.ones(len(owner)), (owner, np.arange(len(owner)))))
         out.append((np.concatenate([ia for ia, _ in pairs]),
-                    np.concatenate([ib for _, ib in pairs]), S))
+                    np.concatenate([ib for _, ib in pairs]),
+                    (owner == np.arange(len(pairs))[:, None]).astype(float)))
     return out
 
 

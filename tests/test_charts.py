@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bianchi_lab import charts
 from bianchi_lab.algebra import (
     bianchi_sum,
     metric_covector,
@@ -396,3 +397,106 @@ def test_dewitt_symmetry_and_tracefree_positivity():
     G = np.array([[dewitt_inner(a[None], b[None], gv[:1])[0] for b in basis]
                   for a in basis])
     assert np.linalg.eigvalsh(G).min() > 0
+
+
+# ---------------------------------------------------------------------------
+# chunked pointwise evaluation
+
+
+def _ricci_and_points(chart):
+    def fn(x):
+        geom = geometry_from_jets(chart.metric_jets(x, 2))
+        return geom.ric.value, x[:, 0].copy()
+    return fn
+
+
+def _chunk_map(fn, x, step):
+    parts = [fn(x[lo:lo + step]) for lo in range(0, len(x), step)]
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
+def test_by_chunks_threads_equal_the_sequential_map_bit_for_bit(monkeypatch):
+    chart = make_chart("curved_generic", 3)
+    x = sample_points(chart, 1000, rng(5))
+    fn = _ricci_and_points(chart)
+    monkeypatch.setattr(charts, "_CHUNK", 128)
+    monkeypatch.setattr(charts, "_chunk_workers", lambda: 3)
+    got = charts._by_chunks(fn, x)
+    want = _chunk_map(fn, x, 128)
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert np.array_equal(got[1], x[:, 0])  # chunk order kept
+
+
+def test_by_chunks_under_thread_switching_stress(monkeypatch):
+    # more workers than cores, every lazy jet table built while the
+    # workers race, and a thread switch every microsecond
+    import sys
+    import threading
+
+    from bianchi_lab import jets
+
+    chart = make_chart("conformal_bump", 4, amp=0.1)
+    x = sample_points(chart, 400, rng(6))
+    fn = _ricci_and_points(chart)
+    want = _chunk_map(fn, x, 16)
+    monkeypatch.setattr(charts, "_CHUNK", 16)
+    monkeypatch.setattr(charts, "_chunk_workers", lambda: 8)
+    for name in ("_exponents", "_exp_index", "_mul_table", "_mul_flat",
+                 "_inverse_table", "_outer_index"):
+        getattr(jets, name).cache_clear()
+    threads = set()
+
+    def traced(xc):
+        threads.add(threading.get_ident())
+        return fn(xc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = charts._by_chunks(traced, x)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.get_ident() not in threads
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_by_chunks_raises_the_error_of_a_failing_chunk(monkeypatch):
+    from bianchi_lab.jets import jet_matrix_inverse
+
+    chart = make_chart("flat_cartesian", 3)
+    x = sample_points(chart, 600, rng(7))
+    bad = 450  # in the fourth chunk of 128
+
+    def inverse(xc):
+        G = chart.metric_jets(xc, 1)
+        hit = np.flatnonzero(np.isin(xc[:, 0], x[bad, 0]))
+        G.c[hit, 0, 0, 0] = 0.0  # a vanishing pivot
+        return (jet_matrix_inverse(G).c,)
+
+    monkeypatch.setattr(charts, "_CHUNK", 128)
+    monkeypatch.setattr(charts, "_chunk_workers", lambda: 2)
+    with pytest.raises(np.linalg.LinAlgError, match="vanishing pivot"):
+        charts._by_chunks(inverse, x)
+
+
+@pytest.mark.parametrize("points, workers", [(100, 4), (1000, 1)])
+def test_by_chunks_runs_inline_for_one_chunk_or_one_worker(points, workers,
+                                                           monkeypatch):
+    import threading
+
+    monkeypatch.setattr(charts, "_CHUNK", 128)
+    monkeypatch.setattr(charts, "_chunk_workers", lambda: workers)
+    seen = []
+
+    def fn(xc):
+        seen.append(threading.get_ident())
+        return (xc.sum(axis=-1),)
+
+    x = rng(8).uniform(size=(points, 3))
+    (got,) = charts._by_chunks(fn, x)
+    assert np.array_equal(got, x.sum(axis=-1))
+    assert seen == [threading.get_ident()] * -(-points // 128)
+

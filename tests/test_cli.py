@@ -185,6 +185,22 @@ def test_serial_in_a_fresh_interpreter_pins_the_thread_variables(how,
     assert meta["threads"] == {"OMP_NUM_THREADS": "1",
                                "OPENBLAS_NUM_THREADS": "1",
                                "MKL_NUM_THREADS": "1"}
+    assert meta["chunk_workers"] == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+@pytest.mark.parametrize("serial", [False, True])
+def test_report_records_the_chunk_workers(serial, tmp_path):
+    # in this process numpy is loaded, so --serial cannot pin BLAS; it
+    # still narrows the chunk pool to one worker for the command only
+    cpus = os.sched_getaffinity(0)
+    out = tmp_path / "r.json"
+    argv = ["verify", "--suite", "algebra", "--out", str(out)]
+    assert run(argv + ["--serial"] * serial) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["chunk_workers"] == (1 if serial else len(cpus))
+    assert os.sched_getaffinity(0) == cpus
 
 
 @pytest.mark.parametrize("how", ["--serial", "BIANCHI_LAB_THREADS"])

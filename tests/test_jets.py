@@ -282,3 +282,19 @@ def test_contract_rejects_a_kept_shared_index():
     a = Jet.const(3, 1, np.ones((3, 3)))
     with pytest.raises(ValueError):
         contract("ij,ij->ij", a, a)
+
+
+def test_verify_imports_no_scipy_sparse():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, bianchi_lab.verify; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "scipy.sparse" not in done.stdout
+    assert done.stdout.strip() == "[]"

@@ -1,41 +1,47 @@
 """Finite-difference probe of the gauged linearized Einstein boundary-value
 problem on the flat periodic slab.
 
-Every discrete operator is assembled from one shared family of
-first-derivative matrices {P_k} and face rows E (``_stencils``: periodic
-central stencils laterally; central with third-order one-sided end rows
-on the collar axis).  The
-family commutes, so flat-background polynomial operator identities -- the
-gauged divergence of the interior operator vanishing, and the interior
-operator annihilating Killing deformations -- hold exactly at the matrix
-level.  That exactness is what makes "discrete-admissible" sources
-solvable to solver tolerance rather than discretization accuracy.
+Every discrete operator is built from one shared family of
+first-derivative operators {P_k} and face rows E (the 1-D stencils of
+``_first_derivative_1d`` and ``_face_extrapolation_1d``: periodic central
+stencils laterally; central with third-order one-sided end rows on the
+collar axis).  The family commutes, so flat-background polynomial
+operator identities -- the gauged divergence of the interior operator
+vanishing, and the interior operator annihilating Killing deformations --
+hold exactly at the matrix level.  That exactness is what makes
+"discrete-admissible" sources solvable to solver tolerance rather than
+discretization accuracy.
 
-Each operator is written once, as a stack builder ``stack(P, E_faces, N,
-NF)`` (``_slab_stack``, ``_h0_stack``), and evaluated on the
-block-polynomial grid (``_block_polynomial``).  The full grid is
-evaluated once per (n, d) and process, for the slab stack, in ``_grid``:
-a read-only bundle of the stencils, the divergence and the weighted slab
-matrix.  ``assemble`` wraps its matrix, which the solve's residual and
-the oracles read and ``kernel_probe`` is handed; ``make_source`` reads
-its stencils, divergence and einstein rows.  The spectra and
-``cohomology_probe`` read only the blocks.  The continuum-admissible
-source is evaluated on 4 lateral nodes per axis and interpolated
-exactly, as it has lateral frequencies |k_a| <= 1.
+Each operator is written once, as a stack builder ``stack(P, E_faces)``
+(``_slab_stack``, ``_h0_stack``, and ``_divergence`` alone for
+``_grid``), and evaluated only on the points axis of the block
+polynomial (``_block_polynomial``): batched dense arrays of a few
+collar-line blocks.  Every operator is invariant under lateral
+translation, so the lateral DFT splits it into one collar-line block per
+lateral mode, and has degree <= 2 in the P's, so each block is exactly a
+polynomial of degree <= 2 in the lateral symbols i t_a.  A diagonal
+phase makes every block real: the operators commute with the reflection
+of all lateral axes, so a term of degree |e| only couples components
+whose numbers of lateral indices differ by |e| mod 2, and scaling each
+block row and column by i to the power of that number cancels every i.
 
-Every operator is also invariant under lateral translation, so the lateral
-DFT splits it into one collar-line block per lateral mode, and has degree
-<= 2 in the P's, so each block is exactly a polynomial of degree <= 2 in
-the lateral symbols i t_a (``_block_polynomial``).  A diagonal phase makes
-every block real: the operators commute with the reflection of all
-lateral axes, so a term of degree |e| only couples components whose
-numbers of lateral indices differ by |e| mod 2, and scaling each block row
-and column by i to the power of that number cancels every i.
+The same invariance makes the full-grid matrix block-circulant in the
+lateral axes, so its polynomial holds all of it: ``_expand`` writes the
+CSR matrix from the polynomial's coefficients and the lateral shifts.
+``_grid`` does so once per (n, d) and process for the weighted slab
+matrix and the divergence, a read-only bundle.  ``assemble`` wraps its
+matrix, which the solve's residual and the oracles read and
+``kernel_probe`` is handed; ``make_source`` reads its divergence and
+einstein rows, and applies the 1-D stencils along each axis (``_along``)
+for the double-curl sources.  The spectra and ``cohomology_probe`` read
+only the blocks.  The continuum-admissible source is evaluated on 4
+lateral nodes per axis and interpolated exactly, as it has lateral
+frequencies |k_a| <= 1.
 
-They also commute with the reflection of each lateral axis a alone, which
-maps t_a to -t_a; on a real block that is the similarity by a +-1
-diagonal on each side.  And t_a = sin(2 pi k_a / n) is the same for k_a
-and n/2 - k_a, and changes sign from k_a to -k_a.  So every block is
+The operators also commute with the reflection of each lateral axis a
+alone, which maps t_a to -t_a; on a real block that is the similarity by
+a +-1 diagonal on each side.  And t_a = sin(2 pi k_a / n) is the same for
+k_a and n/2 - k_a, and changes sign from k_a to -k_a.  So every block is
 +-1 diagonals times the block of its class of |t| (``_symbol_classes``):
 floor(n/4) + 1 classes per axis on even n, (n + 1)/2 on odd n.  The exact
 spectra factor one real block per class.  The one least-squares solver,
@@ -82,54 +88,42 @@ __all__ = [
 
 
 def _first_derivative_1d(n: int, h: float, periodic: bool) -> sp.csr_matrix:
-    if periodic:
-        main = sp.diags([np.full(n - 1, 0.5), np.full(n - 1, -0.5)],
-                        [1, -1], format="lil")
-        main[0, n - 1] = -0.5
-        main[n - 1, 0] = 0.5
-        return (main.tocsr() / h).tocsr()
-    m = sp.lil_matrix((n, n))
-    for j in range(1, n - 1):
-        m[j, j - 1] = -0.5
-        m[j, j + 1] = 0.5
-    # third-order one-sided rows keep compositions second-order accurate
-    m[0, 0:4] = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0
-    m[n - 1, n - 4:n] = -np.array([2.0, -9.0, 18.0, -11.0]) / 6.0
-    return (m.tocsr() / h).tocsr()
+    """The central first difference on n nodes of spacing h: periodic, or
+    with third-order one-sided end rows, which keep compositions
+    second-order accurate."""
+    j = np.arange(n) if periodic else np.arange(1, n - 1)
+    rows = [np.repeat(j, 2)]
+    cols = [np.stack([(j - 1) % n, (j + 1) % n], axis=1).ravel()]
+    vals = [np.tile([-0.5, 0.5], j.size)]
+    if not periodic:
+        rows += [np.zeros(4, int), np.full(4, n - 1)]
+        cols += [np.arange(4), np.arange(n - 4, n)]
+        vals += [np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0,
+                 -np.array([2.0, -9.0, 18.0, -11.0]) / 6.0]
+    m = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
+    return m / h
 
 
 def _face_extrapolation_1d(n: int, face: int) -> sp.csr_matrix:
     """Quadratic extrapolation from the first three cell centers to a face."""
     w = np.array([15.0, -10.0, 3.0]) / 8.0
-    m = sp.lil_matrix((1, n))
-    if face == 0:
-        m[0, 0:3] = w
-    else:
-        m[0, n - 3:n] = w[::-1]
-    return m.tocsr()
+    return sp.csr_matrix((w, np.arange(3), [0, 3]) if face == 0 else
+                         (w[::-1], np.arange(n - 3, n), [0, 3]), shape=(1, n))
 
 
-def _axis_operator(op1d: sp.spmatrix, axis: int, n: int, d: int):
-    mat = sp.identity(1, format="csr")
-    for a in range(d):
-        mat = sp.kron(mat, op1d if a == axis else sp.identity(n), format="csr")
-    return mat
-
-
-def _face_operator(op1d: sp.spmatrix, n: int, d: int):
-    """Apply a (1 x n) collar-axis row after identity on the lateral axes."""
-    return sp.kron(sp.identity(n ** (d - 1)), op1d, format="csr")
-
-
-def _stencils(n: int, d: int):
-    """(P, E_faces) on the full n^d grid: the derivative family P_k
-    (periodic laterally) and the face rows of both faces."""
-    h = 1.0 / n
-    P = [_axis_operator(_first_derivative_1d(n, h, k < d - 1), k, n, d)
-         for k in range(d)]
-    E_faces = [_face_operator(_face_extrapolation_1d(n, face), n, d)
-               for face in (0, 1)]
-    return P, E_faces
+def _along(op1d: sp.csr_matrix, values: np.ndarray, axis: int,
+           d: int) -> np.ndarray:
+    """A 1-D operator (rows x n) applied along ``axis`` of node values on
+    the n^d grid (``slab_nodes`` order), after any leading stacked
+    blocks: what the kron of the operator with the identity on the other
+    axes gives, row for row in the same order."""
+    n = op1d.shape[1]
+    post = n ** (d - 1 - axis)
+    grid = values.reshape(-1, n, post).transpose(1, 0, 2)
+    out = op1d @ grid.reshape(n, -1)
+    return out.reshape(-1, grid.shape[1], post).transpose(1, 0, 2).ravel()
 
 
 def _cell_centers(n: int) -> np.ndarray:
@@ -164,7 +158,9 @@ def vec_components(values: np.ndarray, pairs) -> np.ndarray:
 @dataclass
 class DiscreteSystem:
     """The slab system A sigma = b on the n^d grid, ``matrix`` = A
-    (``assemble``'s is shared and read-only).
+    (``assemble``'s is ``_grid``'s lateral expansion of the slab block
+    polynomial, shared and read-only; its column indices are not sorted
+    within a row).
 
     Rows, in blocks of N = n^d node rows or NF = n^(d-1) face-node rows
     (``_stack_rows`` names the families): "einstein", DEin, one block of
@@ -172,7 +168,10 @@ class DiscreteSystem:
     of N; then the rows of ``_boundary_from_P`` weighted by
     ``_boundary_weight(n)``: per face (d-1)d/2 blocks of NF for each of
     "pullback", "dA" and "dnA" (d(nabla_n A)), then d "normal"
-    (sigma(n, .)) blocks per face.
+    (sigma(n, .)) blocks per face.  A block of node rows runs over the
+    nodes in ``slab_nodes`` order, lateral nodes then the collar node; a
+    block of face rows over the lateral nodes.  The columns are one block
+    of N per component, in the same node order.
     """
     dim: int
     n: int
@@ -215,33 +214,50 @@ def _summed_blocks(nc: int, terms) -> list:
     return blocks
 
 
-def _divergence(P, d: int) -> sp.csr_matrix:
+def _block_matrix(rows) -> np.ndarray:
+    """The (points, rows, cols) array of a grid of blocks, each of shape
+    (points or 1, height, width) with one height and width throughout,
+    and None for a zero block."""
+    shape = np.broadcast_shapes(*(b.shape for row in rows for b in row
+                                  if b is not None))
+    q, height, width = shape
+    out = np.zeros((q, len(rows) * height, len(rows[0]) * width))
+    for r, row in enumerate(rows):
+        for c, b in enumerate(row):
+            if b is not None:
+                out[:, r * height:(r + 1) * height,
+                    c * width:(c + 1) * width] = b
+    return out
+
+
+# Every stack builder below takes the derivative family P and the face
+# rows E_faces on the points axis of ``_block_polynomial``: each P_k a
+# (points or 1, line, line) array and each face row a (1, 1, line) one,
+# so that ``@`` composes them point by point.
+
+
+def _divergence(P, d: int) -> np.ndarray:
     """(div sigma)_j = -sum_i P_i sigma_ij on stacked components."""
     sym = _component_table(d)
     nc = len(_sym_pairs(d))
-    return sp.bmat([_summed_blocks(nc, [(sym[i, j], -P[i])
-                                        for i in range(d)])
-                    for j in range(d)], format="csr")
+    return _block_matrix([_summed_blocks(nc, [(sym[i, j], -P[i])
+                                              for i in range(d)])
+                          for j in range(d)])
 
 
-def _killing(P, d: int) -> sp.csr_matrix:
+def _killing(P, d: int) -> np.ndarray:
     """(delta* X)_ij = (P_i X_j + P_j X_i) / 2 on stacked components."""
-    return sp.bmat([_summed_blocks(d, [(i, P[i])] if i == j else
-                                   [(j, 0.5 * P[i]), (i, 0.5 * P[j])])
-                    for i, j in _sym_pairs(d)], format="csr")
+    return _block_matrix([_summed_blocks(d, [(i, P[i])] if i == j else
+                                         [(j, 0.5 * P[i]), (i, 0.5 * P[j])])
+                          for i, j in _sym_pairs(d)])
 
 
-def _interior_from_P(P, d: int, N: int):
+def _interior_from_P(P, d: int):
     """(DEin, delta B): the interior and gauge operators from a commuting
-    P family.
-
-    Works for the full kron operators and for the block polynomial's
-    points axis (where each lateral P is diagonal).
-    """
+    P family."""
     pairs = _sym_pairs(d)
     nc = len(pairs)
     sym = _component_table(d)
-    I = sp.identity(N, format="csr")
     lap = sum(Pk @ Pk for Pk in P)
 
     # B as a pointwise block matrix on components
@@ -251,17 +267,17 @@ def _interior_from_P(P, d: int, N: int):
         if i == j:
             for k in range(d):
                 bmatrix[ci, sym[k, k]] -= 0.5
-    B = sp.bmat([[bmatrix[ci, cj] * I if bmatrix[ci, cj] else None
-                  for cj in range(nc)] for ci in range(nc)], format="csr")
+    B = np.kron(bmatrix, np.eye(lap.shape[-1]))
 
-    LAP = sp.block_diag([lap] * nc, format="csr")
-    GAUGE = (_divergence(P, d) @ B).tocsr()
-    DRIC = (-0.5 * LAP - _killing(P, d) @ GAUGE).tocsr()
-    EIN = (B @ DRIC).tocsr()
+    LAP = _block_matrix([[lap if ci == cj else None for cj in range(nc)]
+                         for ci in range(nc)])
+    GAUGE = _divergence(P, d) @ B
+    DRIC = -0.5 * LAP - _killing(P, d) @ GAUGE
+    EIN = B @ DRIC
     return EIN, GAUGE
 
 
-def _boundary_from_P(P, E_faces, d: int, N: int, NF: int):
+def _boundary_from_P(P, E_faces, d: int) -> np.ndarray:
     """Rows for the pullback, the linearized second fundamental form and
     its normal derivative, on both faces (exact flat-slab forms), then
     the normal restriction sigma(n, .) on both faces.
@@ -276,10 +292,8 @@ def _boundary_from_P(P, E_faces, d: int, N: int, NF: int):
     rows = []
 
     def row(*terms):
-        blocks = _summed_blocks(nc, [(sym[i, j], t)
-                                     for (i, j), t in terms])
-        rows.append(sp.hstack([b if b is not None else sp.csr_matrix((NF, N))
-                               for b in blocks], format="csr"))
+        rows.append(_summed_blocks(nc, [(sym[i, j], t)
+                                        for (i, j), t in terms]))
 
     tang = [(a, b) for a in range(d - 1) for b in range(a, d - 1)]
     for face in (0, 1):
@@ -306,7 +320,7 @@ def _boundary_from_P(P, E_faces, d: int, N: int, NF: int):
     for E in E_faces:
         for a in range(d):
             row(((a, d - 1), E))
-    return sp.vstack(rows, format="csr")
+    return _block_matrix(rows)
 
 
 BOUNDARY_FAMILIES = ("pullback", "dA", "dnA", "normal")
@@ -339,10 +353,10 @@ def _slab_stack(n: int, d: int):
     ``_boundary_weight(n)`` (see ``_block_polynomial``)."""
     bw = _boundary_weight(n)
 
-    def stack(P, E_faces, N, NF):
-        EIN, GAUGE = _interior_from_P(P, d, N)
-        return (sp.vstack([EIN, GAUGE], format="csr"),
-                bw * _boundary_from_P(P, E_faces, d, N, NF))
+    def stack(P, E_faces):
+        EIN, GAUGE = _interior_from_P(P, d)
+        return (np.concatenate([EIN, GAUGE], axis=1),
+                bw * _boundary_from_P(P, E_faces, d))
 
     return stack
 
@@ -353,10 +367,11 @@ def _h0_stack(n: int, d: int):
     ``_boundary_weight(n)``; no face rows without faces."""
     bw = _boundary_weight(n)
 
-    def stack(P, E_faces, N, NF):
-        faces = [bw * sp.block_diag([E] * d, format="csr") for E in E_faces]
+    def stack(P, E_faces):
+        faces = [bw * _block_matrix([[E if a == b else None for b in range(d)]
+                                     for a in range(d)]) for E in E_faces]
         return (_killing(P, d),
-                sp.vstack(faces, format="csr") if faces else None)
+                np.concatenate(faces, axis=1) if faces else None)
 
     return stack
 
@@ -372,10 +387,8 @@ def _slab_dim(chart: MetricChart) -> int:
 
 
 class _Grid(NamedTuple):
-    """The full n^d grid's operators: the stencils of ``_stencils``, the
-    divergence and the weighted slab matrix."""
-    P: tuple
-    E_faces: tuple
+    """The full n^d grid's operators: the divergence and the weighted slab
+    matrix."""
     DIV: sp.csr_matrix
     matrix: sp.csr_matrix
 
@@ -384,20 +397,22 @@ class _Grid(NamedTuple):
 # over their grids.  One ``verify --suite bvp`` run (seed 1) builds its
 # three grids in 5 misses and 12 hits: the continuum study's n = 8, 12, 16
 # evicts the discrete-admissible n = 16, and the divergence source's n = 8
-# then misses again.  The two rebuilds take about 0.07 s of the 0.8 s
-# suite (one BLAS thread); a third slot would add a grid to peak memory.
+# then misses again.  The two rebuilds take about 0.015 s of the 0.4-0.55 s
+# suite (one BLAS thread, 2 shared cores); a third slot would add a grid to
+# peak memory.
 @lru_cache(maxsize=2)
 def _grid(n: int, d: int) -> _Grid:
-    """The slab stack on the full n^d grid, its node rows then its face
-    rows, with the stencils it was built from and the divergence: the one
-    full-grid evaluation of a stack builder, built once per (n, d) and
-    shared by ``assemble`` and ``make_source``, so its arrays are
-    read-only."""
-    P, E_faces = _stencils(n, d)
-    nodes, faces = _slab_stack(n, d)(P, E_faces, n ** d, n ** (d - 1))
-    grid = _Grid(tuple(P), tuple(E_faces), _divergence(P, d),
-                 sp.vstack([nodes, faces], format="csr"))
-    for mat in (*grid.P, *grid.E_faces, grid.DIV, grid.matrix):
+    """The slab matrix on the full n^d grid, its node rows then its face
+    rows, and the divergence: each the lateral expansion (``_expand``) of
+    its block polynomial, so no stack builder runs on the n^d nodes.
+    Built once per (n, d) and shared by ``assemble`` and ``make_source``,
+    so its arrays are read-only."""
+    def divergence(P, E_faces):
+        return _divergence(P, d), None
+
+    div = _block_polynomial(n, d, divergence, _sym_pairs(d))
+    grid = _Grid(_expand(div, n), _expand(_slab_polynomial(n, d), n))
+    for mat in grid:
         for array in (mat.data, mat.indices, mat.indptr):
             array.flags.writeable = False
     return grid
@@ -436,11 +451,17 @@ def _normal_profile(n: int, lo: int, hi: int) -> np.ndarray:
     return prof
 
 
-def _double_curl_source(P, n: int, d: int, rng,
+def _double_curl_source(n: int, d: int, rng,
                         normal_support) -> np.ndarray:
-    """tau_ij = P_k P_l phi_{ikjl} from bivector-pair potentials: exactly
-    divergence-free under the stencils P of ``_stencils``."""
+    """tau_ij = P_k P_l phi_{ikjl} from bivector-pair potentials, with
+    P_k the stencil of ``_first_derivative_1d`` along axis k: exactly
+    divergence-free under those stencils."""
     N = n ** d
+    P1d = [_first_derivative_1d(n, 1.0 / n, a < d - 1) for a in range(d)]
+
+    def P(k, f):
+        return _along(P1d[k], f, k, d)
+
     x = slab_nodes(n, d)
     bivs = _bivector_basis(d)
     prof = normal_support(x[:, -1])
@@ -458,7 +479,7 @@ def _double_curl_source(P, n: int, d: int, rng,
             for (bi, bk, bj, bl) in ((i1, k1, i2, k2), (i2, k2, i1, k1)):
                 for si, ii, kk in ((1.0, bi, bk), (-1.0, bk, bi)):
                     for sj, jj, ll in ((1.0, bj, bl), (-1.0, bl, bj)):
-                        contrib = si * sj * (P[kk] @ (P[ll] @ psi))
+                        contrib = si * sj * P(kk, P(ll, psi))
                         tau[:, ii, jj] += contrib
     return tau
 
@@ -477,11 +498,13 @@ def make_source(n: int, chart: MetricChart, kind: str,
     """Construct sources matching or violating the solvability conditions;
     a grid below the kind's ``SOURCE_MIN_GRID`` raises ``ValueError``.
 
-    The stencils, the divergence and the slab matrix come from ``_grid``,
-    built once per (n, d): the discrete-admissible source is the einstein
-    rows of the slab matrix applied to its potential.  The continuum-
-    admissible source evaluates ``dein_closed`` on 4 lateral nodes per
-    axis only (``_continuum_source``)."""
+    The divergence and the slab matrix come from ``_grid``, built once per
+    (n, d): the discrete-admissible source is the einstein rows of the
+    slab matrix applied to its potential.  The double-curl sources and
+    the face diagnostic apply the 1-D stencils along each axis
+    (``_along``).  The continuum-admissible source evaluates
+    ``dein_closed`` on 4 lateral nodes per axis only
+    (``_continuum_source``)."""
     d = _slab_dim(chart)
     if kind not in SOURCE_MIN_GRID:
         raise ValueError(f"unknown source kind {kind!r}")
@@ -491,14 +514,13 @@ def make_source(n: int, chart: MetricChart, kind: str,
     rng = np.random.default_rng(seed)
     pairs = _sym_pairs(d)
     grid = _grid(n, d)
-    P, E_faces = grid.P, grid.E_faces
 
     if kind == "discrete-admissible":
         # the potential must clear the reach of the boundary rows (layers
         # <= 4 and >= n-5) plus the two-layer spread of the double curl
         lo, hi = 7, n - 8
         tau = _double_curl_source(
-            P, n, d, rng, lambda xd: _normal_profile(n, lo, hi)[
+            n, d, rng, lambda xd: _normal_profile(n, lo, hi)[
                 np.clip((xd * n - 0.5).astype(int), 0, n - 1)])
         # mu = B^{-1} tau keeps the gauge rows exactly zero
         tr = np.einsum("nii->n", tau)
@@ -517,11 +539,11 @@ def make_source(n: int, chart: MetricChart, kind: str,
         values = vec_components(tvals, pairs)
         potential = None
     else:  # inadmissible-boundary
-        tau = _double_curl_source(P, n, d, rng,
+        tau = _double_curl_source(n, d, rng,
                                   lambda xd: 1.0 + 0.5 * np.cos(np.pi * xd))
         values = vec_components(tau, pairs)
         # normalize so the face-center extrapolated magnitude is 1
-        bnorm = _face_max(E_faces, values)
+        bnorm = _face_max(values, n, d)
         if bnorm < 1e-9:
             raise RuntimeError("boundary-violating source degenerated")
         values = values / bnorm
@@ -531,7 +553,7 @@ def make_source(n: int, chart: MetricChart, kind: str,
     return SourceSpec(kind=kind, values=values,
                       div_rel=float(np.abs(grid.DIV @ values).max()
                                     / scale),
-                      boundary_rel=_face_max(E_faces, values) / scale,
+                      boundary_rel=_face_max(values, n, d) / scale,
                       potential=potential)
 
 
@@ -585,11 +607,12 @@ def _continuum_potential(d: int, seed: int):
     return Perturbation(fn, d, 3)
 
 
-def _face_max(E_faces, values: np.ndarray) -> float:
-    """Largest face-extrapolated magnitude of a stacked component vector,
-    over every component and both faces of ``E_faces``."""
-    faces = sp.vstack(E_faces, format="csr")
-    return float(np.abs(faces @ values.reshape(-1, faces.shape[1]).T).max())
+def _face_max(values: np.ndarray, n: int, d: int,
+              faces=(0, 1)) -> float:
+    """Largest face-extrapolated magnitude of a stacked component vector
+    on the n^d grid, over every component and the given faces."""
+    return max(float(np.abs(_along(_face_extrapolation_1d(n, face), values,
+                                   d - 1, d)).max()) for face in faces)
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +681,24 @@ class _Polynomial(NamedTuple):
     by i^(-row_parity[r]) and column c by i^(col_parity[c]).  row_axes
     (m x rows) and col_axes (m x cols) hold the parity of each row and
     column under the reflection of each lateral axis alone; row_parity
-    and col_parity are their sums mod 2 (see ``_block_polynomial``)."""
+    and col_parity are their sums mod 2 (see ``_block_polynomial``).
+    Each column component and node-row family runs along a collar line
+    of ``line`` nodes; the rows from ``nodes`` on are face rows."""
     terms: tuple
     coef: np.ndarray
     row_parity: np.ndarray
     col_parity: np.ndarray
     row_axes: np.ndarray
     col_axes: np.ndarray
+    line: int
+    nodes: int
+
+
+def _phase_flip(terms, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """(terms, rows, cols) mask of the entries whose phase i^(|e| + p_c -
+    p_r) is -1, where the exponent is 2 mod 4 (see ``_block_polynomial``)."""
+    deg = np.array([len(e) for e in terms])[:, None, None]
+    return (deg + col - row[:, None]) % 4 == 2
 
 
 def _block_polynomial(n: int, d: int, stack, unknowns,
@@ -672,24 +706,26 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
     """A lateral-Fourier block of ``stack`` as a real polynomial in the
     symbols.
 
-    ``stack(P, E_faces, N, NF)`` assembles (per-node rows, per-face-node
-    rows or None) from a commuting derivative family P and face rows, as
-    ``assemble`` evaluates it on the full grid; its columns are
-    the components ``unknowns`` (index tuples) of the unknown field.  In
-    the block of lateral mode k each lateral P_a is i t_a / h times the
-    identity, with t_a = sin(2 pi k_a / n); the collar P (absent on the
-    closed torus, where all d axes are lateral) is the collar line's
-    stencil.  Every row of the slab system has degree <= 2 in the
-    P's (the interior rows through the Laplacian and delta* delta B, the
-    boundary rows through E P_d P_a and E P_a P_b), so with u_a / h in
-    place of each lateral P_a
+    ``stack(P, E_faces)`` builds (per-node rows, per-face-node rows or
+    None) from a commuting derivative family P and face rows, batched
+    over a points axis; its columns are the components ``unknowns``
+    (index tuples) of the unknown field.  In the block of lateral mode k
+    each lateral P_a is i t_a / h times the identity, with t_a = sin(2 pi
+    k_a / n); the collar P (absent on the closed torus, where all d axes
+    are lateral) is the collar line's stencil.  Every row of the slab
+    system has degree <= 2 in the P's (the interior rows through the
+    Laplacian and delta* delta B, the boundary rows through E P_d P_a and
+    E P_a P_b), so with u_a / h in place of each lateral P_a
 
         A(u) = A0 + sum_a u_a L_a + sum_{a<=b} u_a u_b Q_ab
 
     holds exactly, and its values at the 1 + 2m + m(m-1)/2 points u = 0,
-    +-e_a and e_a + e_b (a < b) determine it.  One assembly gives them
-    all: a points axis takes the place of the lateral axes, with
-    P_a = diag(u_a) on it.  No operator is derived a second time.
+    +-e_a and e_a + e_b (a < b) determine it.  One batched build gives
+    them all: P_a = (u_a / h) I at each point, the collar P the dense 1-D
+    stencil and the face rows the dense 1-D extrapolation rows, arrays of
+    shape (points or 1, rows, cols).  No operator is derived a second
+    time, and no builder sees more than a collar line: the full-grid
+    matrix is the lateral expansion of the polynomial (``_expand``).
 
     The coefficients are real, and u = i t.  The operators commute with
     the reflection of each lateral axis a, which flips u_a and the sign
@@ -711,39 +747,25 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
                   *(eye[a] + eye[b] for a in range(m)
                     for b in range(a + 1, m))])
     q = len(U)
-    P = [sp.diags(np.repeat(U[:, a] / h, line), format="csr")
-         for a in range(m)]
+    P = [(U[:, a] / h)[:, None, None] * np.eye(line) for a in range(m)]
     E_faces = []
     if not closed_torus:
-        P.append(sp.kron(sp.identity(q), _first_derivative_1d(n, h, False),
-                         format="csr"))
-        E_faces = [sp.kron(sp.identity(q), _face_extrapolation_1d(n, face),
-                           format="csr") for face in (0, 1)]
-    nodes, faces = stack(P, E_faces, q * line, q * bool(E_faces))
+        P.append(_first_derivative_1d(n, h, False).toarray()[None])
+        E_faces = [_face_extrapolation_1d(n, face).toarray()[None]
+                   for face in (0, 1)]
+    nodes, faces = stack(P, E_faces)
+    blocks = nodes if faces is None else np.concatenate(
+        [nodes, np.broadcast_to(faces, (q,) + faces.shape[1:])], axis=1)
 
-    def on_point(F, p, width):
-        # indices of point p in a (family, point, width) layout
-        return (np.arange(F)[:, None] * q * width + p * width
-                + np.arange(width)).ravel()
-
-    def at(p):
-        cols = on_point(nodes.shape[1] // (q * line), p, line)
-        rows = [nodes[on_point(nodes.shape[0] // (q * line), p, line)]]
-        if faces is not None:
-            rows.append(faces[on_point(faces.shape[0] // q, p, 1)])
-        return sp.vstack(rows, format="csr")[:, cols].toarray()
-
-    A0 = at(0)
-    plus = [at(1 + a) for a in range(m)]
-    minus = [at(1 + m + a) for a in range(m)]
-    mixed = iter(range(1 + 2 * m, q))
+    A0, plus, minus = blocks[0], blocks[1:1 + m], blocks[1 + m:1 + 2 * m]
+    mixed = iter(blocks[1 + 2 * m:])
     terms = [()] + [(a,) for a in range(m)]
     coef = [A0] + [0.5 * (plus[a] - minus[a]) for a in range(m)]
     for a in range(m):
         for b in range(a, m):
             terms.append((a, b))
             coef.append(0.5 * (plus[a] + minus[a]) - A0 if a == b else
-                        at(next(mixed)) - plus[a] - plus[b] + A0)
+                        next(mixed) - plus[a] - plus[b] + A0)
     coef = np.stack(coef)
     # The mixed differences cancel exact zeros only to roundoff (3.6e-15,
     # 2e-17 of the largest coefficient, at d=4, n=4), and the per-axis
@@ -765,11 +787,83 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
                              "parity grading, so no diagonal phase makes "
                              "it real")
     row, col = row_axes.sum(axis=0) % 2, col_axes.sum(axis=0) % 2
-    # i^(|e| + p_c - p_r) is -1 where the exponent is 2 mod 4
-    deg = np.array([len(e) for e in terms])[:, None, None]
-    flip = (deg + col - row[:, None]) % 4 == 2
-    return _Polynomial(tuple(terms), np.where(flip, -coef, coef), row, col,
-                       row_axes, col_axes)
+    return _Polynomial(tuple(terms),
+                       np.where(_phase_flip(terms, row, col), -coef, coef),
+                       row, col, row_axes, col_axes, line, nodes.shape[1])
+
+
+def _expand(poly: _Polynomial, n: int) -> sp.csr_matrix:
+    """The full-grid matrix whose lateral-Fourier blocks ``poly`` holds.
+
+    Lateral translation invariance makes the matrix block-circulant in
+    the lateral axes, and on the full grid each lateral P_a is (S_a -
+    S_a^-1) / (2h), with S_a the shift by one node along axis a.  So
+
+        A = sum_e prod_{a in e} (S_a - S_a^-1) / 2  (x)  coef_e
+
+    with coef_e the unphased coefficient of term e: a block M_delta for
+    each lateral offset delta (mod n, so that the offsets +-2 of n=4
+    coincide), whose weights are multiples of 1/4 and exact.  The CSR
+    arrays are written directly in the layout of ``DiscreteSystem``:
+    node rows (family, lateral node, collar node), then face rows (face
+    row, lateral node), and columns (component, lateral node, collar
+    node); within a row the entries run by component, offset and collar
+    node, so the column indices are not sorted.  An entry is stored where
+    its M_delta entry is not zero.
+    """
+    _, R, C = poly.coef.shape
+    m, line = len(poly.row_axes), poly.line
+    lateral = n ** m
+    coef = np.where(_phase_flip(poly.terms, poly.row_parity,
+                                poly.col_parity), -poly.coef, poly.coef)
+    offset_blocks = {}
+    for e, c in zip(poly.terms, coef):
+        # the lateral factor of term e: one shift per sign choice
+        weights = {}
+        for signs in product((1, -1), repeat=len(e)):
+            delta = np.zeros(m, dtype=int)
+            np.add.at(delta, list(e), signs)
+            delta = tuple(delta % n)
+            weights[delta] = (weights.get(delta, 0.0)
+                              + np.prod(signs) / 2 ** len(e))
+        for delta, w in weights.items():
+            if w:
+                offset_blocks[delta] = offset_blocks.get(delta, 0.0) + w * c
+    offsets = np.array(list(offset_blocks))
+    M = np.stack(list(offset_blocks.values()))
+    # the stored entries of each block row, by component, offset and
+    # collar node
+    r, comp, k, j = np.nonzero(
+        M.reshape(len(M), R, C // line, line).transpose(1, 2, 0, 3))
+    vals = M[k, r, comp * line + j]
+    counts = np.bincount(r, minlength=R)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    nnz = lateral * r.size
+    index = np.int32 if max(nnz, lateral * C) < 2 ** 31 else np.int64
+    # flat lateral index of node L + delta for every node L and offset
+    nodes = np.indices((n,) * m).reshape(m, lateral, 1)
+    target = np.ravel_multi_index(tuple(nodes + offsets.T[:, None, :]),
+                                  (n,) * m, mode="wrap").astype(index)
+    base = (comp * (lateral * line) + j).astype(index)
+    # row groups in the global order: each node-row family (line rows),
+    # then each face row
+    groups = ([(f, line) for f in range(0, poly.nodes, line)]
+              + [(f, 1) for f in range(poly.nodes, R)])
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    lengths = []
+    for first, height in groups:
+        s0, s1 = starts[first], starts[first + height]
+        span = slice(lateral * s0, lateral * s1)
+        out = indices[span].reshape(lateral, s1 - s0)
+        np.multiply(target[:, k[s0:s1]], line, out=out)
+        out += base[s0:s1]
+        data[span].reshape(lateral, s1 - s0)[:] = vals[s0:s1]
+        lengths.append(np.tile(counts[first:first + height], lateral))
+    indptr = np.zeros(lateral * R + 1, dtype=index)
+    np.cumsum(np.concatenate(lengths), out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(lateral * R, lateral * C))
 
 
 # A polynomial takes J R C doubles, 6.3 MB at d=3, n=48.  Eight grids
@@ -780,7 +874,7 @@ def _slab_polynomial(n: int, d: int) -> _Polynomial:
     once per (n, d) and shared by every caller, so its arrays are
     read-only."""
     poly = _block_polynomial(n, d, _slab_stack(n, d), _sym_pairs(d))
-    for array in poly[1:]:
+    for array in poly[1:6]:
         array.flags.writeable = False
     return poly
 

@@ -458,15 +458,26 @@ def dstar_from_P(P, d: int):
 
 
 def grid_stencils(n: int, d: int, closed_torus: bool = False):
-    """(P, E_faces) on the full n^d grid, each axis operator and face row
-    built from the 1-D stencils of ``bvp`` (no face rows on the closed
+    """(P, E_faces) on the full n^d grid: each axis operator the kron of
+    the 1-D stencil of ``bvp`` along its axis with the identity on the
+    others, and each face row the kron of the identity on the lateral
+    axes with the 1-D extrapolation row (no face rows on the closed
     torus)."""
     h = 1.0 / n
-    P = [bvp._axis_operator(
-        bvp._first_derivative_1d(n, h, k < d - 1 or closed_torus), k, n, d)
+
+    def axis_operator(op1d, axis):
+        mat = sp.identity(1, format="csr")
+        for a in range(d):
+            mat = sp.kron(mat, op1d if a == axis else sp.identity(n),
+                          format="csr")
+        return mat
+
+    P = [axis_operator(
+        bvp._first_derivative_1d(n, h, k < d - 1 or closed_torus), k)
         for k in range(d)]
     E_faces = [] if closed_torus else [
-        bvp._face_operator(bvp._face_extrapolation_1d(n, face), n, d)
+        sp.kron(sp.identity(n ** (d - 1)),
+                bvp._face_extrapolation_1d(n, face), format="csr")
         for face in (0, 1)]
     return P, E_faces
 

@@ -7,11 +7,9 @@ from bianchi_lab.bvp import (
     BOUNDARY_FAMILIES,
     SOURCE_MIN_GRID,
     _boundary_weight,
-    _divergence,
+    _face_extrapolation_1d,
     _face_max,
-    _interior_from_P,
-    _killing,
-    _stencils,
+    _first_derivative_1d,
     _sym_pairs,
     assemble,
     cohomology_probe,
@@ -110,7 +108,7 @@ def test_assemble_shares_one_read_only_grid():
     assert assemble(8, CHART).matrix is matrix
     grid = bvp._grid(8, 3)
     assert grid.matrix is matrix
-    for mat in (*grid.P, *grid.E_faces, grid.DIV, matrix):
+    for mat in grid:
         for array in (mat.data, mat.indices, mat.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
@@ -138,16 +136,33 @@ def test_clearing_the_grid_cache_changes_no_result():
 
 
 def test_sources_read_the_grid_built_once(monkeypatch):
-    # once the grid is built, assemble and every source kind build no
-    # stencil, interior operator or divergence again
+    # the grid's build runs every stack builder on collar lines of n
+    # nodes, never on the n^d nodes; once it is built, assemble and every
+    # source kind build no polynomial, expansion, interior operator or
+    # divergence again
     n = 15
-    bvp._grid.cache_clear()
-    bvp._grid(n, 3)
+    rows = []
+
+    def recorded(builder):
+        def run(P, *args):
+            rows.extend(Pk.shape[-2] for Pk in P)
+            return builder(P, *args)
+        return run
+
+    with monkeypatch.context() as patch:
+        for name in ("_interior_from_P", "_boundary_from_P", "_divergence",
+                     "_killing"):
+            patch.setattr(bvp, name, recorded(getattr(bvp, name)))
+        bvp._grid.cache_clear()
+        bvp._slab_polynomial.cache_clear()
+        bvp._grid(n, 3)
+    assert rows and max(rows) == n
 
     def rebuilt(*args, **kwargs):
         raise AssertionError("the full grid was built again")
 
-    for name in ("_stencils", "_interior_from_P", "_divergence"):
+    for name in ("_block_polynomial", "_expand", "_interior_from_P",
+                 "_divergence"):
         monkeypatch.setattr(bvp, name, rebuilt)
     assemble(n, CHART)
     for kind in SOURCE_MIN_GRID:
@@ -214,15 +229,61 @@ def test_constant_field_annihilated_by_interior_rows():
 
 def test_flat_operator_identities_hold_exactly():
     # the gauged divergence of the interior operator and the interior
-    # operator on Killing deformations vanish at the matrix level
-    P = _stencils(8, 3)[0]
-    EIN = _interior_from_P(P, 3, 8 ** 3)[0]
-    DIV, DSTAR = _divergence(P, 3), _killing(P, 3)
-    comp1 = DIV @ EIN
+    # operator on Killing deformations vanish at the matrix level: on
+    # every block of the points axis, and on the full-grid expansions
+    n, d = 8, 3
+    family = []
+
+    def stack(P, E_faces):
+        family.append(P)
+        return bvp._slab_stack(n, d)(P, E_faces)
+
+    bvp._block_polynomial(n, d, stack, _sym_pairs(d))
+    P = family[0]
+    EIN = bvp._interior_from_P(P, d)[0]
+    comp1 = bvp._divergence(P, d) @ EIN
+    comp2 = EIN @ bvp._killing(P, d)
+    assert comp1.shape[0] == comp2.shape[0] == len(EIN) == 6
+    scale = max(np.abs(EIN).max(), 1.0)
+    assert np.abs(comp1).max() <= 1e-9 * scale
+    assert np.abs(comp2).max() <= 1e-9 * scale
+
+    EIN = rows_of(assemble(n, CHART), "einstein")
+    DSTAR = bvp._expand(bvp._h0_polynomial(n, d), n)[:6 * n ** d]
+    comp1 = bvp._grid(n, d).DIV @ EIN
     comp2 = EIN @ DSTAR
     scale = max(np.abs(EIN.data).max(), 1.0)
     assert (np.abs(comp1.data).max() if comp1.nnz else 0.0) <= 1e-9 * scale
     assert (np.abs(comp2.data).max() if comp2.nnz else 0.0) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_one_dimensional_stencils_match_their_closed_forms(n):
+    # the central difference (f_(j+1) - f_(j-1)) / 2h, periodic or with
+    # the third-order one-sided end rows, and the quadratic face
+    # extrapolation (15, -10, 3) / 8: every stored entry, in sorted CSR
+    # with no stored zero
+    h = 1.0 / n
+    for periodic in (True, False):
+        want = np.zeros((n, n))
+        for j in range(n):
+            if periodic or 0 < j < n - 1:
+                want[j, (j + 1) % n] = 0.5 / h
+                want[j, (j - 1) % n] = -0.5 / h
+        if not periodic:
+            want[0, :4] = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0 / h
+            want[-1, -4:] = np.array([-2.0, 9.0, -18.0, 11.0]) / 6.0 / h
+        got = _first_derivative_1d(n, h, periodic)
+        assert got.format == "csr" and got.has_sorted_indices
+        assert got.nnz == np.count_nonzero(want)
+        assert np.array_equal(got.toarray(), want)
+    for face, cols in ((0, [0, 1, 2]), (1, [n - 1, n - 2, n - 3])):
+        want = np.zeros((1, n))
+        want[0, cols] = [15.0 / 8.0, -10.0 / 8.0, 3.0 / 8.0]
+        got = _face_extrapolation_1d(n, face)
+        assert got.format == "csr" and got.has_sorted_indices
+        assert got.nnz == 3
+        assert np.array_equal(got.toarray(), want)
 
 
 def test_stencil_consistency_second_order():
@@ -396,15 +457,14 @@ def test_boundary_rel_reads_both_faces():
     # reflecting the collar axis swaps the faces and keeps boundary_rel
     n = 8
     src = make_source(n, CHART, "inadmissible-boundary", seed=2)
-    E_faces = _stencils(n, 3)[1]
     reflected = src.values.reshape(-1, n)[:, ::-1].ravel()
-    lower, upper = (_face_max([E], src.values) for E in E_faces)
+    lower, upper = (_face_max(src.values, n, 3, (face,)) for face in (0, 1))
     assert lower > 2 * upper
-    assert _face_max([E_faces[1]], reflected) == pytest.approx(lower,
-                                                                rel=1e-14)
+    assert _face_max(reflected, n, 3, (1,)) == pytest.approx(lower,
+                                                             rel=1e-14)
     scale = np.abs(src.values).max()
     assert src.boundary_rel * scale == pytest.approx(lower, rel=1e-14)
-    assert _face_max(E_faces, reflected) / scale == pytest.approx(
+    assert _face_max(reflected, n, 3) / scale == pytest.approx(
         src.boundary_rel, rel=1e-14)
 
 
@@ -566,7 +626,7 @@ def test_killing_candidates_stay_away_from_kernel():
     x = slab_nodes(n, 3)
     # X vanishing on both faces
     cut = np.sin(np.pi * x[:, 2]) ** 2
-    DSTAR = _killing(_stencils(n, 3)[0], 3)
+    DSTAR = dstar_from_P(grid_stencils(n, 3)[0], 3)
     rng = np.random.default_rng(7)
     for _ in range(5):
         X = np.concatenate([cut * np.cos(2 * np.pi * x[:, 0] + rng.uniform())
@@ -578,8 +638,8 @@ def test_killing_candidates_stay_away_from_kernel():
 
 def test_rank_deficient_toy_system():
     # interior rows only: every Killing deformation is exact kernel
-    EIN = _interior_from_P(_stencils(8, 3)[0], 3, 8 ** 3)[0]
-    est = kernel_probe(EIN.tocsr())
+    EIN = rows_of(assemble(8, CHART), "einstein")
+    est = kernel_probe(EIN)
     assert est <= 1e-8
 
 
@@ -607,14 +667,14 @@ def test_cohomology_probe_slab_and_torus():
 
 @pytest.mark.parametrize("d,grids", [(3, (8, 12)), (4, (8,))])
 def test_cohomology_probe_reads_only_the_class_blocks(d, grids, monkeypatch):
-    # the probe builds no full-grid matrix: with the full-grid stencils and
+    # the probe builds no full-grid matrix: with the lateral expansion and
     # the assembly raising, it still runs, on the slab and the torus
     def full_grid(*args, **kwargs):
         raise AssertionError("the probe evaluated the full grid")
 
     bvp._grid.cache_clear()  # a cached grid would bypass the patches
     monkeypatch.setattr(bvp, "assemble", full_grid)
-    monkeypatch.setattr(bvp, "_stencils", full_grid)
+    monkeypatch.setattr(bvp, "_expand", full_grid)
     chart = make_chart("flat_slab_periodic", d)
     for n in grids:
         out = cohomology_probe(n, chart)

@@ -16,8 +16,11 @@ from bianchi_lab.charts import make_chart
 from oracles import (
     assemble_loop,
     block_spectrum,
+    dstar_from_P,
+    grid_stencils,
     h0_blocks_loop,
     h1_blocks_loop,
+    interior_from_P_loop,
     lateral_blocks_loop,
     lsmr_solve,
     lstsq_solve_loop,
@@ -129,13 +132,48 @@ def test_small_chunk_budget_gives_the_same_blocks(monkeypatch):
         rep.sigma_min_estimate, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [8, 15])
-def test_assembled_matrix_is_bit_identical_to_per_term_assembly(n):
-    A = bvp.assemble(n, CHART).matrix
-    B = assemble_loop(n, 3)
+def same_sparse_matrix(A, B):
+    """A and B store the same entries, each value to 1e-15 of the
+    largest: the batched builders' products round differently from the
+    sparse ones in the last bit."""
+    A, B = A.sorted_indices(), B.sorted_indices()
+    assert A.shape == B.shape
     assert np.array_equal(A.indptr, B.indptr)
     assert np.array_equal(A.indices, B.indices)
-    assert np.array_equal(A.data, B.data)
+    assert np.abs(A.data - B.data).max() <= 1e-15 * np.abs(B.data).max()
+
+
+# n=4, where the lateral offsets +-2 alias, and odd n among them
+EXPANDED = [(3, 4), (3, 5), (3, 8), (3, 15), (4, 4), (4, 5)]
+
+
+@pytest.mark.parametrize("d,n", EXPANDED)
+def test_assembled_matrix_matches_per_term_assembly(d, n):
+    # the lateral expansion of the block polynomial against the sparse
+    # per-term assembly on the full grid
+    chart = make_chart("flat_slab_periodic", d)
+    same_sparse_matrix(bvp.assemble(n, chart).matrix, assemble_loop(n, d))
+
+
+@pytest.mark.parametrize("d,n", EXPANDED)
+def test_expanded_divergence_matches_the_oracle(d, n):
+    P = grid_stencils(n, d)[0]
+    same_sparse_matrix(bvp._grid(n, d).DIV,
+                       interior_from_P_loop(P, d, n ** d)[3])
+
+
+@pytest.mark.parametrize("closed_torus", [False, True])
+@pytest.mark.parametrize("d,n", EXPANDED)
+def test_h0_expansion_matches_the_oracle(d, n, closed_torus):
+    # delta* then, on the slab, the restriction of X to each face with
+    # weight h^(-1/2)
+    P, E_faces = grid_stencils(n, d, closed_torus)
+    H0 = sp.vstack([dstar_from_P(P, d)]
+                   + [(1.0 / n) ** -0.5 * sp.block_diag([E] * d,
+                                                        format="csr")
+                      for E in E_faces], format="csr")
+    same_sparse_matrix(bvp._expand(bvp._h0_polynomial(n, d, closed_torus),
+                                   n), H0)
 
 
 def test_coefficient_that_breaks_the_parity_grading_raises():
@@ -144,11 +182,12 @@ def test_coefficient_that_breaks_the_parity_grading_raises():
     n, d = 5, 3
     h0 = bvp._h0_stack(n, d)
 
-    def stack(P, E_faces, N, NF):
-        dstar, faces = h0(P, E_faces, N, NF)
-        eye = sp.identity(N, format="csr")
-        mixed = sp.hstack([eye, 0 * eye, eye], format="csr")
-        return sp.vstack([dstar, mixed], format="csr"), faces
+    def stack(P, E_faces):
+        dstar, faces = h0(P, E_faces)
+        eye = np.eye(P[0].shape[-1])
+        mixed = np.hstack([eye, 0 * eye, eye])
+        return np.concatenate([dstar, np.broadcast_to(
+            mixed, (len(dstar),) + mixed.shape)], axis=1), faces
 
     unknowns = [(a,) for a in range(d)]
     with pytest.raises(ValueError, match="parity"):
@@ -400,11 +439,12 @@ def test_rank_deficient_blocks_counts_every_mode_of_a_random_rhs(
 
 
 def test_discrete_admissible_divergence_is_the_divergence_operator():
-    # the divergence taken from the interior operators is the same matrix
-    # as the one the other kinds build, bit for bit
+    # the discrete-admissible source's diagnostic reads the grid's
+    # divergence, bit for bit, as the other kinds do
+    # (test_expanded_divergence_matches_the_oracle checks that matrix)
     n, d = 15, 3
     src = bvp.make_source(n, CHART, "discrete-admissible", seed=3)
-    DIV = bvp._divergence(bvp._stencils(n, d)[0], d)
+    DIV = bvp._grid(n, d).DIV
     assert src.div_rel == float(np.abs(DIV @ src.values).max()
                                 / np.abs(src.values).max())
 

@@ -228,8 +228,6 @@ class BoundaryState:
     geom: Geometry              # ambient, face-adapted coordinates
     rjet: Jet
     nvec: Jet                   # normal field jets (raised components)
-    a_field: Jet                # Hessian of r: tangential A-field jets
-    dn_a: Jet                   # nabla_n a_field jets
     bgeom: Geometry             # intrinsic boundary geometry (dim d-1)
     a_lateral: Jet              # A_ab as lateral jets on the boundary
     frame: BoundaryFrameData
@@ -253,9 +251,10 @@ def boundary_divergence(bgeom: Geometry, S: Jet) -> Jet:
     return -contract("kb,kba->a", bgeom.ginv, nabla(bgeom, S))
 
 
-def boundary_state(collar: CollarChart, y, order: int = 4) -> BoundaryState:
+def boundary_state(collar: CollarChart, y) -> BoundaryState:
     d = collar.dim
-    g = collar_metric_jets(collar, y, order)
+    # order-4 metric jets: nabla_n A, the deepest field read, has order 1
+    g = collar_metric_jets(collar, y, 4)
     geom = geometry_from_jets(g)
     rjet, nvec = normal_field(geom)
     hess = distance_hessian(geom, rjet)
@@ -288,8 +287,8 @@ def boundary_state(collar: CollarChart, y, order: int = 4) -> BoundaryState:
         second_ff=ab, mean_curv=hmean, normal_deriv_a=mb,
         normal_defect=float(max(defects)))
     return BoundaryState(collar=collar, y=np.atleast_2d(y), geom=geom,
-                         rjet=rjet, nvec=nvec, a_field=hess, dn_a=dn_a,
-                         bgeom=bgeom, a_lateral=a_lat, frame=frame)
+                         rjet=rjet, nvec=nvec, bgeom=bgeom,
+                         a_lateral=a_lat, frame=frame)
 
 
 # ---------------------------------------------------------------------------

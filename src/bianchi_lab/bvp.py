@@ -13,10 +13,9 @@ hold exactly at the matrix level.  That exactness is what makes
 discretization accuracy.
 
 Each operator is written once, as a stack builder ``stack(P, E_faces)``
-(``_slab_stack``, ``_h0_stack``, and ``_divergence`` alone for
-``_grid``), and evaluated only on the points axis of the block
-polynomial (``_block_polynomial``): batched dense arrays of a few
-collar-line blocks.  Every operator is invariant under lateral
+(``_slab_stack`` and ``_h0_stack``), and evaluated only on the points
+axis of the block polynomial (``_block_polynomial``): batched dense
+arrays of a few collar-line blocks.  Every operator is invariant under lateral
 translation, so the lateral DFT splits it into one collar-line block per
 lateral mode, and has degree <= 2 in the P's, so each block is exactly a
 polynomial of degree <= 2 in the lateral symbols i t_a.  A diagonal
@@ -29,14 +28,16 @@ The same invariance makes the full-grid matrix block-circulant in the
 lateral axes, so its polynomial holds all of it: ``_expand`` writes the
 CSR matrix from the polynomial's coefficients and the lateral shifts.
 ``_grid`` does so once per (n, d) and process for the weighted slab
-matrix and the divergence, a read-only bundle.  ``assemble`` wraps its
-matrix, which the solve's residual and the oracles read and
-``kernel_probe`` is handed; ``make_source`` reads its divergence and
-einstein rows, and applies the 1-D stencils along each axis (``_along``)
-for the double-curl sources.  The spectra and ``cohomology_probe`` read
-only the blocks.  The continuum-admissible source is evaluated on 4
-lateral nodes per axis and interpolated exactly, as it has lateral
-frequencies |k_a| <= 1.
+matrix, the one full-grid operator, read-only.  ``assemble`` wraps it;
+the solve's residual and the oracles read it and ``kernel_probe`` is
+handed it.  ``make_source`` reads its einstein rows for the
+discrete-admissible source and its gauge rows for every source's
+divergence: the gauge rows are delta B, so delta T is the gauge rows
+applied to B^-1 T (``_b_inverse``).  It applies the 1-D stencils along
+each axis (``_along``) for the double-curl sources.  The spectra and
+``cohomology_probe`` read only the blocks.  The continuum-admissible
+source is evaluated on 4 lateral nodes per axis and interpolated
+exactly, as it has lateral frequencies |k_a| <= 1.
 
 The operators also commute with the reflection of each lateral axis a
 alone, which maps t_a to -t_a; on a real block that is the similarity by
@@ -186,14 +187,9 @@ class DiscreteSystem:
         b[self._rows(("einstein",))] = t_vec
         return b
 
-    def block_residuals(self, x: np.ndarray, t_vec: np.ndarray) -> dict:
-        """|r| of the interior, gauge and (unweighted) boundary rows of
-        r = A x - b, relative to |t_vec|."""
-        return self._residual_blocks(
-            self.matrix @ x - self.rhs_from_einstein_block(t_vec), t_vec)
-
     def _residual_blocks(self, r: np.ndarray, t_vec: np.ndarray) -> dict:
-        """``block_residuals`` from the residual r."""
+        """|r| of the interior, gauge and (unweighted) boundary rows of the
+        residual r = A x - b, relative to |t_vec|."""
         scale = max(np.linalg.norm(t_vec), 1e-300)
 
         def rel(families):
@@ -386,43 +382,31 @@ def _slab_dim(chart: MetricChart) -> int:
     return chart.dim
 
 
-class _Grid(NamedTuple):
-    """The full n^d grid's operators: the divergence and the weighted slab
-    matrix."""
-    DIV: sp.csr_matrix
-    matrix: sp.csr_matrix
-
-
 # ``slab_solve_cases`` and benchlab's slab-solve pass go kind by kind
 # over their grids.  One ``verify --suite bvp`` run (seed 1) builds its
 # three grids in 5 misses and 12 hits: the continuum study's n = 8, 12, 16
 # evicts the discrete-admissible n = 16, and the divergence source's n = 8
-# then misses again.  The two rebuilds take about 0.015 s of the 0.4-0.55 s
-# suite (one BLAS thread, 2 shared cores); a third slot would add a grid to
-# peak memory.
+# then misses again.  A rebuild only expands the cached polynomial: the
+# two take 0.012-0.017 s of the 0.52-0.68 s suite (one BLAS thread, 2
+# shared cores); a third slot would add a grid to peak memory.
 @lru_cache(maxsize=2)
-def _grid(n: int, d: int) -> _Grid:
-    """The slab matrix on the full n^d grid, its node rows then its face
-    rows, and the divergence: each the lateral expansion (``_expand``) of
-    its block polynomial, so no stack builder runs on the n^d nodes.
+def _grid(n: int, d: int) -> sp.csr_matrix:
+    """The weighted slab matrix on the full n^d grid, its node rows then
+    its face rows: the lateral expansion (``_expand``) of
+    ``_slab_polynomial``, so no stack builder runs on the n^d nodes.
     Built once per (n, d) and shared by ``assemble`` and ``make_source``,
     so its arrays are read-only."""
-    def divergence(P, E_faces):
-        return _divergence(P, d), None
-
-    div = _block_polynomial(n, d, divergence, _sym_pairs(d))
-    grid = _Grid(_expand(div, n), _expand(_slab_polynomial(n, d), n))
-    for mat in grid:
-        for array in (mat.data, mat.indices, mat.indptr):
-            array.flags.writeable = False
-    return grid
+    matrix = _expand(_slab_polynomial(n, d), n)
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return matrix
 
 
 def assemble(n: int, chart: MetricChart) -> DiscreteSystem:
     """The slab system on the full n^d grid; its matrix is ``_grid``'s,
     shared and read-only."""
     d = _slab_dim(chart)
-    return DiscreteSystem(dim=d, n=n, matrix=_grid(n, d).matrix)
+    return DiscreteSystem(dim=d, n=n, matrix=_grid(n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +459,13 @@ def _double_curl_source(n: int, d: int, rng,
             if d > 2:
                 psi *= (1.0 + 0.3 * np.sin(2 * np.pi * x[:, min(1, d - 2)]))
             # beta^p_{ik} beta^q_{jl} + beta^q_{ik} beta^p_{jl}, summed with
-            # the antisymmetrizations written out
+            # the antisymmetrizations written out; each inner P_l psi once
             for (bi, bk, bj, bl) in ((i1, k1, i2, k2), (i2, k2, i1, k1)):
+                inner = [(sj, jj, P(ll, psi))
+                         for sj, jj, ll in ((1.0, bj, bl), (-1.0, bl, bj))]
                 for si, ii, kk in ((1.0, bi, bk), (-1.0, bk, bi)):
-                    for sj, jj, ll in ((1.0, bj, bl), (-1.0, bl, bj)):
-                        contrib = si * sj * P(kk, P(ll, psi))
-                        tau[:, ii, jj] += contrib
+                    for sj, jj, dpsi in inner:
+                        tau[:, ii, jj] += si * sj * P(kk, dpsi)
     return tau
 
 
@@ -498,12 +483,13 @@ def make_source(n: int, chart: MetricChart, kind: str,
     """Construct sources matching or violating the solvability conditions;
     a grid below the kind's ``SOURCE_MIN_GRID`` raises ``ValueError``.
 
-    The divergence and the slab matrix come from ``_grid``, built once per
-    (n, d): the discrete-admissible source is the einstein rows of the
-    slab matrix applied to its potential.  The double-curl sources and
-    the face diagnostic apply the 1-D stencils along each axis
-    (``_along``).  The continuum-admissible source evaluates
-    ``dein_closed`` on 4 lateral nodes per axis only
+    The slab matrix comes from ``_grid``, built once per (n, d): the
+    discrete-admissible source is its einstein rows applied to the
+    potential B^-1 tau, and ``div_rel`` is max |delta T| / max |T| with
+    delta T its gauge rows applied to B^-1 T (``_b_inverse``).  The
+    double-curl sources and the face diagnostic apply the 1-D stencils
+    along each axis (``_along``).  The continuum-admissible source
+    evaluates ``dein_closed`` on 4 lateral nodes per axis only
     (``_continuum_source``)."""
     d = _slab_dim(chart)
     if kind not in SOURCE_MIN_GRID:
@@ -513,7 +499,7 @@ def make_source(n: int, chart: MetricChart, kind: str,
                          f"{SOURCE_MIN_GRID[kind]}, not {n}")
     rng = np.random.default_rng(seed)
     pairs = _sym_pairs(d)
-    grid = _grid(n, d)
+    matrix = _grid(n, d)
 
     if kind == "discrete-admissible":
         # the potential must clear the reach of the boundary rows (layers
@@ -523,10 +509,8 @@ def make_source(n: int, chart: MetricChart, kind: str,
             n, d, rng, lambda xd: _normal_profile(n, lo, hi)[
                 np.clip((xd * n - 0.5).astype(int), 0, n - 1)])
         # mu = B^{-1} tau keeps the gauge rows exactly zero
-        tr = np.einsum("nii->n", tau)
-        mu = tau - tr[:, None, None] / (d - 2) * np.eye(d)
-        potential = vec_components(mu, pairs)
-        values = (grid.matrix @ potential)[:len(pairs) * n ** d]
+        potential = _b_inverse(vec_components(tau, pairs), d)
+        values = (matrix @ potential)[:len(pairs) * n ** d]
     elif kind == "continuum-admissible":
         values = _continuum_source(n, chart, seed)
         potential = None
@@ -550,11 +534,32 @@ def make_source(n: int, chart: MetricChart, kind: str,
         potential = None
 
     scale = max(np.abs(values).max(), 1e-300)
+    # delta T from the gauge rows alone, which are contiguous: the CSR of
+    # their part of the matrix's arrays takes 8 ms at d=3, n=48, where a
+    # row slice of the matrix takes 51 ms and the whole product 25 ms
+    gauge = _stack_rows(d, n ** d, n ** (d - 1), ("gauge",))
+    lo, hi = gauge[0], gauge[-1] + 1
+    start, stop = matrix.indptr[lo], matrix.indptr[hi]
+    rows = sp.csr_matrix((matrix.data[start:stop],
+                          matrix.indices[start:stop],
+                          matrix.indptr[lo:hi + 1] - start),
+                         shape=(hi - lo, matrix.shape[1]))
+    div = rows @ _b_inverse(values, d)
     return SourceSpec(kind=kind, values=values,
-                      div_rel=float(np.abs(grid.DIV @ values).max()
-                                    / scale),
+                      div_rel=float(np.abs(div).max() / scale),
                       boundary_rel=_face_max(values, n, d) / scale,
                       potential=potential)
+
+
+def _b_inverse(values: np.ndarray, d: int) -> np.ndarray:
+    """B^-1 tau = tau - tr(tau) I / (d - 2) of a stacked component vector:
+    the inverse of the pointwise B sigma = sigma - tr(sigma) I / 2 that
+    the gauge rows delta B apply."""
+    comps = values.reshape(len(_sym_pairs(d)), -1)
+    diag = _component_table(d).diagonal()
+    out = comps.copy()
+    out[diag] -= comps[diag].sum(axis=0) / (d - 2)
+    return out.ravel()
 
 
 # Lateral nodes per axis on which the continuum source is evaluated.
@@ -943,16 +948,17 @@ def _fourier_blocks(poly: _Polynomial, n: int, classes: np.ndarray):
         yield start, (W @ flat).reshape(-1, R, C)
 
 
-def _block_svals(poly: _Polynomial, n: int) -> np.ndarray:
-    """Singular values of every block, descending, one row per mode: those
-    of its class's block, which the reflections leave unchanged."""
+def _spectrum(poly: _Polynomial, n: int) -> np.ndarray:
+    """The singular values of every block of ``poly``, ascending: each
+    mode's are those of its class's block, which the reflections leave
+    unchanged."""
     m = len(poly.row_axes)
     svals = []
     for _, blocks in _fourier_blocks(poly, n,
                                      np.arange(_class_count(n) ** m)):
         svals.append(np.linalg.svd(blocks, compute_uv=False))
         del blocks  # before the next chunk is built
-    return np.concatenate(svals)[_symbol_classes(n, m)[0]]
+    return np.sort(np.concatenate(svals)[_symbol_classes(n, m)[0]].ravel())
 
 
 def lateral_block_svals(n: int, d: int) -> dict:
@@ -962,14 +968,11 @@ def lateral_block_svals(n: int, d: int) -> dict:
     lateral DFT splits the system into n^(d-1) collar-line blocks in which
     each lateral derivative becomes the scalar symbol i sin(2 pi k / n) n.
     The blocks of one class of |sin| share their singular values, so each
-    class is factored once (``_block_svals``).
-    Returns the sorted global spectrum and per-block minima.  Serves as an
+    class is factored once (``_spectrum``).
+    Returns {"spectrum": the ascending global spectrum}.  Serves as an
     independent oracle for the sparse kernel probes at any resolution.
     """
-    svals = _block_svals(_slab_polynomial(n, d), n)
-    return {"spectrum": np.sort(svals.ravel()),
-            "block_min": dict(zip(product(range(n), repeat=d - 1),
-                                  svals[:, -1].tolist()))}
+    return {"spectrum": _spectrum(_slab_polynomial(n, d), n)}
 
 
 def _h0_polynomial(n: int, d: int, closed_torus: bool = False
@@ -987,11 +990,6 @@ def _h1_polynomial(n: int, d: int) -> _Polynomial:
     return poly._replace(coef=poly.coef[:, keep],
                          row_parity=poly.row_parity[keep],
                          row_axes=poly.row_axes[:, keep])
-
-
-def _spectrum(poly: _Polynomial, n: int) -> np.ndarray:
-    """The singular values of every block of ``poly``, ascending."""
-    return np.sort(_block_svals(poly, n).ravel())
 
 
 def h0_spectrum(n: int, d: int, closed_torus: bool = False) -> np.ndarray:

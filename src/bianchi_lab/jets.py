@@ -244,11 +244,6 @@ class Jet:
         """Normalized Taylor coefficient c_alpha."""
         return self.c[..., _exp_index(self.dim, self.order)[tuple(alpha)]]
 
-    def deriv(self, alpha) -> np.ndarray:
-        """Partial derivative d^alpha f at the base point."""
-        alpha = tuple(alpha)
-        return self.coeff(alpha) * prod(factorial(a) for a in alpha)
-
     def partial(self, axis: int) -> "Jet":
         """The jet of d_axis f, one order lower."""
         if self.order < 1:

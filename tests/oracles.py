@@ -642,13 +642,13 @@ def lsmr_solve(system: DiscreteSystem, source: SourceSpec,
     res = spla.lsmr(A @ D, b, atol=tol, btol=tol, conlim=1e14,
                     maxiter=maxiter)
     x, istop, itn = D @ res[0], res[1], res[2]
-    bnorm = np.linalg.norm(b)
-    rel = float(np.linalg.norm(A @ x - b) / max(bnorm, 1e-300))
+    r = A @ x - b
+    rel = float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
     return x, SolveReport(
         converged=bool(istop in (0, 1, 2, 4, 5)),
         iterations=int(itn),
         relative_residual=rel,
-        block_residuals=system.block_residuals(x, source.values),
+        block_residuals=system._residual_blocks(r, source.values),
         solution_norm=float(np.linalg.norm(x)),
     )
 
@@ -687,13 +687,13 @@ def lstsq_solve_loop(system: DiscreteSystem, sources
         raise RuntimeError("per-mode solve: x is not real")
     out = []
     for src, b, x in zip(sources, bs, xs.real):
-        rel = float(np.linalg.norm(system.matrix @ x - b)
-                    / max(np.linalg.norm(b), 1e-300))
+        r = system.matrix @ x - b
+        rel = float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
         out.append((x, SolveReport(
             converged=True,
             iterations=0,
             relative_residual=rel,
-            block_residuals=system.block_residuals(x, src.values),
+            block_residuals=system._residual_blocks(r, src.values),
             solution_norm=float(np.linalg.norm(x)),
         )))
     return out

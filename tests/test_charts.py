@@ -64,10 +64,11 @@ def test_conformal_bump_chain_rule():
     chart = make_chart("conformal_bump", 3)
     x = np.array([0.3, 0.6, 0.4])
     g = chart.metric_jets(x, order=2)
-    # d_0 g_00 = 2 (d_0 phi) e^{2 phi}; read phi derivatives off log(g_00)
+    # d_0 g_00 = 2 (d_0 phi) e^{2 phi}; read phi derivatives off log(g_00),
+    # a first derivative being its Taylor coefficient
     g00 = g[..., 0, 0]
-    dphi = 0.5 * g00.deriv((1, 0, 0)) / g00.value
-    assert np.isclose(g00.deriv((1, 0, 0)), 2 * dphi * g00.value)
+    dphi = 0.5 * g00.coeff((1, 0, 0)) / g00.value
+    assert np.isclose(g00.coeff((1, 0, 0)), 2 * dphi * g00.value)
     # components stay conformally diagonal
     assert np.allclose(g[..., 0, 1].c, 0.0)
 

@@ -95,16 +95,6 @@ def test_blocks_and_spectra_match_per_block_oracle(stack, d, n):
     assert np.abs(got - want).max() <= 1e-12 * want[-1]
 
 
-@pytest.mark.parametrize("d,n", [(3, 4), (3, 5), (3, 8), (4, 4)])
-def test_block_minima_match_per_block_oracle(d, n):
-    want = block_spectrum(lateral_blocks_loop(n, d))
-    got = bvp.lateral_block_svals(n, d)
-    assert list(got["block_min"]) == list(want["block_min"])
-    scale = want["spectrum"][-1]
-    assert max(abs(got["block_min"][k] - v)
-               for k, v in want["block_min"].items()) <= 1e-12 * scale
-
-
 def test_small_chunk_budget_gives_the_same_blocks(monkeypatch):
     # the 9 class blocks of the 25 modes in chunks of 2: four full chunks
     # and a partial last one
@@ -155,11 +145,35 @@ def test_assembled_matrix_matches_per_term_assembly(d, n):
     same_sparse_matrix(bvp.assemble(n, chart).matrix, assemble_loop(n, d))
 
 
-@pytest.mark.parametrize("d,n", EXPANDED)
+@pytest.mark.parametrize("d,n", EXPANDED + [(4, 8)])
 def test_expanded_divergence_matches_the_oracle(d, n):
-    P = grid_stencils(n, d)[0]
-    same_sparse_matrix(bvp._grid(n, d).DIV,
-                       interior_from_P_loop(P, d, n ** d)[3])
+    # each source's divergence is read off the gauge rows delta B of the
+    # expanded slab matrix, applied to B^-1 T, for every kind the grid
+    # admits: div_rel against the oracle's per-term divergence to 1e-14 of
+    # max |T|, and the vector within the rounding bound of the two
+    # products, 4 eps (|delta B| |B^-1 T| + |delta| |T|) entry by entry
+    # (1.1e-14 of max |T| at d=3, n=15, about 1 eps of that sum)
+    chart = make_chart("flat_slab_periodic", d)
+    system = bvp.assemble(n, chart)
+    gauge = system._rows(("gauge",))
+    _, GAUGE, B, DIV, _ = interior_from_P_loop(grid_stencils(n, d)[0], d,
+                                               n ** d)
+    eps = np.finfo(float).eps
+    kinds = [kind for kind, least in bvp.SOURCE_MIN_GRID.items()
+             if n >= least]
+    assert kinds
+    for kind in kinds:
+        src = bvp.make_source(n, chart, kind, seed=3)
+        scale = np.abs(src.values).max()
+        mu = bvp._b_inverse(src.values, d)
+        assert np.abs(B @ mu - src.values).max() <= 1e-15 * scale, kind
+        want = DIV @ src.values
+        got = (system.matrix @ mu)[gauge]
+        bound = 4 * eps * (abs(GAUGE) @ np.abs(mu)
+                           + abs(DIV) @ np.abs(src.values))
+        assert np.all(np.abs(got - want) <= bound), kind
+        assert abs(src.div_rel * scale - np.abs(want).max()) \
+            <= 1e-14 * scale, kind
 
 
 @pytest.mark.parametrize("closed_torus", [False, True])
@@ -439,14 +453,23 @@ def test_rank_deficient_blocks_counts_every_mode_of_a_random_rhs(
 
 
 def test_discrete_admissible_divergence_is_the_divergence_operator():
-    # the discrete-admissible source's diagnostic reads the grid's
-    # divergence, bit for bit, as the other kinds do
-    # (test_expanded_divergence_matches_the_oracle checks that matrix)
+    # the discrete-admissible source's diagnostic reads the gauge rows
+    # delta B of the slab matrix applied to B^-1 T, bit for bit, as the
+    # other kinds do, and that product is the oracle's divergence within
+    # the rounding bound of the two products
+    # (test_expanded_divergence_matches_the_oracle checks every kind)
     n, d = 15, 3
     src = bvp.make_source(n, CHART, "discrete-admissible", seed=3)
-    DIV = bvp._grid(n, d).DIV
-    assert src.div_rel == float(np.abs(DIV @ src.values).max()
-                                / np.abs(src.values).max())
+    system = bvp.assemble(n, CHART)
+    mu = bvp._b_inverse(src.values, d)
+    div = (system.matrix @ mu)[system._rows(("gauge",))]
+    scale = np.abs(src.values).max()
+    assert src.div_rel == float(np.abs(div).max() / scale)
+    _, GAUGE, _, DIV, _ = interior_from_P_loop(grid_stencils(n, d)[0], d,
+                                               n ** d)
+    bound = 4 * np.finfo(float).eps * (abs(GAUGE) @ np.abs(mu)
+                                       + abs(DIV) @ np.abs(src.values))
+    assert np.all(np.abs(div - DIV @ src.values) <= bound)
 
 
 def _skip_row_reflection_of(mode, rows):

@@ -1,3 +1,5 @@
+from math import factorial, prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,20 @@ from bianchi_lab.jets import Jet, contract, jet_matrix_inverse, stack
 from oracles import jet_cos, jet_mul_loop, jet_sin
 
 
+def deriv(f, alpha):
+    """The partial derivative d^alpha f at the base point: the Taylor
+    coefficient c_alpha times alpha!."""
+    return f.coeff(alpha) * prod(factorial(a) for a in alpha)
+
+
 def test_variable_and_value():
     x, y = Jet.variables(np.array([1.5, -0.5]), order=3)
     f = x * x * y + 2.0 * x
     assert np.isclose(f.value, 1.5 * 1.5 * (-0.5) + 3.0)
-    assert np.isclose(f.deriv((1, 0)), 2 * 1.5 * (-0.5) + 2.0)
-    assert np.isclose(f.deriv((2, 0)), 2 * (-0.5))
-    assert np.isclose(f.deriv((1, 1)), 2 * 1.5)
-    assert np.isclose(f.deriv((0, 2)), 0.0)
+    assert np.isclose(deriv(f, (1, 0)), 2 * 1.5 * (-0.5) + 2.0)
+    assert np.isclose(deriv(f, (2, 0)), 2 * (-0.5))
+    assert np.isclose(deriv(f, (1, 1)), 2 * 1.5)
+    assert np.isclose(deriv(f, (0, 2)), 0.0)
 
 
 def test_polynomial_derivatives_exact_to_truncation():
@@ -37,16 +45,16 @@ def test_polynomial_derivatives_exact_to_truncation():
         return table[alpha]
 
     for alpha in [(2, 2, 0), (1, 2, 0), (2, 1, 0), (0, 0, 4), (0, 0, 3)]:
-        assert np.isclose(f.deriv(alpha), fd(alpha), atol=1e-12)
+        assert np.isclose(deriv(f, alpha), fd(alpha), atol=1e-12)
 
 
 def test_partial_matches_coefficients():
     x, y = Jet.variables(np.array([0.2, 0.4]), order=4)
     f = (x * y).exp()
     fx = f.partial(0)
-    assert np.isclose(fx.value, f.deriv((1, 0)))
-    assert np.isclose(fx.deriv((0, 1)), f.deriv((1, 1)))
-    assert np.isclose(fx.deriv((2, 1)), f.deriv((3, 1)))
+    assert np.isclose(fx.value, deriv(f, (1, 0)))
+    assert np.isclose(deriv(fx, (0, 1)), deriv(f, (1, 1)))
+    assert np.isclose(deriv(fx, (2, 1)), deriv(f, (3, 1)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -72,7 +80,7 @@ def test_batched_broadcasting():
     f = xs[0] * xs[1] + xs[2]
     assert f.c.shape == (7, len(f.c[0]))
     assert np.allclose(f.value, pts[:, 0] * pts[:, 1] + pts[:, 2])
-    assert np.allclose(f.deriv((1, 1, 0)), np.ones(7))
+    assert np.allclose(deriv(f, (1, 1, 0)), np.ones(7))
 
 
 def test_matrix_inverse():

@@ -670,11 +670,6 @@ def kernel_probe(matrix: sp.spmatrix, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 # lateral-Fourier blocks
 
-# Bytes of the blocks built at once.  The solve frees each chunk's blocks
-# and their SVD factors before it builds the next chunk, so what is live
-# stays a few times this at any n: the 169 class blocks of n=48 (d=3)
-# at once would take 178 MB.
-_CHUNK_BYTES = 1 << 22
 # Largest |Im x| / max |x| accepted from the inverse DFT of the solve; the
 # phased solutions of the modes k and -k are conjugate up to roundoff.
 _IMAG_TOL = 1e-10
@@ -908,17 +903,6 @@ def _symbol_classes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
             (2 * k > n).T)
 
 
-def _class_members(rep: np.ndarray) -> np.ndarray:
-    """(classes, largest class) table of the modes of each class, in mode
-    order, padded with -1."""
-    sizes = np.bincount(rep)
-    order = np.argsort(rep, kind="stable")
-    slot = np.arange(rep.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    table = np.full((sizes.size, sizes.max()), -1)
-    table[rep[order], slot] = order
-    return table
-
-
 def _reflect(v: np.ndarray, axis_parity: np.ndarray,
              negated: np.ndarray) -> None:
     """Scale row i of each mode's v (modes x rows or columns) by
@@ -930,35 +914,30 @@ def _reflect(v: np.ndarray, axis_parity: np.ndarray,
 
 
 def _fourier_blocks(poly: _Polynomial, n: int, classes: np.ndarray):
-    """The real lateral-Fourier block of each class in ``classes``
-    (representatives of ``_symbol_classes``), in chunks of at most
-    ``_CHUNK_BYTES``: yields (position in ``classes`` of the chunk's
-    first class, blocks (b, rows, cols))."""
+    """Yield the real lateral-Fourier block (rows, cols) of each class in
+    ``classes`` (representatives of ``_symbol_classes``), in that order:
+    sum_e w_e coef[e], with the symbol weights w_e = prod_{a in e} t_a of
+    every class computed at once."""
     J, R, C = poly.coef.shape
     m = len(poly.row_axes)
     K = _class_count(n)
     t = np.sin(2 * np.pi * np.arange(K) / n)
-    reps = np.array(np.unravel_index(classes, (K,) * m)).T
+    symbols = t[np.array(np.unravel_index(classes, (K,) * m)).T]
+    W = np.stack([np.prod(symbols[:, list(e)], axis=1)
+                  for e in poly.terms], axis=1)
     flat = poly.coef.reshape(J, -1)
-    step = max(1, _CHUNK_BYTES // (flat.itemsize * R * C))
-    for start in range(0, len(reps), step):
-        symbols = t[reps[start:start + step]]
-        W = np.stack([np.prod(symbols[:, list(e)], axis=1)
-                      for e in poly.terms], axis=1)
-        yield start, (W @ flat).reshape(-1, R, C)
+    for w in W:
+        yield (w @ flat).reshape(R, C)
 
 
 def _spectrum(poly: _Polynomial, n: int) -> np.ndarray:
-    """The singular values of every block of ``poly``, ascending: each
-    mode's are those of its class's block, which the reflections leave
-    unchanged."""
+    """The singular values of every mode's block of ``poly``, ascending:
+    one SVD per class, since the reflections that map a class's block to
+    each of its modes' blocks leave the singular values unchanged."""
     m = len(poly.row_axes)
-    svals = []
-    for _, blocks in _fourier_blocks(poly, n,
-                                     np.arange(_class_count(n) ** m)):
-        svals.append(np.linalg.svd(blocks, compute_uv=False))
-        del blocks  # before the next chunk is built
-    return np.sort(np.concatenate(svals)[_symbol_classes(n, m)[0]].ravel())
+    svals = [np.linalg.svd(block, compute_uv=False) for block in
+             _fourier_blocks(poly, n, np.arange(_class_count(n) ** m))]
+    return np.sort(np.array(svals)[_symbol_classes(n, m)[0]].ravel())
 
 
 def lateral_block_svals(n: int, d: int) -> dict:
@@ -1021,12 +1000,13 @@ def solve_least_squares(system: DiscreteSystem, source: SourceSpec
     class of |t| and D_r, D_c the +-1 diagonals of the reflection of the
     axes it negates (``_symbol_classes``, ``_reflect``).  So one SVD
     B = U S V^T per class solves every mode of the class, each as more
-    right-hand sides: x = D_c V S^+ U^T D_r b.  b is real, so x is real
-    up to roundoff; anything more raises ``RuntimeError``.  The residual
-    is recomputed from ``system.matrix``.  ``classes_solved`` counts the
-    class blocks factored; ``sigma_min_estimate`` is the exact smallest
-    singular value of those blocks (None when there are none, for b = 0),
-    and ``rank_deficient_blocks`` counts the modes of those classes whose
+    right-hand sides: x = D_c V S^+ U^T D_r b.  The classes are factored
+    one at a time.  b is real, so x is real up to roundoff; anything more
+    raises ``RuntimeError``.  The residual is recomputed from
+    ``system.matrix``.  ``classes_solved`` counts the class blocks
+    factored; ``sigma_min_estimate`` is the exact smallest singular value
+    of those blocks (None when there are none, for b = 0), and
+    ``rank_deficient_blocks`` counts the modes of those classes whose
     block the cut-off truncated.  A direct solve: ``converged`` is always
     True and ``iterations`` 0.
     """
@@ -1052,27 +1032,22 @@ def solve_least_squares(system: DiscreteSystem, source: SourceSpec
     classes = np.unique(rep[np.linalg.norm(bhat, axis=1)
                             > tol * np.linalg.norm(b)])
     _reflect(bhat, poly.row_axes, negated)
-    members = _class_members(rep)[classes]
-    M = members.shape[1]
     xhat = np.zeros((n ** m, C), dtype=complex)
-    # real blocks: the real and imaginary parts of each member mode are
-    # two right-hand sides
+    # real blocks: the real and imaginary parts of each mode are two
+    # right-hand sides
     rhs = bhat.view(float).reshape(n ** m, R, 2)
     sol = xhat.view(float).reshape(n ** m, C, 2)
     sigma_min, deficient = [], 0
-    for start, blocks in _fourier_blocks(poly, n, classes):
-        U, s, Vh = np.linalg.svd(blocks, full_matrices=False)
-        group = members[start:start + len(blocks)]
-        keep = (s > tol * s[:, :1])[..., None]
-        y = rhs[group].transpose(0, 2, 1, 3).reshape(len(group), R, 2 * M)
-        c = np.divide(U.transpose(0, 2, 1) @ y, s[..., None],
-                      out=np.zeros((len(group), C, 2 * M)), where=keep)
-        z = (Vh.transpose(0, 2, 1) @ c).reshape(len(group), C, M, 2)
-        listed = group >= 0
-        sol[group[listed]] = z.transpose(0, 2, 1, 3)[listed]
-        sigma_min.append(float(s[:, -1].min()))
-        deficient += int(listed[~keep.all(axis=(1, 2))].sum())
-        del blocks, U, s, Vh, y, c, z  # before the next chunk is built
+    for cls, block in zip(classes, _fourier_blocks(poly, n, classes)):
+        U, s, Vh = np.linalg.svd(block, full_matrices=False)
+        modes = np.flatnonzero(rep == cls)
+        keep = (s > tol * s[0])[:, None]
+        y = rhs[modes].transpose(1, 0, 2).reshape(R, -1)
+        c = np.divide(U.T @ y, s[:, None], out=np.zeros((C, y.shape[1])),
+                      where=keep)
+        sol[modes] = (Vh.T @ c).reshape(C, -1, 2).transpose(1, 0, 2)
+        sigma_min.append(float(s[-1]))
+        deficient += 0 if keep.all() else modes.size
     _reflect(xhat, poly.col_axes, negated)
     xhat *= np.where(poly.col_parity, 1j, 1)
     x = np.fft.ifftn(np.moveaxis(xhat.reshape((n,) * m + (-1, n)), m, 0),

@@ -107,8 +107,8 @@ def _one_cpu() -> bool:
 
 
 def _pin_threads(serial: bool) -> tuple:
-    """Set the BLAS thread variables for ``serial`` (each to "1" unless
-    already set) and for ``BIANCHI_LAB_THREADS`` (each to its value).
+    """Under ``serial``, set each BLAS thread variable to "1" unless it is
+    already set.
 
     BLAS reads them once, when numpy is first imported.  So when numpy is
     already loaded nothing is written: the result is (False, the
@@ -120,10 +120,6 @@ def _pin_threads(serial: bool) -> tuple:
     if serial:
         for var in THREAD_VARS:
             os.environ.setdefault(var, "1")
-    threads = os.environ.get("BIANCHI_LAB_THREADS")
-    if threads:
-        for var in THREAD_VARS:
-            os.environ[var] = threads
     found = {var: os.environ.get(var) for var in THREAD_VARS}
     return serial and all(v == "1" for v in found.values()), found
 
@@ -255,7 +251,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    _pin_threads(False)
     from .conventions import (canonical_json, compute_conventions,
                               load_conventions, save_conventions)
 

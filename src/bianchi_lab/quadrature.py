@@ -62,13 +62,12 @@ class GridSpec:
 
     dim: int
     n: int
-    periodic: tuple
     box: tuple  # per-axis (lo, hi)
 
     def __post_init__(self):
         if self.n < 4:
             raise ValueError("resolution must be at least 4")
-        if len(self.periodic) != self.dim or len(self.box) != self.dim:
+        if len(self.box) != self.dim:
             raise ValueError("per-axis data must match the dimension")
 
     @property
@@ -85,7 +84,7 @@ class GridSpec:
 
     @classmethod
     def for_chart(cls, chart: MetricChart, n: int) -> "GridSpec":
-        return cls(chart.dim, n, chart.periodic, tuple(chart.domain))
+        return cls(chart.dim, n, tuple(chart.domain))
 
 
 def _mesh(axes) -> np.ndarray:

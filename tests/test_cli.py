@@ -170,8 +170,8 @@ def test_serial_in_a_fresh_interpreter_pins_the_thread_variables(how,
     man.write_text(json.dumps({"serial": True}))
     serial = ["--serial"] if how == "flag" else ["--manifest", str(man)]
     env = {k: v for k, v in os.environ.items()
-           if k not in ("BIANCHI_LAB_THREADS", "OMP_NUM_THREADS",
-                        "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -203,7 +203,7 @@ def test_report_records_the_chunk_workers(serial, tmp_path):
     assert os.sched_getaffinity(0) == cpus
 
 
-@pytest.mark.parametrize("how", ["--serial", "BIANCHI_LAB_THREADS"])
+@pytest.mark.parametrize("how", ["--serial"])
 def test_thread_pinning_after_numpy_import_is_not_reported(how, tmp_path,
                                                            monkeypatch):
     # numpy is loaded in this process, so BLAS has read its thread count
@@ -212,12 +212,8 @@ def test_thread_pinning_after_numpy_import_is_not_reported(how, tmp_path,
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    argv = ["verify", "--suite", "algebra", "--out", str(tmp_path / "r.json")]
-    if how == "--serial":
-        monkeypatch.delenv("BIANCHI_LAB_THREADS", raising=False)
-        argv.append("--serial")
-    else:
-        monkeypatch.setenv("BIANCHI_LAB_THREADS", "1")
+    argv = ["verify", "--suite", "algebra", "--out", str(tmp_path / "r.json"),
+            how]
     assert run(argv) == 0
     meta = json.loads((tmp_path / "r.json").read_text())["meta"]
     assert meta["serial"] is False
@@ -234,7 +230,6 @@ def test_thread_pinning_after_numpy_import_is_not_reported(how, tmp_path,
 ])
 def test_report_meta_records_versions_and_threads(argv, tmp_path,
                                                   monkeypatch):
-    monkeypatch.delenv("BIANCHI_LAB_THREADS", raising=False)
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = tmp_path / "r.json"

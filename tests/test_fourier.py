@@ -46,9 +46,7 @@ STACKS = {
 
 def built_blocks(poly, n):
     classes = np.arange(bvp._class_count(n) ** len(poly.row_axes))
-    chunks = list(bvp._fourier_blocks(poly, n, classes))
-    return [start for start, _ in chunks], \
-        np.concatenate([blocks for _, blocks in chunks])
+    return np.stack(list(bvp._fourier_blocks(poly, n, classes)))
 
 
 def phased(oracle, poly):
@@ -80,7 +78,7 @@ def test_blocks_and_spectra_match_per_block_oracle(stack, d, n):
     assert np.array_equal(poly.row_axes.sum(axis=0) % 2, poly.row_parity)
     assert np.array_equal(poly.col_axes.sum(axis=0) % 2, poly.col_parity)
     ref = phased(oracle, poly)
-    _, blocks = built_blocks(poly, n)
+    blocks = built_blocks(poly, n)
     assert blocks.dtype == np.float64
     assert len(blocks) == bvp._class_count(n) ** axes(d)
     got = served(poly, n, blocks)
@@ -93,33 +91,6 @@ def test_blocks_and_spectra_match_per_block_oracle(stack, d, n):
     got = spectrum_fn(n, d)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * want[-1]
-
-
-def test_small_chunk_budget_gives_the_same_blocks(monkeypatch):
-    # the 9 class blocks of the 25 modes in chunks of 2: four full chunks
-    # and a partial last one
-    n, d = 5, 3
-    poly = bvp._slab_polynomial(n, d)
-    _, R, C = poly.coef.shape
-    monkeypatch.setattr(bvp, "_CHUNK_BYTES", 2 * 8 * R * C + 7)
-    starts, blocks = built_blocks(poly, n)
-    assert starts == list(range(0, 9, 2))
-    ref = phased(lateral_blocks_loop(n, d), poly)
-    got = served(poly, n, blocks)
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    spec = bvp.lateral_block_svals(n, d)["spectrum"]
-    want = block_spectrum(lateral_blocks_loop(n, d))["spectrum"]
-    assert np.abs(spec - want).max() <= 1e-12 * want[-1]
-
-    # the solve is blind to where the chunks split
-    system = bvp.assemble(n, CHART)
-    src = bvp.make_source(n, CHART, "inadmissible-boundary", seed=3)
-    x_small, rep_small = bvp.solve_least_squares(system, src)
-    monkeypatch.undo()
-    x, rep = bvp.solve_least_squares(system, src)
-    assert np.abs(x_small - x).max() <= 1e-12 * np.abs(x).max()
-    assert rep_small.sigma_min_estimate == pytest.approx(
-        rep.sigma_min_estimate, rel=1e-12)
 
 
 def same_sparse_matrix(A, B):
@@ -240,14 +211,6 @@ def test_every_mode_has_the_symbol_magnitudes_of_its_class(n, m):
     # the negated axes are those with t < 0; t = 0 needs no reflection
     signed = np.abs(t) > 1e-12
     assert np.array_equal(negated[signed], t[signed] < 0)
-    # each class lists its modes once, in mode order
-    table = bvp._class_members(rep)
-    assert table.shape[0] == K ** m
-    listed = table[table >= 0]
-    assert sorted(listed.tolist()) == list(range(n ** m))
-    assert np.array_equal(rep[table.clip(0)][table >= 0],
-                          np.repeat(np.arange(K ** m),
-                                    (table >= 0).sum(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -523,24 +486,33 @@ def test_fourier_solve_rejects_a_complex_solution(monkeypatch):
     bvp.solve_least_squares(system, src)
 
 
-def test_solve_keeps_one_chunk_live():
-    # At its peak the solve holds one chunk: b blocks of R x C doubles
-    # (b R C 8 <= _CHUNK_BYTES) with their SVD factors U (b x R x C), s
-    # (b x C) and Vh (b x C x C); beside it the polynomial (J x R x C
-    # doubles), b and x (real) and b-hat and x-hat (complex).  The bound
-    # allows each of the latter twice, for temporaries.  That slack is
-    # less than the blocks of a second chunk, so a solve that keeps the
-    # previous chunk while it builds the next one fails, and so does one
-    # with complex blocks, whose chunk takes twice the bytes.
+def test_solve_keeps_one_class_block_live(monkeypatch):
+    # At its peak the solve holds one class block of R x C doubles with
+    # its SVD factors U (R x C), s (C) and Vh (C x C); beside it the
+    # polynomial (J x R x C doubles), b and x (real) and b-hat and x-hat
+    # (complex).  The bound allows each of the latter twice, for
+    # temporaries.  That slack exceeds the blocks of all classes, so
+    # the traced memory is also read at each class's SVD: it may exceed
+    # that at the first class's SVD by the previous class's factors and
+    # half a block (its right-hand sides and coefficients), so a solve
+    # that keeps each block, or each class's factors, once its class is
+    # solved fails.
     n = 16
     system = bvp.assemble(n, CHART)
     src = bvp.make_source(n, CHART, "continuum-admissible", seed=1)
     J, R, C = bvp._slab_polynomial(n, 3).coef.shape
     rows, cols = system.matrix.shape
-    b = bvp._CHUNK_BYTES // (8 * R * C)
-    chunk = 8 * b * (2 * R * C + C + C * C)
+    factors = 8 * (R * C + C + C * C)
+    block = 8 * R * C + factors
     rest = 8 * J * R * C + 8 * rows + 8 * cols + 16 * rows + 16 * cols
-    assert 8 * b * R * C > rest
+    traced = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
     tracemalloc.start()
     try:
         _, rep = bvp.solve_least_squares(system, src)
@@ -548,4 +520,33 @@ def test_solve_keeps_one_chunk_live():
     finally:
         tracemalloc.stop()
     assert rep.relative_residual < 0.1
-    assert peak <= chunk + 2 * rest, (peak, chunk + 2 * rest)
+    assert peak <= block + 2 * rest, (peak, block + 2 * rest)
+    assert len(traced) == rep.classes_solved >= 3
+    growth = max(traced) - traced[0]
+    assert growth <= factors + 4 * R * C, (growth, factors + 4 * R * C)
+
+
+def test_each_class_block_takes_one_svd(monkeypatch):
+    # the solve factors each class it touches with one SVD of its 2-D
+    # block, and every spectrum takes one SVD per class
+    n = 12
+    system = bvp.assemble(n, CHART)
+    src = bvp.make_source(n, CHART, "continuum-admissible", seed=2)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    _, rep = bvp.solve_least_squares(system, src)
+    _, R, C = bvp._slab_polynomial(n, 3).coef.shape
+    assert rep.classes_solved == 4
+    assert shapes == [(R, C)] * 4
+
+    for poly_fn, _, spectrum_fn, axes in STACKS.values():
+        _, R, C = poly_fn(8, 3).coef.shape
+        shapes.clear()
+        spectrum_fn(8, 3)
+        assert shapes == [(R, C)] * bvp._class_count(8) ** axes(3)

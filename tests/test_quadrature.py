@@ -63,9 +63,9 @@ def test_conformal_volume_refines_second_order():
 def test_grid_validation():
     unit = tuple([(0.0, 1.0)] * 3)
     with pytest.raises(ValueError):
-        GridSpec(3, 3, (True, True, False), unit)
+        GridSpec(3, 3, unit)
     with pytest.raises(ValueError):
-        GridSpec(3, 8, (True, False), unit)
+        GridSpec(3, 8, unit[:2])
     grid = GridSpec.for_chart(slab(), 8)
     with pytest.raises(ValueError):
         integrate_scalar_samples(grid, np.ones(7), "interior")

@@ -48,6 +48,7 @@ from .charts import (
     rm_covector,
     sym_to_frame,
 )
+from .conventions import constraint_constants
 from .jets import Jet, _exp_index, _exponents, contract
 
 __all__ = [
@@ -382,21 +383,22 @@ def combine_constraint_residuals(pieces: dict, constants) -> dict:
     return {"rnn": rnn, "rnt": rnt, "rtt": rtt}
 
 
-def constraint_residuals_at(collar: CollarChart, y, constants):
-    """LHS - RHS of the three constraint lines with audited constants.
+def constraint_residuals_at(collar: CollarChart, y):
+    """LHS - RHS of the three constraint lines, read with the constants
+    of ``conventions.constraint_constants``.
 
     Returns dict with rnn (scalar), rnt (covector), rtt (sym tensor),
     batched over the points, plus the individual line-1 terms.
     """
     pieces = constraint_pieces(collar, y)
-    out = combine_constraint_residuals(pieces, constants)
+    out = combine_constraint_residuals(pieces, constraint_constants())
     out["state"] = pieces["state"]
     out["terms_nn"] = (pieces["lhs_nn"], pieces["sc_b"], pieces["a_sq"],
                        pieces["tr_a_sq"])
     return out
 
 
-def weyl_constraint_residual_at(collar: CollarChart, y, constants):
+def weyl_constraint_residual_at(collar: CollarChart, y):
     """Residual of the electric-Weyl form of the tangential constraint.
 
     Valid for d > 3.  The right side carries the Schouten correction
@@ -405,7 +407,7 @@ def weyl_constraint_residual_at(collar: CollarChart, y, constants):
     for the identity to close on general metrics; the returned
     ``schouten_term`` lets callers inspect it.  Also returns the
     curvature-equation consistency defect |pnn Rm - (nabla_n A + A^2)|
-    used by the first identity.
+    used by the first identity.  Line 3's signs come from ``conventions``.
     """
     st = boundary_state(collar, y)
     d = collar.dim
@@ -426,7 +428,7 @@ def weyl_constraint_residual_at(collar: CollarChart, y, constants):
         st, st.frame.normal_deriv_a + _a_squared(st))
     a_f = _boundary_frame_sym(st, st.frame.second_ff)
 
-    _, e5, e6 = constants["line3"]
+    _, e5, e6 = constraint_constants()["line3"]
     nfr = FrameVector.basis(d, d - 1)
 
     def pnn(psi):

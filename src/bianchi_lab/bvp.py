@@ -65,7 +65,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .charts import MetricChart, sym_from_upper
-from .conventions import ricci_action
 from .jets import cos_coeffs, poly_coeffs, separable
 from .linearize import Perturbation, dein_closed
 from .quadrature import _mesh
@@ -580,8 +579,7 @@ def _continuum_source(n: int, chart: MetricChart, seed: int) -> np.ndarray:
     d = chart.dim
     coarse = _cell_centers(_CONTINUUM_NODES)
     tvals = dein_closed(chart, _mesh([coarse] * (d - 1) + [_cell_centers(n)]),
-                        _continuum_potential(d, seed), ricci_action(),
-                        order=2)
+                        _continuum_potential(d, seed), order=2)
     tvals = tvals.reshape((_CONTINUUM_NODES,) * (d - 1) + (n, d, d))
     interp = (1.0 + 2.0 * np.cos(2 * np.pi * (_cell_centers(n)[:, None]
                                               - coarse))) / _CONTINUUM_NODES
@@ -1016,16 +1014,14 @@ def solve_least_squares(system: DiscreteSystem, source: SourceSpec
     poly = _slab_polynomial(n, d)
     _, R, C = poly.coef.shape
     b = system.rhs_from_einstein_block(source.values)
-    split = system._rows(("einstein", "gauge")).size
     # block rows: each interior and gauge component along the collar line,
-    # then one row per boundary family
-    b_int = np.fft.fftn(b[:split].reshape((-1,) + (n,) * d),
-                        axes=lateral, norm="ortho")
-    b_bnd = np.fft.fftn(b[split:].reshape((-1,) + (n,) * m),
-                        axes=lateral, norm="ortho")
-    bhat = np.concatenate([np.moveaxis(b_int, 0, m).reshape(n ** m, -1),
-                           np.moveaxis(b_bnd, 0, m).reshape(n ** m, -1)],
-                          axis=1)
+    # then one row per boundary family.  b is zero outside the einstein
+    # rows, which come first, so only the source is transformed
+    cols = len(_sym_pairs(d)) * n
+    bhat = np.zeros((n ** m, R), dtype=complex)
+    bhat[:, :cols] = np.moveaxis(np.fft.fftn(
+        source.values.reshape((-1,) + (n,) * d), axes=lateral, norm="ortho"),
+        0, m).reshape(n ** m, cols)
     bhat *= np.where(poly.row_parity, -1j, 1)
     rep, negated = _symbol_classes(n, m)
     tol = np.finfo(float).eps * max(R, C)

@@ -45,53 +45,58 @@ MANIFEST_SCHEMA = {
 #: The BLAS/OpenMP thread-count variables a report records.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-#: Keys that only ``solve`` reads; ``verify`` rejects them.
-SOLVE_ONLY = ("preset", "source", "study")
+#: The keys each command reads, ``verify`` with those of its suite in
+#: ``verify._SUITE_KEYS``; a run that sets any other key is refused.
+_KEYS_READ = {"verify": ("seed", "serial", "out", "format", "suite"),
+              "solve": ("seed", "serial", "out", "format", "preset", "dim",
+                        "grid", "source", "study")}
 
+#: The keys with a default value; the readers of the others use cfg.get.
 DEFAULTS = {
     "suite": "all",
     "preset": "flat_slab_periodic",
     "dim": 3,
-    "dims": None,
-    "grid": None,
     "seed": 1,
-    "source": None,
-    "study": False,
     "serial": False,
-    "out": None,
     "format": "json",
 }
 
 
-def _load_manifest(path: str, command: str) -> dict:
+def _load_manifest(path: str) -> dict:
     import jsonschema
 
     with open(path) as fh:
         data = json.load(fh)
     jsonschema.validate(data, MANIFEST_SCHEMA)
-    ignored = sorted(set(data) & set(SOLVE_ONLY))
-    if command == "verify" and ignored:
-        raise ValueError(f"manifest keys {ignored} apply to solve only")
     return data
 
 
 def _merged_config(args) -> dict:
+    """The manifest, then the flags, over ``DEFAULTS``; raises
+    ``ValueError`` when they set a key that the run does not read."""
     cfg = dict(DEFAULTS)
-    if args.manifest:
-        cfg.update(_load_manifest(args.manifest, args.command))
+    given = _load_manifest(args.manifest) if args.manifest else {}
     for key in ("suite", "preset", "dim", "seed", "source", "out", "format"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+        if getattr(args, key, None) is not None:
+            given[key] = getattr(args, key)
     if getattr(args, "grid", None):
-        cfg["grid"] = [int(g) for g in args.grid.split(",")]
-    if getattr(args, "study", False):
-        cfg["study"] = True
-    if getattr(args, "serial", False):
-        cfg["serial"] = True
+        given["grid"] = [int(g) for g in args.grid.split(",")]
+    for key in ("study", "serial"):
+        if getattr(args, key, False):
+            given[key] = True
+    cfg.update(given)
     one_cpu = cfg["serial"] and _one_cpu()
     cfg["serial"], cfg["threads"] = _pin_threads(cfg["serial"])
     cfg["serial"] = cfg["serial"] and one_cpu
+    reads = set(_KEYS_READ[args.command])
+    if args.command == "verify":
+        from .verify import _SUITE_KEYS  # after _pin_threads: loads numpy
+
+        suites = _SUITE_KEYS if cfg["suite"] == "all" else [cfg["suite"]]
+        reads.update(*(_SUITE_KEYS[name] for name in suites))
+    unread = sorted(set(given) - reads)
+    if unread:
+        raise ValueError(f"this {args.command} run reads none of {unread}")
     return cfg
 
 
@@ -191,11 +196,7 @@ def cmd_verify(args) -> int:
     cfg = _merged_config(args)
     from .verify import run_suite
 
-    try:
-        cases = run_suite(cfg["suite"], cfg)
-    except KeyError:
-        print(f"unknown suite {cfg['suite']!r}", file=sys.stderr)
-        return 2
+    cases = run_suite(cfg["suite"], cfg)
     report = _report(cfg, cases, {"command": "verify",
                                   "suite": cfg["suite"]})
     _print_case_lines(cases)

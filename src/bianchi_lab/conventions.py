@@ -9,8 +9,10 @@ independent oracles and committed as package data (conventions.json):
   fit so the curvature route equals the boundary route on a family of
   charts where every term is active.
 
-Everything downstream loads the committed artifact; recomputation drifting
-from it is an error surfaced by the audit command and the test suite.
+The artifact has two readers, and no caller passes its constants along:
+``linearize.dric_closed_jets`` reads ``ricci_action``, and the boundary
+constraint residuals read ``constraint_constants``.  Recomputation
+drifting from it is an error surfaced by the audit command and the tests.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Two independent routes everywhere: closed variational formulas evaluated
 with jet-exact derivatives, and central finite differences of the
 nonlinear maps through perturbed metrics g + t*sigma.  The curvature
 action entering the closed Ricci formula carries two integer coefficients
-pinned once against the finite-difference oracle (see conventions).
+pinned once against the finite-difference oracle; ``dric_closed_jets``
+reads them from the committed artifact (see conventions).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .charts import (
     nabla,
     sym_from_upper,
 )
+from .conventions import ricci_action
 from .jets import (
     Jet,
     contract,
@@ -192,22 +194,23 @@ def dric_parts_jets(geom: Geometry, sig: Jet):
     return base, comp, curv
 
 
-def dric_closed_jets(geom: Geometry, sig: Jet, action) -> Jet:
+def dric_closed_jets(geom: Geometry, sig: Jet) -> Jet:
     """Jet-valued closed form of the linearized Ricci tensor.
 
     dRic sigma = rough-Laplacian term / 2 - killing(div B sigma)
-                 + curvature action / 2, with the two integer coefficients
-    of the curvature action supplied by ``action`` = (a, b).
+                 + curvature action / 2.  The two integer coefficients
+    (a, b) of the curvature action are read here from the committed
+    ``conventions.ricci_action``, not supplied by a caller.
     """
-    a_c, b_c = action
+    a_c, b_c = ricci_action()
     base, comp, curv = dric_parts_jets(geom, sig)
     return base + 0.5 * (a_c * comp + b_c * curv)
 
 
-def dric_closed(chart: MetricChart, x, sigma, action) -> np.ndarray:
+def dric_closed(chart: MetricChart, x, sigma) -> np.ndarray:
     """Closed-form dRic values at x (batched), from order-3 jets."""
     geom = geometry_from_jets(chart.metric_jets(x, 3))
-    return dric_closed_jets(geom, sigma(x, 3), action).value
+    return dric_closed_jets(geom, sigma(x, 3)).value
 
 
 def dric_fd(chart: MetricChart, x, sigma, eps: float = 1e-3) -> np.ndarray:
@@ -223,13 +226,13 @@ def dein_fd(chart: MetricChart, x, sigma, eps: float = 1e-3) -> np.ndarray:
     return (gp.ein.value - gm.ein.value) / (2 * eps)
 
 
-def dein_closed_jets(geom: Geometry, sig: Jet, action, conn=None) -> Jet:
+def dein_closed_jets(geom: Geometry, sig: Jet, conn=None) -> Jet:
     """Covariant linearized Einstein operator via trace reversal.
 
     dEin sigma = B(dRic sigma) + <sigma, Ric> g / 2 - Sc sigma / 2
     plus the tensorial connection term conn(Ein, sigma) when given.
     """
-    dric = dric_closed_jets(geom, sig, action)
+    dric = dric_closed_jets(geom, sig)
     low = sig.truncate(dric.order)
     pairing = contract("kl,kl->", _raise_both(geom, low), geom.ric)
     out = (bianchi_b(geom, dric) + 0.5 * contract(",ij->ij", pairing, geom.g)
@@ -240,12 +243,12 @@ def dein_closed_jets(geom: Geometry, sig: Jet, action, conn=None) -> Jet:
     return out
 
 
-def dein_closed(chart: MetricChart, x, sigma, action, conn=None,
+def dein_closed(chart: MetricChart, x, sigma, conn=None,
                 order: int = 3) -> np.ndarray:
     """Closed-form dEin values at the points x (batched by chunks)."""
     def values(xc):
         geom = geometry_from_jets(chart.metric_jets(xc, order))
-        return (dein_closed_jets(geom, sigma(xc, order), action, conn).value,)
+        return (dein_closed_jets(geom, sigma(xc, order), conn).value,)
 
     return _by_chunks(values, np.asarray(x, dtype=float))[0]
 
@@ -259,14 +262,13 @@ def sample_connection(t_vals: np.ndarray, sigma_vals: np.ndarray,
     return 0.5 * (prod1 + prod2)
 
 
-def gamma_tilde_at(chart: MetricChart, x, sigma, action,
-                   conn=None) -> np.ndarray:
+def gamma_tilde_at(chart: MetricChart, x, sigma, conn=None) -> np.ndarray:
     """Tensorial correction B^{-1}(dEin + conn term) - dRic, as values,
     from order-3 jets."""
     geom = geometry_from_jets(chart.metric_jets(x, 3))
     sig = sigma(x, 3)
-    dein = dein_closed_jets(geom, sig, action, conn)
-    dric = dric_closed_jets(geom, sig, action)
+    dein = dein_closed_jets(geom, sig, conn)
+    dric = dric_closed_jets(geom, sig)
     return (bianchi_b_inverse(geom, dein) - dric).value
 
 
@@ -309,7 +311,7 @@ def _boundary_data_from_geom(geom: Geometry):
 # identity probes
 
 
-def equivariance_residual(chart: MetricChart, x, x_field, action) -> float:
+def equivariance_residual(chart: MetricChart, x, x_field) -> float:
     """max |dRic(killing X) - Lie_X Ric / 2| over the batch."""
     geom = geometry_from_jets(chart.metric_jets(x, 4))
 
@@ -318,19 +320,19 @@ def equivariance_residual(chart: MetricChart, x, x_field, action) -> float:
                                curvature=False)
         return killing(g, x_field(xq, order + 1)).truncate(order)
 
-    lhs = dric_closed(chart, x, sigma, action)
+    lhs = dric_closed(chart, x, sigma)
     lie = lie_derivative_sym2(x_field(x, 3), geom.ric).value
     return float(np.max(np.abs(lhs - 0.5 * lie)))
 
 
-def gauge_divergence_jets(geom: Geometry, sig: Jet, action) -> Jet:
+def gauge_divergence_jets(geom: Geometry, sig: Jet) -> Jet:
     """delta B dRic sigma as vector jets (first-order content probe)."""
-    dric = dric_closed_jets(geom, sig, action)
+    dric = dric_closed_jets(geom, sig)
     return divergence(geom, bianchi_b(geom, dric))
 
 
-def first_order_dependence_residual(chart: MetricChart, x, sigma1, sigma2,
-                                    action) -> float:
+def first_order_dependence_residual(chart: MetricChart, x, sigma1,
+                                    sigma2) -> float:
     """|delta B dRic (sigma1 - sigma2)| at x for 1-jet-matched fields."""
     geom = geometry_from_jets(chart.metric_jets(x, 4))
     s1 = sigma1(x, 4)
@@ -338,12 +340,12 @@ def first_order_dependence_residual(chart: MetricChart, x, sigma1, sigma2,
     x = np.atleast_2d(x)
     if np.max(np.abs(s1.value - s2.value)) > 1e-10:
         raise ValueError("fields do not share the 0-jet at x")
-    g1 = gauge_divergence_jets(geom, s1, action)
-    g2 = gauge_divergence_jets(geom, s2, action)
+    g1 = gauge_divergence_jets(geom, s1)
+    g2 = gauge_divergence_jets(geom, s2)
     return float(np.max(np.abs((g1 - g2).value)))
 
 
-def normal_identity_residuals(collar: CollarChart, y, sigma, action):
+def normal_identity_residuals(collar: CollarChart, y, sigma):
     """Normal-trace identities of the gauged linearized operator on
     Ricci-flat collars.
 
@@ -373,7 +375,7 @@ def normal_identity_residuals(collar: CollarChart, y, sigma, action):
            np.max(np.abs(sig.partial(d - 1).value))) > 1e-9:
         raise ValueError("sigma does not vanish to second order")
 
-    T = dein_closed_jets(geom, sig, action)
+    T = dein_closed_jets(geom, sig)
     _, nvec = normal_field(geom)
 
     def normal_component(Sjets):
@@ -435,11 +437,11 @@ def fit_ricci_action(charts, npts: int = 6):
     return best
 
 
-def richardson_slope(chart: MetricChart, x, sigma, action) -> float:
+def richardson_slope(chart: MetricChart, x, sigma) -> float:
     """Observed order of the FD error against the closed route, from the
     steps 1e-2 and 5e-3."""
     eps_list = (1e-2, 5e-3)
-    ref = dric_closed(chart, x, sigma, action)
+    ref = dric_closed(chart, x, sigma)
     errs = [float(np.max(np.abs(dric_fd(chart, x, sigma, e) - ref)))
             for e in eps_list]
     return float(np.log(errs[0] / errs[1])

@@ -287,11 +287,11 @@ def _check_kernel_pair(chart, grid, fields):
                     "Green symmetry probe needs order-2 boundary vanishing")
 
 
-def _dein_and_value(geom, field, x, action):
+def _dein_and_value(geom, field, x):
     """dEin field and the field itself at x, as values; the field's jets
     are freed on return."""
     sig = field(x, 2)
-    return dein_closed_jets(geom, sig, action).value, sig.value
+    return dein_closed_jets(geom, sig).value, sig.value
 
 
 def _trace(a, ginv):
@@ -304,8 +304,7 @@ def _ein_pairing_correction(ein, ginv, sv, ev):
                   - _pair(ein, ev, ginv) * _trace(sv, ginv))
 
 
-def _symmetry_defects(grid, chart, sigma, eta, action, ein_corrected,
-                      pairs) -> list:
+def _symmetry_defects(grid, chart, sigma, eta, ein_corrected, pairs) -> list:
     """|int one - int two [- int correction]| over the interior nodes, one
     defect per function of ``pairs``, each giving (one, two) =
     pairs(g, g^-1, sigma, dEin sigma, eta, dEin eta) in values.
@@ -321,7 +320,7 @@ def _symmetry_defects(grid, chart, sigma, eta, action, ein_corrected,
         geom = geometry_from_jets(chart.metric_jets(xc, 2))
         gv, ginv = geom.g.value, geom.ginv.value
         dens = _volume_density(gv)
-        (de_s, sv), (de_e, ev) = (_dein_and_value(geom, f, xc, action)
+        (de_s, sv), (de_e, ev) = (_dein_and_value(geom, f, xc)
                                   for f in (sigma, eta))
         out = [v * dens for pair in pairs
                for v in pair(gv, ginv, sv, de_s, ev, de_e)]
@@ -353,7 +352,7 @@ def _dewitt_pairs(gv, ginv, sv, de_s, ev, de_e):
 
 
 def green_einstein_sym_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
-                              action, ein_corrected: bool = False) -> float:
+                              ein_corrected: bool = False) -> float:
     """|<dEin sigma, eta> - <sigma, dEin eta>| for kernel-constrained pairs:
     sigma and eta must vanish to second order on both collar faces, else
     ``ValueError``.
@@ -363,24 +362,23 @@ def green_einstein_sym_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
     (<Ein,sigma> tr eta - <Ein,eta> tr sigma)/2 is subtracted, closing the
     identity on every background.
     """
-    return _symmetry_defects(grid, chart, sigma, eta, action, ein_corrected,
+    return _symmetry_defects(grid, chart, sigma, eta, ein_corrected,
                              (_einstein_pairs,))[0]
 
 
 def dewitt_green_ric_defect(grid: GridSpec, chart: MetricChart, sigma, eta,
-                            action, ein_corrected: bool = False) -> float:
+                            ein_corrected: bool = False) -> float:
     """Same symmetry defect for the trace-reversed operator in the DeWitt
     pairing; algebraically identical to the Einstein-route defect."""
-    return _symmetry_defects(grid, chart, sigma, eta, action, ein_corrected,
+    return _symmetry_defects(grid, chart, sigma, eta, ein_corrected,
                              (_dewitt_pairs,))[0]
 
 
 def green_symmetry_defects(grid: GridSpec, chart: MetricChart, sigma, eta,
-                           action, ein_corrected: bool = False) -> tuple:
+                           ein_corrected: bool = False) -> tuple:
     """(``green_einstein_sym_defect``, ``dewitt_green_ric_defect``) from
     one pass over the nodes: dEin sigma and dEin eta are built once."""
-    return tuple(_symmetry_defects(grid, chart, sigma, eta, action,
-                                   ein_corrected,
+    return tuple(_symmetry_defects(grid, chart, sigma, eta, ein_corrected,
                                    (_einstein_pairs, _dewitt_pairs)))
 
 

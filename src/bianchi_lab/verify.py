@@ -25,7 +25,6 @@ from .charts import (
     sample_points,
     sym_to_frame,
 )
-from .conventions import constraint_constants, ricci_action
 from .linearize import (
     Perturbation,
     dboundary_data_fd,
@@ -190,7 +189,6 @@ def suite_calculus(cfg) -> list:
 
 def suite_boundary(cfg) -> list:
     rng = np.random.default_rng(cfg["seed"])
-    consts = constraint_constants()
     cases = []
     npts = cfg.get("samples", 50)
     for d in cfg.get("dims") or [3, 4]:
@@ -198,7 +196,7 @@ def suite_boundary(cfg) -> list:
                            ("curved_generic", {"seed": 17})):
             chart = make_chart(preset, d, **kw)
             y = rng.uniform(0.1, 0.9, size=(npts, d - 1))
-            res = constraint_residuals_at(CollarChart(chart), y, consts)
+            res = constraint_residuals_at(CollarChart(chart), y)
             worst = max(float(np.abs(res[k]).max())
                         for k in ("rnn", "rnt", "rtt"))
             cases.append(_case(f"gauss-codazzi-{preset}-d{d}", worst, 1e-8,
@@ -206,7 +204,7 @@ def suite_boundary(cfg) -> list:
     for d in cfg.get("dims_weyl") or [4, 5]:
         chart = make_chart("conformal_bump", d, amp=0.1)
         y = rng.uniform(0.1, 0.9, size=(min(npts, 25), d - 1))
-        out = weyl_constraint_residual_at(CollarChart(chart), y, consts)
+        out = weyl_constraint_residual_at(CollarChart(chart), y)
         cases.append(_case(f"weyl-electric-constraint-d{d}",
                            float(np.abs(out["residual"]).max()), 1e-8,
                            "constraint.weyl-electric"))
@@ -217,7 +215,7 @@ def suite_boundary(cfg) -> list:
     d, R = 4, 2.0
     chart = make_chart("polar_ball", d, radius=R)
     y = rng.uniform(0.9, 1.1, size=(10, d - 1))
-    res = constraint_residuals_at(CollarChart(chart), y, consts)
+    res = constraint_residuals_at(CollarChart(chart), y)
     lhs_nn, sc_b, a_sq, tr_a_sq = res["terms_nn"]
     terms = max(float(np.abs(term - closed).max()) for term, closed in (
         (sc_b, (d - 1) * (d - 2) / R ** 2), (a_sq, (d - 1) / R ** 2),
@@ -253,53 +251,52 @@ def _lateral_wave(x, order):
 
 def suite_linearization(cfg) -> list:
     rng = np.random.default_rng(cfg["seed"])
-    action = ricci_action()
     cases = []
     chart = make_chart("conformal_bump", 3, amp=0.1)
     pts = np.stack([rng.uniform(0.15, 0.85, 6) for _ in range(3)], axis=-1)
 
     sigma = trig_poly_sym_field(3, cfg["seed"] + 1)
-    slope = richardson_slope(chart, pts, sigma, action)
+    slope = richardson_slope(chart, pts, sigma)
     cases.append(_case("ricci-variation-richardson-slope", slope, 1.9,
                        "ricci-variation.closed-vs-fd", at_least=True))
 
     cases.append(_case("equivariance-killing-directions",
-                       equivariance_residual(chart, pts, _probe_vector_field,
-                                             action), 1e-6,
+                       equivariance_residual(chart, pts,
+                                             _probe_vector_field), 1e-6,
                        "equivariance.lie-ricci"))
 
     base = trig_poly_sym_field(3, cfg["seed"] + 2)
     s1, s2 = jet_surgery_pair(base, pts[0])
-    g1 = gamma_tilde_at(chart, pts[0:1], s1, action, conn=sample_connection)
-    g2 = gamma_tilde_at(chart, pts[0:1], s2, action, conn=sample_connection)
+    g1 = gamma_tilde_at(chart, pts[0:1], s1, conn=sample_connection)
+    g2 = gamma_tilde_at(chart, pts[0:1], s2, conn=sample_connection)
     cases.append(_case("covariant-correction-tensoriality",
                        float(np.abs(g1 - g2).max()), 1e-7,
                        "covariant-correction.tensorial"))
 
     cases.append(_case("gauged-divergence-first-order-dependence",
                        first_order_dependence_residual(chart, pts[0:1],
-                                                       s1, s2, action),
+                                                       s1, s2),
                        1e-7, "order-reduction.first-order"))
 
     slab = make_chart("flat_slab_periodic", 3)
     collar = CollarChart(slab)
     y = rng.uniform(0.2, 0.8, size=(3, 2))
     sig2 = trig_poly_sym_field(3, cfg["seed"] + 3, boundary_order=2)
-    r1, _, r3 = normal_identity_residuals(collar, y, sig2, action)
+    r1, _, r3 = normal_identity_residuals(collar, y, sig2)
     cases.append(_case("normal-trace-mixed-order2", r1, 1e-6,
                        "normal-trace.mixed"))
 
     # at order two the first normal trace is -div(T^tan), not zero: for
     # sigma = x_d^2 sin(2 pi x_1) dx_0^2 it is (0, -2 pi cos 2 pi x_1, 0)
     _, r2, _ = normal_identity_residuals(
-        collar, y, Perturbation(_lateral_wave, 3, 2), action)
+        collar, y, Perturbation(_lateral_wave, 3, 2))
     closed = 2 * np.pi * float(np.abs(np.cos(2 * np.pi * y[:, 1])).max())
     cases.append(_case("normal-trace-first-order2", abs(r2 - closed), 1e-6,
                        "normal-trace.first"))
     cases.append(_case("normal-trace-second-order2", r3, 1e-6,
                        "normal-trace.second"))
     sig3 = trig_poly_sym_field(3, cfg["seed"] + 4, boundary_order=3)
-    r1b, r2b, r3b = normal_identity_residuals(collar, y, sig3, action)
+    r1b, r2b, r3b = normal_identity_residuals(collar, y, sig3)
     cases.append(_case("normal-trace-vanishing-source",
                        max(r1b, r2b, r3b), 1e-6, "normal-trace.lemma-form"))
 
@@ -328,7 +325,6 @@ def suite_green(cfg) -> list:
         periodic_vector_field,
     )
 
-    action = ricci_action()
     cases = []
     seed = cfg["seed"]
     slab = make_chart("flat_slab_periodic", 3)
@@ -352,8 +348,7 @@ def suite_green(cfg) -> list:
 
     sig2 = periodic_sym_field(3, seed + 5, normal_vanish=2)
     eta2 = periodic_sym_field(3, seed + 6, normal_vanish=2)
-    ein_defect, dewitt_defect = green_symmetry_defects(grid, slab, sig2,
-                                                       eta2, action)
+    ein_defect, dewitt_defect = green_symmetry_defects(grid, slab, sig2, eta2)
     cases.append(_case("einstein-symmetry-interior", ein_defect, 1e-9,
                        "green.einstein-symmetry"))
     cases.append(_case("dewitt-ricci-route-agreement",
@@ -365,7 +360,7 @@ def suite_green(cfg) -> list:
     eb = box_bump_sym_field(ball, seed + 8)
     study2 = convergence_study(
         lambda n: green_einstein_sym_defect(GridSpec.for_chart(ball, n),
-                                            ball, sb, eb, action),
+                                            ball, sb, eb),
         cfg.get("grid") or [8, 16, 32])
     slope2 = study2["slope"] if study2["status"] == "ok" else 2.0
     cases.append(_case("einstein-symmetry-slope-ricci-flat", slope2, 1.8,
@@ -373,7 +368,7 @@ def suite_green(cfg) -> list:
 
     study3 = convergence_study(
         lambda n: green_einstein_sym_defect(GridSpec.for_chart(bump, n),
-                                            bump, sig2, eta2, action,
+                                            bump, sig2, eta2,
                                             ein_corrected=True),
         cfg.get("grid") or [8, 16, 32])
     slope3 = study3["slope"] if study3["status"] == "ok" else 2.0
@@ -509,6 +504,11 @@ SUITES = {
     "bvp": suite_bvp,
 }
 
+#: The keys each suite reads besides ``seed``; ``all`` reads their union.
+_SUITE_KEYS = {"algebra": ("dims", "samples"), "calculus": ("dims", "samples"),
+               "boundary": ("dims", "dims_weyl", "samples"),
+               "linearization": (), "green": ("grid",), "bvp": ("dim", "grid")}
+
 
 def run_suite(name: str, cfg: dict) -> list:
     if name == "all":
@@ -516,6 +516,4 @@ def run_suite(name: str, cfg: dict) -> list:
         for key in SUITES:
             cases.extend(run_suite(key, cfg))
         return cases
-    if name not in SUITES:
-        raise KeyError(name)
     return SUITES[name](cfg)

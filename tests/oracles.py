@@ -38,7 +38,6 @@ import scipy.sparse.linalg as spla
 from bianchi_lab import bvp
 from bianchi_lab.bvp import DiscreteSystem, SolveReport, SourceSpec
 from bianchi_lab.charts import Geometry, make_chart, sym_from_upper
-from bianchi_lab.conventions import ricci_action
 from bianchi_lab.jets import Jet, _exp_index, _exponents, contract, stack
 from bianchi_lab.linearize import Perturbation, dein_closed
 
@@ -488,8 +487,7 @@ def continuum_source_full_grid(n: int, d: int, seed: int):
     the n^d grid, and the divergence and face rows of the copies above."""
     chart = make_chart("flat_slab_periodic", d)
     tvals = dein_closed(chart, bvp.slab_nodes(n, d),
-                        bvp._continuum_potential(d, seed), ricci_action(),
-                        order=2)
+                        bvp._continuum_potential(d, seed), order=2)
     values = np.concatenate([tvals[:, i, j] for i in range(d)
                              for j in range(i, d)])
     P, E_faces = grid_stencils(n, d)

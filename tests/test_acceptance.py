@@ -31,7 +31,6 @@ from bianchi_lab.charts import (
     sym_to_frame,
     tensor_values,
 )
-from bianchi_lab.conventions import constraint_constants, ricci_action
 from bianchi_lab.jets import Jet, stack
 from bianchi_lab.linearize import (
     dboundary_data_fd,
@@ -47,8 +46,6 @@ from bianchi_lab.linearize import (
 
 from oracles import jet_sin
 
-ACTION = ricci_action()
-CONSTS = constraint_constants()
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -182,21 +179,21 @@ def test_criterion_04_constraint_equations():
                            ("curved_generic", {"seed": 17})):
             chart = make_chart(preset, d, **kw)
             y = rng.uniform(0.1, 0.9, size=(50, d - 1))
-            res = constraint_residuals_at(CollarChart(chart), y, CONSTS)
+            res = constraint_residuals_at(CollarChart(chart), y)
             worst_gc = max(worst_gc, *(float(np.abs(res[k]).max())
                                        for k in ("rnn", "rnt", "rtt")))
     worst_weyl = 0.0
     for d in (4, 5):
         chart = make_chart("conformal_bump", d, amp=0.1)
         y = rng.uniform(0.1, 0.9, size=(50, d - 1))
-        out = weyl_constraint_residual_at(CollarChart(chart), y, CONSTS)
+        out = weyl_constraint_residual_at(CollarChart(chart), y)
         worst_weyl = max(worst_weyl, float(np.abs(out["residual"]).max()),
                          float(np.abs(out["rm_defect"]).max()))
 
     d, R = 4, 2.0
     chart = make_chart("polar_ball", d, radius=R)
     y = rng.uniform(0.9, 1.1, size=(10, d - 1))
-    res = constraint_residuals_at(CollarChart(chart), y, CONSTS)
+    res = constraint_residuals_at(CollarChart(chart), y)
     _, sc_b, a_sq, tr_a_sq = res["terms_nn"]
     ball_ok = (np.allclose(sc_b, (d - 1) * (d - 2) / R ** 2, atol=1e-9)
                and np.allclose(a_sq, (d - 1) / R ** 2, atol=1e-9)
@@ -251,17 +248,17 @@ def test_criterion_06_green_einstein_symmetry():
     grid = GridSpec.for_chart(slab, 16)
     sig = periodic_sym_field(3, 61, normal_vanish=2)
     eta = periodic_sym_field(3, 62, normal_vanish=2)
-    interior = green_einstein_sym_defect(grid, slab, sig, eta, ACTION)
+    interior = green_einstein_sym_defect(grid, slab, sig, eta)
 
     ball = make_chart("polar_ball", 3)
     study_flat = convergence_study(
         lambda n: green_einstein_sym_defect(
             GridSpec.for_chart(ball, n), ball, box_bump_sym_field(ball, 63),
-            box_bump_sym_field(ball, 64), ACTION), (8, 16, 32))
+            box_bump_sym_field(ball, 64)), (8, 16, 32))
     bump = make_chart("conformal_bump", 3, amp=0.1)
     study_corr = convergence_study(
         lambda n: green_einstein_sym_defect(
-            GridSpec.for_chart(bump, n), bump, sig, eta, ACTION,
+            GridSpec.for_chart(bump, n), bump, sig, eta,
             ein_corrected=True), (8, 16, 32))
     s1, s2 = study_flat["slope"], study_corr["slope"]
     ok = interior <= 1e-9 and s1 >= 1.8 and s2 >= 1.8
@@ -276,27 +273,26 @@ def test_criterion_07_linearization_identities():
     chart = make_chart("conformal_bump", 3, amp=0.1)
     pts = np.stack([rng.uniform(0.15, 0.85, 6) for _ in range(3)], axis=-1)
 
-    slope = richardson_slope(chart, pts, trig_poly_sym_field(3, 71), ACTION)
+    slope = richardson_slope(chart, pts, trig_poly_sym_field(3, 71))
 
     def xf(x, order):
         xs = Jet.variables(x, order)
         return stack([jet_sin(xs[1] * 2.0) * 0.3, xs[2] * xs[0] * 0.2,
                       0.1 * xs[0]])
 
-    equi = equivariance_residual(chart, pts, xf, ACTION)
+    equi = equivariance_residual(chart, pts, xf)
 
     s1, s2 = jet_surgery_pair(trig_poly_sym_field(3, 72), pts[0])
     tens = float(np.abs(
-        gamma_tilde_at(chart, pts[0:1], s1, ACTION, conn=sample_connection)
-        - gamma_tilde_at(chart, pts[0:1], s2, ACTION,
-                         conn=sample_connection)).max())
+        gamma_tilde_at(chart, pts[0:1], s1, conn=sample_connection)
+        - gamma_tilde_at(chart, pts[0:1], s2, conn=sample_connection)).max())
 
     slab = CollarChart(make_chart("flat_slab_periodic", 3))
     y = rng.uniform(0.2, 0.8, size=(3, 2))
     r1, _, r3 = normal_identity_residuals(
-        slab, y, trig_poly_sym_field(3, 73, boundary_order=2), ACTION)
+        slab, y, trig_poly_sym_field(3, 73, boundary_order=2))
     lr1, lr2, lr3 = normal_identity_residuals(
-        slab, y, trig_poly_sym_field(3, 74, boundary_order=3), ACTION)
+        slab, y, trig_poly_sym_field(3, 74, boundary_order=3))
 
     ok = (slope >= 1.9 and equi <= 1e-6 and tens <= 1e-7 and r1 <= 1e-6
           and r3 <= 1e-6 and max(lr1, lr2, lr3) <= 1e-6)
@@ -328,8 +324,7 @@ def test_criterion_07_first_normal_trace_at_order_two():
     from bianchi_lab.linearize import Perturbation
 
     r1, r2, _ = normal_identity_residuals(slab, y,
-                                          Perturbation(lateral_wave, 3),
-                                          ACTION)
+                                          Perturbation(lateral_wave, 3))
     expected = 2 * np.pi * float(np.abs(np.cos(2 * np.pi * y[:, 1])).max())
     report("criterion 7 (first normal trace at order-2 vanishing)",
            r1 <= 1e-6 and abs(r2 - expected) <= 1e-6,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bianchi_lab import conventions
 from bianchi_lab.boundary import (
     CollarChart,
     boundary_state,
@@ -201,7 +202,7 @@ def test_constraints_vanish_on_flat_presets():
     for preset in ("flat_slab_periodic", "flat_cartesian"):
         chart = make_chart(preset, 3)
         res = constraint_residuals_at(CollarChart(chart),
-                                      lateral_points(3, 4, 11), CONSTS)
+                                      lateral_points(3, 4, 11))
         assert np.abs(res["rnn"]).max() <= 1e-12
         assert np.abs(res["rnt"]).max() <= 1e-12
         assert np.abs(res["rtt"]).max() <= 1e-12
@@ -213,7 +214,7 @@ def test_constraints_hold_on_curved_charts():
                            ("curved_generic", {"seed": 17})]:
             chart = make_chart(preset, d, **kw)
             res = constraint_residuals_at(CollarChart(chart),
-                                          lateral_points(d, 8, 12), CONSTS)
+                                          lateral_points(d, 8, 12))
             for key in ("rnn", "rnt", "rtt"):
                 assert np.abs(res[key]).max() <= 1e-8, (preset, d, key)
 
@@ -224,14 +225,37 @@ def test_polar_ball_scalar_constraint_cancellation():
         R = 2.0
         chart = make_chart("polar_ball", d, radius=R)
         res = constraint_residuals_at(CollarChart(chart),
-                                      lateral_points(d, 3, 13, 0.9, 1.1),
-                                      CONSTS)
+                                      lateral_points(d, 3, 13, 0.9, 1.1))
         lhs_nn, sc_b, a_sq, tr_a_sq = res["terms_nn"]
         assert np.allclose(sc_b, (d - 1) * (d - 2) / R ** 2, atol=1e-9)
         assert np.allclose(a_sq, (d - 1) / R ** 2, atol=1e-10)
         assert np.allclose(tr_a_sq, (d - 1) ** 2 / R ** 4 * R ** 2, atol=1e-10)
         assert np.abs(lhs_nn).max() <= 1e-12
         assert np.abs(res["rnn"]).max() <= 1e-10
+
+
+def test_constraint_residuals_read_the_loaded_artifact(monkeypatch):
+    # no caller passes the line constants: both residuals read the
+    # conventions they loaded, so another artifact changes them
+    collar = CollarChart(make_chart("curved_generic", 3, seed=3))
+    y = lateral_points(3, 3, 42)
+    weyl = CollarChart(make_chart("conformal_bump", 4, amp=0.1))
+    y4 = lateral_points(4, 3, 43)
+    committed = weyl_constraint_residual_at(weyl, y4)["residual"]
+    constraints = {"line1": [2.0, 1, -1], "line2": [0.5, 1, 1],
+                   "line3": [2.0, -1, -1]}
+    monkeypatch.setattr(conventions, "_CACHE",
+                        dict(load_conventions(), constraints=constraints))
+    patched = constraint_constants()
+    assert patched == {k: tuple(v) for k, v in constraints.items()}
+    want = combine_constraint_residuals(constraint_pieces(collar, y), patched)
+    got = constraint_residuals_at(collar, y)
+    for key in ("rnn", "rnt", "rtt"):
+        assert np.array_equal(got[key], want[key])
+        assert np.abs(got[key]).max() > 1e-3
+    assert np.abs(committed).max() <= 1e-8
+    assert np.abs(weyl_constraint_residual_at(weyl, y4)["residual"]
+                  ).max() > 1e-3
 
 
 def test_cauchy_data_equivalence_probe_flat_slab():
@@ -255,7 +279,7 @@ def test_cauchy_data_equivalence_probe_flat_slab():
 def test_weyl_constraint_flat_d4():
     chart = make_chart("flat_slab_periodic", 4)
     out = weyl_constraint_residual_at(CollarChart(chart),
-                                      lateral_points(4, 3, 15), CONSTS)
+                                      lateral_points(4, 3, 15))
     assert out["skipped"] is None
     assert np.abs(out["residual"]).max() <= 1e-12
     assert np.abs(out["rm_defect"]).max() <= 1e-12
@@ -265,7 +289,7 @@ def test_weyl_constraint_curved():
     for d in (4, 5):
         chart = make_chart("conformal_bump", d, amp=0.1)
         out = weyl_constraint_residual_at(CollarChart(chart),
-                                          lateral_points(d, 5, 16), CONSTS)
+                                          lateral_points(d, 5, 16))
         assert np.abs(out["residual"]).max() <= 1e-8, d
         # curvature-equation consistency: pnn Rm = nabla_n A + A^2
         assert np.abs(out["rm_defect"]).max() <= 1e-8, d
@@ -275,6 +299,6 @@ def test_weyl_constraint_curved():
 def test_weyl_constraint_skipped_below_d4():
     chart = make_chart("conformal_bump", 3)
     out = weyl_constraint_residual_at(CollarChart(chart),
-                                      lateral_points(3, 2, 17), CONSTS)
+                                      lateral_points(3, 2, 17))
     assert out["skipped"] == "d <= 3"
     assert out["residual"] is None

@@ -22,7 +22,6 @@ from bianchi_lab.bvp import (
     vec_components,
 )
 from bianchi_lab.charts import geometry_from_jets, make_chart, tensor_values
-from bianchi_lab.conventions import ricci_action
 from bianchi_lab.linearize import (
     dboundary_data_fd,
     dein_closed_jets,
@@ -48,7 +47,6 @@ from oracles import (
     width_modulus_fields,
 )
 
-ACTION = ricci_action()
 CHART = make_chart("flat_slab_periodic", 3)
 
 
@@ -299,7 +297,7 @@ def test_stencil_consistency_second_order():
         v = vec_components(vals, _sym_pairs(3))
         disc = rows_of(system, "einstein") @ v
         geom = geometry_from_jets(CHART.metric_jets(x, 2))
-        cont = tensor_values(dein_closed_jets(geom, field(x, 2), ACTION))
+        cont = tensor_values(dein_closed_jets(geom, field(x, 2)))
         cont_v = vec_components(cont, _sym_pairs(3))
         # compare away from the one-sided boundary layers
         mask = (x[:, 2] > 2.5 / n) & (x[:, 2] < 1 - 2.5 / n)

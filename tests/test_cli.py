@@ -8,6 +8,7 @@ import numpy
 import pytest
 import scipy
 
+from bianchi_lab import verify
 from bianchi_lab.cli import main
 from bianchi_lab.conventions import load_conventions
 
@@ -18,7 +19,7 @@ def run(argv):
 
 def test_verify_algebra_report_schema(tmp_path):
     out = tmp_path / "r.json"
-    code = run(["verify", "--suite", "algebra", "--dim", "4", "--seed", "1",
+    code = run(["verify", "--suite", "algebra", "--seed", "1",
                 "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
@@ -150,6 +151,64 @@ def test_inputs_no_suite_reads_are_rejected(key, tmp_path):
     man = tmp_path / "m.json"
     man.write_text(json.dumps({"suite": "algebra", key: 1e-3}))
     assert run(["verify", "--manifest", str(man), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+# the keys each suite reads besides seed, out, format and serial
+SUITE_READS = {
+    "algebra": {"dims", "samples"},
+    "calculus": {"dims", "samples"},
+    "boundary": {"dims", "dims_weyl", "samples"},
+    "linearization": set(),
+    "green": {"grid"},
+    "bvp": {"dim", "grid"},
+}
+SUITE_READS["all"] = set().union(*SUITE_READS.values())
+KEY_VALUES = {"dim": 4, "dims": [4], "dims_weyl": [4], "grid": [8, 16],
+              "samples": 2}
+
+
+@pytest.mark.parametrize("key", sorted(KEY_VALUES))
+@pytest.mark.parametrize("suite", sorted(SUITE_READS))
+def test_verify_takes_only_the_keys_its_suite_reads(suite, key, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.setattr(verify, "run_suite", lambda name, cfg: [])
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps({"suite": suite, key: KEY_VALUES[key]}))
+    out = tmp_path / "r.json"
+    code = run(["verify", "--manifest", str(man), "--out", str(out)])
+    if key in SUITE_READS[suite]:
+        assert code == 0
+        assert json.loads(out.read_text())["meta"]["suite"] == suite
+    else:
+        assert code == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,manifest", [
+    pytest.param(["verify", "--suite", "linearization", "--dim", "5",
+                  "--grid", "8,16"], None, id="linearization-dim-grid-flags"),
+    pytest.param(["verify", "--suite", "green", "--dim", "3"], None,
+                 id="green-dim-flag"),
+    pytest.param(["verify", "--suite", "algebra", "--grid", "8"], None,
+                 id="algebra-grid-flag"),
+    pytest.param(["verify"], {"suite": "algebra", "grid": [8, 16]},
+                 id="algebra-grid-manifest"),
+    pytest.param(["solve"], {"samples": 5, "dims": [4], "suite": "green"},
+                 id="solve-verify-keys"),
+    pytest.param(["solve"], {"suite": "bvp"}, id="solve-suite"),
+    pytest.param(["solve"], {"dims": [3]}, id="solve-dims"),
+    pytest.param(["solve"], {"dims_weyl": [4]}, id="solve-dims_weyl"),
+    pytest.param(["solve"], {"samples": 5}, id="solve-samples"),
+])
+def test_keys_the_command_does_not_read_are_rejected(argv, manifest,
+                                                     tmp_path):
+    out = tmp_path / "r.json"
+    if manifest is not None:
+        man = tmp_path / "m.json"
+        man.write_text(json.dumps(manifest))
+        argv = argv + ["--manifest", str(man)]
+    assert run(argv + ["--out", str(out)]) == 2
     assert not out.exists()
 
 

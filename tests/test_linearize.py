@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bianchi_lab import conventions
 from bianchi_lab.boundary import CollarChart
 from bianchi_lab.charts import (
     chart_geometry,
@@ -8,7 +9,7 @@ from bianchi_lab.charts import (
     make_chart,
     tensor_values,
 )
-from bianchi_lab.conventions import load_conventions, ricci_action
+from bianchi_lab.conventions import load_conventions
 from bianchi_lab.jets import Jet, stack
 from bianchi_lab.linearize import (
     Perturbation,
@@ -16,7 +17,9 @@ from bianchi_lab.linearize import (
     dein_closed,
     dein_fd,
     dric_closed,
+    dric_closed_jets,
     dric_fd,
+    dric_parts_jets,
     equivariance_residual,
     first_order_dependence_residual,
     fit_ricci_action,
@@ -30,8 +33,6 @@ from bianchi_lab.linearize import (
 )
 
 from oracles import jet_cos, jet_sin
-
-ACTION = ricci_action()
 
 
 def rng(seed=0):
@@ -61,6 +62,22 @@ def test_ricci_action_audit_matches_artifact():
     assert defect <= 1e-5
 
 
+def test_dric_closed_jets_reads_the_loaded_artifact(monkeypatch):
+    # no caller passes (a, b): the closed route reads the conventions it
+    # loaded, so another artifact changes dRic to that artifact's sum
+    chart = make_chart("curved_generic", 3, seed=3)
+    x = interior_points(chart, 3, 40)
+    geom = geometry_from_jets(chart.metric_jets(x, 3))
+    sig = trig_poly_sym_field(3, 41)(x, 3)
+    committed = dric_closed_jets(geom, sig).c
+    monkeypatch.setattr(conventions, "_CACHE",
+                        dict(load_conventions(), ricci_action=[2, 1]))
+    base, comp, curv = dric_parts_jets(geom, sig)
+    got = dric_closed_jets(geom, sig).c
+    assert np.array_equal(got, (base + 0.5 * (2 * comp + curv)).c)
+    assert np.abs(got - committed).max() > 1e-3 * np.abs(committed).max()
+
+
 def test_flat_chart_constant_sigma_and_metric_direction():
     chart = make_chart("flat_cartesian", 3)
     x = interior_points(chart, 4, 1)
@@ -69,15 +86,15 @@ def test_flat_chart_constant_sigma_and_metric_direction():
         return Jet.const(3, order, np.broadcast_to(1.0 + np.eye(3),
                                                    xq.shape[:-1] + (3, 3)))
 
-    assert np.abs(dric_closed(chart, x, Perturbation(const_field, 3),
-                              ACTION)).max() <= 1e-13
+    assert np.abs(dric_closed(chart, x, Perturbation(const_field, 3))).max() \
+        <= 1e-13
     assert np.abs(dric_fd(chart, x, Perturbation(const_field, 3))).max() \
         <= 1e-10
     # scaling direction: dRic(g) = 0 on any chart
     curved = make_chart("conformal_bump", 3, amp=0.1)
     xc = interior_points(curved, 4, 2)
-    assert np.abs(dric_closed(curved, xc, metric_as_field(curved),
-                              ACTION)).max() <= 1e-12
+    assert np.abs(dric_closed(curved, xc, metric_as_field(curved))).max() \
+        <= 1e-12
 
 
 def test_closed_vs_fd_calibrated_tolerance():
@@ -85,7 +102,7 @@ def test_closed_vs_fd_calibrated_tolerance():
     x = interior_points(chart, 10, 3)
     for seed in (7, 8, 9):
         sigma = trig_poly_sym_field(3, seed, amp=0.2)
-        closed = dric_closed(chart, x, sigma, ACTION)
+        closed = dric_closed(chart, x, sigma)
         fd = dric_fd(chart, x, sigma, eps=1e-3)
         assert np.abs(closed - fd).max() <= 1e-6
 
@@ -96,7 +113,7 @@ def test_richardson_slope_of_fd_error():
         chart = make_chart(preset, 3, **kw)
         x = interior_points(chart, 5, 4)
         sigma = trig_poly_sym_field(3, 11)
-        slope = richardson_slope(chart, x, sigma, ACTION)
+        slope = richardson_slope(chart, x, sigma)
         assert slope >= 1.9
 
 
@@ -108,7 +125,7 @@ def test_dein_routes_agree():
     chart = make_chart("conformal_bump", 3, amp=0.05)
     x = interior_points(chart, 6, 5)
     sigma = trig_poly_sym_field(3, 12)
-    closed = dein_closed(chart, x, sigma, ACTION)
+    closed = dein_closed(chart, x, sigma)
     f1 = dein_fd(chart, x, sigma, 1e-3)
     f2 = dein_fd(chart, x, sigma, 5e-4)
     richardson = (4.0 * f2 - f1) / 3.0
@@ -119,8 +136,8 @@ def test_dein_is_trace_reversed_dric_on_flat():
     chart = make_chart("flat_slab_periodic", 3)
     x = interior_points(chart, 5, 6)
     sigma = trig_poly_sym_field(3, 13)
-    dein = dein_closed(chart, x, sigma, ACTION)
-    dric = dric_closed(chart, x, sigma, ACTION)
+    dein = dein_closed(chart, x, sigma)
+    dric = dric_closed(chart, x, sigma)
     treversal = dric - 0.5 * np.trace(dric, axis1=-2, axis2=-1)[..., None, None] \
         * np.eye(3)
     assert np.abs(dein - treversal).max() <= 1e-12
@@ -130,8 +147,8 @@ def test_connection_term_is_pointwise():
     chart = make_chart("conformal_bump", 3, amp=0.1)
     x = interior_points(chart, 5, 7)
     sigma = trig_poly_sym_field(3, 14)
-    without = dein_closed(chart, x, sigma, ACTION, conn=None)
-    with_conn = dein_closed(chart, x, sigma, ACTION, conn=sample_connection)
+    without = dein_closed(chart, x, sigma, conn=None)
+    with_conn = dein_closed(chart, x, sigma, conn=sample_connection)
     geom = chart_geometry(chart, x, order=4)
     expected = sample_connection(tensor_values(geom.ein),
                                  tensor_values(sigma(x, 0)),
@@ -148,7 +165,7 @@ def test_gamma_tilde_vanishes_on_flat_presets():
         chart = make_chart(preset, 3)
         x = interior_points(chart, 4, 8)
         sigma = trig_poly_sym_field(3, 15)
-        gt = gamma_tilde_at(chart, x, sigma, ACTION, conn=None)
+        gt = gamma_tilde_at(chart, x, sigma, conn=None)
         assert np.abs(gt).max() <= 1e-11
 
 
@@ -157,8 +174,8 @@ def test_gamma_tilde_tensoriality():
     x = interior_points(chart, 1, 9)
     base = trig_poly_sym_field(3, 16)
     s1, s2 = jet_surgery_pair(base, x[0])
-    g1 = gamma_tilde_at(chart, x, s1, ACTION, conn=sample_connection)
-    g2 = gamma_tilde_at(chart, x, s2, ACTION, conn=sample_connection)
+    g1 = gamma_tilde_at(chart, x, s1, conn=sample_connection)
+    g2 = gamma_tilde_at(chart, x, s2, conn=sample_connection)
     assert np.abs(g1 - g2).max() <= 1e-7
 
 
@@ -168,8 +185,8 @@ def test_gamma_tilde_pairing_defect_formula():
     chart = make_chart("conformal_bump", 3, amp=0.1)
     x = interior_points(chart, 5, 10)
     sf, ef = trig_poly_sym_field(3, 17), trig_poly_sym_field(3, 18)
-    gs = gamma_tilde_at(chart, x, sf, ACTION, conn=sample_connection)
-    ge = gamma_tilde_at(chart, x, ef, ACTION, conn=sample_connection)
+    gs = gamma_tilde_at(chart, x, sf, conn=sample_connection)
+    ge = gamma_tilde_at(chart, x, ef, conn=sample_connection)
     geom = chart_geometry(chart, x, order=4)
     gv = tensor_values(geom.g)
     ginv = np.linalg.inv(gv)
@@ -218,7 +235,7 @@ def test_equivariance_identity():
                        ("curved_generic", {"seed": 19})]:
         chart = make_chart(preset, 3, **kw)
         x = interior_points(chart, 5, 11)
-        res = equivariance_residual(chart, x, x_field(3, 20), ACTION)
+        res = equivariance_residual(chart, x, x_field(3, 20))
         assert res <= 1e-6, preset
 
 
@@ -231,7 +248,7 @@ def test_equivariance_rotation_field_flat():
         return stack([xs[1], -1.0 * xs[0],
                       Jet.const(3, order, np.zeros(xq.shape[:-1]))])
 
-    assert equivariance_residual(chart, x, rot, ACTION) <= 1e-12
+    assert equivariance_residual(chart, x, rot) <= 1e-12
 
 
 def test_first_order_dependence():
@@ -239,8 +256,8 @@ def test_first_order_dependence():
     x = interior_points(chart, 1, 13)
     base = trig_poly_sym_field(3, 21)
     s1, s2 = jet_surgery_pair(base, x[0])
-    assert first_order_dependence_residual(chart, x, s1, s2, ACTION) <= 1e-7
-    assert first_order_dependence_residual(chart, x, s1, s1, ACTION) == 0.0
+    assert first_order_dependence_residual(chart, x, s1, s2) <= 1e-7
+    assert first_order_dependence_residual(chart, x, s1, s1) == 0.0
 
 
 def test_gauge_divergence_vanishes_on_ricci_flat():
@@ -251,7 +268,7 @@ def test_gauge_divergence_vanishes_on_ricci_flat():
         x = interior_points(chart, 5, 14)
         geom = geometry_from_jets(chart.metric_jets(x, 4))
         sig = trig_poly_sym_field(3, 22)(x, 4)
-        gd = gauge_divergence_jets(geom, sig, ACTION)
+        gd = gauge_divergence_jets(geom, sig)
         worst = max(np.abs(gd[..., i].value).max() for i in range(3))
         assert worst <= 1e-8, preset
 
@@ -326,7 +343,7 @@ def test_normal_identities_order_two():
     collar = CollarChart(chart)
     y = rng(18).uniform(0.2, 0.8, size=(2, 2))
     sig = trig_poly_sym_field(3, 25, boundary_order=2)
-    r1, r2, r3 = normal_identity_residuals(collar, y, sig, ACTION)
+    r1, r2, r3 = normal_identity_residuals(collar, y, sig)
     assert r1 <= 1e-6
     assert r3 <= 1e-6
 
@@ -339,8 +356,7 @@ def test_normal_identities_order_two():
         return wave[..., None, None] * np.diag([1.0, 0.0, 0.0])
 
     _, r2w, _ = normal_identity_residuals(collar, y,
-                                          Perturbation(lateral_wave, 3),
-                                          ACTION)
+                                          Perturbation(lateral_wave, 3))
     assert r2w > 1e-2
 
 
@@ -349,7 +365,7 @@ def test_normal_identities_order_three():
     collar = CollarChart(chart)
     y = rng(19).uniform(0.2, 0.8, size=(2, 2))
     sig = trig_poly_sym_field(3, 26, boundary_order=3)
-    r1, r2, r3 = normal_identity_residuals(collar, y, sig, ACTION)
+    r1, r2, r3 = normal_identity_residuals(collar, y, sig)
     assert max(r1, r2, r3) <= 1e-6
 
 
@@ -361,8 +377,7 @@ def test_normal_identities_zero_field():
     def zero(x, order):
         return Jet.const(3, order, np.zeros(x.shape[:-1] + (3, 3)))
 
-    r1, r2, r3 = normal_identity_residuals(collar, y, Perturbation(zero, 3),
-                                           ACTION)
+    r1, r2, r3 = normal_identity_residuals(collar, y, Perturbation(zero, 3))
     assert max(r1, r2, r3) == 0.0
 
 
@@ -371,16 +386,13 @@ def test_normal_identities_reject_bad_input():
     collar = CollarChart(chart)
     y = rng(21).uniform(0.2, 0.8, size=(2, 2))
     with pytest.raises(ValueError):
-        normal_identity_residuals(collar, y, trig_poly_sym_field(3, 27),
-                                  ACTION)
+        normal_identity_residuals(collar, y, trig_poly_sym_field(3, 27))
     # vanishing to first order only: the value passes, the normal
     # derivative does not
     with pytest.raises(ValueError, match="second order"):
         normal_identity_residuals(collar, y,
-                                  trig_poly_sym_field(3, 27, boundary_order=1),
-                                  ACTION)
+                                  trig_poly_sym_field(3, 27, boundary_order=1))
     curved = make_chart("conformal_bump", 3)
     with pytest.raises(ValueError):
         normal_identity_residuals(CollarChart(curved), y,
-                                  trig_poly_sym_field(3, 28, boundary_order=2),
-                                  ACTION)
+                                  trig_poly_sym_field(3, 28, boundary_order=2))

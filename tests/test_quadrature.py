@@ -4,7 +4,6 @@ import pytest
 import oracles
 from bianchi_lab import charts, quadrature
 from bianchi_lab.charts import chart_geometry, make_chart, tensor_values
-from bianchi_lab.conventions import ricci_action
 from bianchi_lab.quadrature import (
     box_bump_sym_field,
     GridSpec,
@@ -20,8 +19,6 @@ from bianchi_lab.quadrature import (
     periodic_vector_field,
 )
 from bianchi_lab.linearize import dein_closed, trig_poly_sym_field
-
-ACTION = ricci_action()
 
 
 def slab(d=3):
@@ -115,14 +112,14 @@ def test_einstein_symmetry_interior_supported_flat():
     grid = GridSpec.for_chart(chart, 16)
     sigma = periodic_sym_field(3, 7, normal_vanish=2)
     eta = periodic_sym_field(3, 8, normal_vanish=2)
-    assert green_einstein_sym_defect(grid, chart, sigma, eta, ACTION) <= 1e-9
+    assert green_einstein_sym_defect(grid, chart, sigma, eta) <= 1e-9
 
 
 def test_einstein_symmetry_self_pair_exact():
     chart = slab()
     grid = GridSpec.for_chart(chart, 8)
     sigma = periodic_sym_field(3, 9, normal_vanish=2)
-    assert green_einstein_sym_defect(grid, chart, sigma, sigma, ACTION) == 0.0
+    assert green_einstein_sym_defect(grid, chart, sigma, sigma) == 0.0
 
 
 def test_einstein_symmetry_rejects_surviving_boundary_jets():
@@ -131,12 +128,12 @@ def test_einstein_symmetry_rejects_surviving_boundary_jets():
     sigma = periodic_sym_field(3, 10)  # no boundary vanishing
     eta = periodic_sym_field(3, 11, normal_vanish=2)
     with pytest.raises(ValueError):
-        green_einstein_sym_defect(grid, chart, sigma, eta, ACTION)
+        green_einstein_sym_defect(grid, chart, sigma, eta)
     # vanishing to first order only: the face values pass, the normal
     # derivatives do not
     first = periodic_sym_field(3, 10, normal_vanish=1)
     with pytest.raises(ValueError, match="order-2 boundary vanishing"):
-        green_einstein_sym_defect(grid, chart, first, eta, ACTION)
+        green_einstein_sym_defect(grid, chart, first, eta)
 
 
 def test_einstein_symmetry_defect_limit_is_the_tensorial_correction():
@@ -148,13 +145,13 @@ def test_einstein_symmetry_defect_limit_is_the_tensorial_correction():
     eta = periodic_sym_field(3, 13, normal_vanish=2)
     study = convergence_study(
         lambda n: green_einstein_sym_defect(GridSpec.for_chart(chart, n),
-                                            chart, sigma, eta, ACTION,
+                                            chart, sigma, eta,
                                             ein_corrected=True),
         (8, 16, 32))
     assert study["status"] == "ok"
     assert study["slope"] >= 1.8
     plain = green_einstein_sym_defect(GridSpec.for_chart(chart, 16), chart,
-                                      sigma, eta, ACTION)
+                                      sigma, eta)
     assert plain > 1e-4  # the uncorrected defect does not vanish here
 
 
@@ -166,7 +163,7 @@ def test_einstein_symmetry_converges_on_ricci_flat_curvilinear_chart():
     eta = box_bump_sym_field(chart, 22)
     study = convergence_study(
         lambda n: green_einstein_sym_defect(GridSpec.for_chart(chart, n),
-                                            chart, sigma, eta, ACTION),
+                                            chart, sigma, eta),
         (8, 16, 32))
     assert study["status"] == "ok"
     assert study["slope"] >= 1.8
@@ -177,10 +174,10 @@ def test_dewitt_route_matches_einstein_route():
     grid = GridSpec.for_chart(chart, 8)
     sigma = periodic_sym_field(3, 14, normal_vanish=2)
     eta = periodic_sym_field(3, 15, normal_vanish=2)
-    d1 = green_einstein_sym_defect(grid, chart, sigma, eta, ACTION)
-    d2 = dewitt_green_ric_defect(grid, chart, sigma, eta, ACTION)
+    d1 = green_einstein_sym_defect(grid, chart, sigma, eta)
+    d2 = dewitt_green_ric_defect(grid, chart, sigma, eta)
     assert abs(d1 - d2) <= 1e-9
-    assert dewitt_green_ric_defect(grid, chart, sigma, sigma, ACTION) == 0.0
+    assert dewitt_green_ric_defect(grid, chart, sigma, sigma) == 0.0
 
 
 def _reference_integrals(grid, chart, sigma, eta, route, ein_corrected):
@@ -192,8 +189,8 @@ def _reference_integrals(grid, chart, sigma, eta, route, ein_corrected):
     ginv = np.linalg.inv(gv)
     dens = np.sqrt(np.linalg.det(gv))
     sv, ev = sigma(x, 0).value, eta(x, 0).value
-    de_s = dein_closed(chart, x, sigma, ACTION, order=2)
-    de_e = dein_closed(chart, x, eta, ACTION, order=2)
+    de_s = dein_closed(chart, x, sigma, order=2)
+    de_e = dein_closed(chart, x, eta, order=2)
 
     def inner(a, b):
         return np.einsum("...ij,...kl,...ik,...jl->...", a, b, ginv, ginv)
@@ -246,7 +243,7 @@ def test_shared_geometry_defect_matches_per_field_reference(case, route,
     grid = GridSpec.for_chart(chart, 8)
     one, two, corr = _reference_integrals(grid, chart, sigma, eta, route,
                                           corrected)
-    got = defect(grid, chart, sigma, eta, ACTION, ein_corrected=corrected)
+    got = defect(grid, chart, sigma, eta, ein_corrected=corrected)
     # roundoff of the integrals whose difference the defect is
     assert abs(got - abs(one - two - corr)) <= 1e-12 * (
         abs(one) + abs(two) + abs(corr))
@@ -268,7 +265,7 @@ def test_symmetry_defect_builds_one_geometry_per_chunk(defect, monkeypatch):
 
     monkeypatch.setattr(quadrature, "geometry_from_jets", counted)
     monkeypatch.setattr(charts, "_CHUNK", 128)
-    defect(grid, chart, sigma, eta, ACTION, ein_corrected=True)
+    defect(grid, chart, sigma, eta, ein_corrected=True)
     assert calls == [128] * 4
 
 
@@ -320,12 +317,12 @@ def test_symmetry_defects_one_pass_equal_the_single_routes(corrected):
     grid = GridSpec.for_chart(chart, 8)
     sigma = periodic_sym_field(3, 39, normal_vanish=2)
     eta = periodic_sym_field(3, 40, normal_vanish=2)
-    both = green_symmetry_defects(grid, chart, sigma, eta, ACTION,
+    both = green_symmetry_defects(grid, chart, sigma, eta,
                                   ein_corrected=corrected)
     assert both == (
-        green_einstein_sym_defect(grid, chart, sigma, eta, ACTION,
+        green_einstein_sym_defect(grid, chart, sigma, eta,
                                   ein_corrected=corrected),
-        dewitt_green_ric_defect(grid, chart, sigma, eta, ACTION,
+        dewitt_green_ric_defect(grid, chart, sigma, eta,
                                 ein_corrected=corrected))
 
 

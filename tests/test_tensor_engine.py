@@ -83,7 +83,7 @@ def test_interior_engine_matches_object_arrays(preset, d, order):
     for conn in (None, sample_connection):
         want = ref.dein_closed_jets(old, sig_old, ricci_action(), conn)
         _assert_matches(
-            linearize.dein_closed_jets(geom, sig, ricci_action(), conn),
+            linearize.dein_closed_jets(geom, sig, conn),
             want, _scale(want))
 
 

@@ -13,7 +13,10 @@ over the batch axes.  All antisymmetry bookkeeping happens once, in the
 table builders.  Integer tables keep one code path for both numeric
 backends: float64 arrays for field-level work, and object arrays of
 ``fractions.Fraction`` for exact identity checks (an integer table times a
-Fraction array stays exact).
+Fraction array stays exact).  The backend is read off the coefficients'
+dtype, never passed: the metric and the basis vectors are integer arrays,
+exact in both backends, and only ``random_bianchi`` takes ``rational``,
+which picks its sampler.
 """
 
 from __future__ import annotations
@@ -168,12 +171,6 @@ def _restrict_index(d: int, k: int, drop_axis: int) -> np.ndarray:
 # covector type
 
 
-def _zeros(shape, rational: bool):
-    if rational:
-        return np.full(shape, Fraction(0), dtype=object)
-    return np.zeros(shape)
-
-
 def _nck(d: int, k: int) -> int:
     return comb(d, k) if 0 <= k <= d else 0
 
@@ -201,8 +198,8 @@ class KmCovector:
         return self.coeffs.dtype == object
 
     @classmethod
-    def zero(cls, d: int, k: int, m: int, rational: bool = False) -> "KmCovector":
-        return cls(d, k, m, _zeros((_nck(d, k), _nck(d, m)), rational))
+    def zero(cls, d: int, k: int, m: int) -> "KmCovector":
+        return cls(d, k, m, np.zeros((_nck(d, k), _nck(d, m))))
 
     def __add__(self, other: "KmCovector") -> "KmCovector":
         self._check_like(other)
@@ -253,16 +250,14 @@ class FrameVector:
     components: np.ndarray  # shape (..., d)
 
     @classmethod
-    def basis(cls, d: int, axis: int, rational: bool = False) -> "FrameVector":
-        c = _zeros((d,), rational)
-        c[axis] = Fraction(1) if rational else 1.0
-        return cls(d, c)
+    def basis(cls, d: int, axis: int) -> "FrameVector":
+        return cls(d, np.eye(d, dtype=np.int64)[axis])
 
 
 def _zero_like(a: KmCovector, k: int, m: int) -> KmCovector:
     """The zero (k, m)-covector with the batch shape of ``a``."""
     shape = a.coeffs.shape[:-2] + (_nck(a.dim, k), _nck(a.dim, m))
-    return KmCovector(a.dim, k, m, _zeros(shape, a.rational))
+    return KmCovector(a.dim, k, m, np.zeros(shape, a.coeffs.dtype))
 
 
 def _apply(M: np.ndarray, a: KmCovector, k: int, m: int) -> KmCovector:
@@ -288,16 +283,16 @@ def basis_covector(d: int, I: tuple[int, ...], J: tuple[int, ...]
     return out
 
 
-def metric_covector(d: int, rational: bool = False) -> KmCovector:
-    """g = sum_j (theta^j)^2 as a (1,1)-covector."""
-    out = KmCovector.zero(d, 1, 1, rational)
-    np.fill_diagonal(out.coeffs, Fraction(1) if rational else 1.0)
-    return out
+def metric_covector(d: int) -> KmCovector:
+    """g = sum_j (theta^j)^2 as a (1,1)-covector, with integer
+    coefficients."""
+    return KmCovector(d, 1, 1, np.eye(d, dtype=np.int64))
 
 
-def sym_matrix_covector(mat: np.ndarray, rational: bool = False) -> KmCovector:
-    """(1,1)-covectors from d x d matrices, batched like ``mat``."""
-    coeffs = np.array(mat, dtype=object if rational else float)
+def sym_matrix_covector(mat: np.ndarray) -> KmCovector:
+    """(1,1)-covectors from d x d matrices, batched like ``mat``: a copy
+    in the matrices' own backend."""
+    coeffs = np.array(mat)
     return KmCovector(coeffs.shape[-1], 1, 1, coeffs)
 
 
@@ -363,17 +358,11 @@ def star_star_v(a: KmCovector) -> KmCovector:
     return hodge(hodge(a, "first"), "second")
 
 
-def trace(a: KmCovector, times: int = 1) -> KmCovector:
-    """Metric trace lowering both degrees by one, iterated ``times``."""
-    if times < 1:
-        raise ValueError("times must be >= 1")
-    cur = a
-    for _ in range(times):
-        if cur.k < 1 or cur.m < 1:
-            return _zero_like(cur, max(cur.k - 1, 0), max(cur.m - 1, 0))
-        cur = _apply(_trace_matrix(cur.dim, cur.k, cur.m), cur,
-                     cur.k - 1, cur.m - 1)
-    return cur
+def trace(a: KmCovector) -> KmCovector:
+    """Metric trace lowering both degrees by one."""
+    if a.k < 1 or a.m < 1:
+        return _zero_like(a, max(a.k - 1, 0), max(a.m - 1, 0))
+    return _apply(_trace_matrix(a.dim, a.k, a.m), a, a.k - 1, a.m - 1)
 
 
 def bianchi_sum(a: KmCovector) -> KmCovector:
@@ -389,9 +378,7 @@ def op_e(psi: KmCovector) -> KmCovector:
         raise ValueError("op_e expects a (2,2)-covector")
     t = trace(psi)
     tt = trace(t).scalar()
-    g = metric_covector(psi.dim, psi.rational)
-    half = Fraction(1, 2) if psi.rational else 0.5
-    return -t + (half * tt) * g
+    return -t + (tt / 2) * metric_covector(psi.dim)
 
 
 def op_c(sigma: KmCovector) -> KmCovector:
@@ -399,8 +386,7 @@ def op_c(sigma: KmCovector) -> KmCovector:
     if (sigma.k, sigma.m) != (1, 1):
         raise ValueError("op_c expects a (1,1)-covector")
     t = trace(sigma).scalar()
-    g = metric_covector(sigma.dim, sigma.rational)
-    return -sigma + t * g
+    return -sigma + t * metric_covector(sigma.dim)
 
 
 def op_c_inverse(tau: KmCovector) -> KmCovector:
@@ -411,10 +397,7 @@ def op_c_inverse(tau: KmCovector) -> KmCovector:
     if d < 2:
         raise ValueError("op_c is singular for d < 2")
     t = trace(tau).scalar()
-    g = metric_covector(d, tau.rational)
-    if tau.rational:
-        return -tau + (t * Fraction(1, d - 1)) * g
-    return -tau + (t / (d - 1)) * g
+    return -tau + (t / (d - 1)) * metric_covector(d)
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +465,14 @@ def random_bianchi(rng: np.random.Generator, d: int, k: int, m: int,
         for i in range(d):
             for j in range(i, d):
                 mat[i, j] = mat[j, i] = Fraction(int(rng.integers(-9, 10)), 4)
-        return sym_matrix_covector(mat, rational=True)
-    out = KmCovector.zero(d, k, m, rational=True)
+        return sym_matrix_covector(mat)
+    out = KmCovector(d, k, m, np.zeros((comb(d, k), comb(d, m)), dtype=object))
     for _ in range(bianchi_dim(d, k, m)):
-        factor = KmCovector.zero(d, 0, 0, rational=True)
-        factor.coeffs[0, 0] = Fraction(1)
+        factor = KmCovector(d, 0, 0, np.ones((1, 1), dtype=np.int64))
         for _ in range(k):
-            omega = KmCovector.zero(d, 1, 0, rational=True)
-            for i in range(d):
-                omega.coeffs[i, 0] = Fraction(int(rng.integers(-5, 6)), 2)
-            factor = wedge(factor, omega)
+            omega = np.array([[Fraction(int(rng.integers(-5, 6)), 2)]
+                              for _ in range(d)], dtype=object)
+            factor = wedge(factor, KmCovector(d, 1, 0, omega))
         out = out + wedge(factor, transpose(factor))
     return out
 
@@ -500,12 +481,11 @@ def random_bianchi(rng: np.random.Generator, d: int, k: int, m: int,
 # duality identities and the Schouten/Weyl split
 
 
-def _metric_power(d: int, n: int, rational: bool) -> KmCovector:
-    out = KmCovector.zero(d, 0, 0, rational)
-    out.coeffs[0, 0] = Fraction(1) if rational else 1.0
-    g = metric_covector(d, rational)
+def _metric_power(d: int, n: int) -> KmCovector:
+    """g^n, wedged n times, with integer coefficients (g^0 = 1)."""
+    out = KmCovector(d, 0, 0, np.ones((1, 1), dtype=np.int64))
     for _ in range(n):
-        out = wedge(out, g)
+        out = wedge(out, metric_covector(d))
     return out
 
 
@@ -525,25 +505,25 @@ def duality_residuals(psi: KmCovector,
         raise ValueError("first identity needs d >= 3")
     _require_bianchi(psi, 1e-9, "psi")
     _require_bianchi(sigma, 1e-9, "sigma")
-    rat = psi.rational
-    lhs1 = star_star_v(wedge(_metric_power(d, d - 3, rat), psi))
+    lhs1 = star_star_v(wedge(_metric_power(d, d - 3), psi))
     rhs1 = factorial(d - 3) * op_e(psi)
-    rat2 = sigma.rational
-    lhs2 = star_star_v(wedge(_metric_power(d, d - 2, rat2), sigma))
+    lhs2 = star_star_v(wedge(_metric_power(d, d - 2), sigma))
     rhs2 = factorial(d - 2) * op_c(sigma)
     return (lhs1 - rhs1).norm_inf(), (lhs2 - rhs2).norm_inf()
 
 
-def schouten_weyl_split(rm: KmCovector, tol: float = 1e-9):
+def schouten_weyl_split(rm: KmCovector):
     """Split a Bianchi (2,2)-covector as rm = -g wedge P + Wey, tr Wey = 0.
 
     Returns (schouten, weyl) where schouten is the (1,1) component P.  For
-    d <= 3 the Weyl part is identically zero.
+    d <= 3 the Weyl part is identically zero.  Raises ``ValueError``
+    unless rm is Bianchi to 1e-6 (see ``_require_bianchi``), the
+    roundoff of a curvature built from metric jets.
     """
     if (rm.k, rm.m) != (2, 2):
         raise ValueError("expected a (2,2)-covector")
     d = rm.dim
-    _require_bianchi(rm, tol, "rm")
+    _require_bianchi(rm, 1e-6, "rm")
     ein = op_e(rm)
     if rm.rational:
         p = op_c_inverse(ein) * Fraction(-1, d - 2)
@@ -551,7 +531,7 @@ def schouten_weyl_split(rm: KmCovector, tol: float = 1e-9):
         p = op_c_inverse(ein) * (-1.0 / (d - 2))
     if d <= 3:
         return p, _zero_like(rm, 2, 2)
-    return p, rm + wedge(metric_covector(d, rm.rational), p)
+    return p, rm + wedge(metric_covector(d), p)
 
 
 def restrict_covector(a: KmCovector, drop_axis: int) -> KmCovector:

@@ -135,18 +135,19 @@ def collar_metric_jets(collar: CollarChart, y, order: int):
 
 
 # Largest |Taylor coefficient| of |grad r|^2_g - 1 accepted from the
-# eikonal Newton solve.
+# eikonal Newton solve, and its number of steps.
 _EIKONAL_TOL = 1e-12
+_NEWTON_STEPS = 12
 
 
-def distance_jet(geom: Geometry, newton_steps: int = 12) -> Jet:
+def distance_jet(geom: Geometry) -> Jet:
     """Jet of the boundary-distance function at face points.
 
     Solves |grad r|^2_g = 1 with r = 0 on the face for the Taylor
     coefficients of r with nonzero normal exponent.  The system is square
     order by order; a Newton iteration on the full coefficient vector
     converges quadratically from r = x^d.  Raises RuntimeError if the
-    residual is not below ``_EIKONAL_TOL`` after ``newton_steps`` steps.
+    residual is not below ``_EIKONAL_TOL`` after ``_NEWTON_STEPS`` steps.
     """
     d, p = geom.dim, geom.order
     exps = _exponents(d, p)
@@ -163,16 +164,16 @@ def distance_jet(geom: Geometry, newton_steps: int = 12) -> Jet:
     # the Newton basis e_u is a batch axis after the points
     basis = Jet(d, p, np.eye(len(exps))[unknowns]).grad()
 
-    for step in range(newton_steps + 1):
+    for step in range(_NEWTON_STEPS + 1):
         dr = r.grad()
         n_low = contract("ij,i->j", geom.ginv, dr)  # g^{ij} d_i r
         res = contract("j,j->", n_low, dr) - 1.0
         err = float(np.max(np.abs(res.c)))
         if err < _EIKONAL_TOL:
             return r
-        if step == newton_steps:
+        if step == _NEWTON_STEPS:
             raise RuntimeError(
-                f"eikonal Newton solve did not converge in {newton_steps} "
+                f"eikonal Newton solve did not converge in {_NEWTON_STEPS} "
                 f"steps: residual {err:.3e} >= tol {_EIKONAL_TOL:.1e}")
         # J[:, u] = 2 sum g^{ij} d_i r d_j e_u
         J = 2.0 * np.swapaxes(
@@ -252,14 +253,30 @@ def boundary_divergence(bgeom: Geometry, S: Jet) -> Jet:
     return -contract("kb,kba->a", bgeom.ginv, nabla(bgeom, S))
 
 
+def _boundary_data(geom: Geometry):
+    """The normal-field chain of face-adapted jets, r -> n -> Hess r ->
+    nabla_n Hess r, and the values (A, H, nabla_n A) in boundary
+    coordinates: the tangential blocks and H = tr_{g_bnd} A.
+
+    Returns (rjet, nvec, hess, dn_hess, (A, H, nabla_n A)).
+    """
+    d = geom.dim
+    rjet, nvec = normal_field(geom)
+    hess = distance_hessian(geom, rjet)
+    dn = normal_derivative(geom, nvec, hess)
+    gb = geom.g.value[..., : d - 1, : d - 1]
+    avals = hess.value[..., : d - 1, : d - 1]
+    hmean = np.einsum("...ab,...ab->...", np.linalg.inv(gb), avals)
+    mvals = dn.value[..., : d - 1, : d - 1]
+    return rjet, nvec, hess, dn, (avals, hmean, mvals)
+
+
 def boundary_state(collar: CollarChart, y) -> BoundaryState:
     d = collar.dim
     # order-4 metric jets: nabla_n A, the deepest field read, has order 1
     g = collar_metric_jets(collar, y, 4)
     geom = geometry_from_jets(g)
-    rjet, nvec = normal_field(geom)
-    hess = distance_hessian(geom, rjet)
-    dn_a = normal_derivative(geom, nvec, hess)
+    rjet, nvec, hess, dn_a, (ab, hmean, mb) = _boundary_data(geom)
     # intrinsic boundary geometry from the lateral restriction of g_ab
     bgeom = geometry_from_jets(face_restriction(g))
     a_lat = face_restriction(hess)
@@ -267,9 +284,6 @@ def boundary_state(collar: CollarChart, y) -> BoundaryState:
     # plain-value views
     gvals, nvals, avals, mvals = g.value, nvec.value, hess.value, dn_a.value
     gb = gvals[..., : d - 1, : d - 1]
-    ab = avals[..., : d - 1, : d - 1]
-    mb = mvals[..., : d - 1, : d - 1]
-    hmean = np.einsum("...ab,...ab->...", np.linalg.inv(gb), ab)
 
     # adapted orthonormal tangent frame (rows), ambient components
     lb = orthonormal_frame(gb)
@@ -438,7 +452,7 @@ def weyl_constraint_residual_at(collar: CollarChart, y):
             drop_axis=d - 1).sym_matrix()
 
     rm = rm_covector(riem, frame_rows)
-    p, wey = schouten_weyl_split(rm, tol=1e-6)
+    p, wey = schouten_weyl_split(rm)
     a_cov = sym_matrix_covector(a_f)
     eaa = op_e(wedge(a_cov, a_cov)).sym_matrix()
     schouten_term = -(d - 3) * p.sym_matrix()[..., d - 1, d - 1, None, None] \

@@ -579,7 +579,7 @@ def _continuum_source(n: int, chart: MetricChart, seed: int) -> np.ndarray:
     d = chart.dim
     coarse = _cell_centers(_CONTINUUM_NODES)
     tvals = dein_closed(chart, _mesh([coarse] * (d - 1) + [_cell_centers(n)]),
-                        _continuum_potential(d, seed), order=2)
+                        _continuum_potential(d, seed))
     tvals = tvals.reshape((_CONTINUUM_NODES,) * (d - 1) + (n, d, d))
     interp = (1.0 + 2.0 * np.cos(2 * np.pi * (_cell_centers(n)[:, None]
                                               - coarse))) / _CONTINUUM_NODES
@@ -607,15 +607,14 @@ def _continuum_potential(d: int, seed: int):
         factors[d - 1] = poly_coeffs(x[..., -1], cut3, order)
         return sym_from_upper(separable(d, order, factors), d)
 
-    return Perturbation(fn, d, 3)
+    return Perturbation(fn, d)
 
 
-def _face_max(values: np.ndarray, n: int, d: int,
-              faces=(0, 1)) -> float:
+def _face_max(values: np.ndarray, n: int, d: int) -> float:
     """Largest face-extrapolated magnitude of a stacked component vector
-    on the n^d grid, over every component and the given faces."""
+    on the n^d grid, over every component and both faces."""
     return max(float(np.abs(_along(_face_extrapolation_1d(n, face), values,
-                                   d - 1, d)).max()) for face in faces)
+                                   d - 1, d)).max()) for face in (0, 1))
 
 
 # ---------------------------------------------------------------------------

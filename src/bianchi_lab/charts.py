@@ -252,11 +252,13 @@ def _by_chunks(fn, x) -> list:
     return [np.concatenate(arrays) for arrays in zip(*parts)]
 
 
-def sample_points(chart: MetricChart, n: int, rng: np.random.Generator,
-                  margin: float = 0.05) -> np.ndarray:
+def sample_points(chart: MetricChart, n: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """n uniform points of the chart's box, 5% of each side in from its
+    ends."""
     pts = np.empty((n, chart.dim))
     for a, (lo, hi) in enumerate(chart.domain):
-        pad = (hi - lo) * margin
+        pad = (hi - lo) * 0.05
         pts[:, a] = rng.uniform(lo + pad, hi - pad, size=n)
     return pts
 
@@ -311,9 +313,9 @@ def geometry_from_jets(g: Jet, curvature: bool = True) -> Geometry:
     return geom
 
 
-def chart_geometry(chart: MetricChart, x, order: int = 4,
-                   curvature: bool = True) -> Geometry:
-    return geometry_from_jets(chart.metric_jets(x, order), curvature)
+def chart_geometry(chart: MetricChart, x, order: int = 4) -> Geometry:
+    """The geometry, curvature included, of the chart's metric jets."""
+    return geometry_from_jets(chart.metric_jets(x, order))
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +412,13 @@ def _pair(a: np.ndarray, b: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.einsum("...kl,...kl->...", M, b)
 
 
-def dewitt_inner(sigma: np.ndarray, eta: np.ndarray, gvals: np.ndarray):
-    """Pointwise DeWitt pairing <sigma,eta> - (tr sigma)(tr eta)/2 on values.
+def dewitt_inner(sigma: np.ndarray, eta: np.ndarray, ginv: np.ndarray):
+    """Pointwise DeWitt pairing <sigma,eta> - (tr sigma)(tr eta)/2 on values,
+    through the inverse metric values ``ginv``.
 
     <sigma, eta> is averaged over the order of its arguments, so that the
     pairing is symmetric in sigma and eta to the last bit.
     """
-    ginv = np.linalg.inv(gvals)
     full = 0.5 * (_pair(sigma, eta, ginv) + _pair(eta, sigma, ginv))
     tr_s = np.einsum("...ij,...ij->...", ginv, sigma)
     tr_e = np.einsum("...ij,...ij->...", ginv, eta)

@@ -21,9 +21,6 @@ MANIFEST_SCHEMA = {
     "properties": {
         "suite": {"enum": ["algebra", "calculus", "boundary",
                            "linearization", "green", "bvp", "all"]},
-        "preset": {"enum": ["flat_cartesian", "flat_slab_periodic",
-                            "polar_ball", "conformal_bump",
-                            "curved_generic"]},
         "dim": {"type": "integer", "minimum": 3, "maximum": 6},
         "dims": {"type": "array", "items": {"type": "integer",
                                             "minimum": 3, "maximum": 6}},
@@ -46,15 +43,15 @@ MANIFEST_SCHEMA = {
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: The keys each command reads, ``verify`` with those of its suite in
-#: ``verify._SUITE_KEYS``; a run that sets any other key is refused.
+#: ``verify._SUITE_KEYS``: a run that sets any other key is refused, and a
+#: report's ``meta`` records each of them but ``out`` and ``format``.
 _KEYS_READ = {"verify": ("seed", "serial", "out", "format", "suite"),
-              "solve": ("seed", "serial", "out", "format", "preset", "dim",
-                        "grid", "source", "study")}
+              "solve": ("seed", "serial", "out", "format", "dim", "grid",
+                        "source", "study")}
 
 #: The keys with a default value; the readers of the others use cfg.get.
 DEFAULTS = {
     "suite": "all",
-    "preset": "flat_slab_periodic",
     "dim": 3,
     "seed": 1,
     "serial": False,
@@ -76,7 +73,7 @@ def _merged_config(args) -> dict:
     ``ValueError`` when they set a key that the run does not read."""
     cfg = dict(DEFAULTS)
     given = _load_manifest(args.manifest) if args.manifest else {}
-    for key in ("suite", "preset", "dim", "seed", "source", "out", "format"):
+    for key in ("suite", "dim", "seed", "source", "out", "format"):
         if getattr(args, key, None) is not None:
             given[key] = getattr(args, key)
     if getattr(args, "grid", None):
@@ -88,16 +85,23 @@ def _merged_config(args) -> dict:
     one_cpu = cfg["serial"] and _one_cpu()
     cfg["serial"], cfg["threads"] = _pin_threads(cfg["serial"])
     cfg["serial"] = cfg["serial"] and one_cpu
-    reads = set(_KEYS_READ[args.command])
-    if args.command == "verify":
-        from .verify import _SUITE_KEYS  # after _pin_threads: loads numpy
-
-        suites = _SUITE_KEYS if cfg["suite"] == "all" else [cfg["suite"]]
-        reads.update(*(_SUITE_KEYS[name] for name in suites))
-    unread = sorted(set(given) - reads)
+    unread = sorted(set(given) - _keys_read(args.command, cfg["suite"]))
     if unread:
         raise ValueError(f"this {args.command} run reads none of {unread}")
     return cfg
+
+
+def _keys_read(command: str, suite: str) -> set:
+    """The keys that a run of ``command`` reads; ``suite`` is read by
+    verify only.  Call after ``_pin_threads``: verify's table loads
+    numpy."""
+    reads = set(_KEYS_READ[command])
+    if command == "verify":
+        from .verify import _SUITE_KEYS
+
+        suites = _SUITE_KEYS if suite == "all" else [suite]
+        reads.update(*(_SUITE_KEYS[name] for name in suites))
+    return reads
 
 
 def _one_cpu() -> bool:
@@ -129,7 +133,11 @@ def _pin_threads(serial: bool) -> tuple:
     return serial and all(v == "1" for v in found.values()), found
 
 
-def _report(cfg: dict, cases: list, extra_meta: dict | None = None) -> dict:
+def _report(cfg: dict, cases: list, extra_meta: dict) -> dict:
+    """The report of a run: its cases, their summary, and a ``meta`` that
+    records the settings the run read (None where the run's own default
+    applies), the versions, threads and conventions hash, then
+    ``extra_meta``, which names the command."""
     from . import __version__
     from .conventions import load_conventions
 
@@ -138,12 +146,11 @@ def _report(cfg: dict, cases: list, extra_meta: dict | None = None) -> dict:
 
     from .charts import _chunk_workers
 
-    meta = {
+    settings = _keys_read(extra_meta["command"], cfg["suite"])
+    meta = {key: cfg.get(key) for key in settings - {"out", "format"}}
+    meta.update({
         "tool": "bianchi-lab",
         "version": __version__,
-        "seed": cfg["seed"],
-        "dim": cfg["dim"],
-        "grid": cfg.get("grid"),
         "serial": bool(cfg.get("serial")),
         "conventions_hash": load_conventions()["hash"],
         "python": platform.python_version(),
@@ -153,9 +160,8 @@ def _report(cfg: dict, cases: list, extra_meta: dict | None = None) -> dict:
         "cpu_count": os.cpu_count(),
         "threads": cfg["threads"],
         "chunk_workers": _chunk_workers(),
-    }
-    if extra_meta:
-        meta.update(extra_meta)
+    })
+    meta.update(extra_meta)
     summary = {
         "total": len(cases),
         "passed": sum(1 for c in cases if c["pass"]),
@@ -197,8 +203,7 @@ def cmd_verify(args) -> int:
     from .verify import run_suite
 
     cases = run_suite(cfg["suite"], cfg)
-    report = _report(cfg, cases, {"command": "verify",
-                                  "suite": cfg["suite"]})
+    report = _report(cfg, cases, {"command": "verify"})
     _print_case_lines(cases)
     _emit(report, cfg)
     return 0 if report["summary"]["failed"] == 0 else 1
@@ -206,11 +211,6 @@ def cmd_verify(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _merged_config(args)
-    if cfg["preset"] != "flat_slab_periodic":
-        print("the solvability experiment runs on the flat periodic slab "
-              "only; other backgrounds would need the lifted operators",
-              file=sys.stderr)
-        return 2
     grid = cfg.get("grid") or [16]
     from .verify import slab_solve_cases, slab_unchecked_reason
 
@@ -223,7 +223,7 @@ def cmd_solve(args) -> int:
     from .bvp import cohomology_probe, lateral_block_svals, spectral_gap
     from .charts import make_chart
 
-    chart = make_chart(cfg["preset"], cfg["dim"])
+    chart = make_chart("flat_slab_periodic", cfg["dim"])
     kinds = ([cfg["source"]] if cfg.get("source") else
              ["discrete-admissible", "continuum-admissible",
               "inadmissible-divergence", "inadmissible-boundary"])
@@ -236,7 +236,6 @@ def cmd_solve(args) -> int:
     probe = cohomology_probe(n0, chart)
     meta = {
         "command": "solve",
-        "preset": cfg["preset"],
         "sigma_min": float(spec[0]),
         "kernel_dim": int(nkernel),
         "gap_beyond_kernel": float(gap),
@@ -305,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="run the slab solvability experiment")
     ps.add_argument("--source", choices=list(
         MANIFEST_SCHEMA["properties"]["source"]["enum"]))
-    ps.add_argument("--preset", choices=list(
-        MANIFEST_SCHEMA["properties"]["preset"]["enum"]))
     ps.add_argument("--study", action="store_true",
                     help="append convergence studies")
     common(ps)

@@ -99,7 +99,7 @@ def compute_conventions() -> dict:
     charts = [make_chart("conformal_bump", 3, amp=0.12),
               make_chart("curved_generic", 3, seed=3),
               make_chart("curved_generic", 4, seed=5)]
-    (a, b), ric_defect = fit_ricci_action(charts, npts=4)
+    (a, b), ric_defect = fit_ricci_action(charts)
     constraints, con_defect = compute_constraint_constants()
     data = {
         "version": 1,

@@ -16,9 +16,9 @@ import numpy as np
 
 from .boundary import (
     CollarChart,
+    _boundary_data,
     boundary_divergence,
     collar_metric_jets,
-    distance_hessian,
     face_adapted_jets,
     face_restriction,
     normal_derivative,
@@ -72,16 +72,11 @@ __all__ = [
 
 @dataclass
 class Perturbation:
-    """A jet-evaluable symmetric 2-tensor field on a chart.
-
-    ``fn(x, order)`` returns the (d, d) tensor jet;
-    ``boundary_order`` records the intended vanishing order at the collar
-    face (0 = none), verified by tests through normal-jet sampling.
-    """
+    """A jet-evaluable symmetric 2-tensor field on a chart:
+    ``fn(x, order)`` returns the (d, d) tensor jet."""
 
     fn: object
     dim: int
-    boundary_order: int = 0
 
     def __call__(self, x, order: int):
         sig = self.fn(np.asarray(x, dtype=float), order)
@@ -90,8 +85,8 @@ class Perturbation:
         return sig
 
 
-def trig_poly_sym_field(dim: int, seed: int, boundary_order: int = 0,
-                        amp: float = 1.0) -> Perturbation:
+def trig_poly_sym_field(dim: int, seed: int,
+                        boundary_order: int = 0) -> Perturbation:
     """Random lateral trig polynomial (each axis at frequency 0 or 1) times
     a normal-axis factor.
 
@@ -100,7 +95,7 @@ def trig_poly_sym_field(dim: int, seed: int, boundary_order: int = 0,
     """
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal((dim, dim))
-    coef = 0.5 * (coef + coef.T) * amp
+    coef = 0.5 * (coef + coef.T)
     ks = rng.integers(0, 2, size=(dim, dim, dim - 1))
     ks = np.minimum(ks, np.transpose(ks, (1, 0, 2)))
     phases = rng.uniform(0, 2 * np.pi, size=(dim, dim, dim - 1))
@@ -124,7 +119,7 @@ def trig_poly_sym_field(dim: int, seed: int, boundary_order: int = 0,
         factors[dim - 1] = poly_coeffs(x[..., -1], normal, order)
         return sym_from_upper(separable(dim, order, factors), dim)
 
-    return Perturbation(fn, dim, boundary_order)
+    return Perturbation(fn, dim)
 
 
 def jet_surgery_pair(base: Perturbation, x0):
@@ -145,7 +140,7 @@ def jet_surgery_pair(base: Perturbation, x0):
         return base.fn(x, order) + contract(
             "ijab,ab->ij", Jet.const(dim, order, c2), quad)
 
-    return base, Perturbation(fn2, dim, base.boundary_order)
+    return base, Perturbation(fn2, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -226,48 +221,46 @@ def dein_fd(chart: MetricChart, x, sigma, eps: float = 1e-3) -> np.ndarray:
     return (gp.ein.value - gm.ein.value) / (2 * eps)
 
 
-def dein_closed_jets(geom: Geometry, sig: Jet, conn=None) -> Jet:
+def dein_closed_jets(geom: Geometry, sig: Jet) -> Jet:
     """Covariant linearized Einstein operator via trace reversal.
 
-    dEin sigma = B(dRic sigma) + <sigma, Ric> g / 2 - Sc sigma / 2
-    plus the tensorial connection term conn(Ein, sigma) when given.
+    dEin sigma = B(dRic sigma) + <sigma, Ric> g / 2 - Sc sigma / 2.
     """
     dric = dric_closed_jets(geom, sig)
     low = sig.truncate(dric.order)
     pairing = contract("kl,kl->", _raise_both(geom, low), geom.ric)
-    out = (bianchi_b(geom, dric) + 0.5 * contract(",ij->ij", pairing, geom.g)
-           - 0.5 * contract(",ij->ij", geom.sc, low))
-    if conn is not None:
-        corr = conn(geom.ein.value, sig.value, geom.g.value)
-        out = out + Jet.const(geom.dim, out.order, corr)
-    return out
+    return (bianchi_b(geom, dric) + 0.5 * contract(",ij->ij", pairing, geom.g)
+            - 0.5 * contract(",ij->ij", geom.sc, low))
 
 
-def dein_closed(chart: MetricChart, x, sigma, conn=None,
-                order: int = 3) -> np.ndarray:
-    """Closed-form dEin values at the points x (batched by chunks)."""
+def dein_closed(chart: MetricChart, x, sigma) -> np.ndarray:
+    """Closed-form dEin values at the points x (batched by chunks), from
+    order-2 jets: dEin is second order, so these values are exact."""
     def values(xc):
-        geom = geometry_from_jets(chart.metric_jets(xc, order))
-        return (dein_closed_jets(geom, sigma(xc, order), conn).value,)
+        geom = geometry_from_jets(chart.metric_jets(xc, 2))
+        return (dein_closed_jets(geom, sigma(xc, 2)).value,)
 
     return _by_chunks(values, np.asarray(x, dtype=float))[0]
 
 
 def sample_connection(t_vals: np.ndarray, sigma_vals: np.ndarray,
-                      gvals: np.ndarray) -> np.ndarray:
-    """Fiberwise symmetric product (T o sigma + sigma o T) / 2."""
-    ginv = np.linalg.inv(gvals)
+                      ginv: np.ndarray) -> np.ndarray:
+    """Fiberwise symmetric product (T o sigma + sigma o T) / 2, contracted
+    through the inverse metric values ``ginv``."""
     prod1 = np.einsum("...ik,...kl,...lj->...ij", t_vals, ginv, sigma_vals)
     prod2 = np.einsum("...ik,...kl,...lj->...ij", sigma_vals, ginv, t_vals)
     return 0.5 * (prod1 + prod2)
 
 
-def gamma_tilde_at(chart: MetricChart, x, sigma, conn=None) -> np.ndarray:
+def gamma_tilde_at(chart: MetricChart, x, sigma) -> np.ndarray:
     """Tensorial correction B^{-1}(dEin + conn term) - dRic, as values,
-    from order-3 jets."""
+    from order-3 jets; the connection term is ``sample_connection`` of
+    (Ein, sigma)."""
     geom = geometry_from_jets(chart.metric_jets(x, 3))
     sig = sigma(x, 3)
-    dein = dein_closed_jets(geom, sig, conn)
+    dein = dein_closed_jets(geom, sig)
+    conn = sample_connection(geom.ein.value, sig.value, geom.ginv.value)
+    dein = dein + Jet.const(geom.dim, dein.order, conn)
     dric = dric_closed_jets(geom, sig)
     return (bianchi_b_inverse(geom, dein) - dric).value
 
@@ -286,25 +279,12 @@ def dboundary_data_fd(collar: CollarChart, y, sigma, eps: float = 1e-3):
     sig = face_adapted_jets(collar, y, sigma, 4)
 
     def perturbed_data(t):
-        return _boundary_data_from_geom(
-            geometry_from_jets(g + t * sig, curvature=False))
+        return _boundary_data(
+            geometry_from_jets(g + t * sig, curvature=False))[-1]
 
     ap, hp, mp = perturbed_data(+eps)
     am, hm, mm = perturbed_data(-eps)
     return ((ap - am) / (2 * eps), (hp - hm) / (2 * eps), (mp - mm) / (2 * eps))
-
-
-def _boundary_data_from_geom(geom: Geometry):
-    """(A, H, nabla_n A) in boundary coordinates from face-adapted jets."""
-    d = geom.dim
-    rjet, nvec = normal_field(geom)
-    hess = distance_hessian(geom, rjet)
-    dn = normal_derivative(geom, nvec, hess)
-    avals = hess.value[..., : d - 1, : d - 1]
-    gb = geom.g.value[..., : d - 1, : d - 1]
-    hmean = np.einsum("...ab,...ab->...", np.linalg.inv(gb), avals)
-    mvals = dn.value[..., : d - 1, : d - 1]
-    return avals, hmean, mvals
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +380,9 @@ def normal_identity_residuals(collar: CollarChart, y, sigma):
 # convention pinning and convergence helpers
 
 
-def fit_ricci_action(charts, npts: int = 6):
-    """Grid-search the curvature-action coefficients against the FD oracle.
+def fit_ricci_action(charts):
+    """Grid-search the curvature-action coefficients against the FD oracle,
+    at 4 random points per chart.
 
     Richardson extrapolation of the central difference gives an oracle with
     error well below the separation between grid candidates.  Returns
@@ -413,7 +394,7 @@ def fit_ricci_action(charts, npts: int = 6):
     cases = []
     for chart in charts:
         x = np.stack([rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo),
-                                  size=npts)
+                                  size=4)
                       for lo, hi in chart.domain], axis=-1)
         sigma = trig_poly_sym_field(chart.dim, seed + chart.dim)
         eps = 1e-3

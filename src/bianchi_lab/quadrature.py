@@ -163,7 +163,7 @@ def periodic_sym_field(dim: int, seed: int, normal_vanish: int = 0):
         return sym_from_upper(_trig_terms(x, order, coef, ks, ph,
                                           normal_vanish), dim)
 
-    return Perturbation(fn, dim, normal_vanish)
+    return Perturbation(fn, dim)
 
 
 def periodic_vector_field(dim: int, seed: int, normal_vanish: int = 0):
@@ -209,7 +209,7 @@ def box_bump_sym_field(chart: MetricChart, seed: int):
             poly = poly + ts[a][..., None] * lin[:, a]
         return sym_from_upper(contract(",i->i", bump, poly), dim)
 
-    return Perturbation(fn, dim, 2)
+    return Perturbation(fn, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +221,15 @@ def _volume_density(gvals: np.ndarray) -> np.ndarray:
 
 
 def _face_geometry(chart: MetricChart, grid: GridSpec, face: int):
-    """Face nodes with metric values, inward unit normal, boundary density."""
+    """Face nodes with metric values and their inverses, inward unit
+    normal, boundary density."""
     x = face_nodes(grid, face)
     gvals = chart.metric_jets(x, 0).value
     ginv = np.linalg.inv(gvals)
     sign = 1.0 if face == 0 else -1.0
     nvec = sign * ginv[..., :, -1] / np.sqrt(ginv[..., -1, -1])[..., None]
     dens = np.sqrt(np.linalg.det(gvals[..., : -1, : -1]))
-    return x, gvals, nvec, dens
+    return x, gvals, ginv, nvec, dens
 
 
 def green_killing_defect(grid: GridSpec, chart: MetricChart, x_field,
@@ -251,7 +252,8 @@ def green_killing_defect(grid: GridSpec, chart: MetricChart, x_field,
         X, sig = x_field(x, 1), sigma(x, 1)
         gvals = geom.g.value
         dens = _volume_density(gvals)
-        lhs = dewitt_inner(killing(geom, X).value, sig.value, gvals)
+        lhs = dewitt_inner(killing(geom, X).value, sig.value,
+                           geom.ginv.value)
         dbs = divergence(geom, bianchi_b(geom, sig)).value
         bulk = np.einsum("...i,...j,...ij->...", X.value, dbs, gvals)
         return lhs * dens, bulk * dens
@@ -261,9 +263,8 @@ def green_killing_defect(grid: GridSpec, chart: MetricChart, x_field,
 
     flux = 0.0
     for face in (0, 1):
-        xf, gf, nvec, fdens = _face_geometry(chart, grid, face)
+        xf, gf, ginv_f, nvec, fdens = _face_geometry(chart, grid, face)
         sigf = sigma(xf, 1).value
-        ginv_f = np.linalg.inv(gf)
         tr = np.einsum("...ij,...ij->...", ginv_f, sigf)
         bsig = sigf - 0.5 * tr[..., None, None] * gf
         xvf = x_field(xf, 1).value
@@ -347,8 +348,8 @@ def _dewitt_pairs(gv, ginv, sv, de_s, ev, de_e):
     def ric_route(de):  # B^{-1} dEin
         return de - (_trace(de, ginv) / (d - 2))[..., None, None] * gv
 
-    return (dewitt_inner(ric_route(de_s), ev, gv),
-            dewitt_inner(sv, ric_route(de_e), gv))
+    return (dewitt_inner(ric_route(de_s), ev, ginv),
+            dewitt_inner(sv, ric_route(de_e), ginv))
 
 
 def green_einstein_sym_defect(grid: GridSpec, chart: MetricChart, sigma, eta,

@@ -34,7 +34,6 @@ from .linearize import (
     jet_surgery_pair,
     normal_identity_residuals,
     richardson_slope,
-    sample_connection,
     trig_poly_sym_field,
 )
 from .jets import poly_coeffs, separable, sin_coeffs, stack
@@ -150,7 +149,7 @@ def suite_calculus(cfg) -> list:
             worst_e = np.max(np.abs(alg.op_e(rm).sym_matrix() - ein_f)
                              .max(axis=(-2, -1)) / scale)
             if d >= 4:
-                p, wey = alg.schouten_weyl_split(rm, tol=1e-6)
+                p, wey = alg.schouten_weyl_split(rm)
                 recon = -1.0 * alg.wedge(alg.metric_covector(d), p) + wey
                 worst_w = np.max(np.maximum((recon - rm).norm_inf(),
                                             alg.trace(wey).norm_inf()) / scale)
@@ -267,8 +266,8 @@ def suite_linearization(cfg) -> list:
 
     base = trig_poly_sym_field(3, cfg["seed"] + 2)
     s1, s2 = jet_surgery_pair(base, pts[0])
-    g1 = gamma_tilde_at(chart, pts[0:1], s1, conn=sample_connection)
-    g2 = gamma_tilde_at(chart, pts[0:1], s2, conn=sample_connection)
+    g1 = gamma_tilde_at(chart, pts[0:1], s1)
+    g2 = gamma_tilde_at(chart, pts[0:1], s2)
     cases.append(_case("covariant-correction-tensoriality",
                        float(np.abs(g1 - g2).max()), 1e-7,
                        "covariant-correction.tensorial"))
@@ -289,7 +288,7 @@ def suite_linearization(cfg) -> list:
     # at order two the first normal trace is -div(T^tan), not zero: for
     # sigma = x_d^2 sin(2 pi x_1) dx_0^2 it is (0, -2 pi cos 2 pi x_1, 0)
     _, r2, _ = normal_identity_residuals(
-        collar, y, Perturbation(_lateral_wave, 3, 2))
+        collar, y, Perturbation(_lateral_wave, 3))
     closed = 2 * np.pi * float(np.abs(np.cos(2 * np.pi * y[:, 1])).max())
     cases.append(_case("normal-trace-first-order2", abs(r2 - closed), 1e-6,
                        "normal-trace.first"))

@@ -487,7 +487,7 @@ def continuum_source_full_grid(n: int, d: int, seed: int):
     the n^d grid, and the divergence and face rows of the copies above."""
     chart = make_chart("flat_slab_periodic", d)
     tvals = dein_closed(chart, bvp.slab_nodes(n, d),
-                        bvp._continuum_potential(d, seed), order=2)
+                        bvp._continuum_potential(d, seed))
     values = np.concatenate([tvals[:, i, j] for i in range(d)
                              for j in range(i, d)])
     P, E_faces = grid_stencils(n, d)
@@ -865,20 +865,6 @@ def geometry_from_jets(g: np.ndarray, curvature: bool = True) -> Geometry:
     return geom
 
 
-def tensor_values(T: np.ndarray) -> np.ndarray:
-    """Object array of Jets -> float array with tensor axes trailing."""
-    flat = T.reshape(-1)
-    vals = [np.asarray(j.value) for j in flat]
-    shape = np.broadcast_shapes(*[v.shape for v in vals])
-    out = np.empty(shape + T.shape)
-    for idx, j in np.ndenumerate(T):
-        out[(...,) + idx] = np.broadcast_to(np.asarray(j.value), shape)
-    return out
-
-
-sym_values = tensor_values
-
-
 def nabla(geom: Geometry, T: np.ndarray, order_drop: int = 1) -> np.ndarray:
     """Covariant derivative of a (0, r) tensor of jets.
 
@@ -1152,12 +1138,11 @@ def dric_closed_jets(geom: Geometry, sig: np.ndarray, action) -> np.ndarray:
     return out
 
 
-def dein_closed_jets(geom: Geometry, sig: np.ndarray, action,
-                     conn=None) -> np.ndarray:
+def dein_closed_jets(geom: Geometry, sig: np.ndarray,
+                     action) -> np.ndarray:
     """Covariant linearized Einstein operator via trace reversal.
 
-    dEin sigma = B(dRic sigma) + <sigma, Ric> g / 2 - Sc sigma / 2
-    plus the tensorial connection term conn(Ein, sigma) when given.
+    dEin sigma = B(dRic sigma) + <sigma, Ric> g / 2 - Sc sigma / 2.
     """
     d = geom.dim
     dric = dric_closed_jets(geom, sig, action)
@@ -1182,14 +1167,6 @@ def dein_closed_jets(geom: Geometry, sig: np.ndarray, action,
                    - 0.5 * (sc_o * sig[i, j].truncate(o)))
             out[i, j] = val
             out[j, i] = val
-    if conn is not None:
-        ein_vals = tensor_values(geom.ein)
-        sig_vals = tensor_values(sig)
-        gvals = sym_values(geom.g)
-        corr = conn(ein_vals, sig_vals, gvals)
-        for i in range(d):
-            for j in range(d):
-                out[i, j] = out[i, j] + Jet.const(d, o, corr[..., i, j])
     return out
 
 
@@ -1258,7 +1235,7 @@ def trig_poly_sym_field(dim: int, seed: int, boundary_order: int = 0,
             term = contract("i,->i", term, xs[-1])
         return sym_from_upper(term, dim)
 
-    return Perturbation(fn, dim, boundary_order)
+    return Perturbation(fn, dim)
 
 
 def box_bump_sym_field(chart, seed: int, amp: float = 1.0):
@@ -1290,7 +1267,7 @@ def box_bump_sym_field(chart, seed: int, amp: float = 1.0):
             poly = poly + ts[a][..., None] * lin[:, a]
         return sym_from_upper(contract(",i->i", bump, poly), dim)
 
-    return Perturbation(fn, dim, 2)
+    return Perturbation(fn, dim)
 
 
 def continuum_potential(d: int, seed: int):
@@ -1310,7 +1287,7 @@ def continuum_potential(d: int, seed: int):
             term = term * jet_cos(xs[a][..., None] * (2 * np.pi * ks[:, a]))
         return sym_from_upper(contract("i,->i", term, cut3), d)
 
-    return Perturbation(fn, d, 3)
+    return Perturbation(fn, d)
 
 
 def probe_vector_field(x, order):
@@ -1393,7 +1370,8 @@ def green_killing_integrals(grid, chart, x_field, sigma):
         X, sig = x_field(x, 2), sigma(x, 2)
         gvals = geom.g.value
         dens = _volume_density(gvals)
-        lhs = dewitt_inner(killing(geom, X).value, sig.value, gvals)
+        lhs = dewitt_inner(killing(geom, X).value, sig.value,
+                           np.linalg.inv(gvals))
         dbs = divergence(geom, bianchi_b(geom, sig)).value
         bulk = np.einsum("...i,...j,...ij->...", X.value, dbs, gvals)
         return lhs * dens, bulk * dens
@@ -1403,9 +1381,8 @@ def green_killing_integrals(grid, chart, x_field, sigma):
 
     flux = 0.0
     for face in (0, 1):
-        xf, gf, nvec, fdens = _face_geometry(chart, grid, face)
+        xf, gf, ginv_f, nvec, fdens = _face_geometry(chart, grid, face)
         sigf = sigma(xf, 1).value
-        ginv_f = np.linalg.inv(gf)
         tr = np.einsum("...ij,...ij->...", ginv_f, sigf)
         bsig = sigf - 0.5 * tr[..., None, None] * gf
         xvf = x_field(xf, 1).value

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bianchi_lab import conventions
+from bianchi_lab import boundary, conventions
 from bianchi_lab.boundary import (
     CollarChart,
     boundary_state,
@@ -115,12 +115,13 @@ def test_distance_jet_solves_eikonal():
     assert np.abs(st2.rjet.c - xd.c).max() <= 1e-13
 
 
-def test_distance_jet_raises_when_newton_does_not_converge():
+def test_distance_jet_raises_when_newton_does_not_converge(monkeypatch):
     collar = CollarChart(make_chart("curved_generic", 3))
     g = collar_metric_jets(collar, lateral_points(3, 2, 4), 4)
     geom = geometry_from_jets(g)
+    monkeypatch.setattr(boundary, "_NEWTON_STEPS", 0)
     with pytest.raises(RuntimeError, match="did not converge in 0 steps"):
-        distance_jet(geom, newton_steps=0)
+        distance_jet(geom)
 
 
 # ---------------------------------------------------------------------------

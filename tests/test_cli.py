@@ -97,8 +97,50 @@ def test_verify_report_records_no_preset(tmp_path):
     assert "preset" not in json.loads(out.read_text())["meta"]
 
 
-def test_solve_rejects_non_flat_preset():
+def test_solve_rejects_non_flat_preset(tmp_path):
+    # the experiment runs on the flat periodic slab only, and no flag or
+    # manifest key selects a background
     assert run(["solve", "--preset", "conformal_bump"]) == 2
+    man = tmp_path / "m.json"
+    for preset in ("conformal_bump", "flat_slab_periodic"):
+        man.write_text(json.dumps({"preset": preset}))
+        assert run(["solve", "--manifest", str(man)]) == 2
+
+
+# the keys that select what a run computes, besides seed and serial
+SETTING_KEYS = {"suite", "dim", "dims", "dims_weyl", "grid", "samples",
+                "source", "study"}
+
+
+@pytest.mark.parametrize("argv,manifest,settings", [
+    pytest.param(["verify"], {"suite": "algebra", "dims": [4], "samples": 2},
+                 {"suite": "algebra", "dims": [4], "samples": 2},
+                 id="algebra-manifest"),
+    pytest.param(["verify", "--suite", "bvp", "--grid", "8,12,16"], None,
+                 {"suite": "bvp", "dim": 3, "grid": [8, 12, 16]},
+                 id="bvp-flags"),
+    pytest.param(["solve", "--source", "inadmissible-boundary", "--grid",
+                  "8"], None,
+                 {"dim": 3, "grid": [8], "source": "inadmissible-boundary",
+                  "study": None}, id="solve-flags"),
+])
+def test_report_meta_records_the_settings_the_run_read(argv, manifest,
+                                                       settings, tmp_path):
+    out = tmp_path / "r.json"
+    if manifest is not None:
+        man = tmp_path / "m.json"
+        man.write_text(json.dumps(manifest))
+        argv = argv + ["--manifest", str(man)]
+    assert run(argv + ["--seed", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    meta = report["meta"]
+    assert meta["seed"] == 2
+    assert {key: meta[key] for key in settings} == settings
+    assert not (SETTING_KEYS - set(settings)) & set(meta)
+    if settings.get("dims") == [4]:  # the run read them: 2 samples at d=4
+        names = [c["name"] for c in report["cases"]]
+        assert "duality-contraction-d4" in names
+        assert not any(n.endswith(("-d3", "-d5", "-d6")) for n in names)
 
 
 @pytest.mark.parametrize("argv", [

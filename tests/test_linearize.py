@@ -57,7 +57,7 @@ def test_ricci_action_audit_matches_artifact():
     charts = [make_chart("conformal_bump", 3, amp=0.12),
               make_chart("curved_generic", 3, seed=3),
               make_chart("curved_generic", 4, seed=5)]
-    (a, b), defect = fit_ricci_action(charts, npts=3)
+    (a, b), defect = fit_ricci_action(charts)
     assert [a, b] == load_conventions()["ricci_action"]
     assert defect <= 1e-5
 
@@ -101,7 +101,8 @@ def test_closed_vs_fd_calibrated_tolerance():
     chart = make_chart("conformal_bump", 3, amp=0.02)
     x = interior_points(chart, 10, 3)
     for seed in (7, 8, 9):
-        sigma = trig_poly_sym_field(3, seed, amp=0.2)
+        field = trig_poly_sym_field(3, seed)
+        sigma = Perturbation(lambda x, o, f=field: 0.2 * f(x, o), 3)
         closed = dric_closed(chart, x, sigma)
         fd = dric_fd(chart, x, sigma, eps=1e-3)
         assert np.abs(closed - fd).max() <= 1e-6
@@ -144,16 +145,29 @@ def test_dein_is_trace_reversed_dric_on_flat():
 
 
 def test_connection_term_is_pointwise():
+    # gamma tilde = B^-1 (dEin + conn) - dRic: its connection part is
+    # B^-1 of (Ein g^-1 sigma + sigma g^-1 Ein) / 2 at each point
     chart = make_chart("conformal_bump", 3, amp=0.1)
     x = interior_points(chart, 5, 7)
     sigma = trig_poly_sym_field(3, 14)
-    without = dein_closed(chart, x, sigma, conn=None)
-    with_conn = dein_closed(chart, x, sigma, conn=sample_connection)
     geom = chart_geometry(chart, x, order=4)
-    expected = sample_connection(tensor_values(geom.ein),
-                                 tensor_values(sigma(x, 0)),
-                                 tensor_values(geom.g))
-    assert np.abs((with_conn - without) - expected).max() <= 1e-11
+    gv, ein = tensor_values(geom.g), tensor_values(geom.ein)
+    ginv = np.linalg.inv(gv)
+    sv = tensor_values(sigma(x, 0))
+
+    def b_inverse(tau):  # d - 2 = 1
+        tr = np.einsum("...ij,...ij->...", ginv, tau)
+        return tau - tr[..., None, None] * gv
+
+    conn = 0.5 * (np.einsum("...ik,...kl,...lj->...ij", ein, ginv, sv)
+                  + np.einsum("...ik,...kl,...lj->...ij", sv, ginv, ein))
+    assert np.abs(conn).max() > 1e-3  # the term is not vacuous
+    assert np.allclose(sample_connection(ein, sv, ginv), conn, rtol=0,
+                       atol=1e-14)
+    without = b_inverse(dein_closed(chart, x, sigma)) \
+        - dric_closed(chart, x, sigma)
+    assert np.abs(gamma_tilde_at(chart, x, sigma) - without
+                  - b_inverse(conn)).max() <= 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +179,7 @@ def test_gamma_tilde_vanishes_on_flat_presets():
         chart = make_chart(preset, 3)
         x = interior_points(chart, 4, 8)
         sigma = trig_poly_sym_field(3, 15)
-        gt = gamma_tilde_at(chart, x, sigma, conn=None)
+        gt = gamma_tilde_at(chart, x, sigma)
         assert np.abs(gt).max() <= 1e-11
 
 
@@ -174,8 +188,8 @@ def test_gamma_tilde_tensoriality():
     x = interior_points(chart, 1, 9)
     base = trig_poly_sym_field(3, 16)
     s1, s2 = jet_surgery_pair(base, x[0])
-    g1 = gamma_tilde_at(chart, x, s1, conn=sample_connection)
-    g2 = gamma_tilde_at(chart, x, s2, conn=sample_connection)
+    g1 = gamma_tilde_at(chart, x, s1)
+    g2 = gamma_tilde_at(chart, x, s2)
     assert np.abs(g1 - g2).max() <= 1e-7
 
 
@@ -185,8 +199,8 @@ def test_gamma_tilde_pairing_defect_formula():
     chart = make_chart("conformal_bump", 3, amp=0.1)
     x = interior_points(chart, 5, 10)
     sf, ef = trig_poly_sym_field(3, 17), trig_poly_sym_field(3, 18)
-    gs = gamma_tilde_at(chart, x, sf, conn=sample_connection)
-    ge = gamma_tilde_at(chart, x, ef, conn=sample_connection)
+    gs = gamma_tilde_at(chart, x, sf)
+    ge = gamma_tilde_at(chart, x, ef)
     geom = chart_geometry(chart, x, order=4)
     gv = tensor_values(geom.g)
     ginv = np.linalg.inv(gv)

@@ -189,8 +189,8 @@ def _reference_integrals(grid, chart, sigma, eta, route, ein_corrected):
     ginv = np.linalg.inv(gv)
     dens = np.sqrt(np.linalg.det(gv))
     sv, ev = sigma(x, 0).value, eta(x, 0).value
-    de_s = dein_closed(chart, x, sigma, order=2)
-    de_e = dein_closed(chart, x, eta, order=2)
+    de_s = dein_closed(chart, x, sigma)
+    de_e = dein_closed(chart, x, eta)
 
     def inner(a, b):
         return np.einsum("...ij,...kl,...ik,...jl->...", a, b, ginv, ginv)
@@ -307,7 +307,7 @@ def test_pair_matmuls_match_the_einsum(batch):
     tr_a, tr_b = (np.einsum("...ij,...ij->...", gi, t) for t in (a, b))
     dw = (np.einsum("...ij,...kl,...ik,...jl->...", a, b, gi, gi)
           - 0.5 * tr_a * tr_b)
-    assert np.allclose(charts.dewitt_inner(a, b, g), dw, rtol=1e-13,
+    assert np.allclose(charts.dewitt_inner(a, b, gi), dw, rtol=1e-13,
                        atol=0)
 
 

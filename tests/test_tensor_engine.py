@@ -22,7 +22,7 @@ from bianchi_lab.boundary import CollarChart, collar_metric_jets
 from bianchi_lab.charts import make_chart, sample_points
 from bianchi_lab.conventions import ricci_action
 from bianchi_lab.jets import Jet, stack
-from bianchi_lab.linearize import sample_connection, trig_poly_sym_field
+from bianchi_lab.linearize import trig_poly_sym_field
 from oracles import jet_sin
 
 PRESETS = ("curved_generic", "conformal_bump", "polar_ball")
@@ -80,11 +80,9 @@ def test_interior_engine_matches_object_arrays(preset, d, order):
     scale = _scale(*want)
     for new, w in zip(parts, want):
         _assert_matches(new, w, scale)
-    for conn in (None, sample_connection):
-        want = ref.dein_closed_jets(old, sig_old, ricci_action(), conn)
-        _assert_matches(
-            linearize.dein_closed_jets(geom, sig, conn),
-            want, _scale(want))
+    want = ref.dein_closed_jets(old, sig_old, ricci_action())
+    _assert_matches(linearize.dein_closed_jets(geom, sig), want,
+                    _scale(want))
 
 
 @pytest.mark.parametrize("face", (0, 1))

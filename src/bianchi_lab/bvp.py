@@ -5,52 +5,49 @@ Every discrete operator is built from one shared family of
 first-derivative operators {P_k} and face rows E (the 1-D stencils of
 ``_first_derivative_1d`` and ``_face_extrapolation_1d``: periodic central
 stencils laterally; central with third-order one-sided end rows on the
-collar axis).  The family commutes, so flat-background polynomial
-operator identities -- the gauged divergence of the interior operator
-vanishing, and the interior operator annihilating Killing deformations --
-hold exactly at the matrix level.  That exactness is what makes
+collar axis).  The interior rows DEin, the gauge rows delta B, delta* and
+B^-1 are read off the jet route: ``_symbol`` applies
+``linearize.dein_closed_jets``, ``charts.divergence`` of
+``charts.bianchi_b``, ``charts.killing`` and ``charts.bianchi_b_inverse``
+to polynomial basis fields, which gives each operator's constant
+coefficients C_e on the flat slab, and ``_from_symbol`` forms sum_e C_e
+P^e.  The boundary rows (``_boundary_from_P``) are the only operator
+written here.  The family commutes, so flat-background polynomial
+identities -- the gauged divergence of the interior operator vanishing,
+and the interior operator annihilating Killing deformations -- hold
+exactly at the matrix level.  That exactness is what makes
 "discrete-admissible" sources solvable to solver tolerance rather than
 discretization accuracy.
 
-Each operator is written once, as a stack builder ``stack(P, E_faces)``
-(``_slab_stack`` and ``_h0_stack``), and evaluated only on the points
-axis of the block polynomial (``_block_polynomial``): batched dense
-arrays of a few collar-line blocks.  Every operator is invariant under lateral
-translation, so the lateral DFT splits it into one collar-line block per
-lateral mode, and has degree <= 2 in the P's, so each block is exactly a
-polynomial of degree <= 2 in the lateral symbols i t_a.  A diagonal
-phase makes every block real: the operators commute with the reflection
-of all lateral axes, so a term of degree |e| only couples components
-whose numbers of lateral indices differ by |e| mod 2, and scaling each
-block row and column by i to the power of that number cancels every i.
-
-The same invariance makes the full-grid matrix block-circulant in the
-lateral axes, so its polynomial holds all of it: ``_expand`` writes the
-CSR matrix from the polynomial's coefficients and the lateral shifts.
-``_grid`` does so once per (n, d) and process for the weighted slab
-matrix, the one full-grid operator, read-only.  ``assemble`` wraps it;
-the solve's residual and the oracles read it and ``kernel_probe`` is
-handed it.  ``make_source`` reads its einstein rows for the
-discrete-admissible source and its gauge rows for every source's
-divergence: the gauge rows are delta B, so delta T is the gauge rows
-applied to B^-1 T (``_b_inverse``).  It applies the 1-D stencils along
-each axis (``_along``) for the double-curl sources.  The spectra and
+Each operator is evaluated only on the points axis of the block
+polynomial (``_block_polynomial``, with the stack builders ``_slab_stack``
+and ``_h0_stack``): batched dense arrays of a few collar-line blocks.
+Every operator is invariant under lateral translation, so the lateral DFT
+splits it into one collar-line block per lateral mode, and has degree <= 2
+in the P's, so each block is exactly a polynomial of degree <= 2 in the
+lateral symbols i t_a, made real by a diagonal phase.  The same
+invariance makes the full-grid matrix block-circulant in the lateral
+axes: ``_expand`` writes its CSR from the polynomial, and ``_grid`` does
+so once per (n, d) and process for the weighted slab matrix, the one
+full-grid operator, read-only.  ``assemble`` wraps it; the solve's
+residual and the oracles read it and ``kernel_probe`` is handed it.
+``make_source`` reads its einstein rows for the discrete-admissible
+source and its gauge rows for every source's divergence (delta T is the
+gauge rows applied to B^-1 T), and applies the 1-D stencils along each
+axis (``_along``) for the double-curl sources.  The spectra and
 ``cohomology_probe`` read only the blocks.  The continuum-admissible
 source is evaluated on 4 lateral nodes per axis and interpolated
 exactly, as it has lateral frequencies |k_a| <= 1.
 
-The operators also commute with the reflection of each lateral axis a
-alone, which maps t_a to -t_a; on a real block that is the similarity by
-a +-1 diagonal on each side.  And t_a = sin(2 pi k_a / n) is the same for
-k_a and n/2 - k_a, and changes sign from k_a to -k_a.  So every block is
-+-1 diagonals times the block of its class of |t| (``_symbol_classes``):
-floor(n/4) + 1 classes per axis on even n, (n + 1)/2 on odd n.  The exact
-spectra factor one real block per class.  The one least-squares solver,
-``solve_least_squares`` (a direct SVD solve), factors one real block per
-class that the lateral DFT of the right-hand side touches: every source
-kind lies on the modes with |k_a| <= 1, so at most 2^(d-1) classes at
-any n.  LSMR, a per-mode dense solve and the dense SVD of the assembled
-matrix are their oracles in ``tests/oracles.py``.
+The operators also commute with the reflection of each lateral axis, and
+t_a = sin(2 pi k_a / n) is the same for k_a and n/2 - k_a, so every block
+is +-1 diagonals times the block of its class of |t|
+(``_symbol_classes``).  The exact spectra factor one real block per
+class, and the one least-squares solver, ``solve_least_squares`` (a
+direct SVD solve), one per class that the lateral DFT of the right-hand
+side touches: at most 2^(d-1) at any n.  LSMR, a per-mode dense solve and
+the dense SVD of the assembled matrix are their oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -64,9 +61,18 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .charts import MetricChart, sym_from_upper
-from .jets import cos_coeffs, poly_coeffs, separable
-from .linearize import Perturbation, dein_closed
+from .charts import (
+    MetricChart,
+    bianchi_b,
+    bianchi_b_inverse,
+    divergence,
+    geometry_from_jets,
+    killing,
+    make_chart,
+    sym_from_upper,
+)
+from .jets import Jet, cos_coeffs, poly_coeffs, separable
+from .linearize import Perturbation, dein_closed, dein_closed_jets
 from .quadrature import _mesh
 
 __all__ = [
@@ -225,51 +231,71 @@ def _block_matrix(rows) -> np.ndarray:
     return out
 
 
+def _terms(m: int) -> list:
+    """Multi-indices of degree <= 2 in m axes: (), (a,), (a, b) for a <= b."""
+    return ([()] + [(a,) for a in range(m)]
+            + [(a, b) for a in range(m) for b in range(a, m)])
+
+
+def _gauge(geom, field):
+    """The gauge operator delta B on the jet route."""
+    return divergence(geom, bianchi_b(geom, field))
+
+
+@lru_cache(maxsize=None)
+def _flat_geometry(d: int):
+    """The flat slab's order-2 geometry at the point ``_symbol`` reads."""
+    return geometry_from_jets(make_chart("flat_slab_periodic", d)
+                              .metric_jets(np.full((1, d), 0.5), 2))
+
+
+@lru_cache(maxsize=None)
+def _symbol(d: int, operator) -> np.ndarray:
+    """The coefficients C_e, (terms, rows, cols), of a jet-route operator
+    (geom, field) -> jet, of order <= 2, on the flat slab: C_e[r, c]
+    multiplies d^e on component c in row r, for the terms e of
+    ``_terms(d)``, with rows and columns over ``_sym_pairs(d)`` or over
+    the d components of a vector (X for ``killing``).  The operator runs
+    on the basis fields x^e / e! times each unit component, as order-2
+    jets at one point, where d^e' x^e / e! is 1 for e' = e and 0 else: so
+    the values are C_e, exact, and constant on the flat slab."""
+    terms = _terms(d)
+    # x^e / e! per term: its normalized Taylor coefficient at e is 1 / e!
+    mono = Jet.const(d, 2, np.zeros(len(terms)))
+    for t, e in enumerate(terms):
+        mono.coeff(tuple(np.bincount(e, minlength=d)))[t] = (
+            0.5 if len(set(e)) < len(e) else 1.0)
+    pairs = tuple(np.array(_sym_pairs(d)).T)
+    units = np.eye(d) if operator is killing else 1.0 * (
+        _component_table(d) == np.arange(len(pairs[0]))[:, None, None])
+    basis = np.moveaxis(np.multiply.outer(mono.c, units), 1, -1)
+    values = operator(_flat_geometry(d), Jet(
+        d, 2, basis.reshape((-1,) + basis.shape[2:]))).value
+    if values.ndim == 3:
+        values = values[:, pairs[0], pairs[1]]
+    symbol = values.reshape(len(terms), len(units), -1).transpose(0, 2, 1)
+    symbol.flags.writeable = False  # shared by every caller
+    return symbol
+
+
 # Every stack builder below takes the derivative family P and the face
 # rows E_faces on the points axis of ``_block_polynomial``: each P_k a
 # (points or 1, line, line) array and each face row a (1, 1, line) one,
 # so that ``@`` composes them point by point.
 
 
-def _divergence(P, d: int) -> np.ndarray:
-    """(div sigma)_j = -sum_i P_i sigma_ij on stacked components."""
-    sym = _component_table(d)
-    nc = len(_sym_pairs(d))
-    return _block_matrix([_summed_blocks(nc, [(sym[i, j], -P[i])
-                                              for i in range(d)])
-                          for j in range(d)])
-
-
-def _killing(P, d: int) -> np.ndarray:
-    """(delta* X)_ij = (P_i X_j + P_j X_i) / 2 on stacked components."""
-    return _block_matrix([_summed_blocks(d, [(i, P[i])] if i == j else
-                                         [(j, 0.5 * P[i]), (i, 0.5 * P[j])])
-                          for i, j in _sym_pairs(d)])
-
-
-def _interior_from_P(P, d: int):
-    """(DEin, delta B): the interior and gauge operators from a commuting
-    P family."""
-    pairs = _sym_pairs(d)
-    nc = len(pairs)
-    sym = _component_table(d)
-    lap = sum(Pk @ Pk for Pk in P)
-
-    # B as a pointwise block matrix on components
-    bmatrix = np.zeros((nc, nc))
-    for ci, (i, j) in enumerate(pairs):
-        bmatrix[ci, ci] += 1.0
-        if i == j:
-            for k in range(d):
-                bmatrix[ci, sym[k, k]] -= 0.5
-    B = np.kron(bmatrix, np.eye(lap.shape[-1]))
-
-    LAP = _block_matrix([[lap if ci == cj else None for cj in range(nc)]
-                         for ci in range(nc)])
-    GAUGE = _divergence(P, d) @ B
-    DRIC = -0.5 * LAP - _killing(P, d) @ GAUGE
-    EIN = B @ DRIC
-    return EIN, GAUGE
+def _from_symbol(symbol: np.ndarray, P) -> np.ndarray:
+    """The (points, rows, cols) block matrix of a ``_symbol`` C: block
+    (r, c) is sum_e C_e[r, c] P^e, with P^e the product of the P_a, a in
+    e, over the terms e of ``_terms(len(P))`` (the identity for e = ())."""
+    m = len(P)
+    powers = np.stack(np.broadcast_arrays(
+        np.eye(P[0].shape[-1])[None], *P,
+        *(P[a] @ P[b] for a, b in _terms(m)[1 + m:])))
+    (K, R, C), (q, line) = symbol.shape, powers.shape[1:3]
+    out = (symbol.reshape(K, -1).T @ powers.reshape(K, -1)).reshape(
+        R, C, q, line, line)
+    return out.transpose(2, 0, 3, 1, 4).reshape(q, R * line, C * line)
 
 
 def _boundary_from_P(P, E_faces, d: int) -> np.ndarray:
@@ -343,29 +369,30 @@ def _boundary_weight(n: int) -> float:
 
 
 def _slab_stack(n: int, d: int):
-    """The slab stack builder: per-node rows DEin and delta B, and
-    per-face-node rows, those of ``_boundary_from_P`` weighted by
-    ``_boundary_weight(n)`` (see ``_block_polynomial``)."""
+    """The slab stack builder: per-node rows DEin and delta B, from their
+    ``_symbol``, and per-face-node rows, those of ``_boundary_from_P``
+    weighted by ``_boundary_weight(n)`` (see ``_block_polynomial``)."""
     bw = _boundary_weight(n)
 
     def stack(P, E_faces):
-        EIN, GAUGE = _interior_from_P(P, d)
-        return (np.concatenate([EIN, GAUGE], axis=1),
+        interior = np.concatenate([_symbol(d, dein_closed_jets),
+                                   _symbol(d, _gauge)], axis=1)
+        return (_from_symbol(interior, P),
                 bw * _boundary_from_P(P, E_faces, d))
 
     return stack
 
 
 def _h0_stack(n: int, d: int):
-    """The H0 stack builder: the Killing operator delta* per node, then
-    the restriction of X to each face, weighted by
+    """The H0 stack builder: the Killing operator delta* per node, from
+    its ``_symbol``, then the restriction of X to each face, weighted by
     ``_boundary_weight(n)``; no face rows without faces."""
     bw = _boundary_weight(n)
 
     def stack(P, E_faces):
         faces = [bw * _block_matrix([[E if a == b else None for b in range(d)]
                                      for a in range(d)]) for E in E_faces]
-        return (_killing(P, d),
+        return (_from_symbol(_symbol(d, killing), P),
                 np.concatenate(faces, axis=1) if faces else None)
 
     return stack
@@ -381,13 +408,9 @@ def _slab_dim(chart: MetricChart) -> int:
     return chart.dim
 
 
-# ``slab_solve_cases`` and benchlab's slab-solve pass go kind by kind
-# over their grids.  One ``verify --suite bvp`` run (seed 1) builds its
-# three grids in 5 misses and 12 hits: the continuum study's n = 8, 12, 16
-# evicts the discrete-admissible n = 16, and the divergence source's n = 8
-# then misses again.  A rebuild only expands the cached polynomial: the
-# two take 0.012-0.017 s of the 0.52-0.68 s suite (one BLAS thread, 2
-# shared cores); a third slot would add a grid to peak memory.
+# Two slots: a rebuild only expands the cached polynomial (12-17 ms per
+# ``verify --suite bvp`` run, one BLAS thread, 2 shared cores), and a
+# third slot would add a grid to peak memory.
 @lru_cache(maxsize=2)
 def _grid(n: int, d: int) -> sp.csr_matrix:
     """The weighted slab matrix on the full n^d grid, its node rows then
@@ -481,15 +504,9 @@ def make_source(n: int, chart: MetricChart, kind: str,
                 seed: int = 1) -> SourceSpec:
     """Construct sources matching or violating the solvability conditions;
     a grid below the kind's ``SOURCE_MIN_GRID`` raises ``ValueError``.
-
-    The slab matrix comes from ``_grid``, built once per (n, d): the
-    discrete-admissible source is its einstein rows applied to the
-    potential B^-1 tau, and ``div_rel`` is max |delta T| / max |T| with
-    delta T its gauge rows applied to B^-1 T (``_b_inverse``).  The
-    double-curl sources and the face diagnostic apply the 1-D stencils
-    along each axis (``_along``).  The continuum-admissible source
-    evaluates ``dein_closed`` on 4 lateral nodes per axis only
-    (``_continuum_source``)."""
+    The discrete-admissible source is ``_grid``'s einstein rows applied
+    to the potential B^-1 tau, and ``div_rel`` is max |delta T| / max |T|
+    with delta T its gauge rows applied to B^-1 T (``_b_inverse``)."""
     d = _slab_dim(chart)
     if kind not in SOURCE_MIN_GRID:
         raise ValueError(f"unknown source kind {kind!r}")
@@ -551,14 +568,11 @@ def make_source(n: int, chart: MetricChart, kind: str,
 
 
 def _b_inverse(values: np.ndarray, d: int) -> np.ndarray:
-    """B^-1 tau = tau - tr(tau) I / (d - 2) of a stacked component vector:
-    the inverse of the pointwise B sigma = sigma - tr(sigma) I / 2 that
-    the gauge rows delta B apply."""
-    comps = values.reshape(len(_sym_pairs(d)), -1)
-    diag = _component_table(d).diagonal()
-    out = comps.copy()
-    out[diag] -= comps[diag].sum(axis=0) / (d - 2)
-    return out.ravel()
+    """B^-1 tau of a stacked component vector, by its ``_symbol``: the
+    inverse of the pointwise trace reversal B that the gauge rows delta B
+    apply."""
+    return (_symbol(d, bianchi_b_inverse)[0]
+            @ values.reshape(len(_sym_pairs(d)), -1)).ravel()
 
 
 # Lateral nodes per axis on which the continuum source is evaluated.
@@ -628,14 +642,10 @@ class SolveReport:
     relative_residual: float
     block_residuals: dict
     solution_norm: float
-    # smallest singular value of the blocks solved; None when no block
-    # was factored
+    # the three below: see ``solve_least_squares``; None from a solver
+    # without blocks (and sigma_min_estimate when none was factored)
     sigma_min_estimate: float | None = None
-    # modes of the solved classes whose block the SVD cut-off made
-    # rank-deficient; None from a solver without blocks
     rank_deficient_blocks: int | None = None
-    # class blocks factored: those holding a mode that b-hat touches;
-    # None from a solver without blocks
     classes_solved: int | None = None
     schema: str = "solve-report/2"
 
@@ -709,32 +719,26 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
     (index tuples) of the unknown field.  In the block of lateral mode k
     each lateral P_a is i t_a / h times the identity, with t_a = sin(2 pi
     k_a / n); the collar P (absent on the closed torus, where all d axes
-    are lateral) is the collar line's stencil.  Every row of the slab
-    system has degree <= 2 in the P's (the interior rows through the
-    Laplacian and delta* delta B, the boundary rows through E P_d P_a and
-    E P_a P_b), so with u_a / h in place of each lateral P_a
+    are lateral) is the collar line's stencil.  Every row has degree <= 2
+    in the P's, so with u_a / h in place of each lateral P_a
 
         A(u) = A0 + sum_a u_a L_a + sum_{a<=b} u_a u_b Q_ab
 
     holds exactly, and its values at the 1 + 2m + m(m-1)/2 points u = 0,
-    +-e_a and e_a + e_b (a < b) determine it.  One batched build gives
-    them all: P_a = (u_a / h) I at each point, the collar P the dense 1-D
-    stencil and the face rows the dense 1-D extrapolation rows, arrays of
-    shape (points or 1, rows, cols).  No operator is derived a second
-    time, and no builder sees more than a collar line: the full-grid
-    matrix is the lateral expansion of the polynomial (``_expand``).
+    +-e_a and e_a + e_b (a < b) determine it: one batched build, with P_a
+    = (u_a / h) I at each point and the dense 1-D collar stencil and face
+    rows, arrays of shape (points or 1, rows, cols).
 
     The coefficients are real, and u = i t.  The operators commute with
     the reflection of each lateral axis a, which flips u_a and the sign
     of each tensor component with an odd number p_a of indices a.  So a
-    term u^e can couple row r to column c only when e_a + p_a(c) - p_a(r)
-    is even for every a, with e_a the number of a's in e.  Summed over
-    the axes, |e| + p_c - p_r is even, with p the number of lateral
-    indices mod 2, and then i^(|e| + p_c - p_r) is +1 or -1: scaling row
-    r by i^(-p_r) and column c by i^(p_c) makes every block real.  The
-    column parities come from ``unknowns``; each row takes, per axis, the
-    parity its coefficients demand, and a coefficient that demands the
-    other one raises ``ValueError``.
+    term u^e couples row r to column c only when e_a + p_a(c) - p_a(r)
+    is even for every a, with e_a the number of a's in e; then, with p
+    the number of lateral indices mod 2, i^(|e| + p_c - p_r) is +-1, and
+    scaling row r by i^(-p_r) and column c by i^(p_c) makes every block
+    real.  The column parities come from ``unknowns``; each row takes, per
+    axis, the parity its coefficients demand, and a coefficient that
+    demands the other one raises ``ValueError``.
     """
     h = 1.0 / n
     m = d if closed_torus else d - 1
@@ -756,14 +760,11 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
 
     A0, plus, minus = blocks[0], blocks[1:1 + m], blocks[1 + m:1 + 2 * m]
     mixed = iter(blocks[1 + 2 * m:])
-    terms = [()] + [(a,) for a in range(m)]
-    coef = [A0] + [0.5 * (plus[a] - minus[a]) for a in range(m)]
-    for a in range(m):
-        for b in range(a, m):
-            terms.append((a, b))
-            coef.append(0.5 * (plus[a] + minus[a]) - A0 if a == b else
-                        next(mixed) - plus[a] - plus[b] + A0)
-    coef = np.stack(coef)
+    terms = _terms(m)
+    coef = np.stack([A0] + [0.5 * (plus[a] - minus[a]) for a in range(m)]
+                    + [0.5 * (plus[a] + minus[a]) - A0 if a == b else
+                       next(mixed) - plus[a] - plus[b] + A0
+                       for a, b in terms[1 + m:]])
     # The mixed differences cancel exact zeros only to roundoff (3.6e-15,
     # 2e-17 of the largest coefficient, at d=4, n=4), and the per-axis
     # gate below would read such a remainder as a coupling.  The smallest
@@ -987,25 +988,22 @@ def solve_least_squares(system: DiscreteSystem, source: SourceSpec
 
     The unitary lateral DFT of each row family of b, with the row phases
     of ``_block_polynomial``, gives the right-hand side of each real
-    block.  The min-norm solutions of the blocks (by SVD, with cut-off
-    eps max(rows, cols) sigma_max of the block), with the column phases
-    and the inverse DFT, are the min-norm least-squares solution of the
-    whole system.  A mode with |b-hat_k| <= eps max(rows, cols) |b| is
-    silent: its min-norm solution is roundoff divided by sigma_min, so it
-    keeps x-hat_k = 0, and only the classes with a non-silent mode are
-    factored.  The block of a mode is D_r B D_c, with B the block of its
-    class of |t| and D_r, D_c the +-1 diagonals of the reflection of the
-    axes it negates (``_symbol_classes``, ``_reflect``).  So one SVD
-    B = U S V^T per class solves every mode of the class, each as more
-    right-hand sides: x = D_c V S^+ U^T D_r b.  The classes are factored
-    one at a time.  b is real, so x is real up to roundoff; anything more
-    raises ``RuntimeError``.  The residual is recomputed from
-    ``system.matrix``.  ``classes_solved`` counts the class blocks
-    factored; ``sigma_min_estimate`` is the exact smallest singular value
-    of those blocks (None when there are none, for b = 0), and
-    ``rank_deficient_blocks`` counts the modes of those classes whose
-    block the cut-off truncated.  A direct solve: ``converged`` is always
-    True and ``iterations`` 0.
+    block; the blocks' min-norm solutions (SVD, cut-off eps max(rows,
+    cols) sigma_max), with the column phases and the inverse DFT, give
+    the whole system's.  A mode with |b-hat_k| <= eps max(rows, cols) |b|
+    is silent and keeps x-hat_k = 0, and only the classes with a
+    non-silent mode are factored, one at a time.  The block of a mode is
+    D_r B D_c, with B the block of its class and D_r, D_c the +-1
+    diagonals of the reflection of the axes it negates
+    (``_symbol_classes``, ``_reflect``), so one SVD B = U S V^T per class
+    solves each of its modes as more right-hand sides: x = D_c V S^+ U^T
+    D_r b.  b is real, so x is real up to roundoff; anything more raises
+    ``RuntimeError``.  The residual is recomputed from ``system.matrix``.
+    ``classes_solved`` counts the class blocks factored,
+    ``sigma_min_estimate`` is their exact smallest singular value (None
+    for b = 0) and ``rank_deficient_blocks`` counts the modes of those
+    classes that the cut-off truncated.  A direct solve: ``converged`` is
+    always True and ``iterations`` 0.
     """
     d, n = system.dim, system.n
     m = d - 1
@@ -1087,13 +1085,10 @@ def cohomology_probe(n: int, chart: MetricChart,
 
     Counting runs on the exact lateral-Fourier spectra, with kernel
     threshold 1e-6 times the largest singular value.  A translation X =
-    e_i lies on lateral mode 0, and the lateral DFT is unitary, so
-    |H0 X| / |X| is |A_0 (e_i x 1)| / sqrt(line) for the mode-0 block A_0
-    (the t = 0 coefficient of ``_h0_polynomial``, whose phases are
-    unitary) over a collar line of ``line`` nodes: n on the slab, 1 on the
-    closed torus.  On the closed torus the translations lie in the
-    kernel; the boundary rows remove them.  One H0 polynomial serves the
-    spectrum and the translations.
+    e_i lies on lateral mode 0, so |H0 X| / |X| is |A_0 (e_i x 1)| /
+    sqrt(line) for the mode-0 block A_0 of ``_h0_polynomial`` (unitary
+    phases) over a collar line of n nodes, 1 on the closed torus, whose
+    kernel holds the translations that the boundary rows remove.
     """
     d = _slab_dim(chart)
     h0 = _h0_polynomial(n, d, closed_torus)

@@ -22,11 +22,12 @@ MANIFEST_SCHEMA = {
         "suite": {"enum": ["algebra", "calculus", "boundary",
                            "linearization", "green", "bvp", "all"]},
         "dim": {"type": "integer", "minimum": 3, "maximum": 6},
-        "dims": {"type": "array", "items": {"type": "integer",
-                                            "minimum": 3, "maximum": 6}},
-        "dims_weyl": {"type": "array", "items": {"type": "integer",
-                                                 "minimum": 4, "maximum": 6}},
-        "grid": {"type": "array", "items": {"type": "integer", "minimum": 4}},
+        "dims": {"type": "array", "minItems": 1, "items": {
+            "type": "integer", "minimum": 3, "maximum": 6}},
+        "dims_weyl": {"type": "array", "minItems": 1, "items": {
+            "type": "integer", "minimum": 4, "maximum": 6}},
+        "grid": {"type": "array", "minItems": 1,
+                 "items": {"type": "integer", "minimum": 4}},
         "seed": {"type": "integer", "minimum": 0},
         "samples": {"type": "integer", "minimum": 1},
         "source": {"enum": ["discrete-admissible", "continuum-admissible",
@@ -42,21 +43,15 @@ MANIFEST_SCHEMA = {
 #: The BLAS/OpenMP thread-count variables a report records.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-#: The keys each command reads, ``verify`` with those of its suite in
-#: ``verify._SUITE_KEYS``: a run that sets any other key is refused, and a
-#: report's ``meta`` records each of them but ``out`` and ``format``.
-_KEYS_READ = {"verify": ("seed", "serial", "out", "format", "suite"),
-              "solve": ("seed", "serial", "out", "format", "dim", "grid",
-                        "source", "study")}
-
-#: The keys with a default value; the readers of the others use cfg.get.
-DEFAULTS = {
-    "suite": "all",
-    "dim": 3,
-    "seed": 1,
-    "serial": False,
-    "format": "json",
-}
+#: The keys each command reads, with their defaults (``verify`` also reads
+#: its suite's keys in ``verify._SUITE_KEYS``; see ``_keys_read``): a run
+#: that sets any other key is refused, and a report's ``meta`` records the
+#: value that ran of each but ``out`` and ``format``.
+_KEYS_READ = {"verify": {"seed": 1, "serial": False, "out": None,
+                         "format": "json", "suite": "all"},
+              "solve": {"seed": 1, "serial": False, "out": None,
+                        "format": "json", "dim": 3, "grid": [16],
+                        "source": None, "study": False}}
 
 
 def _load_manifest(path: str) -> dict:
@@ -69,9 +64,10 @@ def _load_manifest(path: str) -> dict:
 
 
 def _merged_config(args) -> dict:
-    """The manifest, then the flags, over ``DEFAULTS``; raises
-    ``ValueError`` when they set a key that the run does not read."""
-    cfg = dict(DEFAULTS)
+    """The manifest, then the flags, over the command's defaults in
+    ``_KEYS_READ``; raises ``ValueError`` when they set a key that the run
+    does not read."""
+    cfg = dict(_KEYS_READ[args.command])
     given = _load_manifest(args.manifest) if args.manifest else {}
     for key in ("suite", "dim", "seed", "source", "out", "format"):
         if getattr(args, key, None) is not None:
@@ -85,22 +81,27 @@ def _merged_config(args) -> dict:
     one_cpu = cfg["serial"] and _one_cpu()
     cfg["serial"], cfg["threads"] = _pin_threads(cfg["serial"])
     cfg["serial"] = cfg["serial"] and one_cpu
-    unread = sorted(set(given) - _keys_read(args.command, cfg["suite"]))
+    unread = sorted(given.keys() - _keys_read(args.command, cfg.get("suite")))
     if unread:
         raise ValueError(f"this {args.command} run reads none of {unread}")
     return cfg
 
 
-def _keys_read(command: str, suite: str) -> set:
-    """The keys that a run of ``command`` reads; ``suite`` is read by
-    verify only.  Call after ``_pin_threads``: verify's table loads
-    numpy."""
-    reads = set(_KEYS_READ[command])
+def _keys_read(command: str, suite) -> dict:
+    """The keys that a run of ``command`` reads, with their defaults;
+    ``suite`` is read by verify only, and under ``all`` a suite key whose
+    default differs between the suites that read it maps to {suite:
+    default}.  Call after ``_pin_threads``: verify's table loads numpy."""
+    reads = dict(_KEYS_READ[command])
     if command == "verify":
         from .verify import _SUITE_KEYS
 
-        suites = _SUITE_KEYS if suite == "all" else [suite]
-        reads.update(*(_SUITE_KEYS[name] for name in suites))
+        names = list(_SUITE_KEYS) if suite == "all" else [suite]
+        for key in {key for name in names for key in _SUITE_KEYS[name]}:
+            by_suite = {name: _SUITE_KEYS[name][key] for name in names
+                        if key in _SUITE_KEYS[name]}
+            first, *rest = by_suite.values()
+            reads[key] = by_suite if any(v != first for v in rest) else first
     return reads
 
 
@@ -135,9 +136,9 @@ def _pin_threads(serial: bool) -> tuple:
 
 def _report(cfg: dict, cases: list, extra_meta: dict) -> dict:
     """The report of a run: its cases, their summary, and a ``meta`` that
-    records the settings the run read (None where the run's own default
-    applies), the versions, threads and conventions hash, then
-    ``extra_meta``, which names the command."""
+    records the value of each setting the run read (its default where the
+    run set none, ``_keys_read``), the versions, threads and conventions
+    hash, then ``extra_meta``, which names the command."""
     from . import __version__
     from .conventions import load_conventions
 
@@ -146,8 +147,9 @@ def _report(cfg: dict, cases: list, extra_meta: dict) -> dict:
 
     from .charts import _chunk_workers
 
-    settings = _keys_read(extra_meta["command"], cfg["suite"])
-    meta = {key: cfg.get(key) for key in settings - {"out", "format"}}
+    settings = _keys_read(extra_meta["command"], cfg.get("suite"))
+    meta = {key: cfg.get(key, default) for key, default in settings.items()
+            if key not in ("out", "format")}
     meta.update({
         "tool": "bianchi-lab",
         "version": __version__,
@@ -211,7 +213,7 @@ def cmd_verify(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _merged_config(args)
-    grid = cfg.get("grid") or [16]
+    grid = cfg["grid"]
     from .verify import slab_solve_cases, slab_unchecked_reason
 
     if cfg.get("source"):

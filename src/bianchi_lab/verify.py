@@ -64,10 +64,10 @@ def _batch(covectors) -> alg.KmCovector:
 def suite_algebra(cfg) -> list:
     rng = np.random.default_rng(cfg["seed"])
     cases = []
-    for d in cfg.get("dims") or [3, 4, 5, 6]:
+    for d in cfg["dims"]:
         draws = [(alg.random_bianchi(rng, d, 2, 2),
                   alg.random_bianchi(rng, d, 1, 1))
-                 for _ in range(cfg.get("samples", 50))]
+                 for _ in range(cfg["samples"])]
         psi, sig = (_batch(group) for group in zip(*draws))
         r1, r2 = alg.duality_residuals(psi, sig)
         scale = np.maximum(np.maximum(psi.norm_inf(), sig.norm_inf()), 1.0)
@@ -131,8 +131,8 @@ def suite_algebra(cfg) -> list:
 def suite_calculus(cfg) -> list:
     rng = np.random.default_rng(cfg["seed"])
     cases = []
-    npts = cfg.get("samples", 100)
-    for d in cfg.get("dims") or [3, 4]:
+    npts = cfg["samples"]
+    for d in cfg["dims"]:
         for preset, kw in (("conformal_bump", {"amp": 0.1}),
                            ("curved_generic", {"seed": 13})):
             chart = make_chart(preset, d, **kw)
@@ -189,8 +189,8 @@ def suite_calculus(cfg) -> list:
 def suite_boundary(cfg) -> list:
     rng = np.random.default_rng(cfg["seed"])
     cases = []
-    npts = cfg.get("samples", 50)
-    for d in cfg.get("dims") or [3, 4]:
+    npts = cfg["samples"]
+    for d in cfg["dims"]:
         for preset, kw in (("conformal_bump", {"amp": 0.1}),
                            ("curved_generic", {"seed": 17})):
             chart = make_chart(preset, d, **kw)
@@ -200,7 +200,7 @@ def suite_boundary(cfg) -> list:
                         for k in ("rnn", "rnt", "rtt"))
             cases.append(_case(f"gauss-codazzi-{preset}-d{d}", worst, 1e-8,
                                "constraint.gauss-codazzi"))
-    for d in cfg.get("dims_weyl") or [4, 5]:
+    for d in cfg["dims_weyl"]:
         chart = make_chart("conformal_bump", d, amp=0.1)
         y = rng.uniform(0.1, 0.9, size=(min(npts, 25), d - 1))
         out = weyl_constraint_residual_at(CollarChart(chart), y)
@@ -340,7 +340,7 @@ def suite_green(cfg) -> list:
     study = convergence_study(
         lambda n: green_killing_defect(GridSpec.for_chart(bump, n),
                                        bump, X1, sig1),
-        cfg.get("grid") or [8, 16, 32])
+        cfg["grid"])
     slope = study["slope"] if study["status"] == "ok" else 2.0
     cases.append(_case("killing-adjunction-slope", slope, 1.8,
                        "green.killing-convergence", at_least=True))
@@ -360,7 +360,7 @@ def suite_green(cfg) -> list:
     study2 = convergence_study(
         lambda n: green_einstein_sym_defect(GridSpec.for_chart(ball, n),
                                             ball, sb, eb),
-        cfg.get("grid") or [8, 16, 32])
+        cfg["grid"])
     slope2 = study2["slope"] if study2["status"] == "ok" else 2.0
     cases.append(_case("einstein-symmetry-slope-ricci-flat", slope2, 1.8,
                        "green.einstein-convergence", at_least=True))
@@ -369,7 +369,7 @@ def suite_green(cfg) -> list:
         lambda n: green_einstein_sym_defect(GridSpec.for_chart(bump, n),
                                             bump, sig2, eta2,
                                             ein_corrected=True),
-        cfg.get("grid") or [8, 16, 32])
+        cfg["grid"])
     slope3 = study3["slope"] if study3["status"] == "ok" else 2.0
     cases.append(_case("einstein-symmetry-slope-corrected", slope3, 1.8,
                        "green.einstein-convergence-corrected",
@@ -453,12 +453,11 @@ def suite_bvp(cfg) -> list:
     )
 
     seed = cfg["seed"]
-    d = cfg.get("dim", 3)
+    d, grid = cfg["dim"], cfg["grid"]
     chart = make_chart("flat_slab_periodic", d)
-    grid = cfg.get("grid")
     cases, _, unchecked = slab_solve_cases(chart, [
-        ("discrete-admissible", [max(grid or [16])], seed),
-        ("continuum-admissible", grid or [8, 12, 16], seed + 1),
+        ("discrete-admissible", [max(grid)], seed),
+        ("continuum-admissible", grid, seed + 1),
         ("inadmissible-divergence", (8, 16), seed + 2),
         ("inadmissible-boundary", (8, 16), seed + 2)])
     if unchecked:
@@ -503,10 +502,14 @@ SUITES = {
     "bvp": suite_bvp,
 }
 
-#: The keys each suite reads besides ``seed``; ``all`` reads their union.
-_SUITE_KEYS = {"algebra": ("dims", "samples"), "calculus": ("dims", "samples"),
-               "boundary": ("dims", "dims_weyl", "samples"),
-               "linearization": (), "green": ("grid",), "bvp": ("dim", "grid")}
+#: The keys each suite reads besides ``seed``, with the defaults that
+#: ``run_suite`` fills in; ``all`` reads their union.
+_SUITE_KEYS = {"algebra": {"dims": [3, 4, 5, 6], "samples": 50},
+               "calculus": {"dims": [3, 4], "samples": 100},
+               "boundary": {"dims": [3, 4], "dims_weyl": [4, 5],
+                            "samples": 50},
+               "linearization": {}, "green": {"grid": [8, 16, 32]},
+               "bvp": {"dim": 3, "grid": [8, 12, 16]}}
 
 
 def run_suite(name: str, cfg: dict) -> list:
@@ -515,4 +518,4 @@ def run_suite(name: str, cfg: dict) -> list:
         for key in SUITES:
             cases.extend(run_suite(key, cfg))
         return cases
-    return SUITES[name](cfg)
+    return SUITES[name]({**_SUITE_KEYS[name], **cfg})

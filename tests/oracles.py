@@ -456,6 +456,31 @@ def dstar_from_P(P, d: int):
     return sp.bmat(filled, format="csr")
 
 
+def composed_symbols(d: int):
+    """(DEin, delta B, delta*) of the composed flat forms above, each as
+    the (terms, rows, cols) coefficient table of ``bvp._symbol``: P_k is
+    multiplication by t_k on the polynomials of degree <= 2 in t,
+    truncated, so the P's commute exactly and an operator maps the
+    constant 1 on component c to sum_e C_e[:, c] t^e."""
+    terms = bvp._terms(d)
+    index = {e: i for i, e in enumerate(terms)}
+    K = len(terms)
+    P = []
+    for k in range(d):
+        up = [(index[tuple(sorted(e + (k,)))], i)
+              for i, e in enumerate(terms) if len(e) < 2]
+        rows, cols = zip(*up)
+        P.append(sp.csr_matrix((np.ones(len(up)), (rows, cols)),
+                               shape=(K, K)))
+    EIN, GAUGE, _, _, DSTAR = interior_from_P_loop(P, d, K)
+
+    def table(M):
+        A = M.toarray().reshape(M.shape[0] // K, K, M.shape[1] // K, K)
+        return A[..., 0].transpose(1, 0, 2)
+
+    return table(EIN), table(GAUGE), table(DSTAR)
+
+
 def grid_stencils(n: int, d: int, closed_torus: bool = False):
     """(P, E_faces) on the full n^d grid: each axis operator the kron of
     the 1-D stencil of ``bvp`` along its axis with the identity on the

@@ -37,6 +37,7 @@ from bianchi_lab.verify import (
 
 from oracles import (
     boundary_from_P_loop,
+    composed_symbols,
     continuum_source_full_grid,
     discrete_kernel_basis,
     dstar_from_P,
@@ -135,21 +136,21 @@ def test_clearing_the_grid_cache_changes_no_result():
 def test_sources_read_the_grid_built_once(monkeypatch):
     # the grid's build runs every stack builder on collar lines of n
     # nodes, never on the n^d nodes; once it is built, assemble and every
-    # source kind build no polynomial, expansion, interior operator or
-    # divergence again
+    # source kind build no polynomial, expansion or interior operator
+    # again, and read no interior coefficient off the jet route
     n = 15
     rows = []
 
-    def recorded(builder):
-        def run(P, *args):
-            rows.extend(Pk.shape[-2] for Pk in P)
-            return builder(P, *args)
+    def recorded(builder, family):
+        def run(*args):
+            rows.extend(Pk.shape[-2] for Pk in args[family])
+            return builder(*args)
         return run
 
     with monkeypatch.context() as patch:
-        for name in ("_interior_from_P", "_boundary_from_P", "_divergence",
-                     "_killing"):
-            patch.setattr(bvp, name, recorded(getattr(bvp, name)))
+        patch.setattr(bvp, "_from_symbol", recorded(bvp._from_symbol, 1))
+        patch.setattr(bvp, "_boundary_from_P",
+                      recorded(bvp._boundary_from_P, 0))
         bvp._grid.cache_clear()
         bvp._slab_polynomial.cache_clear()
         bvp._grid(n, 3)
@@ -158,8 +159,8 @@ def test_sources_read_the_grid_built_once(monkeypatch):
     def rebuilt(*args, **kwargs):
         raise AssertionError("the full grid was built again")
 
-    for name in ("_block_polynomial", "_expand", "_interior_from_P",
-                 "_divergence"):
+    for name in ("_block_polynomial", "_expand", "_from_symbol",
+                 "dein_closed_jets", "_gauge"):
         monkeypatch.setattr(bvp, name, rebuilt)
     assemble(n, CHART)
     for kind in SOURCE_MIN_GRID:
@@ -226,35 +227,80 @@ def test_constant_field_annihilated_by_interior_rows():
 
 
 def test_flat_operator_identities_hold_exactly():
-    # the gauged divergence of the interior operator and the interior
-    # operator on Killing deformations vanish at the matrix level: on
-    # every block of the points axis, and on the full grid, where the
-    # expanded einstein rows and delta* meet the oracle's divergence
-    n, d = 8, 3
-    family = []
+    # the divergence of the interior operator and the interior operator
+    # on Killing deformations vanish at the matrix level: on every block
+    # of the points axis, against the oracle's delta and delta* of that
+    # point's P family, and on the full grid, where the expanded einstein
+    # rows meet the oracle's divergence and the expanded delta*
+    for d, n in ((3, 8), (4, 6), (5, 4)):
+        nc = len(_sym_pairs(d))
+        built = []
 
-    def stack(P, E_faces):
-        family.append(P)
-        return bvp._slab_stack(n, d)(P, E_faces)
+        def stack(P, E_faces):
+            nodes, faces = bvp._slab_stack(n, d)(P, E_faces)
+            built.append((P, nodes[:, :nc * n]))
+            return nodes, faces
 
-    bvp._block_polynomial(n, d, stack, _sym_pairs(d))
-    P = family[0]
-    EIN = bvp._interior_from_P(P, d)[0]
-    comp1 = bvp._divergence(P, d) @ EIN
-    comp2 = EIN @ bvp._killing(P, d)
-    assert comp1.shape[0] == comp2.shape[0] == len(EIN) == 6
-    scale = max(np.abs(EIN).max(), 1.0)
-    assert np.abs(comp1).max() <= 1e-9 * scale
-    assert np.abs(comp2).max() <= 1e-9 * scale
+        bvp._block_polynomial(n, d, stack, _sym_pairs(d))
+        P, EIN = built[0]
+        m = d - 1
+        assert len(EIN) == 1 + 2 * m + m * (m - 1) // 2
+        scale = max(np.abs(EIN).max(), 1.0)
+        for k, ein in enumerate(EIN):
+            Pk = [sp.csr_matrix(Pa[k if len(Pa) > 1 else 0]) for Pa in P]
+            DIV = interior_from_P_loop(Pk, d, n)[3]
+            assert np.abs(DIV @ ein).max() <= 1e-9 * scale
+            assert np.abs(ein @ dstar_from_P(Pk, d)).max() <= 1e-9 * scale
 
-    EIN = rows_of(assemble(n, CHART), "einstein")
-    DSTAR = bvp._expand(bvp._h0_polynomial(n, d), n)[:6 * n ** d]
-    DIV = interior_from_P_loop(grid_stencils(n, d)[0], d, n ** d)[3]
-    comp1 = DIV @ EIN
-    comp2 = EIN @ DSTAR
-    scale = max(np.abs(EIN.data).max(), 1.0)
-    assert (np.abs(comp1.data).max() if comp1.nnz else 0.0) <= 1e-9 * scale
-    assert (np.abs(comp2.data).max() if comp2.nnz else 0.0) <= 1e-9 * scale
+        EIN = rows_of(assemble(n, make_chart("flat_slab_periodic", d)),
+                      "einstein")
+        DSTAR = bvp._expand(bvp._h0_polynomial(n, d), n)[:nc * n ** d]
+        DIV = interior_from_P_loop(grid_stencils(n, d)[0], d, n ** d)[3]
+        comp1 = DIV @ EIN
+        comp2 = EIN @ DSTAR
+        scale = max(np.abs(EIN.data).max(), 1.0)
+        assert (np.abs(comp1.data).max() if comp1.nnz else 0.0) \
+            <= 1e-9 * scale
+        assert (np.abs(comp2.data).max() if comp2.nnz else 0.0) \
+            <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_symbols_are_the_composed_flat_forms(d):
+    # the coefficients read off the jet route are the oracle's composed
+    # forms B(-Laplacian / 2 - delta* delta B), delta B and delta*, bit
+    # for bit, and B^-1 is tau - tr(tau) I / (d - 2)
+    ein, gauge, dstar = composed_symbols(d)
+    assert np.array_equal(bvp._symbol(d, bvp.dein_closed_jets), ein)
+    assert np.array_equal(bvp._symbol(d, bvp._gauge), gauge)
+    assert np.array_equal(bvp._symbol(d, bvp.killing), dstar)
+    assert np.any(ein) and np.any(gauge) and np.any(dstar)
+    diag = np.array([i == j for i, j in _sym_pairs(d)], dtype=float)
+    b_inverse = bvp._symbol(d, bvp.bianchi_b_inverse)
+    assert np.array_equal(b_inverse[0], np.eye(len(diag))
+                          - np.outer(diag, diag) / (d - 2))
+    assert not np.any(b_inverse[1:])
+
+
+@pytest.mark.parametrize("d,n", [(3, 8), (4, 6)])
+def test_slab_reads_its_interior_rows_off_the_jet_route(d, n, monkeypatch):
+    # with the DEin that bvp calls doubled, the slab polynomial's einstein
+    # rows double and every other row keeps its bits
+    bvp._slab_polynomial.cache_clear()
+    before = bvp._slab_polynomial(n, d)
+    dein = bvp.dein_closed_jets
+    monkeypatch.setattr(bvp, "dein_closed_jets",
+                        lambda geom, field: 2.0 * dein(geom, field))
+    bvp._slab_polynomial.cache_clear()
+    after = bvp._slab_polynomial(n, d)
+    bvp._slab_polynomial.cache_clear()
+    ein = bvp._stack_rows(d, n, 1, ("einstein",))
+    rest = bvp._stack_rows(d, n, 1, ("gauge",) + BOUNDARY_FAMILIES)
+    assert np.any(before.coef[:, ein])
+    assert np.array_equal(after.coef[:, ein], 2.0 * before.coef[:, ein])
+    assert np.array_equal(after.coef[:, rest], before.coef[:, rest])
+    for field in ("row_parity", "col_parity", "row_axes", "col_axes"):
+        assert np.array_equal(getattr(after, field), getattr(before, field))
 
 
 @pytest.mark.parametrize("n", [4, 5, 8])
@@ -709,9 +755,10 @@ H0_PROBES = {
 
 @pytest.mark.parametrize("d,closed_torus", sorted(H0_PROBES))
 def test_h0_rows_build_no_interior_operator(d, closed_torus, monkeypatch):
-    # the H0 stack is delta* and the face restrictions: with DEin and
-    # delta B raising, the probe still runs and gives the same counts and
-    # norms; the H1 rows are the slab stack's, built before the patch
+    # the H0 stack is delta* and the face restrictions: with the jet-route
+    # DEin and delta B that bvp calls raising, and no coefficient cached,
+    # the probe still runs and gives the same counts and norms; the H1
+    # rows are the slab stack's, built before the patch
     def interior(*args, **kwargs):
         raise AssertionError("the H0 rows built the interior operators")
 
@@ -719,7 +766,9 @@ def test_h0_rows_build_no_interior_operator(d, closed_torus, monkeypatch):
     bvp._slab_polynomial.cache_clear()
     if not closed_torus:
         bvp._slab_polynomial(8, d)
-    monkeypatch.setattr(bvp, "_interior_from_P", interior)
+    bvp._symbol.cache_clear()
+    monkeypatch.setattr(bvp, "dein_closed_jets", interior)
+    monkeypatch.setattr(bvp, "_gauge", interior)
     out = cohomology_probe(8, make_chart("flat_slab_periodic", d),
                            closed_torus)
     ref = H0_PROBES[d, closed_torus]

@@ -9,7 +9,7 @@ import pytest
 import scipy
 
 from bianchi_lab import verify
-from bianchi_lab.cli import main
+from bianchi_lab.cli import _keys_read, main
 from bianchi_lab.conventions import load_conventions
 
 
@@ -57,6 +57,18 @@ def test_corrupted_manifest(tmp_path):
     bad.write_text("{not json")
     out = tmp_path / "r.json"
     assert run(["verify", "--manifest", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("manifest", [
+    {"suite": "bvp", "grid": []}, {"suite": "algebra", "dims": []},
+    {"suite": "boundary", "dims_weyl": []}])
+def test_manifest_rejects_an_empty_list(manifest, tmp_path):
+    # an empty list would run no case of the key, or none of its suite
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps(manifest))
+    out = tmp_path / "r.json"
+    assert run(["verify", "--manifest", str(man), "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -122,7 +134,10 @@ SETTING_KEYS = {"suite", "dim", "dims", "dims_weyl", "grid", "samples",
     pytest.param(["solve", "--source", "inadmissible-boundary", "--grid",
                   "8"], None,
                  {"dim": 3, "grid": [8], "source": "inadmissible-boundary",
-                  "study": None}, id="solve-flags"),
+                  "study": False}, id="solve-flags"),
+    pytest.param(["verify", "--suite", "algebra"], None,
+                 {"suite": "algebra", "dims": [3, 4, 5, 6], "samples": 50},
+                 id="algebra-defaults"),
 ])
 def test_report_meta_records_the_settings_the_run_read(argv, manifest,
                                                        settings, tmp_path):
@@ -141,6 +156,28 @@ def test_report_meta_records_the_settings_the_run_read(argv, manifest,
         names = [c["name"] for c in report["cases"]]
         assert "duality-contraction-d4" in names
         assert not any(n.endswith(("-d3", "-d5", "-d6")) for n in names)
+
+
+def test_meta_records_a_default_per_suite_where_the_suites_differ(
+        monkeypatch):
+    # under --suite all, meta records the value each suite ran: one value
+    # where every suite that reads the key has the same default, else
+    # {suite: default}; a key the run sets is recorded as set
+    reads = _keys_read("verify", "all")
+    assert reads["grid"] == {"green": [8, 16, 32], "bvp": [8, 12, 16]}
+    assert reads["dims"] == {"algebra": [3, 4, 5, 6], "calculus": [3, 4],
+                             "boundary": [3, 4]}
+    assert reads["samples"] == {"algebra": 50, "calculus": 100,
+                                "boundary": 50}
+    assert (reads["dims_weyl"], reads["dim"]) == ([4, 5], 3)
+    assert _keys_read("verify", "green")["grid"] == [8, 16, 32]
+    assert _keys_read("solve", None)["grid"] == [16]
+    # run_suite fills in each default that a partial config lacks
+    seen = {}
+    monkeypatch.setitem(verify.SUITES, "bvp",
+                        lambda cfg: seen.update(cfg) or [])
+    assert verify.run_suite("bvp", {"seed": 4, "grid": [8]}) == []
+    assert seen == {"seed": 4, "dim": 3, "grid": [8]}
 
 
 @pytest.mark.parametrize("argv", [

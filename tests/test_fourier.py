@@ -182,6 +182,32 @@ def test_coefficient_that_breaks_the_parity_grading_raises():
     assert np.array_equal(poly.coef, bvp._h0_polynomial(n, d).coef)
 
 
+def test_each_operator_is_read_off_the_jet_route_once(monkeypatch):
+    # after the per-pass reset, the polynomial builds of a slab-solve pass
+    # (n = 15, 6, 8, 10) and of a probe's H0 rows read each operator's
+    # coefficients off the jet route once: one extractor miss, and one
+    # jet-route call, per (d, operator)
+    calls = []
+
+    def recorded(name, operator):
+        def run(geom, field):
+            calls.append(name)
+            return operator(geom, field)
+        return run
+
+    for name in ("dein_closed_jets", "_gauge", "killing"):
+        monkeypatch.setattr(bvp, name, recorded(name, getattr(bvp, name)))
+    bvp._symbol.cache_clear()
+    bvp._slab_polynomial.cache_clear()
+    for n in (15, 6, 8, 10):
+        bvp._slab_polynomial(n, 3)
+    bvp._h0_polynomial(8, 3)
+    bvp._slab_polynomial.cache_clear()
+    info = bvp._symbol.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
+    assert sorted(calls) == ["_gauge", "dein_closed_jets", "killing"]
+
+
 # ---------------------------------------------------------------------------
 # the symbol classes
 

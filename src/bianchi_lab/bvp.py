@@ -1,43 +1,42 @@
 """Finite-difference probe of the gauged linearized Einstein boundary-value
 problem on the flat periodic slab.
 
-Every discrete operator is built from one shared family of
-first-derivative operators {P_k} and face rows E (the 1-D stencils of
-``_first_derivative_1d`` and ``_face_extrapolation_1d``: periodic central
-stencils laterally; central with third-order one-sided end rows on the
-collar axis).  The interior rows DEin, the gauge rows delta B, delta* and
-B^-1 are read off the jet route: ``_symbol`` applies
+Every operator is a coefficient table C_alpha (``_symbol`` layout: terms
+alpha of degree <= 2 over the d axes, rows, columns), the coefficient of
+the derivative d^alpha.  The interior rows DEin, the gauge rows delta B,
+delta* and B^-1 are read off the jet route: ``_symbol`` applies
 ``linearize.dein_closed_jets``, ``charts.divergence`` of
 ``charts.bianchi_b``, ``charts.killing`` and ``charts.bianchi_b_inverse``
-to polynomial basis fields, which gives each operator's constant
-coefficients C_e on the flat slab, and ``_from_symbol`` forms sum_e C_e
-P^e.  The boundary rows (``_boundary_from_P``) are the only operator
-written here.  The family commutes, so flat-background polynomial
+to polynomial basis fields, which gives their constant coefficients on
+the flat slab.  The boundary rows (``_boundary_symbols``) are the only
+table written here.
+
+Every operator is invariant under lateral translation, so the lateral DFT
+splits it into one collar-line block per lateral mode, a polynomial of
+degree <= 2 in the lateral symbols i t_a, made real by a diagonal phase.
+``_block_polynomial`` reads that polynomial directly off the tables: the
+collar enters only as the collar stencil D of ``_first_derivative_1d``,
+its square, and the face rows E of ``_face_extrapolation_1d``.  D, the
+lateral symbols and E come from one family of first-derivative
+operators, and the family commutes, so flat-background polynomial
 identities -- the gauged divergence of the interior operator vanishing,
 and the interior operator annihilating Killing deformations -- hold
 exactly at the matrix level.  That exactness is what makes
 "discrete-admissible" sources solvable to solver tolerance rather than
 discretization accuracy.
 
-Each operator is evaluated only on the points axis of the block
-polynomial (``_block_polynomial``, with the stack builders ``_slab_stack``
-and ``_h0_stack``): batched dense arrays of a few collar-line blocks.
-Every operator is invariant under lateral translation, so the lateral DFT
-splits it into one collar-line block per lateral mode, and has degree <= 2
-in the P's, so each block is exactly a polynomial of degree <= 2 in the
-lateral symbols i t_a, made real by a diagonal phase.  The same
-invariance makes the full-grid matrix block-circulant in the lateral
-axes: ``_expand`` writes its CSR from the polynomial, and ``_grid`` does
-so once per (n, d) and process for the weighted slab matrix, the one
-full-grid operator, read-only.  ``assemble`` wraps it; the solve's
-residual and the oracles read it and ``kernel_probe`` is handed it.
-``make_source`` reads its einstein rows for the discrete-admissible
-source and its gauge rows for every source's divergence (delta T is the
-gauge rows applied to B^-1 T), and applies the 1-D stencils along each
-axis (``_along``) for the double-curl sources.  The spectra and
-``cohomology_probe`` read only the blocks.  The continuum-admissible
-source is evaluated on 4 lateral nodes per axis and interpolated
-exactly, as it has lateral frequencies |k_a| <= 1.
+The same invariance makes the full-grid matrix block-circulant in the
+lateral axes: ``_expand`` writes its CSR from the polynomial, and
+``_grid`` does so once per (n, d) and process for the weighted slab
+matrix, the one full-grid operator, read-only.  ``assemble`` wraps it;
+the solve's residual and the oracles read it and ``kernel_probe`` is
+handed it.  ``make_source`` reads its einstein rows for the
+discrete-admissible source and its gauge rows for every source's
+divergence (delta T is the gauge rows applied to B^-1 T), and applies
+the 1-D stencils along each axis (``_along``) for the double-curl
+sources.  The spectra and ``cohomology_probe`` read only the blocks.
+The continuum-admissible source is evaluated on 4 lateral nodes per axis
+and interpolated exactly, as it has lateral frequencies |k_a| <= 1.
 
 The operators also commute with the reflection of each lateral axis, and
 t_a = sin(2 pi k_a / n) is the same for k_a and n/2 - k_a, so every block
@@ -166,12 +165,14 @@ class DiscreteSystem:
     """The slab system A sigma = b on the n^d grid, ``matrix`` = A
     (``assemble``'s is ``_grid``'s lateral expansion of the slab block
     polynomial, shared and read-only; its column indices are not sorted
-    within a row).
+    within a row).  Each row family is a coefficient table, and the
+    collar enters A only as D, D^2 and the face rows E D^k
+    (``_block_polynomial``).
 
     Rows, in blocks of N = n^d node rows or NF = n^(d-1) face-node rows
     (``_stack_rows`` names the families): "einstein", DEin, one block of
     N per component of ``_sym_pairs(dim)``; "gauge", delta B, d blocks
-    of N; then the rows of ``_boundary_from_P`` weighted by
+    of N; then the rows of ``_boundary_symbols`` weighted by
     ``_boundary_weight(n)``: per face (d-1)d/2 blocks of NF for each of
     "pullback", "dA" and "dnA" (d(nabla_n A)), then d "normal"
     (sigma(n, .)) blocks per face.  A block of node rows runs over the
@@ -203,32 +204,6 @@ class DiscreteSystem:
         return {"einstein": rel(("einstein",)), "gauge": rel(("gauge",)),
                 "boundary": rel(BOUNDARY_FAMILIES)
                 / _boundary_weight(self.n)}
-
-
-def _summed_blocks(nc: int, terms) -> list:
-    """One block row over nc components from (component, block) terms:
-    the terms of each component summed in order, None where there are
-    none."""
-    blocks = [None] * nc
-    for c, t in terms:
-        blocks[c] = t if blocks[c] is None else blocks[c] + t
-    return blocks
-
-
-def _block_matrix(rows) -> np.ndarray:
-    """The (points, rows, cols) array of a grid of blocks, each of shape
-    (points or 1, height, width) with one height and width throughout,
-    and None for a zero block."""
-    shape = np.broadcast_shapes(*(b.shape for row in rows for b in row
-                                  if b is not None))
-    q, height, width = shape
-    out = np.zeros((q, len(rows) * height, len(rows[0]) * width))
-    for r, row in enumerate(rows):
-        for c, b in enumerate(row):
-            if b is not None:
-                out[:, r * height:(r + 1) * height,
-                    c * width:(c + 1) * width] = b
-    return out
 
 
 def _terms(m: int) -> list:
@@ -278,70 +253,46 @@ def _symbol(d: int, operator) -> np.ndarray:
     return symbol
 
 
-# Every stack builder below takes the derivative family P and the face
-# rows E_faces on the points axis of ``_block_polynomial``: each P_k a
-# (points or 1, line, line) array and each face row a (1, 1, line) one,
-# so that ``@`` composes them point by point.
-
-
-def _from_symbol(symbol: np.ndarray, P) -> np.ndarray:
-    """The (points, rows, cols) block matrix of a ``_symbol`` C: block
-    (r, c) is sum_e C_e[r, c] P^e, with P^e the product of the P_a, a in
-    e, over the terms e of ``_terms(len(P))`` (the identity for e = ())."""
-    m = len(P)
-    powers = np.stack(np.broadcast_arrays(
-        np.eye(P[0].shape[-1])[None], *P,
-        *(P[a] @ P[b] for a, b in _terms(m)[1 + m:])))
-    (K, R, C), (q, line) = symbol.shape, powers.shape[1:3]
-    out = (symbol.reshape(K, -1).T @ powers.reshape(K, -1)).reshape(
-        R, C, q, line, line)
-    return out.transpose(2, 0, 3, 1, 4).reshape(q, R * line, C * line)
-
-
-def _boundary_from_P(P, E_faces, d: int) -> np.ndarray:
-    """Rows for the pullback, the linearized second fundamental form and
-    its normal derivative, on both faces (exact flat-slab forms), then
-    the normal restriction sigma(n, .) on both faces.
+def _boundary_symbols(d: int) -> tuple:
+    """The boundary rows as ``_symbol`` tables (exact flat-slab forms),
+    (face 0, face 1, normal): per face the pullback, the linearized second
+    fundamental form dA and its normal derivative d(nabla_n A), dA's sign
+    flipped on face 1 (inward normal -e_d); then the normal restriction
+    sigma(n, .), one table for both faces.
 
     The last family completes the Cauchy data: the first three are
     geometric data of each face, blind to the constant deformations
     dx_a . dx_d and dx_d^2 that move a face by an isometry (see
-    DECISIONS.md, "slab kernel").
+    DECISIONS.md, "slab kernel").  They are written here, not read off the
+    jet route, which has no exact linearization of the boundary data
+    (DECISIONS.md, "One DEin").
     """
-    sym = _component_table(d)
-    nc = len(_sym_pairs(d))
-    rows = []
+    terms, sym, c = _terms(d), _component_table(d), d - 1
+    tang = [(a, b) for a in range(c) for b in range(a, c)]
 
-    def row(*terms):
-        rows.append(_summed_blocks(nc, [(sym[i, j], t)
-                                        for (i, j), t in terms]))
+    def table(rows):
+        # rows of ((i, j), e, w): w d^e on component sigma_ij
+        out = np.zeros((len(terms), len(rows), len(_sym_pairs(d))))
+        for r, row in enumerate(rows):
+            for (i, j), e, w in row:
+                out[terms.index(e), r, sym[i, j]] += w
+        return out
 
-    tang = [(a, b) for a in range(d - 1) for b in range(a, d - 1)]
-    for face in (0, 1):
-        E = E_faces[face]
-        sgn = 1.0 if face == 0 else -1.0
-        # pullback rows
-        for a, b in tang:
-            row(((a, b), E))
-        # dA rows: (P_d s_ab - P_a s_bd - P_b s_ad) / 2 at the face,
-        # sign flipped on the upper face (inward normal -e_d)
-        for a, b in tang:
-            row(((a, b), sgn * 0.5 * (E @ P[d - 1])),
-                ((b, d - 1), -sgn * 0.5 * (E @ P[a])),
-                ((a, d - 1), -sgn * 0.5 * (E @ P[b])))
-        # d(nabla_n A) rows: collar derivative of the dA field plus the
-        # distance-foliation tilt (the linearized eikonal gives the
-        # normal derivative of the leaf displacement as sigma_dd / 2,
-        # whose tangential Hessian enters the shape-operator field)
-        for a, b in tang:
-            row(((a, b), 0.5 * (E @ P[d - 1] @ P[d - 1])),
-                ((b, d - 1), -0.5 * (E @ P[d - 1] @ P[a])),
-                ((a, d - 1), -0.5 * (E @ P[d - 1] @ P[b])),
-                ((d - 1, d - 1), 0.5 * (E @ P[a] @ P[b])))
-    for E in E_faces:
-        for a in range(d):
-            row(((a, d - 1), E))
-    return _block_matrix(rows)
+    def geometric(sgn):
+        # dA: (d_d s_ab - d_a s_bd - d_b s_ad) / 2; d(nabla_n A): its
+        # collar derivative plus the distance-foliation tilt (the
+        # linearized eikonal gives the normal derivative of the leaf
+        # displacement as sigma_dd / 2, whose tangential Hessian enters
+        # the shape-operator field)
+        return table([[((a, b), (), 1.0)] for a, b in tang]
+                     + [[((a, b), (c,), sgn / 2), ((b, c), (a,), -sgn / 2),
+                         ((a, c), (b,), -sgn / 2)] for a, b in tang]
+                     + [[((a, b), (c, c), 0.5), ((b, c), (a, c), -0.5),
+                         ((a, c), (b, c), -0.5), ((c, c), (a, b), 0.5)]
+                        for a, b in tang])
+
+    return (geometric(1.0), geometric(-1.0),
+            table([[((a, c), (), 1.0)] for a in range(d)]))
 
 
 BOUNDARY_FAMILIES = ("pullback", "dA", "dnA", "normal")
@@ -368,36 +319,6 @@ def _boundary_weight(n: int) -> float:
     return (1.0 / n) ** -0.5
 
 
-def _slab_stack(n: int, d: int):
-    """The slab stack builder: per-node rows DEin and delta B, from their
-    ``_symbol``, and per-face-node rows, those of ``_boundary_from_P``
-    weighted by ``_boundary_weight(n)`` (see ``_block_polynomial``)."""
-    bw = _boundary_weight(n)
-
-    def stack(P, E_faces):
-        interior = np.concatenate([_symbol(d, dein_closed_jets),
-                                   _symbol(d, _gauge)], axis=1)
-        return (_from_symbol(interior, P),
-                bw * _boundary_from_P(P, E_faces, d))
-
-    return stack
-
-
-def _h0_stack(n: int, d: int):
-    """The H0 stack builder: the Killing operator delta* per node, from
-    its ``_symbol``, then the restriction of X to each face, weighted by
-    ``_boundary_weight(n)``; no face rows without faces."""
-    bw = _boundary_weight(n)
-
-    def stack(P, E_faces):
-        faces = [bw * _block_matrix([[E if a == b else None for b in range(d)]
-                                     for a in range(d)]) for E in E_faces]
-        return (_from_symbol(_symbol(d, killing), P),
-                np.concatenate(faces, axis=1) if faces else None)
-
-    return stack
-
-
 def _slab_dim(chart: MetricChart) -> int:
     """The dimension of ``chart``, which must be the flat periodic slab:
     the only background the discrete problem is posed on."""
@@ -415,7 +336,7 @@ def _slab_dim(chart: MetricChart) -> int:
 def _grid(n: int, d: int) -> sp.csr_matrix:
     """The weighted slab matrix on the full n^d grid, its node rows then
     its face rows: the lateral expansion (``_expand``) of
-    ``_slab_polynomial``, so no stack builder runs on the n^d nodes.
+    ``_slab_polynomial``, so no operator is built on the n^d nodes.
     Built once per (n, d) and shared by ``assemble`` and ``make_source``,
     so its arrays are read-only."""
     matrix = _expand(_slab_polynomial(n, d), n)
@@ -708,26 +629,27 @@ def _phase_flip(terms, row: np.ndarray, col: np.ndarray) -> np.ndarray:
     return (deg + col - row[:, None]) % 4 == 2
 
 
-def _block_polynomial(n: int, d: int, stack, unknowns,
+def _block_polynomial(n: int, d: int, nodes: np.ndarray, faces, unknowns,
                       closed_torus: bool = False) -> _Polynomial:
-    """A lateral-Fourier block of ``stack`` as a real polynomial in the
-    symbols.
+    """A lateral-Fourier block as a real polynomial in the symbols, read
+    off coefficient tables.
 
-    ``stack(P, E_faces)`` builds (per-node rows, per-face-node rows or
-    None) from a commuting derivative family P and face rows, batched
-    over a points axis; its columns are the components ``unknowns``
-    (index tuples) of the unknown field.  In the block of lateral mode k
-    each lateral P_a is i t_a / h times the identity, with t_a = sin(2 pi
-    k_a / n); the collar P (absent on the closed torus, where all d axes
-    are lateral) is the collar line's stencil.  Every row has degree <= 2
-    in the P's, so with u_a / h in place of each lateral P_a
+    ``nodes`` is the ``_symbol`` table (terms of ``_terms(d)``, rows,
+    cols) of the per-node rows, and ``faces`` a list of (face, table)
+    pairs of per-face-node rows, in row order; the columns are the
+    components ``unknowns`` (index tuples) of the unknown field.  In the
+    block of lateral mode k each lateral derivative is u_a / h times the
+    identity, with u_a = i t_a and t_a = sin(2 pi k_a / n), and the collar
+    derivative (absent on the closed torus, where all d axes are lateral)
+    is the dense collar stencil D of ``_first_derivative_1d``.  So a term
+    C_alpha d^alpha with lateral axes e and k collar axes is u^e C_alpha
+    (x) D^k / h^|e|, and the block is exactly
 
-        A(u) = A0 + sum_a u_a L_a + sum_{a<=b} u_a u_b Q_ab
+        A(u) = sum_e u^e coef_e,  coef_e = sum_alpha C_alpha (x) D^k / h^|e|
 
-    holds exactly, and its values at the 1 + 2m + m(m-1)/2 points u = 0,
-    +-e_a and e_a + e_b (a < b) determine it: one batched build, with P_a
-    = (u_a / h) I at each point and the dense 1-D collar stencil and face
-    rows, arrays of shape (points or 1, rows, cols).
+    over the alpha whose lateral axes are e, of degree <= 2 in u.  A face
+    row has E D^k in place of D^k, with E the face's extrapolation row
+    (``_face_extrapolation_1d``), and carries ``_boundary_weight(n)``.
 
     The coefficients are real, and u = i t.  The operators commute with
     the reflection of each lateral axis a, which flips u_a and the sign
@@ -743,34 +665,29 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
     h = 1.0 / n
     m = d if closed_torus else d - 1
     line = 1 if closed_torus else n
-    eye = np.eye(m)
-    U = np.array([np.zeros(m), *eye, *-eye,
-                  *(eye[a] + eye[b] for a in range(m)
-                    for b in range(a + 1, m))])
-    q = len(U)
-    P = [(U[:, a] / h)[:, None, None] * np.eye(line) for a in range(m)]
-    E_faces = []
-    if not closed_torus:
-        P.append(_first_derivative_1d(n, h, False).toarray()[None])
-        E_faces = [_face_extrapolation_1d(n, face).toarray()[None]
-                   for face in (0, 1)]
-    nodes, faces = stack(P, E_faces)
-    blocks = nodes if faces is None else np.concatenate(
-        [nodes, np.broadcast_to(faces, (q,) + faces.shape[1:])], axis=1)
-
-    A0, plus, minus = blocks[0], blocks[1:1 + m], blocks[1 + m:1 + 2 * m]
-    mixed = iter(blocks[1 + 2 * m:])
     terms = _terms(m)
-    coef = np.stack([A0] + [0.5 * (plus[a] - minus[a]) for a in range(m)]
-                    + [0.5 * (plus[a] + minus[a]) - A0 if a == b else
-                       next(mixed) - plus[a] - plus[b] + A0
-                       for a, b in terms[1 + m:]])
-    # The mixed differences cancel exact zeros only to roundoff (3.6e-15,
-    # 2e-17 of the largest coefficient, at d=4, n=4), and the per-axis
-    # gate below would read such a remainder as a coupling.  The smallest
-    # true coefficient is 13 orders above the cut (1.2e-4 of the largest
-    # at d=3, n=24).
-    coef[np.abs(coef) <= 1e-12 * np.abs(coef).max()] = 0.0
+    powers = np.eye(line)[None]  # D^k, k = 0 .. 2, on the collar line
+    if not closed_torus:
+        D = _first_derivative_1d(n, h, False).toarray()
+        powers = np.stack([powers[0], D, D @ D])
+
+    def rows(table, powers):
+        # the table's C_alpha / h^|e| by lateral term e and collar count
+        # k, times powers[k]: (terms, rows, cols) with each row and column
+        # component along ``powers``' rows and columns
+        grouped = np.zeros((len(terms), len(powers)) + table.shape[1:])
+        for alpha, c_alpha in zip(_terms(d), table):
+            e = tuple(a for a in alpha if a < m)
+            grouped[terms.index(e), len(alpha) - len(e)] = (
+                c_alpha / h ** len(e))
+        out = np.tensordot(grouped, powers, axes=(1, 0))
+        J, R, C, height, width = out.shape
+        return out.transpose(0, 1, 3, 2, 4).reshape(J, R * height, C * width)
+
+    bw = _boundary_weight(n)
+    coef = np.concatenate([rows(nodes, powers)] + [
+        bw * rows(table, _face_extrapolation_1d(n, face).toarray() @ powers)
+        for face, table in faces], axis=1)
 
     nonzero = coef != 0
     col_axes = np.repeat([[comp.count(a) % 2 for comp in unknowns]
@@ -787,7 +704,8 @@ def _block_polynomial(n: int, d: int, stack, unknowns,
     row, col = row_axes.sum(axis=0) % 2, col_axes.sum(axis=0) % 2
     return _Polynomial(tuple(terms),
                        np.where(_phase_flip(terms, row, col), -coef, coef),
-                       row, col, row_axes, col_axes, line, nodes.shape[1])
+                       row, col, row_axes, col_axes, line,
+                       nodes.shape[1] * line)
 
 
 def _expand(poly: _Polynomial, n: int) -> sp.csr_matrix:
@@ -868,10 +786,15 @@ def _expand(poly: _Polynomial, n: int) -> sp.csr_matrix:
 # hold every (n, d) that one ``verify --suite bvp`` run solves on.
 @lru_cache(maxsize=8)
 def _slab_polynomial(n: int, d: int) -> _Polynomial:
-    """``_block_polynomial`` of the slab stack of ``assemble``, built
-    once per (n, d) and shared by every caller, so its arrays are
-    read-only."""
-    poly = _block_polynomial(n, d, _slab_stack(n, d), _sym_pairs(d))
+    """``_block_polynomial`` of the slab system of ``assemble``: DEin and
+    delta B per node, from their ``_symbol``, and the ``_boundary_symbols``
+    per face node.  Built once per (n, d) and shared by every caller, so
+    its arrays are read-only."""
+    face0, face1, normal = _boundary_symbols(d)
+    poly = _block_polynomial(
+        n, d, np.concatenate([_symbol(d, dein_closed_jets),
+                              _symbol(d, _gauge)], axis=1),
+        [(0, face0), (1, face1), (0, normal), (1, normal)], _sym_pairs(d))
     for array in poly[1:6]:
         array.flags.writeable = False
     return poly
@@ -954,9 +877,15 @@ def lateral_block_svals(n: int, d: int) -> dict:
 
 def _h0_polynomial(n: int, d: int, closed_torus: bool = False
                    ) -> _Polynomial:
-    """``_block_polynomial`` of ``_h0_stack``, over the vector field X."""
-    return _block_polynomial(n, d, _h0_stack(n, d), [(a,) for a in range(d)],
-                             closed_torus)
+    """``_block_polynomial`` of the H0 operator on the vector field X: the
+    Killing operator delta* per node, from its ``_symbol``, then the
+    restriction of X to each face (no face rows without faces)."""
+    restrict = np.zeros((len(_terms(d)), d, d))
+    restrict[0] = np.eye(d)
+    return _block_polynomial(n, d, _symbol(d, killing),
+                             [] if closed_torus else [(0, restrict),
+                                                      (1, restrict)],
+                             [(a,) for a in range(d)], closed_torus)
 
 
 def _h1_polynomial(n: int, d: int) -> _Polynomial:

@@ -227,8 +227,7 @@ def cmd_solve(args) -> int:
 
     chart = make_chart("flat_slab_periodic", cfg["dim"])
     kinds = ([cfg["source"]] if cfg.get("source") else
-             ["discrete-admissible", "continuum-admissible",
-              "inadmissible-divergence", "inadmissible-boundary"])
+             MANIFEST_SCHEMA["properties"]["source"]["enum"])
     cases, tables, unchecked = slab_solve_cases(
         chart, [(kind, grid, cfg["seed"]) for kind in kinds],
         study=bool(cfg.get("study")))
@@ -238,6 +237,7 @@ def cmd_solve(args) -> int:
     probe = cohomology_probe(n0, chart)
     meta = {
         "command": "solve",
+        "source": cfg.get("source") or kinds,
         "sigma_min": float(spec[0]),
         "kernel_dim": int(nkernel),
         "gap_beyond_kernel": float(gap),

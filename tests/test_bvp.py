@@ -134,33 +134,31 @@ def test_clearing_the_grid_cache_changes_no_result():
 
 
 def test_sources_read_the_grid_built_once(monkeypatch):
-    # the grid's build runs every stack builder on collar lines of n
+    # the grid's build reads the block polynomial on collar lines of n
     # nodes, never on the n^d nodes; once it is built, assemble and every
     # source kind build no polynomial, expansion or interior operator
     # again, and read no interior coefficient off the jet route
     n = 15
-    rows = []
+    built = []
+    block_polynomial = bvp._block_polynomial
 
-    def recorded(builder, family):
-        def run(*args):
-            rows.extend(Pk.shape[-2] for Pk in args[family])
-            return builder(*args)
-        return run
+    def recorded(*args):
+        built.append(block_polynomial(*args))
+        return built[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(bvp, "_from_symbol", recorded(bvp._from_symbol, 1))
-        patch.setattr(bvp, "_boundary_from_P",
-                      recorded(bvp._boundary_from_P, 0))
+        patch.setattr(bvp, "_block_polynomial", recorded)
         bvp._grid.cache_clear()
         bvp._slab_polynomial.cache_clear()
         bvp._grid(n, 3)
-    assert rows and max(rows) == n
+    assert [poly.line for poly in built] == [n]
+    assert built[0].coef.shape[2] == len(_sym_pairs(3)) * n
 
     def rebuilt(*args, **kwargs):
         raise AssertionError("the full grid was built again")
 
-    for name in ("_block_polynomial", "_expand", "_from_symbol",
-                 "dein_closed_jets", "_gauge"):
+    for name in ("_block_polynomial", "_expand", "dein_closed_jets",
+                 "_gauge"):
         monkeypatch.setattr(bvp, name, rebuilt)
     assemble(n, CHART)
     for kind in SOURCE_MIN_GRID:
@@ -228,26 +226,25 @@ def test_constant_field_annihilated_by_interior_rows():
 
 def test_flat_operator_identities_hold_exactly():
     # the divergence of the interior operator and the interior operator
-    # on Killing deformations vanish at the matrix level: on every block
-    # of the points axis, against the oracle's delta and delta* of that
-    # point's P family, and on the full grid, where the expanded einstein
+    # on Killing deformations vanish at the matrix level: on every class
+    # block, unphased, against the oracle's delta and delta* of that
+    # mode's P family, and on the full grid, where the expanded einstein
     # rows meet the oracle's divergence and the expanded delta*
     for d, n in ((3, 8), (4, 6), (5, 4)):
-        nc = len(_sym_pairs(d))
-        built = []
-
-        def stack(P, E_faces):
-            nodes, faces = bvp._slab_stack(n, d)(P, E_faces)
-            built.append((P, nodes[:, :nc * n]))
-            return nodes, faces
-
-        bvp._block_polynomial(n, d, stack, _sym_pairs(d))
-        P, EIN = built[0]
-        m = d - 1
-        assert len(EIN) == 1 + 2 * m + m * (m - 1) // 2
-        scale = max(np.abs(EIN).max(), 1.0)
-        for k, ein in enumerate(EIN):
-            Pk = [sp.csr_matrix(Pa[k if len(Pa) > 1 else 0]) for Pa in P]
+        nc, m, K = len(_sym_pairs(d)), d - 1, bvp._class_count(n)
+        poly = bvp._slab_polynomial(n, d)
+        classes = np.arange(K ** m)
+        rows = (1j) ** poly.row_parity[:nc * n]
+        cols = (1j) ** -poly.col_parity
+        EIN = [rows[:, None] * block[:nc * n] * cols
+               for block in bvp._fourier_blocks(poly, n, classes)]
+        scale = max(max(np.abs(ein).max() for ein in EIN), 1.0)
+        D = bvp._first_derivative_1d(n, 1.0 / n, False)
+        for cls, ein in zip(classes, EIN):
+            t = np.sin(2 * np.pi * np.array(np.unravel_index(cls, (K,) * m))
+                       / n)
+            Pk = [sp.identity(n, format="csr") * (1j * ta * n)
+                  for ta in t] + [D]
             DIV = interior_from_P_loop(Pk, d, n)[3]
             assert np.abs(DIV @ ein).max() <= 1e-9 * scale
             assert np.abs(ein @ dstar_from_P(Pk, d)).max() <= 1e-9 * scale
@@ -298,6 +295,28 @@ def test_slab_reads_its_interior_rows_off_the_jet_route(d, n, monkeypatch):
     rest = bvp._stack_rows(d, n, 1, ("gauge",) + BOUNDARY_FAMILIES)
     assert np.any(before.coef[:, ein])
     assert np.array_equal(after.coef[:, ein], 2.0 * before.coef[:, ein])
+    assert np.array_equal(after.coef[:, rest], before.coef[:, rest])
+    for field in ("row_parity", "col_parity", "row_axes", "col_axes"):
+        assert np.array_equal(getattr(after, field), getattr(before, field))
+
+
+@pytest.mark.parametrize("d,n", [(3, 8), (4, 6)])
+def test_slab_reads_its_boundary_rows_off_the_boundary_tables(d, n,
+                                                              monkeypatch):
+    # with every table of _boundary_symbols doubled, the slab polynomial's
+    # boundary rows double and the einstein and gauge rows keep their bits
+    bvp._slab_polynomial.cache_clear()
+    before = bvp._slab_polynomial(n, d)
+    tables = bvp._boundary_symbols
+    monkeypatch.setattr(bvp, "_boundary_symbols",
+                        lambda d: tuple(2.0 * t for t in tables(d)))
+    bvp._slab_polynomial.cache_clear()
+    after = bvp._slab_polynomial(n, d)
+    bvp._slab_polynomial.cache_clear()
+    bnd = bvp._stack_rows(d, n, 1, BOUNDARY_FAMILIES)
+    rest = bvp._stack_rows(d, n, 1, ("einstein", "gauge"))
+    assert np.any(before.coef[:, bnd])
+    assert np.array_equal(after.coef[:, bnd], 2.0 * before.coef[:, bnd])
     assert np.array_equal(after.coef[:, rest], before.coef[:, rest])
     for field in ("row_parity", "col_parity", "row_axes", "col_axes"):
         assert np.array_equal(getattr(after, field), getattr(before, field))

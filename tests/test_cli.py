@@ -135,6 +135,11 @@ SETTING_KEYS = {"suite", "dim", "dims", "dims_weyl", "grid", "samples",
                   "8"], None,
                  {"dim": 3, "grid": [8], "source": "inadmissible-boundary",
                   "study": False}, id="solve-flags"),
+    pytest.param(["solve", "--grid", "8"], None,
+                 {"dim": 3, "grid": [8], "source": [
+                     "discrete-admissible", "continuum-admissible",
+                     "inadmissible-divergence", "inadmissible-boundary"],
+                  "study": False}, id="solve-all-kinds"),
     pytest.param(["verify", "--suite", "algebra"], None,
                  {"suite": "algebra", "dims": [3, 4, 5, 6], "samples": 50},
                  id="algebra-defaults"),

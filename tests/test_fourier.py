@@ -105,7 +105,7 @@ def same_sparse_matrix(A, B):
 
 
 # n=4, where the lateral offsets +-2 alias, and odd n among them
-EXPANDED = [(3, 4), (3, 5), (3, 8), (3, 15), (4, 4), (4, 5)]
+EXPANDED = [(3, 4), (3, 5), (3, 8), (3, 15), (4, 4), (4, 5), (5, 4)]
 
 
 @pytest.mark.parametrize("d,n", EXPANDED)
@@ -165,20 +165,18 @@ def test_coefficient_that_breaks_the_parity_grading_raises():
     # X_0 has one lateral index and X_2 (the collar component) none: a
     # zeroth-order row coupling them can be made real by no diagonal phase
     n, d = 5, 3
-    h0 = bvp._h0_stack(n, d)
-
-    def stack(P, E_faces):
-        dstar, faces = h0(P, E_faces)
-        eye = np.eye(P[0].shape[-1])
-        mixed = np.hstack([eye, 0 * eye, eye])
-        return np.concatenate([dstar, np.broadcast_to(
-            mixed, (len(dstar),) + mixed.shape)], axis=1), faces
-
+    dstar = bvp._symbol(d, bvp.killing)
+    mixed = np.zeros((len(dstar), 1, d))
+    mixed[0, 0, [0, 2]] = 1.0
+    restrict = np.zeros((len(dstar), d, d))
+    restrict[0] = np.eye(d)
+    faces = [(0, restrict), (1, restrict)]
     unknowns = [(a,) for a in range(d)]
     with pytest.raises(ValueError, match="parity"):
-        bvp._block_polynomial(n, d, stack, unknowns)
-    # the same stack without the coupling row is graded
-    poly = bvp._block_polynomial(n, d, bvp._h0_stack(n, d), unknowns)
+        bvp._block_polynomial(n, d, np.concatenate([dstar, mixed], axis=1),
+                              faces, unknowns)
+    # the same tables without the coupling row are graded
+    poly = bvp._block_polynomial(n, d, dstar, faces, unknowns)
     assert np.array_equal(poly.coef, bvp._h0_polynomial(n, d).coef)
 
 

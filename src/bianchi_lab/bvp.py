@@ -28,13 +28,15 @@ discretization accuracy.
 The same invariance makes the full-grid matrix block-circulant in the
 lateral axes: ``_expand`` writes its CSR from the polynomial, and
 ``_grid`` does so once per (n, d) and process for the weighted slab
-matrix, the one full-grid operator, read-only.  ``assemble`` wraps it;
-the solve's residual and the oracles read it and ``kernel_probe`` is
-handed it.  ``make_source`` reads its einstein rows for the
-discrete-admissible source and its gauge rows for every source's
-divergence (delta T is the gauge rows applied to B^-1 T), and applies
-the 1-D stencils along each axis (``_along``) for the double-curl
-sources.  The spectra and ``cohomology_probe`` read only the blocks.
+matrix, the one full-grid operator, read-only.  ``assemble`` hands it to
+the solve's residual, the oracles and ``kernel_probe``.  ``make_source``
+reads its einstein rows for the discrete-admissible source and its gauge
+rows for every source's divergence (delta T is the gauge rows applied to
+B^-1 T), and applies the 1-D stencils along each axis (``_along``) for
+the double-curl sources.  The spectra and ``cohomology_probe`` read only
+the blocks.  Only the functions that build a sparse matrix import
+scipy.sparse: the 1-D stencils, ``_expand``, ``make_source`` and
+``kernel_probe``, the one reader of scipy.sparse.linalg.
 The continuum-admissible source is evaluated on 4 lateral nodes per axis
 and interpolated exactly, as it has lateral frequencies |k_a| <= 1.
 
@@ -57,8 +59,6 @@ from itertools import product
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .charts import (
     MetricChart,
@@ -96,6 +96,8 @@ def _first_derivative_1d(n: int, h: float, periodic: bool) -> sp.csr_matrix:
     """The central first difference on n nodes of spacing h: periodic, or
     with third-order one-sided end rows, which keep compositions
     second-order accurate."""
+    import scipy.sparse as sp
+
     j = np.arange(n) if periodic else np.arange(1, n - 1)
     rows = [np.repeat(j, 2)]
     cols = [np.stack([(j - 1) % n, (j + 1) % n], axis=1).ravel()]
@@ -113,6 +115,8 @@ def _first_derivative_1d(n: int, h: float, periodic: bool) -> sp.csr_matrix:
 
 def _face_extrapolation_1d(n: int, face: int) -> sp.csr_matrix:
     """Quadratic extrapolation from the first three cell centers to a face."""
+    import scipy.sparse as sp
+
     w = np.array([15.0, -10.0, 3.0]) / 8.0
     return sp.csr_matrix((w, np.arange(3), [0, 3]) if face == 0 else
                          (w[::-1], np.arange(n - 3, n), [0, 3]), shape=(1, n))
@@ -428,6 +432,8 @@ def make_source(n: int, chart: MetricChart, kind: str,
     The discrete-admissible source is ``_grid``'s einstein rows applied
     to the potential B^-1 tau, and ``div_rel`` is max |delta T| / max |T|
     with delta T its gauge rows applied to B^-1 T (``_b_inverse``)."""
+    import scipy.sparse as sp
+
     d = _slab_dim(chart)
     if kind not in SOURCE_MIN_GRID:
         raise ValueError(f"unknown source kind {kind!r}")
@@ -578,6 +584,9 @@ def kernel_probe(matrix: sp.spmatrix, seed: int = 0) -> float:
     shifted normal matrix is symmetric positive definite, so SuperLU
     factors it in its symmetric mode: a minimum-degree ordering of its
     pattern and pivots on the diagonal."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     A = matrix.tocsr()
     Nmat = (A.T @ A).tocsc()
     scale = spla.norm(Nmat, ord=1)
@@ -727,6 +736,8 @@ def _expand(poly: _Polynomial, n: int) -> sp.csr_matrix:
     node, so the column indices are not sorted.  An entry is stored where
     its M_delta entry is not zero.
     """
+    import scipy.sparse as sp
+
     _, R, C = poly.coef.shape
     m, line = len(poly.row_axes), poly.line
     lateral = n ** m

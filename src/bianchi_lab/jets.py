@@ -83,18 +83,17 @@ def _exp_index(dim: int, order: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _mul_table(dim: int, order: int):
-    """Per output index: (input index array A, input index array B)."""
-    exps = _exponents(dim, order)
-    idx = _exp_index(dim, order)
-    table = [[] for _ in exps]
-    for ia, a in enumerate(exps):
-        for ib, b in enumerate(exps):
-            if sum(a) + sum(b) <= order:
-                c = tuple(x + y for x, y in zip(a, b))
-                table[idx[c]].append((ia, ib))
-    return [(np.array([p[0] for p in pairs], dtype=np.intp),
-             np.array([p[1] for p in pairs], dtype=np.intp))
-            for pairs in table]
+    """Per output index: its pairs' index arrays (A, B), by A, then B."""
+    exps = np.array(_exponents(dim, order), dtype=np.intp)
+    deg = exps.sum(axis=1)
+    ia, ib = np.nonzero(deg[:, None] + deg <= order)
+    # base-(order + 1) codes are distinct and add under the product
+    code = exps @ (order + 1) ** np.arange(dim)
+    by_code = np.argsort(code)
+    out = by_code[np.searchsorted(code[by_code], code[ia] + code[ib])]
+    keep = np.argsort(out, kind="stable")
+    cuts = np.cumsum(np.bincount(out, minlength=len(exps)))[:-1]
+    return list(zip(np.split(ia[keep], cuts), np.split(ib[keep], cuts)))
 
 
 #: Gathered float64 values per block of the jet product (128 KB).

@@ -295,6 +295,23 @@ def fd_second_fundamental_form(metric_fn, x_face, h=1e-5):
     return A_full[: d - 1, : d - 1]
 
 
+def mul_table_loop(dim: int, order: int):
+    """``jets._mul_table`` as it was first written: one Python pass over
+    every pair of exponent tuples, A outer, B inner, so each output's
+    pairs come ordered by A, then B."""
+    exps = _exponents(dim, order)
+    idx = _exp_index(dim, order)
+    table = [[] for _ in exps]
+    for ia, a in enumerate(exps):
+        for ib, b in enumerate(exps):
+            if sum(a) + sum(b) <= order:
+                c = tuple(x + y for x, y in zip(a, b))
+                table[idx[c]].append((ia, ib))
+    return [(np.array([p[0] for p in pairs], dtype=np.intp),
+             np.array([p[1] for p in pairs], dtype=np.intp))
+            for pairs in table]
+
+
 def jet_mul_loop(a, b):
     """Taylor product of two jets by one sum per output coefficient.
 

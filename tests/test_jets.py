@@ -292,7 +292,10 @@ def test_contract_rejects_a_kept_shared_index():
         contract("ij,ij->ij", a, a)
 
 
-def test_verify_imports_no_scipy_sparse():
+def _scipy_modules_after(code: str) -> list:
+    """The scipy modules loaded after ``code`` runs in a fresh interpreter
+    that imports the package from this checkout's sources."""
+    import json
     import os
     import subprocess
     import sys
@@ -300,9 +303,51 @@ def test_verify_imports_no_scipy_sparse():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, bianchi_lab.verify; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        [sys.executable, "-c", code + "\nimport json, sys; print(json.dumps("
+         "sorted(m for m in sys.modules if m.startswith('scipy'))))"],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "scipy.sparse" not in done.stdout
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_verify_imports_no_scipy_sparse():
+    assert _scipy_modules_after("import bianchi_lab.verify") == []
+
+
+def test_package_imports_no_scipy():
+    loaded = _scipy_modules_after(
+        "import pkgutil, bianchi_lab\n"
+        "for info in pkgutil.iter_modules(bianchi_lab.__path__):\n"
+        "    __import__('bianchi_lab.' + info.name)")
+    assert loaded == []
+
+
+def test_slab_solve_loads_no_scipy_linalg():
+    loaded = _scipy_modules_after(
+        "from bianchi_lab.charts import make_chart\n"
+        "from bianchi_lab.verify import slab_solve_cases\n"
+        "slab_solve_cases(make_chart('flat_slab_periodic', 3),\n"
+        "                 [('continuum-admissible', [6, 8, 10], 2)])")
+    assert "scipy.sparse" in loaded
+    assert "scipy.linalg" not in loaded
+    assert "scipy.sparse.linalg" not in loaded
+
+
+def test_kernel_probe_loads_scipy_sparse_linalg():
+    loaded = _scipy_modules_after(
+        "from bianchi_lab.bvp import assemble, kernel_probe\n"
+        "from bianchi_lab.charts import make_chart\n"
+        "chart = make_chart('flat_slab_periodic', 3)\n"
+        "assert kernel_probe(assemble(4, chart).matrix) >= 0.0")
+    assert "scipy.sparse.linalg" in loaded
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_mul_table_matches_the_pair_loop(d):
+    for order in range(7):
+        got = jets._mul_table(d, order)
+        want = oracles.mul_table_loop(d, order)
+        assert len(got) == len(want)
+        for (ia, ib), (wa, wb) in zip(got, want):
+            assert ia.dtype == np.intp and ib.dtype == np.intp
+            assert np.array_equal(ia, wa) and np.array_equal(ib, wb)

@@ -35,8 +35,9 @@ rows for every source's divergence (delta T is the gauge rows applied to
 B^-1 T), and applies the 1-D stencils along each axis (``_along``) for
 the double-curl sources.  The spectra and ``cohomology_probe`` read only
 the blocks.  Only the functions that build a sparse matrix import
-scipy.sparse: the 1-D stencils, ``_expand``, ``make_source`` and
-``kernel_probe``, the one reader of scipy.sparse.linalg.
+scipy.sparse: the 1-D stencils, ``_expand`` and ``make_source``.
+``kernel_probe`` imports scipy.sparse.csgraph for its band ordering and
+scipy.linalg for its banded Cholesky.
 The continuum-admissible source is evaluated on 4 lateral nodes per axis
 and interpolated exactly, as it has lateral frequencies |k_a| <= 1.
 
@@ -578,30 +579,40 @@ class SolveReport:
 
 
 def kernel_probe(matrix: sp.spmatrix, seed: int = 0) -> float:
-    """Smallest-singular-value estimate via 60 steps of shifted inverse
-    power iteration on the normal matrix, with a Rayleigh quotient against
-    the unshifted normal matrix so exact kernels report near-zero.  The
-    shifted normal matrix is symmetric positive definite, so SuperLU
-    factors it in its symmetric mode: a minimum-degree ordering of its
-    pattern and pivots on the diagonal."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+    """Smallest-singular-value estimate ||A x|| by shifted inverse power
+    iteration on the normal matrix N = A^T A, shifted by 1e-12 ||N||_1.
+    The shifted N is symmetric positive definite: a reverse Cuthill-McKee
+    ordering of its columns gives it a narrow band, which LAPACK factors
+    as a banded Cholesky.  The iteration stops once the eigen-residual
+    ||A^T A x - ||A x||^2 x|| reaches roundoff, 1e-14 ||N||_1, or after
+    60 steps.  ||A x|| rather than sqrt(x^T N x) keeps an exact kernel at
+    roundoff instead of at the square root of it."""
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     A = matrix.tocsr()
-    Nmat = (A.T @ A).tocsc()
-    scale = spla.norm(Nmat, ord=1)
-    shift = 1e-12 * scale
-    lu = spla.splu(Nmat + shift * sp.identity(Nmat.shape[0], format="csc"),
-                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(Nmat.shape[0])
+    A = A[:, reverse_cuthill_mckee((A.T @ A).tocsr(), symmetric_mode=True)]
+    N = (A.T @ A).tocoo()
+    scale = float(np.bincount(N.col, np.abs(N.data)).max())
+    upper = N.row <= N.col
+    rows, cols, vals = N.row[upper], N.col[upper], N.data[upper]
+    del N, upper  # freed before the band is allocated: a lower peak RSS
+    bw = int((cols - rows).max())
+    band = np.zeros((bw + 1, A.shape[1]), order="F")  # factored in place
+    band[bw + rows - cols, cols] = vals
+    band[bw] += 1e-12 * scale
+    factor = (cholesky_banded(band, overwrite_ab=True, check_finite=False),
+              False)
+    x = np.random.default_rng(seed).standard_normal(A.shape[1])
     x /= np.linalg.norm(x)
     for _ in range(60):
-        x = lu.solve(x)
+        x = cho_solve_banded(factor, x, check_finite=False)
         x /= np.linalg.norm(x)
-    lam = float(x @ (Nmat @ x))
-    return float(np.sqrt(max(lam, 0.0)))
+        Ax = A @ x
+        sigma2 = Ax @ Ax
+        if np.linalg.norm(A.T @ Ax - sigma2 * x) <= 1e-14 * scale:
+            break
+    return float(np.sqrt(sigma2))
 
 
 # ---------------------------------------------------------------------------

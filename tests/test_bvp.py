@@ -647,6 +647,20 @@ def test_kernel_probe_matches_dense_svd(dense8):
     assert abs(est - dense[-1]) <= 1e-8 * dense[0]
 
 
+def test_kernel_probe_over_seeds():
+    # an inverse iteration that stops early would miss sigma_min at some
+    # starting vector; the Fourier blocks give sigma_min at n=8, a dense
+    # SVD at n=4 and 6
+    spec = lateral_block_svals(8, 3)["spectrum"]
+    A = assemble(8, CHART).matrix
+    for seed in range(20):
+        assert abs(kernel_probe(A, seed) - spec[0]) <= 1e-12 * spec[-1]
+    for n in (4, 6):
+        A = assemble(n, CHART).matrix
+        dense = np.linalg.svd(A.toarray(), compute_uv=False)
+        assert abs(kernel_probe(A) - dense[-1]) <= 1e-12 * dense[0]
+
+
 def test_fourier_spectrum_matches_dense_svd(dense8):
     dense = np.sort(dense8[1])
     fourier = lateral_block_svals(8, 3)["spectrum"]
@@ -708,10 +722,12 @@ def test_killing_candidates_stay_away_from_kernel():
 
 
 def test_rank_deficient_toy_system():
-    # interior rows only: every Killing deformation is exact kernel
-    EIN = rows_of(assemble(8, CHART), "einstein")
-    est = kernel_probe(EIN)
-    assert est <= 1e-8
+    # interior rows only: every Killing deformation is exact kernel, which
+    # the probe reads as ||A x|| at roundoff
+    for n in (6, 8, 10):
+        EIN = rows_of(assemble(n, CHART), "einstein")
+        for seed in range(10):
+            assert kernel_probe(EIN, seed) <= 1e-10
 
 
 def test_cohomology_probe_slab_and_torus():

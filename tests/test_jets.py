@@ -333,13 +333,14 @@ def test_slab_solve_loads_no_scipy_linalg():
     assert "scipy.sparse.linalg" not in loaded
 
 
-def test_kernel_probe_loads_scipy_sparse_linalg():
+def test_kernel_probe_loads_scipy_linalg_and_csgraph():
     loaded = _scipy_modules_after(
         "from bianchi_lab.bvp import assemble, kernel_probe\n"
         "from bianchi_lab.charts import make_chart\n"
         "chart = make_chart('flat_slab_periodic', 3)\n"
         "assert kernel_probe(assemble(4, chart).matrix) >= 0.0")
-    assert "scipy.sparse.linalg" in loaded
+    assert "scipy.linalg" in loaded
+    assert "scipy.sparse.csgraph" in loaded
 
 
 @pytest.mark.parametrize("d", range(1, 7))

@@ -273,7 +273,9 @@ def _boundary_data(geom: Geometry):
 
 def boundary_state(collar: CollarChart, y) -> BoundaryState:
     d = collar.dim
-    # order-4 metric jets: nabla_n A, the deepest field read, has order 1
+    # order-4 metric jets: the values need order 3 (nabla_n A), but the
+    # public rjet is read to order 4 (DECISIONS.md, "Jet order per
+    # evaluation")
     g = collar_metric_jets(collar, y, 4)
     geom = geometry_from_jets(g)
     rjet, nvec, hess, dn_a, (ab, hmean, mb) = _boundary_data(geom)

@@ -313,7 +313,7 @@ def geometry_from_jets(g: Jet, curvature: bool = True) -> Geometry:
     return geom
 
 
-def chart_geometry(chart: MetricChart, x, order: int = 4) -> Geometry:
+def chart_geometry(chart: MetricChart, x, order: int) -> Geometry:
     """The geometry, curvature included, of the chart's metric jets."""
     return geometry_from_jets(chart.metric_jets(x, order))
 

@@ -203,9 +203,10 @@ def dric_closed_jets(geom: Geometry, sig: Jet) -> Jet:
 
 
 def dric_closed(chart: MetricChart, x, sigma) -> np.ndarray:
-    """Closed-form dRic values at x (batched), from order-3 jets."""
-    geom = geometry_from_jets(chart.metric_jets(x, 3))
-    return dric_closed_jets(geom, sigma(x, 3)).value
+    """Closed-form dRic values at x (batched), from order-2 jets: dRic is
+    second order, so these values are exact."""
+    geom = geometry_from_jets(chart.metric_jets(x, 2))
+    return dric_closed_jets(geom, sigma(x, 2)).value
 
 
 def dric_fd(chart: MetricChart, x, sigma, eps: float = 1e-3) -> np.ndarray:
@@ -254,10 +255,10 @@ def sample_connection(t_vals: np.ndarray, sigma_vals: np.ndarray,
 
 def gamma_tilde_at(chart: MetricChart, x, sigma) -> np.ndarray:
     """Tensorial correction B^{-1}(dEin + conn term) - dRic, as values,
-    from order-3 jets; the connection term is ``sample_connection`` of
+    from order-2 jets; the connection term is ``sample_connection`` of
     (Ein, sigma)."""
-    geom = geometry_from_jets(chart.metric_jets(x, 3))
-    sig = sigma(x, 3)
+    geom = geometry_from_jets(chart.metric_jets(x, 2))
+    sig = sigma(x, 2)
     dein = dein_closed_jets(geom, sig)
     conn = sample_connection(geom.ein.value, sig.value, geom.ginv.value)
     dein = dein + Jet.const(geom.dim, dein.order, conn)
@@ -271,12 +272,12 @@ def gamma_tilde_at(chart: MetricChart, x, sigma) -> np.ndarray:
 
 def dboundary_data_fd(collar: CollarChart, y, sigma, eps: float = 1e-3):
     """Central differences of (A, H, nabla_n A) along g + t sigma, from
-    order-4 jets.
+    order-3 jets: the value of nabla_n A reads the metric to order 3.
 
     All outputs are in boundary coordinates at the face points.
     """
-    g = collar_metric_jets(collar, y, 4)
-    sig = face_adapted_jets(collar, y, sigma, 4)
+    g = collar_metric_jets(collar, y, 3)
+    sig = face_adapted_jets(collar, y, sigma, 3)
 
     def perturbed_data(t):
         return _boundary_data(
@@ -292,8 +293,11 @@ def dboundary_data_fd(collar: CollarChart, y, sigma, eps: float = 1e-3):
 
 
 def equivariance_residual(chart: MetricChart, x, x_field) -> float:
-    """max |dRic(killing X) - Lie_X Ric / 2| over the batch."""
-    geom = geometry_from_jets(chart.metric_jets(x, 4))
+    """max |dRic(killing X) - Lie_X Ric / 2| over the batch.
+
+    Lie_X Ric reads one derivative of Ric and of X, so the geometry is
+    built from order-3 jets and X from order-1 jets."""
+    geom = geometry_from_jets(chart.metric_jets(x, 3))
 
     def sigma(xq, order):
         g = geometry_from_jets(chart.metric_jets(xq, order + 1),
@@ -301,7 +305,7 @@ def equivariance_residual(chart: MetricChart, x, x_field) -> float:
         return killing(g, x_field(xq, order + 1)).truncate(order)
 
     lhs = dric_closed(chart, x, sigma)
-    lie = lie_derivative_sym2(x_field(x, 3), geom.ric).value
+    lie = lie_derivative_sym2(x_field(x, 1), geom.ric).value
     return float(np.max(np.abs(lhs - 0.5 * lie)))
 
 
@@ -313,10 +317,11 @@ def gauge_divergence_jets(geom: Geometry, sig: Jet) -> Jet:
 
 def first_order_dependence_residual(chart: MetricChart, x, sigma1,
                                     sigma2) -> float:
-    """|delta B dRic (sigma1 - sigma2)| at x for 1-jet-matched fields."""
-    geom = geometry_from_jets(chart.metric_jets(x, 4))
-    s1 = sigma1(x, 4)
-    s2 = sigma2(x, 4)
+    """|delta B dRic (sigma1 - sigma2)| at x for 1-jet-matched fields,
+    from order-3 jets: delta reads one derivative of dRic."""
+    geom = geometry_from_jets(chart.metric_jets(x, 3))
+    s1 = sigma1(x, 3)
+    s2 = sigma2(x, 3)
     x = np.atleast_2d(x)
     if np.max(np.abs(s1.value - s2.value)) > 1e-10:
         raise ValueError("fields do not share the 0-jet at x")
@@ -339,14 +344,15 @@ def normal_identity_residuals(collar: CollarChart, y, sigma):
     two").  The second normal derivative's normal part equals the
     boundary divergence of the tangential part of the first (r3).
     Returns (r1, r2, r3) max-norms: r1 = |T(n, .)|, r2 = |(nabla_n T)(n, .)|
-    and r3 the defect of the second-order identity.
+    and r3 the defect of the second-order identity.  The values of T,
+    nabla_n T and nabla_n nabla_n T read sigma and g to order 4.
     """
     if not collar.chart.ricci_flat:
         raise ValueError("normal identity probes need a Ricci-flat preset")
     if collar.face == 1:
         raise ValueError("probe implemented on the lower face")
     d = collar.dim
-    order = 6
+    order = 4
     g = collar_metric_jets(collar, y, order)
     geom = geometry_from_jets(g)
     sig = face_adapted_jets(collar, y, sigma, order)
@@ -401,8 +407,8 @@ def fit_ricci_action(charts):
         f1 = dric_fd(chart, x, sigma, eps)
         f2 = dric_fd(chart, x, sigma, eps / 2)
         oracle = (4.0 * f2 - f1) / 3.0
-        geom = geometry_from_jets(chart.metric_jets(x, 3))
-        parts = dric_parts_jets(geom, sigma(x, 3))
+        geom = geometry_from_jets(chart.metric_jets(x, 2))
+        parts = dric_parts_jets(geom, sigma(x, 2))
         cases.append(tuple(p.value for p in parts) + (oracle,))
     for a in (-2, -1, 1, 2):
         for b in (-2, -1, 1, 2):

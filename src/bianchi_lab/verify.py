@@ -137,7 +137,8 @@ def suite_calculus(cfg) -> list:
                            ("curved_generic", {"seed": 13})):
             chart = make_chart(preset, d, **kw)
             pts = sample_points(chart, npts, rng)
-            geom = chart_geometry(chart, pts, order=4)
+            # Riem and Ein are read as values, Ric one derivative deep
+            geom = chart_geometry(chart, pts, order=3)
             riem = geom.riem.value
             ein = geom.ein.value
             frame = orthonormal_frame(geom.g.value)
@@ -174,7 +175,7 @@ def suite_calculus(cfg) -> list:
     for preset in ("flat_cartesian", "flat_slab_periodic", "polar_ball"):
         chart = make_chart(preset, 3)
         pts = sample_points(chart, 20, rng)
-        geom = chart_geometry(chart, pts, order=4)
+        geom = chart_geometry(chart, pts, order=2)
         worst_flat = max(worst_flat,
                          float(np.abs(geom.riem.value).max()))
     cases.append(_case("flat-presets-zero-curvature", worst_flat, 1e-12,
@@ -224,6 +225,14 @@ def suite_boundary(cfg) -> list:
     cases.append(_case("flat-ball-scalar-cancellation",
                        float(np.abs(res["rnn"]).max()), 1e-9,
                        "constraint.flat-ball-cancellation"))
+    # the upper face, reflected onto the lower; drawn last so that the
+    # points above do not move
+    y = rng.uniform(0.1, 0.9, size=(10, 2))
+    res = constraint_residuals_at(
+        CollarChart(make_chart("conformal_bump", 3, amp=0.1), face=1), y)
+    worst = max(float(np.abs(res[k]).max()) for k in ("rnn", "rnt", "rtt"))
+    cases.append(_case("gauss-codazzi-upper-face-conformal_bump-d3", worst,
+                       1e-8, "constraint.gauss-codazzi"))
     return cases
 
 

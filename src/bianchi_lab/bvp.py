@@ -15,15 +15,15 @@ Every operator is invariant under lateral translation, so the lateral DFT
 splits it into one collar-line block per lateral mode, a polynomial of
 degree <= 2 in the lateral symbols i t_a, made real by a diagonal phase.
 ``_block_polynomial`` reads that polynomial directly off the tables: the
-collar enters only as the collar stencil D of ``_first_derivative_1d``,
-its square, and the face rows E of ``_face_extrapolation_1d``.  D, the
-lateral symbols and E come from one family of first-derivative
-operators, and the family commutes, so flat-background polynomial
-identities -- the gauged divergence of the interior operator vanishing,
-and the interior operator annihilating Killing deformations -- hold
-exactly at the matrix level.  That exactness is what makes
-"discrete-admissible" sources solvable to solver tolerance rather than
-discretization accuracy.
+collar enters only as the first difference D, its square, the face rows
+E and the boundary weight of ``_collar(n)``, one read-only value per
+grid that every reader of the collar shares.  D and the lateral symbols
+come from one family of first-derivative operators, and the family
+commutes, so flat-background polynomial identities -- the gauged
+divergence of the interior operator vanishing, and the interior operator
+annihilating Killing deformations -- hold exactly at the matrix level.
+That exactness is what makes "discrete-admissible" sources solvable to
+solver tolerance rather than discretization accuracy.
 
 The same invariance makes the full-grid matrix block-circulant in the
 lateral axes: ``_expand`` writes its CSR from the polynomial, and
@@ -32,12 +32,13 @@ matrix, the one full-grid operator, read-only.  ``assemble`` hands it to
 the solve's residual, the oracles and ``kernel_probe``.  ``make_source``
 reads its einstein rows for the discrete-admissible source and its gauge
 rows for every source's divergence (delta T is the gauge rows applied to
-B^-1 T), and applies the 1-D stencils along each axis (``_along``) for
-the double-curl sources.  The spectra and ``cohomology_probe`` read only
-the blocks.  Only the functions that build a sparse matrix import
-scipy.sparse: the 1-D stencils, ``_expand`` and ``make_source``.
-``kernel_probe`` imports scipy.sparse.csgraph for its band ordering and
-scipy.linalg for its banded Cholesky.
+B^-1 T), and differentiates the double-curl sources with the collar's D
+and the lateral central difference of ``_expand``.  The spectra and
+``cohomology_probe`` read only the blocks and load no scipy module.
+Only the functions that build a sparse matrix import scipy.sparse:
+``_expand`` and ``make_source``.  ``kernel_probe`` imports
+scipy.sparse.csgraph for its band ordering and scipy.linalg for its
+banded Cholesky.
 The continuum-admissible source is evaluated on 4 lateral nodes per axis
 and interpolated exactly, as it has lateral frequencies |k_a| <= 1.
 
@@ -93,47 +94,32 @@ __all__ = [
 # stencil building blocks
 
 
-def _first_derivative_1d(n: int, h: float, periodic: bool) -> sp.csr_matrix:
-    """The central first difference on n nodes of spacing h: periodic, or
-    with third-order one-sided end rows, which keep compositions
-    second-order accurate."""
-    import scipy.sparse as sp
-
-    j = np.arange(n) if periodic else np.arange(1, n - 1)
-    rows = [np.repeat(j, 2)]
-    cols = [np.stack([(j - 1) % n, (j + 1) % n], axis=1).ravel()]
-    vals = [np.tile([-0.5, 0.5], j.size)]
-    if not periodic:
-        rows += [np.zeros(4, int), np.full(4, n - 1)]
-        cols += [np.arange(4), np.arange(n - 4, n)]
-        vals += [np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0,
-                 -np.array([2.0, -9.0, 18.0, -11.0]) / 6.0]
-    m = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
-    return m / h
+class _Collar(NamedTuple):
+    """An n-node collar: D (n, n), face rows E (2, n), boundary weight."""
+    D: np.ndarray
+    E: np.ndarray
+    weight: float
 
 
-def _face_extrapolation_1d(n: int, face: int) -> sp.csr_matrix:
-    """Quadratic extrapolation from the first three cell centers to a face."""
-    import scipy.sparse as sp
-
-    w = np.array([15.0, -10.0, 3.0]) / 8.0
-    return sp.csr_matrix((w, np.arange(3), [0, 3]) if face == 0 else
-                         (w[::-1], np.arange(n - 3, n), [0, 3]), shape=(1, n))
-
-
-def _along(op1d: sp.csr_matrix, values: np.ndarray, axis: int,
-           d: int) -> np.ndarray:
-    """A 1-D operator (rows x n) applied along ``axis`` of node values on
-    the n^d grid (``slab_nodes`` order), after any leading stacked
-    blocks: what the kron of the operator with the identity on the other
-    axes gives, row for row in the same order."""
-    n = op1d.shape[1]
-    post = n ** (d - 1 - axis)
-    grid = values.reshape(-1, n, post).transpose(1, 0, 2)
-    out = op1d @ grid.reshape(n, -1)
-    return out.reshape(-1, grid.shape[1], post).transpose(1, 0, 2).ravel()
+@lru_cache(maxsize=None)
+def _collar(n: int) -> _Collar:
+    """The finite-difference collar of n nodes, built once and read-only:
+    D the central first difference with third-order one-sided end rows
+    (compositions stay second-order accurate), E the quadratic
+    extrapolation to face 0 and face 1 from the three nearest nodes, and
+    the boundary weight h^(-1/2), which keeps the singular-value ladder
+    grid-stable.  The only place the collar is decided: the blocks, the
+    double-curl sources, ``_face_max`` and the boundary residual share
+    one D, and the exact discrete identities rest on that."""
+    h = 1.0 / n
+    D = 0.5 * (np.eye(n, k=1) - np.eye(n, k=-1))
+    D[0, :4], D[-1, -4:] = np.array([[-11.0, 18.0, -9.0, 2.0],
+                                     [-2.0, 9.0, -18.0, 11.0]]) / 6.0
+    D *= 1 / h  # times 1/h, not / h: the blocks' bits rest on this rounding
+    E = np.zeros((2, n))
+    E[0, :3] = E[1, :-4:-1] = np.array([15.0, -10.0, 3.0]) / 8.0
+    D.flags.writeable = E.flags.writeable = False
+    return _Collar(D, E, h ** -0.5)
 
 
 def _cell_centers(n: int) -> np.ndarray:
@@ -171,14 +157,14 @@ class DiscreteSystem:
     (``assemble``'s is ``_grid``'s lateral expansion of the slab block
     polynomial, shared and read-only; its column indices are not sorted
     within a row).  Each row family is a coefficient table, and the
-    collar enters A only as D, D^2 and the face rows E D^k
+    collar enters A only as ``_collar``'s D, D^2 and face rows E D^k
     (``_block_polynomial``).
 
     Rows, in blocks of N = n^d node rows or NF = n^(d-1) face-node rows
     (``_stack_rows`` names the families): "einstein", DEin, one block of
     N per component of ``_sym_pairs(dim)``; "gauge", delta B, d blocks
-    of N; then the rows of ``_boundary_symbols`` weighted by
-    ``_boundary_weight(n)``: per face (d-1)d/2 blocks of NF for each of
+    of N; then the rows of ``_boundary_symbols`` weighted by the
+    collar's weight: per face (d-1)d/2 blocks of NF for each of
     "pullback", "dA" and "dnA" (d(nabla_n A)), then d "normal"
     (sigma(n, .)) blocks per face.  A block of node rows runs over the
     nodes in ``slab_nodes`` order, lateral nodes then the collar node; a
@@ -207,8 +193,7 @@ class DiscreteSystem:
             return float(np.linalg.norm(r[self._rows(families)]) / scale)
 
         return {"einstein": rel(("einstein",)), "gauge": rel(("gauge",)),
-                "boundary": rel(BOUNDARY_FAMILIES)
-                / _boundary_weight(self.n)}
+                "boundary": rel(BOUNDARY_FAMILIES) / _collar(self.n).weight}
 
 
 def _terms(m: int) -> list:
@@ -317,13 +302,6 @@ def _stack_rows(d: int, line: int, NF: int, families) -> np.ndarray:
                            in zip(layout, ends) if fam in families])
 
 
-def _boundary_weight(n: int) -> float:
-    """Weight of the boundary rows of the slab system, h^(-1/2), so that
-    the L^2(M)-vs-L^2(boundary) balance, and hence the singular-value
-    ladder, is grid-stable; the interior and gauge rows carry 1."""
-    return (1.0 / n) ** -0.5
-
-
 def _slab_dim(chart: MetricChart) -> int:
     """The dimension of ``chart``, which must be the flat periodic slab:
     the only background the discrete problem is posed on."""
@@ -384,19 +362,24 @@ def _normal_profile(n: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _double_curl_source(n: int, d: int, rng,
-                        normal_support) -> np.ndarray:
-    """tau_ij = P_k P_l phi_{ikjl} from bivector-pair potentials, with
-    P_k the stencil of ``_first_derivative_1d`` along axis k: exactly
-    divergence-free under those stencils."""
+                        layers: np.ndarray) -> np.ndarray:
+    """tau_ij = P_k P_l phi_{ikjl} from bivector-pair potentials with the
+    collar factor ``layers`` (one value per layer), P_k the slab matrix's
+    first difference along axis k: ``_collar``'s D on the collar, (S_k -
+    S_k^-1) / 2h on a lateral axis, S_k the shift by one node.  So the
+    gauge rows annihilate tau exactly."""
     N = n ** d
-    P1d = [_first_derivative_1d(n, 1.0 / n, a < d - 1) for a in range(d)]
+    D = _collar(n).D
 
     def P(k, f):
-        return _along(P1d[k], f, k, d)
+        if k == d - 1:  # the collar is the fastest axis of ``slab_nodes``
+            return (f.reshape(-1, n) @ D.T).ravel()
+        g = f.reshape((n,) * d)
+        return ((np.roll(g, -1, k) - np.roll(g, 1, k)) * (n / 2)).ravel()
 
     x = slab_nodes(n, d)
     bivs = _bivector_basis(d)
-    prof = normal_support(x[:, -1])
+    prof = np.tile(layers, n ** (d - 1))
     tau = np.zeros((N, d, d))
     for p, (i1, k1) in enumerate(bivs):
         for q in range(p, len(bivs)):
@@ -418,10 +401,10 @@ def _double_curl_source(n: int, d: int, rng,
 
 
 # The smallest grid on which each source kind is built.  The one-sided
-# collar rows of ``_first_derivative_1d`` span four nodes.  The
-# discrete-admissible potential lives on the layers 7 .. n-8 and the
-# divergence profile on 3 .. n-4; below these grids the layers are empty
-# and the source would be 0.
+# rows of ``_collar``'s D span four nodes.  The discrete-admissible
+# double-curl potential lives on the layers 7 .. n-8 and the divergence
+# profile on 3 .. n-4; below these grids the layers are empty and the
+# source would be 0.
 SOURCE_MIN_GRID = {"discrete-admissible": 15, "continuum-admissible": 4,
                    "inadmissible-divergence": 7, "inadmissible-boundary": 4}
 
@@ -449,9 +432,7 @@ def make_source(n: int, chart: MetricChart, kind: str,
         # the potential must clear the reach of the boundary rows (layers
         # <= 4 and >= n-5) plus the two-layer spread of the double curl
         lo, hi = 7, n - 8
-        tau = _double_curl_source(
-            n, d, rng, lambda xd: _normal_profile(n, lo, hi)[
-                np.clip((xd * n - 0.5).astype(int), 0, n - 1)])
+        tau = _double_curl_source(n, d, rng, _normal_profile(n, lo, hi))
         # mu = B^{-1} tau keeps the gauge rows exactly zero
         potential = _b_inverse(vec_components(tau, pairs), d)
         values = (matrix @ potential)[:len(pairs) * n ** d]
@@ -459,19 +440,18 @@ def make_source(n: int, chart: MetricChart, kind: str,
         values = _continuum_source(n, chart, seed)
         potential = None
     elif kind == "inadmissible-divergence":
-        x = slab_nodes(n, d)
-        prof = _normal_profile(n, 3, n - 4)  # clear of the face stencils
-        scalar = prof[np.clip((x[:, -1] * n - 0.5).astype(int), 0, n - 1)]
-        scalar = scalar * (1.0 + 0.4 * np.cos(2 * np.pi * x[:, 0]))
+        # the profile is clear of the face stencils
+        scalar = np.tile(_normal_profile(n, 3, n - 4), n ** (d - 1)) * (
+            1.0 + 0.4 * np.cos(2 * np.pi * slab_nodes(n, d)[:, 0]))
         tvals = scalar[:, None, None] * np.eye(d)
         values = vec_components(tvals, pairs)
         potential = None
     else:  # inadmissible-boundary
-        tau = _double_curl_source(n, d, rng,
-                                  lambda xd: 1.0 + 0.5 * np.cos(np.pi * xd))
+        tau = _double_curl_source(
+            n, d, rng, 1.0 + 0.5 * np.cos(np.pi * _cell_centers(n)))
         values = vec_components(tau, pairs)
         # normalize so the face-center extrapolated magnitude is 1
-        bnorm = _face_max(values, n, d)
+        bnorm = _face_max(values, n)
         if bnorm < 1e-9:
             raise RuntimeError("boundary-violating source degenerated")
         values = values / bnorm
@@ -491,7 +471,7 @@ def make_source(n: int, chart: MetricChart, kind: str,
     div = rows @ _b_inverse(values, d)
     return SourceSpec(kind=kind, values=values,
                       div_rel=float(np.abs(div).max() / scale),
-                      boundary_rel=_face_max(values, n, d) / scale,
+                      boundary_rel=_face_max(values, n) / scale,
                       potential=potential)
 
 
@@ -552,11 +532,12 @@ def _continuum_potential(d: int, seed: int):
     return Perturbation(fn, d)
 
 
-def _face_max(values: np.ndarray, n: int, d: int) -> float:
+def _face_max(values: np.ndarray, n: int) -> float:
     """Largest face-extrapolated magnitude of a stacked component vector
-    on the n^d grid, over every component and both faces."""
-    return max(float(np.abs(_along(_face_extrapolation_1d(n, face), values,
-                                   d - 1, d)).max()) for face in (0, 1))
+    on the n^d grid, over every component and both faces: the collar is
+    the fastest axis of ``slab_nodes``, so one product with ``_collar``'s
+    face rows reads both faces of every collar line."""
+    return float(np.abs(values.reshape(-1, n) @ _collar(n).E.T).max())
 
 
 # ---------------------------------------------------------------------------
@@ -661,15 +642,15 @@ def _block_polynomial(n: int, d: int, nodes: np.ndarray, faces, unknowns,
     block of lateral mode k each lateral derivative is u_a / h times the
     identity, with u_a = i t_a and t_a = sin(2 pi k_a / n), and the collar
     derivative (absent on the closed torus, where all d axes are lateral)
-    is the dense collar stencil D of ``_first_derivative_1d``.  So a term
+    is the collar's first difference D (``_collar``).  So a term
     C_alpha d^alpha with lateral axes e and k collar axes is u^e C_alpha
     (x) D^k / h^|e|, and the block is exactly
 
         A(u) = sum_e u^e coef_e,  coef_e = sum_alpha C_alpha (x) D^k / h^|e|
 
     over the alpha whose lateral axes are e, of degree <= 2 in u.  A face
-    row has E D^k in place of D^k, with E the face's extrapolation row
-    (``_face_extrapolation_1d``), and carries ``_boundary_weight(n)``.
+    row has E D^k in place of D^k, with E the collar's extrapolation row
+    of that face, and carries the collar's weight.
 
     The coefficients are real, and u = i t.  The operators commute with
     the reflection of each lateral axis a, which flips u_a and the sign
@@ -688,8 +669,8 @@ def _block_polynomial(n: int, d: int, nodes: np.ndarray, faces, unknowns,
     terms = _terms(m)
     powers = np.eye(line)[None]  # D^k, k = 0 .. 2, on the collar line
     if not closed_torus:
-        D = _first_derivative_1d(n, h, False).toarray()
-        powers = np.stack([powers[0], D, D @ D])
+        collar = _collar(n)
+        powers = np.stack([powers[0], collar.D, collar.D @ collar.D])
 
     def rows(table, powers):
         # the table's C_alpha / h^|e| by lateral term e and collar count
@@ -704,9 +685,9 @@ def _block_polynomial(n: int, d: int, nodes: np.ndarray, faces, unknowns,
         J, R, C, height, width = out.shape
         return out.transpose(0, 1, 3, 2, 4).reshape(J, R * height, C * width)
 
-    bw = _boundary_weight(n)
+    # no faces on the closed torus, which has no collar
     coef = np.concatenate([rows(nodes, powers)] + [
-        bw * rows(table, _face_extrapolation_1d(n, face).toarray() @ powers)
+        collar.weight * rows(table, collar.E[[face]] @ powers)
         for face, table in faces], axis=1)
 
     nonzero = coef != 0
@@ -728,6 +709,17 @@ def _block_polynomial(n: int, d: int, nodes: np.ndarray, faces, unknowns,
                        nodes.shape[1] * line)
 
 
+def _memory_limit() -> int:
+    """The bytes this process may use: the physical memory, or the soft
+    RLIMIT_AS where that is lower."""
+    import os
+    import resource
+
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return total if soft == resource.RLIM_INFINITY else min(total, soft)
+
+
 def _expand(poly: _Polynomial, n: int) -> sp.csr_matrix:
     """The full-grid matrix whose lateral-Fourier blocks ``poly`` holds.
 
@@ -745,7 +737,8 @@ def _expand(poly: _Polynomial, n: int) -> sp.csr_matrix:
     row, lateral node), and columns (component, lateral node, collar
     node); within a row the entries run by component, offset and collar
     node, so the column indices are not sorted.  An entry is stored where
-    its M_delta entry is not zero.
+    its M_delta entry is not zero.  A CSR larger than ``_memory_limit()``
+    raises ``ValueError`` before it is allocated.
     """
     import scipy.sparse as sp
 
@@ -778,6 +771,11 @@ def _expand(poly: _Polynomial, n: int) -> sp.csr_matrix:
     starts = np.concatenate([[0], np.cumsum(counts)])
     nnz = lateral * r.size
     index = np.int32 if max(nnz, lateral * C) < 2 ** 31 else np.int64
+    need, avail = nnz * (8 + np.dtype(index).itemsize), _memory_limit()
+    if need > avail:
+        raise ValueError(f"the n={n} slab matrix needs {need / 2 ** 30:.1f} "
+                         f"GiB, more than the {avail / 2 ** 30:.1f} GiB "
+                         f"this process may use")
     # flat lateral index of node L + delta for every node L and offset
     nodes = np.indices((n,) * m).reshape(m, lateral, 1)
     target = np.ravel_multi_index(tuple(nodes + offsets.T[:, None, :]),

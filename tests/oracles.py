@@ -6,10 +6,11 @@ finite-difference geometry.  None of it shares code with the library,
 except ``jet_mul_loop``: the former per-output jet product loop, which
 reads the library's per-output pair table ``jets._mul_table``; the
 per-term slab assembly and the lateral-Fourier block oracle (the lateral
-DFT of its impulse responses), which read the library's 1-D stencils,
-component pairs and boundary row layout; the slab kernel fields
-``width_modulus_fields`` and ``discrete_kernel_basis``, which read the
-component pairs; ``continuum_source_full_grid``, the former full-grid
+DFT of its impulse responses), which read the library's collar
+difference and face rows (``bvp._collar``), component pairs and boundary
+row layout, and build their own periodic lateral difference; the slab
+kernel fields ``width_modulus_fields`` and ``discrete_kernel_basis``,
+which read the component pairs; ``continuum_source_full_grid``, the former full-grid
 continuum-admissible source, which reads the library's ``dein_closed``
 and continuum potential; ``lsmr_solve``, the former LSMR least-squares
 solve of ``bvp.py``, which touches the assembled matrix only through
@@ -498,13 +499,24 @@ def composed_symbols(d: int):
     return table(EIN), table(GAUGE), table(DSTAR)
 
 
+def periodic_stencil(n: int) -> sp.csr_matrix:
+    """The periodic central difference (f_(j+1) - f_(j-1)) / 2h on n
+    nodes of spacing h = 1/n."""
+    j = np.arange(n)
+    cols = np.stack([(j - 1) % n, (j + 1) % n], axis=1).ravel()
+    m = sp.csr_matrix((np.tile([-0.5, 0.5], n), (np.repeat(j, 2), cols)),
+                      shape=(n, n))
+    return m / (1.0 / n)
+
+
 def grid_stencils(n: int, d: int, closed_torus: bool = False):
     """(P, E_faces) on the full n^d grid: each axis operator the kron of
-    the 1-D stencil of ``bvp`` along its axis with the identity on the
+    a 1-D difference along its axis (the periodic stencil on a lateral
+    axis, ``bvp._collar``'s D on the collar) with the identity on the
     others, and each face row the kron of the identity on the lateral
-    axes with the 1-D extrapolation row (no face rows on the closed
+    axes with the collar's extrapolation row (no face rows on the closed
     torus)."""
-    h = 1.0 / n
+    collar = bvp._collar(n)
 
     def axis_operator(op1d, axis):
         mat = sp.identity(1, format="csr")
@@ -513,12 +525,11 @@ def grid_stencils(n: int, d: int, closed_torus: bool = False):
                           format="csr")
         return mat
 
-    P = [axis_operator(
-        bvp._first_derivative_1d(n, h, k < d - 1 or closed_torus), k)
-        for k in range(d)]
+    P = [axis_operator(periodic_stencil(n) if k < d - 1 or closed_torus
+                       else sp.csr_matrix(collar.D), k) for k in range(d)]
     E_faces = [] if closed_torus else [
-        sp.kron(sp.identity(n ** (d - 1)),
-                bvp._face_extrapolation_1d(n, face), format="csr")
+        sp.kron(sp.identity(n ** (d - 1)), sp.csr_matrix(collar.E[[face]]),
+                format="csr")
         for face in (0, 1)]
     return P, E_faces
 
@@ -589,8 +600,9 @@ def h0_blocks_loop(n: int, d: int, closed_torus: bool = False):
     are lateral on the closed torus)."""
     h = 1.0 / n
     naxes = d if closed_torus else d - 1
-    Pd = bvp._first_derivative_1d(n, h, periodic=False).astype(complex)
-    E_faces = [bvp._face_extrapolation_1d(n, face).astype(complex)
+    collar = bvp._collar(n)
+    Pd = sp.csr_matrix(collar.D, dtype=complex)
+    E_faces = [sp.csr_matrix(collar.E[[face]], dtype=complex)
                for face in (0, 1)]
     for kmodes in iproduct(range(n), repeat=naxes):
         sym = [1j * np.sin(2 * np.pi * k / n) / h for k in kmodes]

@@ -6,10 +6,7 @@ from bianchi_lab.boundary import CollarChart
 from bianchi_lab.bvp import (
     BOUNDARY_FAMILIES,
     SOURCE_MIN_GRID,
-    _boundary_weight,
-    _face_extrapolation_1d,
     _face_max,
-    _first_derivative_1d,
     _sym_pairs,
     assemble,
     cohomology_probe,
@@ -45,6 +42,7 @@ from oracles import (
     interior_from_P_loop,
     loglog_slope,
     lsmr_solve,
+    periodic_stencil,
     width_modulus_fields,
 )
 
@@ -239,7 +237,7 @@ def test_flat_operator_identities_hold_exactly():
         EIN = [rows[:, None] * block[:nc * n] * cols
                for block in bvp._fourier_blocks(poly, n, classes)]
         scale = max(max(np.abs(ein).max() for ein in EIN), 1.0)
-        D = bvp._first_derivative_1d(n, 1.0 / n, False)
+        D = sp.csr_matrix(bvp._collar(n).D)
         for cls, ein in zip(classes, EIN):
             t = np.sin(2 * np.pi * np.array(np.unravel_index(cls, (K,) * m))
                        / n)
@@ -324,11 +322,13 @@ def test_slab_reads_its_boundary_rows_off_the_boundary_tables(d, n,
 
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_one_dimensional_stencils_match_their_closed_forms(n):
-    # the central difference (f_(j+1) - f_(j-1)) / 2h, periodic or with
-    # the third-order one-sided end rows, and the quadratic face
-    # extrapolation (15, -10, 3) / 8: every stored entry, in sorted CSR
-    # with no stored zero
+    # the central difference (f_(j+1) - f_(j-1)) / 2h, periodic (the
+    # oracles' lateral stencil, in sorted CSR with no stored zero) or with
+    # the third-order one-sided end rows (the collar's D), the collar's
+    # quadratic face extrapolation (15, -10, 3) / 8 and its boundary
+    # weight h^(-1/2); the collar's arrays are read-only
     h = 1.0 / n
+    collar = bvp._collar(n)
     for periodic in (True, False):
         want = np.zeros((n, n))
         for j in range(n):
@@ -338,17 +338,20 @@ def test_one_dimensional_stencils_match_their_closed_forms(n):
         if not periodic:
             want[0, :4] = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0 / h
             want[-1, -4:] = np.array([-2.0, 9.0, -18.0, 11.0]) / 6.0 / h
-        got = _first_derivative_1d(n, h, periodic)
-        assert got.format == "csr" and got.has_sorted_indices
-        assert got.nnz == np.count_nonzero(want)
-        assert np.array_equal(got.toarray(), want)
+        if periodic:
+            got = periodic_stencil(n)
+            assert got.format == "csr" and got.has_sorted_indices
+            assert got.nnz == np.count_nonzero(want)
+            got = got.toarray()
+        else:
+            got = collar.D
+        assert np.array_equal(got, want)
+    want = np.zeros((2, n))
     for face, cols in ((0, [0, 1, 2]), (1, [n - 1, n - 2, n - 3])):
-        want = np.zeros((1, n))
-        want[0, cols] = [15.0 / 8.0, -10.0 / 8.0, 3.0 / 8.0]
-        got = _face_extrapolation_1d(n, face)
-        assert got.format == "csr" and got.has_sorted_indices
-        assert got.nnz == 3
-        assert np.array_equal(got.toarray(), want)
+        want[face, cols] = [15.0 / 8.0, -10.0 / 8.0, 3.0 / 8.0]
+    assert np.array_equal(collar.E, want)
+    assert collar.weight == pytest.approx(h ** -0.5, rel=1e-15)
+    assert not (collar.D.flags.writeable or collar.E.flags.writeable)
 
 
 def test_stencil_consistency_second_order():
@@ -419,7 +422,7 @@ def face_rows(system, family, v):
     """One boundary family of the assembled matrix applied to v,
     unweighted, as (face, face node, tangential component)."""
     n = system.n
-    rows = (rows_of(system, family) @ v) / _boundary_weight(n)
+    rows = (rows_of(system, family) @ v) / bvp._collar(n).weight
     return rows.reshape(2, -1, n ** 2).transpose(0, 2, 1)
 
 
@@ -525,17 +528,39 @@ def test_boundary_rel_reads_both_faces():
     reflected = src.values.reshape(-1, n)[:, ::-1].ravel()
 
     def one_face(values, face):
-        return float(np.abs(bvp._along(_face_extrapolation_1d(n, face),
-                                       values, 2, 3)).max())
+        E = sp.csr_matrix(bvp._collar(n).E[[face]])
+        return float(np.abs(E @ values.reshape(-1, n).T).max())
 
     lower, upper = (one_face(src.values, face) for face in (0, 1))
     assert lower > 2 * upper
     assert one_face(reflected, 1) == pytest.approx(lower, rel=1e-14)
-    assert _face_max(src.values, n, 3) == lower
+    assert _face_max(src.values, n) == pytest.approx(lower, rel=1e-15)
     scale = np.abs(src.values).max()
     assert src.boundary_rel * scale == pytest.approx(lower, rel=1e-14)
-    assert _face_max(reflected, n, 3) / scale == pytest.approx(
+    assert _face_max(reflected, n) / scale == pytest.approx(
         src.boundary_rel, rel=1e-14)
+
+
+def test_sources_read_each_collar_layer():
+    # every node reads its own layer's profile value on every grid: the
+    # discrete-admissible potential fills exactly the layers 5 .. n-6
+    # (its double-curl potential's 7 .. n-8, spread by the double curl),
+    # and the divergence source is its profile sin^2(pi (j - 2) / (n - 5))
+    # on the layers j = 3 .. n-4 times its lateral factor
+    for n in range(15, 41):
+        potential = make_source(n, CHART, "discrete-admissible").potential
+        filled = np.abs(potential.reshape(-1, n)).max(axis=0) > 0
+        assert np.flatnonzero(filled).tolist() == list(range(5, n - 5))
+    for n in range(7, 41):
+        values = make_source(n, CHART, "inadmissible-divergence").values
+        j = np.arange(n)
+        layers = np.where((j >= 3) & (j <= n - 4),
+                          np.sin(np.pi * (j - 2) / (n - 5)) ** 2, 0.0)
+        want = np.tile(layers, n * n) * (
+            1.0 + 0.4 * np.cos(2 * np.pi * slab_nodes(n, 3)[:, 0]))
+        for got, (a, b) in zip(values.reshape(6, -1), _sym_pairs(3)):
+            np.testing.assert_allclose(got, want if a == b else 0.0,
+                                       rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +582,30 @@ def test_discrete_admissible_solves_to_solver_tolerance():
     x_f, rep_f = solve_least_squares(system, src)
     assert rep_f.relative_residual <= 1e-12
     assert np.linalg.norm(x_f - x) <= 1e-6 * np.linalg.norm(x_f)
+
+
+def test_every_collar_reader_shares_one_d(monkeypatch):
+    # the discrete-admissible source solves to roundoff only because its
+    # double curl and the slab blocks apply the same collar D: with D
+    # doubled for every reader it still does, with D doubled for the
+    # blocks alone it does not
+    n, collar = 16, bvp._collar
+    private = make_source(n, CHART, "discrete-admissible", seed=1)
+    monkeypatch.setattr(bvp, "_collar",
+                        lambda m: collar(m)._replace(D=2 * collar(m).D))
+    try:
+        bvp._slab_polynomial.cache_clear()
+        bvp._grid.cache_clear()
+        system = assemble(n, CHART)
+        shared = make_source(n, CHART, "discrete-admissible", seed=1)
+        assert solve_least_squares(system, shared)[1].relative_residual \
+            <= 1e-12
+        assert solve_least_squares(system, private)[1].relative_residual \
+            >= 1e-3
+    finally:
+        monkeypatch.undo()
+        bvp._slab_polynomial.cache_clear()
+        bvp._grid.cache_clear()
 
 
 def test_solve_report_reads_both_residuals_from_one_residual():

@@ -331,6 +331,35 @@ def test_serial_in_a_fresh_interpreter_pins_the_thread_variables(how,
     assert meta["chunk_workers"] == 1
 
 
+def _run_under_3gib(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter whose own address space is
+    capped at 3 GiB, with the package from this checkout's sources."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+               OPENBLAS_NUM_THREADS="1")
+    cap = ("import resource, sys\n"
+           "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n")
+    return subprocess.run([sys.executable, "-c", cap + code], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_a_slab_matrix_beyond_the_memory_limit_is_refused(tmp_path):
+    # the d=5, n=16 slab matrix takes 10.2 GiB of CSR: refused before it
+    # is allocated, with exit 2 and its size; a d=3, n=8 one still fits
+    out = str(tmp_path / "r.json")
+    done = _run_under_3gib(
+        "from bianchi_lab.cli import main\n"
+        f"sys.exit(main(['verify', '--suite', 'bvp', '--dim', '5', "
+        f"'--out', {out!r}]))")
+    assert done.returncode == 2, done.stderr
+    assert "the n=16 slab matrix needs 10.2 GiB" in done.stderr
+    done = _run_under_3gib(
+        "from bianchi_lab.bvp import assemble\n"
+        "from bianchi_lab.charts import make_chart\n"
+        "assemble(8, make_chart('flat_slab_periodic', 3))")
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="no CPU affinity on this platform")
 @pytest.mark.parametrize("serial", [False, True])

@@ -322,6 +322,15 @@ def test_package_imports_no_scipy():
     assert loaded == []
 
 
+def test_slab_spectra_load_no_scipy():
+    loaded = _scipy_modules_after(
+        "from bianchi_lab.bvp import cohomology_probe, lateral_block_svals\n"
+        "from bianchi_lab.charts import make_chart\n"
+        "lateral_block_svals(8, 3)\n"
+        "cohomology_probe(8, make_chart('flat_slab_periodic', 3))")
+    assert loaded == []
+
+
 def test_slab_solve_loads_no_scipy_linalg():
     loaded = _scipy_modules_after(
         "from bianchi_lab.charts import make_chart\n"

@@ -13,13 +13,14 @@ table written here.
 
 Every operator is invariant under lateral translation, so the lateral DFT
 splits it into one collar-line block per lateral mode, a polynomial of
-degree <= 2 in the lateral symbols i t_a, made real by a diagonal phase.
-``_block_polynomial`` reads that polynomial directly off the tables: the
-collar enters only as the first difference D, its square, the face rows
-E and the boundary weight of ``_collar(n)``, one read-only value per
-grid that every reader of the collar shares.  D and the lateral symbols
-come from one family of first-derivative operators, and the family
-commutes, so flat-background polynomial identities -- the gauged
+degree <= 2 in the lateral symbols i t_a, made real by a diagonal phase
+in ``_fourier_blocks``.  ``_block_polynomial`` reads its coefficients
+off the tables on the collar it is given, which enters only as a first
+difference D, its square, face rows E and a boundary weight:
+``_collar(n)``, one read-only value per grid that every slab reader
+shares, or ``_periodic_collar(n)``, the closed torus's last axis.  D and
+the lateral symbols come from one commuting family of first-derivative
+operators, so flat-background polynomial identities -- the gauged
 divergence of the interior operator vanishing, and the interior operator
 annihilating Killing deformations -- hold exactly at the matrix level.
 That exactness is what makes "discrete-admissible" sources solvable to
@@ -36,7 +37,7 @@ B^-1 T), and differentiates the double-curl sources with the collar's D
 and the lateral central difference of ``_expand``.  The spectra and
 ``cohomology_probe`` read only the blocks and load no scipy module.
 Only the functions that build a sparse matrix import scipy.sparse:
-``_expand`` and ``make_source``.  ``kernel_probe`` imports
+``_expand`` and ``_family_rows``.  ``kernel_probe`` imports
 scipy.sparse.csgraph for its band ordering and scipy.linalg for its
 banded Cholesky.
 The continuum-admissible source is evaluated on 4 lateral nodes per axis
@@ -95,7 +96,7 @@ __all__ = [
 
 
 class _Collar(NamedTuple):
-    """An n-node collar: D (n, n), face rows E (2, n), boundary weight."""
+    """An n-node collar: D (n, n), face rows E (faces, n), weight."""
     D: np.ndarray
     E: np.ndarray
     weight: float
@@ -120,6 +121,16 @@ def _collar(n: int) -> _Collar:
     E[0, :3] = E[1, :-4:-1] = np.array([15.0, -10.0, 3.0]) / 8.0
     D.flags.writeable = E.flags.writeable = False
     return _Collar(D, E, h ** -0.5)
+
+
+@lru_cache(maxsize=None)
+def _periodic_collar(n: int) -> _Collar:
+    """The closed torus's last axis as an n-node collar, read-only: D =
+    (S - S^-1) / 2h with S the shift by one node, no face rows, weight 1."""
+    S = np.roll(np.eye(n), 1, axis=1)
+    D, E = (S - S.T) / (2.0 / n), np.zeros((0, n))
+    D.flags.writeable = E.flags.writeable = False
+    return _Collar(D, E, 1.0)
 
 
 def _cell_centers(n: int) -> np.ndarray:
@@ -416,8 +427,6 @@ def make_source(n: int, chart: MetricChart, kind: str,
     The discrete-admissible source is ``_grid``'s einstein rows applied
     to the potential B^-1 tau, and ``div_rel`` is max |delta T| / max |T|
     with delta T its gauge rows applied to B^-1 T (``_b_inverse``)."""
-    import scipy.sparse as sp
-
     d = _slab_dim(chart)
     if kind not in SOURCE_MIN_GRID:
         raise ValueError(f"unknown source kind {kind!r}")
@@ -435,7 +444,7 @@ def make_source(n: int, chart: MetricChart, kind: str,
         tau = _double_curl_source(n, d, rng, _normal_profile(n, lo, hi))
         # mu = B^{-1} tau keeps the gauge rows exactly zero
         potential = _b_inverse(vec_components(tau, pairs), d)
-        values = (matrix @ potential)[:len(pairs) * n ** d]
+        values = _family_rows(matrix, d, n, "einstein") @ potential
     elif kind == "continuum-admissible":
         values = _continuum_source(n, chart, seed)
         potential = None
@@ -458,21 +467,29 @@ def make_source(n: int, chart: MetricChart, kind: str,
         potential = None
 
     scale = max(np.abs(values).max(), 1e-300)
-    # delta T from the gauge rows alone, which are contiguous: the CSR of
-    # their part of the matrix's arrays takes 8 ms at d=3, n=48, where a
-    # row slice of the matrix takes 51 ms and the whole product 25 ms
-    gauge = _stack_rows(d, n ** d, n ** (d - 1), ("gauge",))
-    lo, hi = gauge[0], gauge[-1] + 1
-    start, stop = matrix.indptr[lo], matrix.indptr[hi]
-    rows = sp.csr_matrix((matrix.data[start:stop],
-                          matrix.indices[start:stop],
-                          matrix.indptr[lo:hi + 1] - start),
-                         shape=(hi - lo, matrix.shape[1]))
-    div = rows @ _b_inverse(values, d)
+    div = _family_rows(matrix, d, n, "gauge") @ _b_inverse(values, d)
     return SourceSpec(kind=kind, values=values,
                       div_rel=float(np.abs(div).max() / scale),
                       boundary_rel=_face_max(values, n) / scale,
                       potential=potential)
+
+
+def _family_rows(matrix: sp.csr_matrix, d: int, n: int,
+                 family: str) -> sp.csr_matrix:
+    """The rows of one contiguous row family of the full-grid ``matrix``
+    as a CSR on views of its arrays.  A CSR product sums each row in
+    stored order, so it gives the bits of the whole product's rows: for
+    the gauge rows it takes 8 ms at d=3, n=48, where a row slice of the
+    matrix takes 51 ms and the whole product 25 ms."""
+    import scipy.sparse as sp
+
+    rows = _stack_rows(d, n ** d, n ** (d - 1), (family,))
+    lo, hi = rows[0], rows[-1] + 1
+    start, stop = matrix.indptr[lo], matrix.indptr[hi]
+    return sp.csr_matrix((matrix.data[start:stop],
+                          matrix.indices[start:stop],
+                          matrix.indptr[lo:hi + 1] - start),
+                         shape=(hi - lo, matrix.shape[1]))
 
 
 def _b_inverse(values: np.ndarray, d: int) -> np.ndarray:
@@ -564,10 +581,11 @@ def kernel_probe(matrix: sp.spmatrix, seed: int = 0) -> float:
     iteration on the normal matrix N = A^T A, shifted by 1e-12 ||N||_1.
     The shifted N is symmetric positive definite: a reverse Cuthill-McKee
     ordering of its columns gives it a narrow band, which LAPACK factors
-    as a banded Cholesky.  The iteration stops once the eigen-residual
-    ||A^T A x - ||A x||^2 x|| reaches roundoff, 1e-14 ||N||_1, or after
-    60 steps.  ||A x|| rather than sqrt(x^T N x) keeps an exact kernel at
-    roundoff instead of at the square root of it."""
+    as a banded Cholesky; a band larger than ``_memory_limit()`` raises
+    ``ValueError`` before it is allocated.  The iteration stops once the
+    eigen-residual ||A^T A x - ||A x||^2 x|| reaches roundoff, 1e-14
+    ||N||_1, or after 60 steps.  ||A x|| rather than sqrt(x^T N x) keeps
+    an exact kernel at roundoff instead of at the square root of it."""
     from scipy.linalg import cho_solve_banded, cholesky_banded
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -579,6 +597,12 @@ def kernel_probe(matrix: sp.spmatrix, seed: int = 0) -> float:
     rows, cols, vals = N.row[upper], N.col[upper], N.data[upper]
     del N, upper  # freed before the band is allocated: a lower peak RSS
     bw = int((cols - rows).max())
+    need, avail = (bw + 1) * A.shape[1] * 8, _memory_limit()
+    if need > avail:
+        raise ValueError(f"the kernel probe's band of {bw + 1} x "
+                         f"{A.shape[1]} needs {need / 2 ** 30:.1f} GiB, more "
+                         f"than the {avail / 2 ** 30:.1f} GiB this process "
+                         f"may use")
     band = np.zeros((bw + 1, A.shape[1]), order="F")  # factored in place
     band[bw + rows - cols, cols] = vals
     band[bw] += 1e-12 * scale
@@ -605,9 +629,9 @@ _IMAG_TOL = 1e-10
 
 
 class _Polynomial(NamedTuple):
-    """The lateral-Fourier blocks as a real polynomial in t_a = sin(2 pi
-    k_a / n): sum_e t^e coef[e] is the block of mode k with row r scaled
-    by i^(-row_parity[r]) and column c by i^(col_parity[c]).  row_axes
+    """The lateral-Fourier blocks as a polynomial in u_a = i sin(2 pi k_a /
+    n): sum_e u^e coef[e] is the block of mode k, made real by scaling row
+    r by i^(-row_parity[r]) and column c by i^(col_parity[c]).  row_axes
     (m x rows) and col_axes (m x cols) hold the parity of each row and
     column under the reflection of each lateral axis alone; row_parity
     and col_parity are their sums mod 2 (see ``_block_polynomial``).
@@ -623,26 +647,26 @@ class _Polynomial(NamedTuple):
     nodes: int
 
 
-def _phase_flip(terms, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+def _phase_flip(poly: _Polynomial) -> np.ndarray:
     """(terms, rows, cols) mask of the entries whose phase i^(|e| + p_c -
     p_r) is -1, where the exponent is 2 mod 4 (see ``_block_polynomial``)."""
-    deg = np.array([len(e) for e in terms])[:, None, None]
-    return (deg + col - row[:, None]) % 4 == 2
+    deg = np.array([len(e) for e in poly.terms])[:, None, None]
+    return (deg + poly.col_parity - poly.row_parity[:, None]) % 4 == 2
 
 
-def _block_polynomial(n: int, d: int, nodes: np.ndarray, faces, unknowns,
-                      closed_torus: bool = False) -> _Polynomial:
-    """A lateral-Fourier block as a real polynomial in the symbols, read
-    off coefficient tables.
+def _block_polynomial(n: int, d: int, collar: _Collar, nodes: np.ndarray,
+                      faces, unknowns) -> _Polynomial:
+    """The operator's lateral-Fourier block on ``collar`` as a polynomial
+    in the symbols, read off coefficient tables.
 
     ``nodes`` is the ``_symbol`` table (terms of ``_terms(d)``, rows,
     cols) of the per-node rows, and ``faces`` a list of (face, table)
-    pairs of per-face-node rows, in row order; the columns are the
-    components ``unknowns`` (index tuples) of the unknown field.  In the
-    block of lateral mode k each lateral derivative is u_a / h times the
-    identity, with u_a = i t_a and t_a = sin(2 pi k_a / n), and the collar
-    derivative (absent on the closed torus, where all d axes are lateral)
-    is the collar's first difference D (``_collar``).  So a term
+    pairs of per-face-node rows, in row order, with face a row of the
+    collar's E; the columns are the components ``unknowns`` (index
+    tuples) of the unknown field.  The first d - 1 axes are lateral: in
+    the block of lateral mode k each lateral derivative is u_a / h times
+    the identity, with u_a = i t_a and t_a = sin(2 pi k_a / n), and the
+    last axis's derivative is the collar's first difference D.  So a term
     C_alpha d^alpha with lateral axes e and k collar axes is u^e C_alpha
     (x) D^k / h^|e|, and the block is exactly
 
@@ -663,14 +687,9 @@ def _block_polynomial(n: int, d: int, nodes: np.ndarray, faces, unknowns,
     axis, the parity its coefficients demand, and a coefficient that
     demands the other one raises ``ValueError``.
     """
-    h = 1.0 / n
-    m = d if closed_torus else d - 1
-    line = 1 if closed_torus else n
+    h, m, line = 1.0 / n, d - 1, len(collar.D)
     terms = _terms(m)
-    powers = np.eye(line)[None]  # D^k, k = 0 .. 2, on the collar line
-    if not closed_torus:
-        collar = _collar(n)
-        powers = np.stack([powers[0], collar.D, collar.D @ collar.D])
+    powers = np.stack([np.eye(line), collar.D, collar.D @ collar.D])
 
     def rows(table, powers):
         # the table's C_alpha / h^|e| by lateral term e and collar count
@@ -685,7 +704,6 @@ def _block_polynomial(n: int, d: int, nodes: np.ndarray, faces, unknowns,
         J, R, C, height, width = out.shape
         return out.transpose(0, 1, 3, 2, 4).reshape(J, R * height, C * width)
 
-    # no faces on the closed torus, which has no collar
     coef = np.concatenate([rows(nodes, powers)] + [
         collar.weight * rows(table, collar.E[[face]] @ powers)
         for face, table in faces], axis=1)
@@ -702,10 +720,8 @@ def _block_polynomial(n: int, d: int, nodes: np.ndarray, faces, unknowns,
             raise ValueError("a block coefficient breaks the lateral "
                              "parity grading, so no diagonal phase makes "
                              "it real")
-    row, col = row_axes.sum(axis=0) % 2, col_axes.sum(axis=0) % 2
-    return _Polynomial(tuple(terms),
-                       np.where(_phase_flip(terms, row, col), -coef, coef),
-                       row, col, row_axes, col_axes, line,
+    return _Polynomial(tuple(terms), coef, row_axes.sum(axis=0) % 2,
+                       col_axes.sum(axis=0) % 2, row_axes, col_axes, line,
                        nodes.shape[1] * line)
 
 
@@ -729,8 +745,8 @@ def _expand(poly: _Polynomial, n: int) -> sp.csr_matrix:
 
         A = sum_e prod_{a in e} (S_a - S_a^-1) / 2  (x)  coef_e
 
-    with coef_e the unphased coefficient of term e: a block M_delta for
-    each lateral offset delta (mod n, so that the offsets +-2 of n=4
+    with coef_e the polynomial's coefficient of term e: a block M_delta
+    for each lateral offset delta (mod n, so that the offsets +-2 of n=4
     coincide), whose weights are multiples of 1/4 and exact.  The CSR
     arrays are written directly in the layout of ``DiscreteSystem``:
     node rows (family, lateral node, collar node), then face rows (face
@@ -745,10 +761,8 @@ def _expand(poly: _Polynomial, n: int) -> sp.csr_matrix:
     _, R, C = poly.coef.shape
     m, line = len(poly.row_axes), poly.line
     lateral = n ** m
-    coef = np.where(_phase_flip(poly.terms, poly.row_parity,
-                                poly.col_parity), -poly.coef, poly.coef)
     offset_blocks = {}
-    for e, c in zip(poly.terms, coef):
+    for e, c in zip(poly.terms, poly.coef):
         # the lateral factor of term e: one shift per sign choice
         weights = {}
         for signs in product((1, -1), repeat=len(e)):
@@ -812,8 +826,8 @@ def _slab_polynomial(n: int, d: int) -> _Polynomial:
     its arrays are read-only."""
     face0, face1, normal = _boundary_symbols(d)
     poly = _block_polynomial(
-        n, d, np.concatenate([_symbol(d, dein_closed_jets),
-                              _symbol(d, _gauge)], axis=1),
+        n, d, _collar(n), np.concatenate([_symbol(d, dein_closed_jets),
+                                          _symbol(d, _gauge)], axis=1),
         [(0, face0), (1, face1), (0, normal), (1, normal)], _sym_pairs(d))
     for array in poly[1:6]:
         array.flags.writeable = False
@@ -857,8 +871,8 @@ def _reflect(v: np.ndarray, axis_parity: np.ndarray,
 def _fourier_blocks(poly: _Polynomial, n: int, classes: np.ndarray):
     """Yield the real lateral-Fourier block (rows, cols) of each class in
     ``classes`` (representatives of ``_symbol_classes``), in that order:
-    sum_e w_e coef[e], with the symbol weights w_e = prod_{a in e} t_a of
-    every class computed at once."""
+    sum_e w_e coef[e] with the phases of ``_phase_flip``, and the symbol
+    weights w_e = prod_{a in e} t_a of every class computed at once."""
     J, R, C = poly.coef.shape
     m = len(poly.row_axes)
     K = _class_count(n)
@@ -866,7 +880,7 @@ def _fourier_blocks(poly: _Polynomial, n: int, classes: np.ndarray):
     symbols = t[np.array(np.unravel_index(classes, (K,) * m)).T]
     W = np.stack([np.prod(symbols[:, list(e)], axis=1)
                   for e in poly.terms], axis=1)
-    flat = poly.coef.reshape(J, -1)
+    flat = np.where(_phase_flip(poly), -poly.coef, poly.coef).reshape(J, -1)
     for w in W:
         yield (w @ flat).reshape(R, C)
 
@@ -895,17 +909,16 @@ def lateral_block_svals(n: int, d: int) -> dict:
     return {"spectrum": _spectrum(_slab_polynomial(n, d), n)}
 
 
-def _h0_polynomial(n: int, d: int, closed_torus: bool = False
-                   ) -> _Polynomial:
+def _h0_polynomial(n: int, d: int, closed_torus: bool = False) -> _Polynomial:
     """``_block_polynomial`` of the H0 operator on the vector field X: the
     Killing operator delta* per node, from its ``_symbol``, then the
-    restriction of X to each face (no face rows without faces)."""
+    restriction of X to each face of the collar (the torus's has none)."""
+    collar = (_periodic_collar if closed_torus else _collar)(n)
     restrict = np.zeros((len(_terms(d)), d, d))
     restrict[0] = np.eye(d)
-    return _block_polynomial(n, d, _symbol(d, killing),
-                             [] if closed_torus else [(0, restrict),
-                                                      (1, restrict)],
-                             [(a,) for a in range(d)], closed_torus)
+    return _block_polynomial(n, d, collar, _symbol(d, killing),
+                             [(f, restrict) for f in range(len(collar.E))],
+                             [(a,) for a in range(d)])
 
 
 def _h1_polynomial(n: int, d: int) -> _Polynomial:
@@ -920,7 +933,7 @@ def _h1_polynomial(n: int, d: int) -> _Polynomial:
 
 def h0_spectrum(n: int, d: int, closed_torus: bool = False) -> np.ndarray:
     """Exact spectrum of the H0 operator via lateral Fourier blocks (on the
-    closed torus, Fourier modes in all d axes)."""
+    closed torus, the last axis a periodic collar)."""
     return _spectrum(_h0_polynomial(n, d, closed_torus), n)
 
 
@@ -1035,15 +1048,14 @@ def cohomology_probe(n: int, chart: MetricChart,
     Counting runs on the exact lateral-Fourier spectra, with kernel
     threshold 1e-6 times the largest singular value.  A translation X =
     e_i lies on lateral mode 0, so |H0 X| / |X| is |A_0 (e_i x 1)| /
-    sqrt(line) for the mode-0 block A_0 of ``_h0_polynomial`` (unitary
-    phases) over a collar line of n nodes, 1 on the closed torus, whose
-    kernel holds the translations that the boundary rows remove.
+    sqrt(line) for the mode-0 block A_0 = coef[0] of ``_h0_polynomial``
+    on its collar line; the boundary rows remove the translations, and
+    on the closed torus D 1 = 0 keeps them in the kernel.
     """
     d = _slab_dim(chart)
     h0 = _h0_polynomial(n, d, closed_torus)
     out = {"dim_h0": spectral_gap(_spectrum(h0, n), 1e-6)[1]}
-    A0 = h0.coef[0]
-    line = A0.shape[1] // d
+    A0, line = h0.coef[0], h0.line
     out["translation_image_norms"] = (
         np.linalg.norm(A0.reshape(-1, d, line).sum(axis=2), axis=0)
         / np.sqrt(line)).tolist()

@@ -6,9 +6,9 @@ finite-difference geometry.  None of it shares code with the library,
 except ``jet_mul_loop``: the former per-output jet product loop, which
 reads the library's per-output pair table ``jets._mul_table``; the
 per-term slab assembly and the lateral-Fourier block oracle (the lateral
-DFT of its impulse responses), which read the library's collar
-difference and face rows (``bvp._collar``), component pairs and boundary
-row layout, and build their own periodic lateral difference; the slab
+DFT of its impulse responses), which read the library's component pairs
+and boundary row layout, and build their own collar difference, face
+rows and periodic lateral difference from the closed forms; the slab
 kernel fields ``width_modulus_fields`` and ``discrete_kernel_basis``,
 which read the component pairs; ``continuum_source_full_grid``, the former full-grid
 continuum-admissible source, which reads the library's ``dein_closed``
@@ -509,14 +509,33 @@ def periodic_stencil(n: int) -> sp.csr_matrix:
     return m / (1.0 / n)
 
 
+def collar_stencils(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(D, E) of the n-node collar from their closed forms: D the central
+    difference (f_(j+1) - f_(j-1)) / 2h with the third-order one-sided
+    end rows (-11, 18, -9, 2) / 6h and (-2, 9, -18, 11) / 6h, and E the
+    quadratic extrapolation (15, -10, 3) / 8 to face 0 from the first
+    three nodes and to face 1 from the last three."""
+    h = 1.0 / n
+    entries = [(j, j + s, s * 0.5 / h) for j in range(1, n - 1)
+               for s in (-1, 1)]
+    for k, w in enumerate([-11.0, 18.0, -9.0, 2.0]):
+        entries += [(0, k, w / 6.0 / h), (n - 1, n - 1 - k, -w / 6.0 / h)]
+    rows, cols, vals = zip(*entries)
+    D = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    E = sp.csr_matrix(([15.0 / 8.0, -10.0 / 8.0, 3.0 / 8.0] * 2,
+                       ([0] * 3 + [1] * 3, [0, 1, 2, n - 1, n - 2, n - 3])),
+                      shape=(2, n))
+    return D, E
+
+
 def grid_stencils(n: int, d: int, closed_torus: bool = False):
     """(P, E_faces) on the full n^d grid: each axis operator the kron of
     a 1-D difference along its axis (the periodic stencil on a lateral
-    axis, ``bvp._collar``'s D on the collar) with the identity on the
+    axis, ``collar_stencils``' D on the collar) with the identity on the
     others, and each face row the kron of the identity on the lateral
     axes with the collar's extrapolation row (no face rows on the closed
     torus)."""
-    collar = bvp._collar(n)
+    D, E = collar_stencils(n)
 
     def axis_operator(op1d, axis):
         mat = sp.identity(1, format="csr")
@@ -526,10 +545,9 @@ def grid_stencils(n: int, d: int, closed_torus: bool = False):
         return mat
 
     P = [axis_operator(periodic_stencil(n) if k < d - 1 or closed_torus
-                       else sp.csr_matrix(collar.D), k) for k in range(d)]
+                       else D, k) for k in range(d)]
     E_faces = [] if closed_torus else [
-        sp.kron(sp.identity(n ** (d - 1)), sp.csr_matrix(collar.E[[face]]),
-                format="csr")
+        sp.kron(sp.identity(n ** (d - 1)), E[[face]], format="csr")
         for face in (0, 1)]
     return P, E_faces
 
@@ -600,10 +618,9 @@ def h0_blocks_loop(n: int, d: int, closed_torus: bool = False):
     are lateral on the closed torus)."""
     h = 1.0 / n
     naxes = d if closed_torus else d - 1
-    collar = bvp._collar(n)
-    Pd = sp.csr_matrix(collar.D, dtype=complex)
-    E_faces = [sp.csr_matrix(collar.E[[face]], dtype=complex)
-               for face in (0, 1)]
+    D, E = collar_stencils(n)
+    Pd = D.astype(complex)
+    E_faces = [E[[face]].astype(complex) for face in (0, 1)]
     for kmodes in iproduct(range(n), repeat=naxes):
         sym = [1j * np.sin(2 * np.pi * k / n) / h for k in kmodes]
         if closed_torus:

@@ -33,7 +33,9 @@ from bianchi_lab.verify import (
 )
 
 from oracles import (
+    assemble_loop,
     boundary_from_P_loop,
+    collar_stencils,
     composed_symbols,
     continuum_source_full_grid,
     discrete_kernel_basis,
@@ -322,14 +324,16 @@ def test_slab_reads_its_boundary_rows_off_the_boundary_tables(d, n,
 
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_one_dimensional_stencils_match_their_closed_forms(n):
-    # the central difference (f_(j+1) - f_(j-1)) / 2h, periodic (the
-    # oracles' lateral stencil, in sorted CSR with no stored zero) or with
-    # the third-order one-sided end rows (the collar's D), the collar's
-    # quadratic face extrapolation (15, -10, 3) / 8 and its boundary
-    # weight h^(-1/2); the collar's arrays are read-only
+    # the oracles' stencils, in sorted CSR with no stored zero: the
+    # periodic central difference (f_(j+1) - f_(j-1)) / 2h (lateral), the
+    # same with the third-order one-sided end rows (the collar's D) and
+    # the quadratic face extrapolation (15, -10, 3) / 8; the collar's D
+    # and E are the oracle's, its weight h^(-1/2), and its arrays are
+    # read-only
     h = 1.0 / n
     collar = bvp._collar(n)
-    for periodic in (True, False):
+    D, E = collar_stencils(n)
+    for periodic, got in ((True, periodic_stencil(n)), (False, D)):
         want = np.zeros((n, n))
         for j in range(n):
             if periodic or 0 < j < n - 1:
@@ -338,20 +342,55 @@ def test_one_dimensional_stencils_match_their_closed_forms(n):
         if not periodic:
             want[0, :4] = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0 / h
             want[-1, -4:] = np.array([-2.0, 9.0, -18.0, 11.0]) / 6.0 / h
-        if periodic:
-            got = periodic_stencil(n)
-            assert got.format == "csr" and got.has_sorted_indices
-            assert got.nnz == np.count_nonzero(want)
-            got = got.toarray()
-        else:
-            got = collar.D
-        assert np.array_equal(got, want)
+        assert got.format == "csr" and got.has_sorted_indices
+        assert got.nnz == np.count_nonzero(want)
+        assert np.array_equal(got.toarray(), want)
     want = np.zeros((2, n))
     for face, cols in ((0, [0, 1, 2]), (1, [n - 1, n - 2, n - 3])):
         want[face, cols] = [15.0 / 8.0, -10.0 / 8.0, 3.0 / 8.0]
-    assert np.array_equal(collar.E, want)
+    assert E.format == "csr" and E.has_sorted_indices
+    assert np.array_equal(E.toarray(), want)
+    assert np.array_equal(collar.D, D.toarray())
+    assert np.array_equal(collar.E, E.toarray())
     assert collar.weight == pytest.approx(h ** -0.5, rel=1e-15)
     assert not (collar.D.flags.writeable or collar.E.flags.writeable)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 15])
+def test_periodic_collar_is_the_periodic_stencil(n):
+    # the closed torus's last axis: D the oracle's periodic central
+    # difference, bit for bit, so D 1 = 0 exactly; no face rows; weight 1;
+    # read-only
+    collar = bvp._periodic_collar(n)
+    assert np.array_equal(collar.D, periodic_stencil(n).toarray())
+    assert np.array_equal(collar.D @ np.ones(n), np.zeros(n))
+    assert collar.E.shape == (0, n)
+    assert collar.weight == 1.0
+    assert not (collar.D.flags.writeable or collar.E.flags.writeable)
+    assert bvp._periodic_collar(n) is collar
+
+
+def test_the_oracle_assembly_does_not_read_the_collar(monkeypatch):
+    # with the collar's D doubled in bvp, the assembled matrix moves and
+    # the per-term oracle, built from the closed forms, does not follow
+    n, collar = 8, bvp._collar
+    oracle = assemble_loop(n, 3)
+
+    def gap():
+        A = assemble(n, CHART).matrix
+        return abs(A - oracle).max() / abs(oracle).max()
+
+    assert gap() <= 1e-15
+    monkeypatch.setattr(bvp, "_collar",
+                        lambda m: collar(m)._replace(D=2 * collar(m).D))
+    try:
+        bvp._slab_polynomial.cache_clear()
+        bvp._grid.cache_clear()
+        assert gap() >= 0.1
+    finally:
+        monkeypatch.undo()
+        bvp._slab_polynomial.cache_clear()
+        bvp._grid.cache_clear()
 
 
 def test_stencil_consistency_second_order():
@@ -694,6 +733,18 @@ def test_kernel_probe_matches_dense_svd(dense8):
     est = kernel_probe(system.matrix)
     assert dense[-1] > 1e-8 * dense[0]
     assert abs(est - dense[-1]) <= 1e-8 * dense[0]
+
+
+def test_kernel_probe_refuses_a_band_beyond_the_memory_limit(monkeypatch):
+    # the band's size is known before it is allocated: at 1 MiB the n=8
+    # probe raises, naming the band, and at the real limit it gives the
+    # Fourier sigma_min
+    A = assemble(8, CHART).matrix
+    sigma_min = lateral_block_svals(8, 3)["spectrum"][0]
+    assert abs(kernel_probe(A) - sigma_min) <= 1e-12
+    monkeypatch.setattr(bvp, "_memory_limit", lambda: 2 ** 20)
+    with pytest.raises(ValueError, match=r"band of \d+ x 3072 needs"):
+        kernel_probe(A)
 
 
 def test_kernel_probe_over_seeds():
